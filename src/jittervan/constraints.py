@@ -12,8 +12,11 @@ system loses exactly one rank.
 
 Merging rows along a coarser partition of the blocks gives the constraint
 system whose zero set carries the delta-constrained integrals.  Elimination
-is done in exact rational arithmetic: the Jacobian factor multiplies an
-extrapolated limit downstream and must not carry rounding error.
+is done in exact rational arithmetic: the Jacobian factor weights the
+constrained integrals downstream and must not carry rounding error.  The
+matrix is the incidence matrix of the walk through the blocks, hence
+totally unimodular, so on these systems the solution map is integral and
+the Jacobian factor is 1.
 """
 
 from __future__ import annotations
@@ -107,43 +110,28 @@ class ConstraintSystem:
         return y
 
 
-def _fraction_det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    m = [row[:] for row in rows]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = Fraction(1) / m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c] != 0:
-                factor = m[r][c] * inv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[c])]
-    return det
-
-
 def reduce_system(rows: np.ndarray) -> ConstraintSystem:
     """Row-reduce an integer system D y = 0 exactly.
 
     Pivots are chosen left to right, preferring entries of magnitude one so
-    the Jacobian factor stays 1 whenever the system allows it.
+    the Jacobian factor stays 1 whenever the system allows it.  Elimination
+    turns the pivot submatrix into the identity through row additions and
+    one division per pivot, so its |det| is the product of the pivot
+    magnitudes met on the way.
     """
     n_rows, n_cols = rows.shape
     work = [[Fraction(int(v)) for v in row] for row in rows]
     pivot_rows: list[int] = []
     pivot_cols: list[int] = []
     used_rows: set[int] = set()
+    det = Fraction(1)
     for col in range(n_cols):
         candidates = [r for r in range(n_rows) if r not in used_rows and work[r][col] != 0]
         if not candidates:
             continue
         unit = [r for r in candidates if abs(work[r][col]) == 1]
         row = unit[0] if unit else min(candidates, key=lambda r: (abs(work[r][col]), r))
+        det *= abs(work[row][col])
         inv = Fraction(1) / work[row][col]
         work[row] = [v * inv for v in work[row]]
         for r in range(n_rows):
@@ -158,11 +146,6 @@ def reduce_system(rows: np.ndarray) -> ConstraintSystem:
     solution = tuple(
         tuple(-work[pivot_rows[j]][f] for f in free_cols) for j in range(rank)
     )
-    if rank:
-        sub = [[Fraction(int(rows[r, c])) for c in pivot_cols] for r in pivot_rows]
-        jac = Fraction(1) / abs(_fraction_det(sub))
-    else:
-        jac = Fraction(1)
     return ConstraintSystem(
         matrix=tuple(tuple(int(v) for v in row) for row in rows),
         rank=rank,
@@ -170,79 +153,10 @@ def reduce_system(rows: np.ndarray) -> ConstraintSystem:
         pivot_columns=tuple(pivot_cols),
         free_columns=tuple(free_cols),
         solution=solution,
-        jacobian_factor=jac,
+        jacobian_factor=1 / det,
     )
 
 
 def constraint_system(partition: Partition, grouping: Partition) -> ConstraintSystem:
     """Zero-sum constraint system for a partition pair (reduced exactly)."""
     return reduce_system(merged_difference_rows(partition, grouping))
-
-
-def _size_reduce_columns(basis: np.ndarray) -> np.ndarray:
-    """Shorten lattice basis columns by integer combinations of each other.
-
-    Adding integer multiples of one column to another preserves the lattice;
-    accepting only strict norm decreases guarantees termination.  A nearly
-    orthogonal basis keeps downstream enumeration windows tight.
-    """
-    b = basis.astype(np.int64).copy()
-    n = b.shape[1]
-    changed = True
-    passes = 0
-    while changed and passes < 64:
-        changed = False
-        passes += 1
-        norms = (b * b).sum(axis=0)
-        for i in np.argsort(norms):
-            den = int(b[:, i] @ b[:, i])
-            if den == 0:
-                continue
-            for j in range(n):
-                if j == i:
-                    continue
-                q = int(round((b[:, j] @ b[:, i]) / den))
-                if q:
-                    candidate = b[:, j] - q * b[:, i]
-                    if candidate @ candidate < b[:, j] @ b[:, j]:
-                        b[:, j] = candidate
-                        changed = True
-    return b
-
-
-def integer_kernel_basis(rows: np.ndarray) -> np.ndarray:
-    """Basis of the integer kernel {x : rows @ x = 0, x integral}.
-
-    Unimodular column reduction (Euclidean steps on columns) of the input,
-    tracking the transform; the columns that reduce to zero pull back to a
-    lattice basis of the full integer kernel, not merely a finite-index
-    sublattice.  Returns a p x n integer matrix whose columns are the basis,
-    size-reduced so coefficient boxes stay small.
-    """
-    mat = [[int(v) for v in row] for row in np.asarray(rows)]
-    n_rows = len(mat)
-    n_cols = len(mat[0]) if n_rows else 0
-    transform = [[int(i == j) for j in range(n_cols)] for i in range(n_cols)]
-    active = list(range(n_cols))
-    for r in range(n_rows):
-        while True:
-            nonzero = [c for c in active if mat[r][c] != 0]
-            if len(nonzero) <= 1:
-                break
-            nonzero.sort(key=lambda c: (abs(mat[r][c]), c))
-            c0, c1 = nonzero[0], nonzero[1]
-            q = mat[r][c1] // mat[r][c0]
-            for i in range(n_rows):
-                mat[i][c1] -= q * mat[i][c0]
-            for i in range(n_cols):
-                transform[i][c1] -= q * transform[i][c0]
-        nonzero = [c for c in active if mat[r][c] != 0]
-        if nonzero:
-            active.remove(nonzero[0])
-    basis = np.zeros((n_cols, len(active)), dtype=np.int64)
-    for j, c in enumerate(active):
-        for i in range(n_cols):
-            basis[i, j] = transform[i][c]
-    if basis.shape[1] > 1:
-        basis = _size_reduce_columns(basis)
-    return basis

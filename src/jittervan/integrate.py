@@ -5,11 +5,10 @@ fine partition fixes the difference forms, the coarse one fixes which sums
 of them are pinned to zero.  Three regimes are evaluated here.
 
 * All forms pinned (coarse partition all singletons): the factor is the
-  normalized volume of the zero set inside the centered unit cube.  It is
-  computed exactly by counting integer points of the kernel lattice in
-  growing boxes and extrapolating the leading coefficient of the counting
-  polynomial, because the defining limit literally is that ratio and the
-  counts are exact integers.
+  normalized volume of the zero set inside the centered unit cube.  The
+  difference forms are the incidence matrix of a graph on the blocks, so
+  the volume is a box-spline value, computed exactly in rationals by the
+  box-spline recurrence.
 * No pinning (single coarse block): a plain randomized quasi Monte Carlo
   average of the characteristic-function product over the cube.
 * Partial pinning: the pinned sums are eliminated exactly (rational
@@ -30,33 +29,23 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.stats import qmc
 
-from .constraints import (
-    constraint_system,
-    difference_matrix,
-    integer_kernel_basis,
-    merged_difference_rows,
-)
+from .constraints import constraint_system, difference_matrix, merged_difference_rows
 from .errors import BudgetError, NumericalError, RealnessError
 from .jitter import JitterDistribution
 from .partitions import Partition
 
-_BIG = np.iinfo(np.int64).max // 4
-
 
 @dataclass(frozen=True)
 class QmcOptions:
-    """Tuning knobs for the stochastic and lattice evaluation paths."""
+    """Tuning knobs for the stochastic evaluation paths."""
 
     points: int = 2**14
     replicates: int = 16
     seed: int = 0
     sampler: str = "sobol"  # "sobol" (scrambled) or "mc" for cross-checks
     realness_factor: float = 10.0
-    lattice_sizes: tuple[int, ...] | None = None
-    count_budget: int = 10**8
 
     def __post_init__(self) -> None:
         if self.points < 2:
@@ -105,250 +94,125 @@ def term_seed(
 
 
 # ---------------------------------------------------------------------------
-# exact lattice counting
+# exact pinned volumes
 # ---------------------------------------------------------------------------
 
 
-def _independent_row_inverse(basis: list[list[int]]) -> list[list[Fraction]]:
-    """Exact inverse of an invertible row subset of a full-column-rank matrix."""
-    n_cols = len(basis[0])
-    reduced: list[tuple[list[Fraction], int]] = []
-    chosen: list[int] = []
-    for idx, row in enumerate(basis):
-        vec = [Fraction(v) for v in row]
-        for other, _ in reduced:
-            lead = next((t for t, v in enumerate(other) if v != 0), None)
-            if lead is not None and vec[lead] != 0:
-                factor = vec[lead] / other[lead]
-                vec = [a - factor * b for a, b in zip(vec, other)]
-        if any(v != 0 for v in vec):
-            reduced.append((vec, idx))
-            chosen.append(idx)
-            if len(chosen) == n_cols:
-                break
-    if len(chosen) < n_cols:
-        raise NumericalError("kernel basis is not of full column rank")
-    square = [[Fraction(basis[r][c]) for c in range(n_cols)] for r in chosen]
-    n = n_cols
-    aug = [square[i] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        pivot = next(r for r in range(c, n) if aug[r][c] != 0)
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        inv = Fraction(1) / aug[c][c]
-        aug[c] = [v * inv for v in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c] != 0:
-                factor = aug[r][c]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[c])]
-    return [row[n:] for row in aug]
+def _spanning_tree_flows(
+    edges: tuple[tuple[int, int], ...], doubled: tuple[int, ...]
+) -> dict[tuple[int, int], tuple[int, int]]:
+    """Flows of a spanning tree carrying the node vector ``doubled``.
 
-
-def coordinate_bounds(basis: np.ndarray, box: int) -> list[int]:
-    """Integer bounds b_t with |c_t| <= b_t whenever basis @ c stays in the box.
-
-    Linear programming gives near-tight window sizes (the feasible region is
-    symmetric about the origin, so one maximization per coordinate suffices);
-    a unit safety margin keeps the window a guaranteed superset, and an exact
-    rational fallback covers any solver hiccup.  Only the enumeration window
-    depends on this; the counting itself filters exactly.
+    Returns {tree edge (a, b): (flow, tie)}, where the edge vector is
+    e_b - e_a, ``flow`` is the integer coefficient of that vector in the
+    tree expansion of ``doubled`` and ``tie`` is the sign of the
+    coefficient for the vector z = (1, ..., 1, -(k-1)).  The tree is grown
+    from the last node, so the subtree below each edge omits it and the
+    z-flow is never zero.
     """
-    B = np.asarray(basis, dtype=float)
-    p, n = B.shape
-    rows = [[int(v) for v in row] for row in np.asarray(basis)]
-    inverse = _independent_row_inverse(rows)
-    fallback = [int(sum(abs(v) for v in row) * box) for row in inverse]
-    a_ub = np.vstack([B, -B])
-    b_ub = np.full(2 * p, float(box))
-    bounds = []
-    for t in range(n):
-        cost = np.zeros(n)
-        cost[t] = -1.0
-        result = linprog(
-            cost, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * n, method="highs"
-        )
-        if result.status == 0:
-            bounds.append(min(int(np.floor(result.x[t] + 1e-6)) + 1, fallback[t]))
-        else:
-            bounds.append(fallback[t])
-    return bounds
+    k = len(doubled)
+    root = k - 1
+    parent: dict[int, tuple[int, tuple[int, int]]] = {}
+    order = [root]
+    for node in order:
+        for edge in edges:
+            for here, there in (edge, edge[::-1]):
+                if here == node and there != root and there not in parent:
+                    parent[there] = (node, edge)
+                    order.append(there)
+    below = list(doubled)
+    flows = {}
+    for child in reversed(order[1:]):
+        up, edge = parent[child]
+        sign = 1 if edge[1] == child else -1
+        flows[edge] = (sign * below[child], sign)
+        below[up] += below[child]
+    return flows
 
 
-def count_box_solutions(basis: np.ndarray, box: int, budget: int = 10**8) -> int:
-    """Exact number of integer c with every entry of basis @ c in [-box, box].
-
-    Coordinates that never share a constraint row are independent, so the
-    count factorizes over connected components of the interaction graph;
-    each component is enumerated exactly.
-    """
-    B = np.asarray(basis, dtype=np.int64)
-    p, n = B.shape
-    if n == 0:
-        return 1
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for r in range(p):
-        touched = np.flatnonzero(B[r])
-        for t in touched[1:]:
-            ra, rb = find(int(touched[0])), find(int(t))
-            if ra != rb:
-                parent[rb] = ra
-    groups: dict[int, list[int]] = {}
-    for t in range(n):
-        groups.setdefault(find(t), []).append(t)
-    total = 1
-    for cols in groups.values():
-        keep = [r for r in range(p) if B[r, cols].any()]
-        total *= _count_connected(B[np.ix_(keep, cols)], box, budget)
-    return total
-
-
-def _count_connected(B: np.ndarray, box: int, budget: int) -> int:
-    """Exact count for one connected component: the last coordinate is
-    counted by interval arithmetic, all earlier ones are enumerated as a
-    flattened chunked grid; arithmetic stays in exact int64."""
-    p, n = B.shape
-    bounds = coordinate_bounds(B, box)
-    if n == 1:
-        lo, hi = -bounds[0], bounds[0]
-        for r in range(p):
-            b = int(B[r, 0])
-            if b != 0:
-                reach = box // abs(b)
-                lo, hi = max(lo, -reach), min(hi, reach)
-        return max(hi - lo + 1, 0)
-
-    grid_nodes = 1
-    for b in bounds[: n - 1]:
-        grid_nodes *= 2 * b + 1
-    if grid_nodes > budget:
-        raise BudgetError(
-            f"lattice count needs ~{grid_nodes:.2e} grid nodes, over the "
-            f"budget {budget}"
-        )
-
-    shape = tuple(2 * b + 1 for b in bounds[: n - 1])
-    offsets = np.array(bounds[: n - 1], dtype=np.int64)
-    chunk = max(1, (4 << 20) // max(shape[-1], 1))
-    total = 0
-    for start in range(0, grid_nodes, chunk):
-        stop = min(start + chunk, grid_nodes)
-        flat = np.arange(start, stop, dtype=np.int64)
-        prefix = np.stack(np.unravel_index(flat, shape), axis=1) - offsets
-        partial = prefix @ B[:, : n - 1].T  # (points, p)
-        lo = np.full(len(flat), -_BIG, dtype=np.int64)
-        hi = np.full(len(flat), _BIG, dtype=np.int64)
-        feasible = np.ones(len(flat), dtype=bool)
-        for r in range(p):
-            bv = int(B[r, n - 1])
-            base = partial[:, r]
-            if bv == 0:
-                feasible &= np.abs(base) <= box
-            else:
-                upper = box - base
-                lower = -box - base
-                if bv > 0:
-                    hi = np.minimum(hi, upper // bv)
-                    lo = np.maximum(lo, -((-lower) // bv))
-                else:
-                    hi = np.minimum(hi, (-lower) // (-bv))
-                    lo = np.maximum(lo, -(upper // (-bv)))
-        counts = np.where(feasible, np.maximum(hi - lo + 1, 0), 0)
-        total += int(counts.sum())
-    return total
-
-
-def _fit_exact_polynomial(
-    xs: list[int], ys: list[int], degree: int
-) -> tuple[list[Fraction], Fraction]:
-    """Fit an exact-degree polynomial through the leading points.
-
-    Returns (coefficients low-to-high, worst absolute residual on the
-    remaining points).  All arithmetic is rational, so a zero residual
-    certifies that the counts follow the polynomial exactly.
-    """
-    m = degree + 1
-    if len(xs) < m + 1:
-        raise ValueError("need at least degree+2 sample points for a residual check")
-    aug = [
-        [Fraction(xs[i]) ** j for j in range(m)] + [Fraction(ys[i])] for i in range(m)
-    ]
-    for c in range(m):
-        pivot = next(r for r in range(c, m) if aug[r][c] != 0)
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        inv = Fraction(1) / aug[c][c]
-        aug[c] = [v * inv for v in aug[c]]
-        for r in range(m):
-            if r != c and aug[r][c] != 0:
-                factor = aug[r][c]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[c])]
-    coeffs = [aug[i][m] for i in range(m)]
-    worst = Fraction(0)
-    for i in range(m, len(xs)):
-        predicted = sum(coeffs[j] * Fraction(xs[i]) ** j for j in range(m))
-        worst = max(worst, abs(predicted - ys[i]))
-    return coeffs, worst
+def _connected(edges: tuple[tuple[int, int], ...], k: int) -> bool:
+    reached = {0}
+    grew = True
+    while grew:
+        grew = False
+        for a, b in edges:
+            if (a in reached) != (b in reached):
+                reached |= {a, b}
+                grew = True
+    return len(reached) == k
 
 
 @lru_cache(maxsize=None)
-def _delta_volume_cached(
-    omega: tuple[int, ...], sizes: tuple[int, ...], budget: int
-) -> IntegralValue:
-    partition = Partition(omega)
-    p, k = partition.p, partition.k
-    forms = difference_matrix(partition)
-    basis = integer_kernel_basis(forms)
-    degree = p - k + 1
-    if basis.shape[1] != degree:
-        raise NumericalError(
-            f"kernel of the difference forms for {partition} has dimension "
-            f"{basis.shape[1]}, expected {degree}"
-        )
-    counts = [count_box_solutions(basis, m, budget) for m in sizes]
-    xs = [2 * m + 1 for m in sizes]
-    coeffs, residual = _fit_exact_polynomial(xs, counts, degree)
-    rel = residual / max(1, max(counts))
-    if rel > Fraction(1, 10**9):
-        raise NumericalError(
-            f"lattice counts for {partition} are not a degree-{degree} "
-            f"polynomial: sizes={sizes}, counts={counts}, residual={residual}"
-        )
-    leading = coeffs[degree]
-    if not 0 < leading <= 1:
-        raise NumericalError(
-            f"leading counting coefficient {leading} for {partition} is outside (0, 1]"
-        )
-    return IntegralValue(
-        value=float(leading),
-        std_error=float(rel),
-        method="lattice_extrapolation",
-        imag_residual=0.0,
-        exact=leading,
-    )
+def _box_spline(
+    edges: tuple[tuple[int, int], ...], doubled: tuple[int, ...]
+) -> Fraction:
+    """Box spline M(E, x) of the edge vectors v_e = e_b - e_a, in rationals.
+
+    E is a connected graph on k = len(doubled) nodes and x = doubled / 2.
+
+    Recurrence of de Boor and Hoellig, with n = |E|, s = k - 1 and t the
+    spanning-tree flow of x: (n - s) M(E, x) = sum over non-bridges e of
+    t_e M(E - e, x) + (1 - t_e) M(E - e, x - v_e);
+    a bridge has the same flow in every expansion, so it is checked once
+    the graph is a spanning tree, whose spline is the indicator of
+    0 < t < 1.  Points on a face of that box are taken at x + eps z with
+    the tie vector z of ``_spanning_tree_flows``.
+    """
+    k = len(doubled)
+    flows = _spanning_tree_flows(edges, doubled)
+    cycles = len(edges) - (k - 1)
+    if cycles == 0:
+        # (flow, tie) is flow + eps * tie in (0, 2), ordered lexicographically
+        inside = all((0, 0) < flow_tie < (2, 0) for flow_tie in flows.values())
+        return Fraction(int(inside))
+    total = Fraction(0)
+    for edge in dict.fromkeys(edges):
+        rest = list(edges)
+        rest.remove(edge)
+        rest = tuple(rest)
+        if edge not in rest and not _connected(rest, k):
+            continue
+        flow = Fraction(flows.get(edge, (0, 0))[0], 2)
+        if flow:
+            total += flow * _box_spline(rest, doubled)
+        a, b = edge
+        shifted = list(doubled)
+        shifted[a] += 2
+        shifted[b] -= 2
+        total += (edges.count(edge) - flow) * _box_spline(rest, tuple(shifted))
+    return total / cycles
 
 
-def delta_volume(partition: Partition, opts: QmcOptions | None = None) -> IntegralValue:
+def delta_volume(partition: Partition) -> IntegralValue:
     """Normalized volume of the fully pinned zero set, computed exactly.
 
-    The count of kernel-lattice points in the box of half-width M is an
-    exact polynomial in 2M+1 of degree p-k+1; the value is its leading
-    coefficient.  One extra sample point guards the fit: a nonzero rational
-    residual above 1e-9 relative raises a degeneracy error.
+    Element i contributes the difference-matrix column e_{block of i} -
+    e_{block of i-1}: an edge of the graph on the blocks, dropped when it
+    is a loop.  The columns form a totally unimodular incidence matrix, so
+    the volume is the density of sum_e v_e Y_e at zero for Y uniform on
+    the centred cube: the box spline of the edge vectors at their
+    half-sum (de Boor, Hoellig and Riemenschneider, Box Splines, 1993).
+    Edge orientation does not change that density, so each edge is stored
+    from its lower to its higher block.
     """
-    opts = opts or QmcOptions()
-    p, k = partition.p, partition.k
-    sizes = opts.lattice_sizes or tuple(8 * j for j in range(4, 4 + (p - k + 3)))
-    if len(sizes) < (p - k + 1) + 2:
-        raise ValueError(
-            f"need at least {p - k + 3} lattice sizes for order {p}, "
-            f"{k} blocks; got {len(sizes)}"
+    omega = partition.omega
+    edges = tuple(
+        sorted(
+            (min(a, b) - 1, max(a, b) - 1)
+            for a, b in zip(omega[-1:] + omega[:-1], omega)
+            if a != b
         )
-    return _delta_volume_cached(partition.omega, tuple(sizes), opts.count_budget)
+    )
+    doubled = [0] * partition.k
+    for a, b in edges:
+        doubled[a] -= 1
+        doubled[b] += 1
+    volume = _box_spline(edges, tuple(doubled))
+    if not 0 < volume <= 1:
+        raise NumericalError(
+            f"pinned volume {volume} for {partition} is outside (0, 1]"
+        )
+    return IntegralValue(float(volume), 0.0, "exact_volume", exact=volume)
 
 
 # ---------------------------------------------------------------------------
@@ -444,37 +308,13 @@ def term_integral(
     if partition.k == 1:
         return unity()
     if grouping.k == partition.k:
-        return delta_volume(partition, opts)
+        return delta_volume(partition)
     return cf_integral(partition, grouping, beta, d, dist, opts)
 
 
 # ---------------------------------------------------------------------------
 # finite-grid cross-check
 # ---------------------------------------------------------------------------
-
-
-def _chunked_lattice_points(basis: np.ndarray, bounds: list[int], box: int):
-    """Yield integer points of the kernel lattice inside the box, in chunks."""
-    n = basis.shape[1]
-    ranges = [np.arange(-b, b + 1, dtype=np.int64) for b in bounds]
-    inner_sizes = [len(r) for r in ranges[1:]]
-    inner_total = int(np.prod(inner_sizes)) if inner_sizes else 1
-    if n == 1:
-        grid = ranges[0].reshape(-1, 1)
-        points = grid @ basis.T.astype(np.int64)
-        keep = np.all(np.abs(points) <= box, axis=1)
-        yield grid[keep], points[keep]
-        return
-    mesh = np.meshgrid(*ranges[1:], indexing="ij")
-    inner = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    for head in ranges[0]:
-        chunk = np.empty((inner_total, n), dtype=np.int64)
-        chunk[:, 0] = head
-        chunk[:, 1:] = inner
-        points = chunk @ basis.T.astype(np.int64)
-        keep = np.all(np.abs(points) <= box, axis=1)
-        if keep.any():
-            yield chunk[keep], points[keep]
 
 
 def finite_grid_term(
@@ -491,7 +331,10 @@ def finite_grid_term(
     Sums the characteristic-function product over integer label offsets in
     [-box, box]^p satisfying the pinned-sum constraints, normalized by
     (2*box+1)^(p-h+1); deterministic, and converges to the corresponding
-    integral as the box grows.
+    integral as the box grows.  The free labels run over [-box, box] and
+    the pivot labels follow from the exact solution map, which must be
+    integral on p-h+1 free labels so the enumeration meets every lattice
+    point once; each point is checked against the merged rows in integers.
     """
     if box < 1:
         raise ValueError(f"half-bandwidth must be >= 1, got {box}")
@@ -503,20 +346,40 @@ def finite_grid_term(
         raise ValueError(f"dimension must be >= 1, got {d}")
     p, h = partition.p, grouping.k
     pinned = merged_difference_rows(partition, grouping)
-    basis = integer_kernel_basis(pinned)
-    if basis.shape[1] == 0:
-        return 0.0 if p - h + 1 > 0 else 1.0
-    bounds = coordinate_bounds(basis, box)
-    nodes = int(np.prod([2 * b + 1 for b in bounds], dtype=object))
+    system = constraint_system(partition, grouping)
+    free_cols = list(system.free_columns)
+    if len(free_cols) != p - h + 1 or any(
+        v.denominator != 1 for row in system.solution for v in row
+    ):
+        raise NumericalError(
+            f"solution map of ({partition}, {grouping}) is not an integral "
+            f"parametrization of its {p - h + 1}-dimensional kernel"
+        )
+    pivot_cols = list(system.pivot_columns)
+    solution = np.array(system.solution, dtype=np.int64)
+    solution = solution.reshape(len(pivot_cols), len(free_cols))
+    width = 2 * box + 1
+    shape = (width,) * len(free_cols)
+    nodes = width ** len(free_cols)
     if nodes > budget:
         raise BudgetError(
             f"finite-grid enumeration needs {nodes:.2e} nodes, over the "
             f"budget {budget}"
         )
     forms = difference_matrix(partition)
-    scale = beta ** (1.0 / d) / (2 * box + 1)
+    scale = beta ** (1.0 / d) / width
+    chunk = 1 << 18
     total = 0.0 + 0.0j
-    for _, points in _chunked_lattice_points(basis, bounds, box):
-        w = points @ forms.T
-        total += np.prod(dist.cf(scale * w), axis=1).sum()
-    return float(total.real / (2 * box + 1) ** (p - h + 1))
+    for start in range(0, nodes, chunk):
+        flat = np.arange(start, min(start + chunk, nodes), dtype=np.int64)
+        free = np.stack(np.unravel_index(flat, shape), axis=1) - box
+        y = np.empty((len(flat), p), dtype=np.int64)
+        y[:, free_cols] = free
+        y[:, pivot_cols] = free @ solution.T
+        y = y[np.all(np.abs(y) <= box, axis=1)]
+        if (y @ pinned.T).any():
+            raise NumericalError(
+                f"solution map of ({partition}, {grouping}) leaves the kernel"
+            )
+        total += np.prod(dist.cf(scale * (y @ forms.T)), axis=1).sum()
+    return float(total.real / nodes)

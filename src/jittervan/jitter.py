@@ -46,6 +46,16 @@ class JitterDistribution:
         if abs(at_zero - 1.0) > 1e-12:
             raise ValueError(f"characteristic function must be 1 at t=0, got {at_zero}")
 
+    @property
+    def identity(self) -> tuple:
+        """(kind, characteristic function): what cached values are keyed on.
+
+        The kind alone is a label that unrelated laws may share; the
+        function object tells them apart, and laws built by one factory
+        share it.
+        """
+        return (self.kind, self._cf)
+
     def cf(self, t) -> np.ndarray:
         """Characteristic value E[exp(-2*pi*i*t*x)] for scalar or array t."""
         return self._cf(np.asarray(t, dtype=float))
@@ -69,6 +79,10 @@ def _uniform_cf(t: np.ndarray) -> np.ndarray:
     return np.exp(-1j * np.pi * t) * np.sinc(t)
 
 
+def _point_mass_cf(t: np.ndarray) -> np.ndarray:
+    return np.exp(-1j * np.pi * t)
+
+
 def _triangular_cf(t: np.ndarray) -> np.ndarray:
     # sum of two independent uniforms on [0,1/2): squared half-width factor
     return (np.exp(-0.5j * np.pi * t) * np.sinc(0.5 * t)) ** 2
@@ -88,7 +102,7 @@ def point_mass_half() -> JitterDistribution:
     """Deterministic half-cell jitter; realizes exact equal spacing."""
     return JitterDistribution(
         "point_mass_half",
-        lambda t: np.exp(-1j * np.pi * t),
+        _point_mass_cf,
         lambda rng, shape: np.full(shape, 0.5),
         symmetric_about_half=True,
     )

@@ -100,7 +100,7 @@ def _evaluate_pair(
         omega_prime.omega,
         repr(beta),
         d,
-        dist.kind,
+        dist.identity,
         opts.points,
         opts.replicates,
         opts.sampler,

@@ -183,13 +183,3 @@ def label_vectors(partition: Partition, r: int) -> Iterator[tuple[int, ...]]:
     omega = partition.omega
     for assignment in itertools.permutations(range(r), k):
         yield tuple(assignment[label - 1] for label in omega)
-
-
-def singleton_partition(k: int) -> Partition:
-    """The all-singletons partition [1,2,...,k]."""
-    return Partition(tuple(range(1, k + 1)))
-
-
-def one_block_partition(p: int) -> Partition:
-    """The single-block partition [1,1,...,1]."""
-    return Partition((1,) * p)

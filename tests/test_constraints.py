@@ -7,10 +7,11 @@ import pytest
 from jittervan.constraints import (
     constraint_system,
     difference_matrix,
-    integer_kernel_basis,
     merged_difference_rows,
     reduce_system,
 )
+from jittervan.integrate import finite_grid_term
+from jittervan.jitter import point_mass_half
 from jittervan.partitions import (
     Partition,
     enumerate_partitions,
@@ -24,6 +25,19 @@ def all_pairs(p_max):
             for h in range(1, w.k + 1):
                 for g in enumerate_partitions_k(w.k, h):
                     yield w, g
+
+
+def kernel_basis(system):
+    """Integer kernel basis read off the solution map: one column per free
+    coordinate, a unit there and the solution map's column on the pivots."""
+    basis = np.zeros((system.n_cols, len(system.free_columns)), dtype=np.int64)
+    for j, col in enumerate(system.free_columns):
+        basis[col, j] = 1
+        for row, pivot in enumerate(system.pivot_columns):
+            entry = system.solution[row][j]
+            assert entry.denominator == 1
+            basis[pivot, j] = int(entry)
+    return basis
 
 
 class TestDifferenceMatrix:
@@ -115,9 +129,12 @@ class TestConstraintSystem:
                     assert sum(c * v for c, v in zip(row, y)) == 0
 
     def test_jacobian_factor_is_one_on_these_systems(self):
-        # every pivot submatrix here is unimodular (incidence structure)
-        for w, g in all_pairs(4):
-            assert constraint_system(w, g).jacobian_factor == Fraction(1)
+        # every pivot submatrix here is unimodular (incidence structure), so
+        # the solution map stays in {-1, 0, 1}
+        for w, g in all_pairs(6):
+            system = constraint_system(w, g)
+            assert system.jacobian_factor == Fraction(1)
+            assert all(v in (-1, 0, 1) for row in system.solution for v in row)
 
     def test_unit_pivot_preferred_within_column(self):
         # two candidate rows in the first column: the unit entry wins
@@ -148,35 +165,27 @@ class TestIntegerKernel:
     def test_basis_annihilated(self, p):
         for w in enumerate_partitions(p):
             mat = difference_matrix(w)
-            basis = integer_kernel_basis(mat)
+            pinned = Partition(tuple(range(1, w.k + 1)))
+            basis = kernel_basis(constraint_system(w, pinned))
             assert basis.shape == (p, p - w.k + 1)
             assert not (mat @ basis).any()
 
     def test_generates_full_integer_kernel(self):
-        # every integer kernel point in a small box must be an integer
-        # combination of the basis: compare counts against brute force
-        for w in enumerate_partitions(4):
-            mat = difference_matrix(w)
-            basis = integer_kernel_basis(mat)
-            box = 3
-            axes = [range(-box, box + 1)] * w.p
-            brute = {
-                pt
-                for pt in itertools.product(*axes)
-                if not (mat @ np.array(pt)).any()
-            }
-            n = basis.shape[1]
-            spanned = set()
-            reach = 3 * box  # coefficients large enough to cover the box
-            for coeffs in itertools.product(range(-reach, reach + 1), repeat=n):
-                pt = basis @ np.array(coeffs)
-                if np.abs(pt).max() <= box:
-                    spanned.add(tuple(int(v) for v in pt))
-            assert spanned == brute
+        # every integer kernel point in a small box is met once: with the
+        # point-mass law the phases cancel, so the finite-grid sum times the
+        # normalization is the count, compared against brute force
+        box = 3
+        width = 2 * box + 1
+        for w, g in all_pairs(4):
+            cube = np.array(list(itertools.product(range(-box, box + 1), repeat=w.p)))
+            rows = merged_difference_rows(w, g)
+            brute = int((~(cube @ rows.T).any(axis=1)).sum())
+            grid = finite_grid_term(w, g, box, 0.5, 1, point_mass_half())
+            assert round(grid * width ** (w.p - g.k + 1)) == brute, (w.omega, g.omega)
 
     def test_merged_rows_kernel(self):
         for w, g in all_pairs(4):
             rows = merged_difference_rows(w, g)
-            basis = integer_kernel_basis(rows)
+            basis = kernel_basis(constraint_system(w, g))
             assert basis.shape[1] == w.p - (g.k - 1)
             assert not (rows @ basis).any()

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 
-from jittervan.constraints import difference_matrix, integer_kernel_basis
+import jittervan.integrate as integrate_module
+from jittervan.constraints import reduce_system
 from jittervan.errors import BudgetError, NumericalError, RealnessError
 from jittervan.integrate import (
     QmcOptions,
     cf_integral,
-    count_box_solutions,
     delta_volume,
     finite_grid_term,
     term_integral,
@@ -25,6 +25,82 @@ from jittervan.partitions import (
 )
 
 FAST = QmcOptions(points=2**12, replicates=8, seed=11)
+
+#: Exact volumes of every order <= 5 partition with two or more blocks, as
+#: certified by exact lattice-point counts in growing boxes (the counts are
+#: a polynomial in the box width whose leading coefficient is the volume).
+LATTICE_VOLUMES = {
+    (1, 2): Fraction(1, 1),
+    (1, 1, 2): Fraction(1, 1),
+    (1, 2, 1): Fraction(1, 1),
+    (1, 2, 2): Fraction(1, 1),
+    (1, 2, 3): Fraction(1, 1),
+    (1, 1, 1, 2): Fraction(1, 1),
+    (1, 1, 2, 1): Fraction(1, 1),
+    (1, 1, 2, 2): Fraction(1, 1),
+    (1, 1, 2, 3): Fraction(1, 1),
+    (1, 2, 1, 1): Fraction(1, 1),
+    (1, 2, 1, 2): Fraction(2, 3),
+    (1, 2, 1, 3): Fraction(1, 1),
+    (1, 2, 2, 1): Fraction(1, 1),
+    (1, 2, 2, 2): Fraction(1, 1),
+    (1, 2, 2, 3): Fraction(1, 1),
+    (1, 2, 3, 1): Fraction(1, 1),
+    (1, 2, 3, 2): Fraction(1, 1),
+    (1, 2, 3, 3): Fraction(1, 1),
+    (1, 2, 3, 4): Fraction(1, 1),
+    (1, 1, 1, 1, 2): Fraction(1, 1),
+    (1, 1, 1, 2, 1): Fraction(1, 1),
+    (1, 1, 1, 2, 2): Fraction(1, 1),
+    (1, 1, 1, 2, 3): Fraction(1, 1),
+    (1, 1, 2, 1, 1): Fraction(1, 1),
+    (1, 1, 2, 1, 2): Fraction(2, 3),
+    (1, 1, 2, 1, 3): Fraction(1, 1),
+    (1, 1, 2, 2, 1): Fraction(1, 1),
+    (1, 1, 2, 2, 2): Fraction(1, 1),
+    (1, 1, 2, 2, 3): Fraction(1, 1),
+    (1, 1, 2, 3, 1): Fraction(1, 1),
+    (1, 1, 2, 3, 2): Fraction(1, 1),
+    (1, 1, 2, 3, 3): Fraction(1, 1),
+    (1, 1, 2, 3, 4): Fraction(1, 1),
+    (1, 2, 1, 1, 1): Fraction(1, 1),
+    (1, 2, 1, 1, 2): Fraction(2, 3),
+    (1, 2, 1, 1, 3): Fraction(1, 1),
+    (1, 2, 1, 2, 1): Fraction(2, 3),
+    (1, 2, 1, 2, 2): Fraction(2, 3),
+    (1, 2, 1, 2, 3): Fraction(2, 3),
+    (1, 2, 1, 3, 1): Fraction(1, 1),
+    (1, 2, 1, 3, 2): Fraction(2, 3),
+    (1, 2, 1, 3, 3): Fraction(1, 1),
+    (1, 2, 1, 3, 4): Fraction(1, 1),
+    (1, 2, 2, 1, 1): Fraction(1, 1),
+    (1, 2, 2, 1, 2): Fraction(2, 3),
+    (1, 2, 2, 1, 3): Fraction(1, 1),
+    (1, 2, 2, 2, 1): Fraction(1, 1),
+    (1, 2, 2, 2, 2): Fraction(1, 1),
+    (1, 2, 2, 2, 3): Fraction(1, 1),
+    (1, 2, 2, 3, 1): Fraction(1, 1),
+    (1, 2, 2, 3, 2): Fraction(1, 1),
+    (1, 2, 2, 3, 3): Fraction(1, 1),
+    (1, 2, 2, 3, 4): Fraction(1, 1),
+    (1, 2, 3, 1, 1): Fraction(1, 1),
+    (1, 2, 3, 1, 2): Fraction(2, 3),
+    (1, 2, 3, 1, 3): Fraction(2, 3),
+    (1, 2, 3, 1, 4): Fraction(1, 1),
+    (1, 2, 3, 2, 1): Fraction(1, 1),
+    (1, 2, 3, 2, 2): Fraction(1, 1),
+    (1, 2, 3, 2, 3): Fraction(2, 3),
+    (1, 2, 3, 2, 4): Fraction(1, 1),
+    (1, 2, 3, 3, 1): Fraction(1, 1),
+    (1, 2, 3, 3, 2): Fraction(1, 1),
+    (1, 2, 3, 3, 3): Fraction(1, 1),
+    (1, 2, 3, 3, 4): Fraction(1, 1),
+    (1, 2, 3, 4, 1): Fraction(1, 1),
+    (1, 2, 3, 4, 2): Fraction(1, 1),
+    (1, 2, 3, 4, 3): Fraction(1, 1),
+    (1, 2, 3, 4, 4): Fraction(1, 1),
+    (1, 2, 3, 4, 5): Fraction(1, 1),
+}
 
 
 def sum_of_uniforms_density_at_zero(count: int) -> Fraction:
@@ -63,7 +139,7 @@ class TestDeltaVolume:
         assert value.exact == 1
         assert value.value == 1.0
         assert value.std_error == 0.0
-        assert value.method == "lattice_extrapolation"
+        assert value.method == "exact_volume"
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_single_block_is_one(self, p):
@@ -78,24 +154,17 @@ class TestDeltaVolume:
         # one independent constraint: the alternating sum of six uniforms
         oracle = sum_of_uniforms_density_at_zero(6)
         assert oracle == Fraction(11, 20)
-        sizes = tuple(4 * j for j in range(1, 8))
-        got = delta_volume(
-            Partition((1, 2, 1, 2, 1, 2)), QmcOptions(lattice_sizes=sizes)
-        )
-        assert got.exact == oracle
+        assert delta_volume(Partition((1, 2, 1, 2, 1, 2))).exact == oracle
 
     def test_interleaved_three_blocks(self):
         # two independent constraints; reducing to the sum u = y1 + y4
         # leaves int (1-|u|)^3 du = 1/2
         target, _ = quad(lambda u: (1 - abs(u)) ** 3, -1, 1, epsabs=1e-12)
-        sizes = tuple(4 * j for j in range(1, 8))
-        got = delta_volume(
-            Partition((1, 2, 3, 1, 2, 3)), QmcOptions(lattice_sizes=sizes)
-        )
+        got = delta_volume(Partition((1, 2, 3, 1, 2, 3)))
         assert got.exact == Fraction(1, 2)
         assert float(got.exact) == pytest.approx(target, abs=1e-12)
 
-    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
     def test_exact_rational_in_unit_interval(self, p):
         for w in enumerate_partitions(p):
             value = delta_volume(w)
@@ -107,7 +176,7 @@ class TestDeltaVolume:
         # the partitions at volume one are counted by the Narayana numbers
         from jittervan.moments import narayana
 
-        for p in (3, 4, 5):
+        for p in (3, 4, 5, 6):
             for k in range(1, p + 1):
                 units = sum(
                     1
@@ -123,40 +192,37 @@ class TestDeltaVolume:
                 rotated, _ = rotate_pair(w, Partition(tuple(range(1, w.k + 1))), shift)
                 assert delta_volume(rotated).exact == base
 
-    def test_budget_guard(self):
-        with pytest.raises(BudgetError):
-            delta_volume(Partition((1, 2, 1, 2)), QmcOptions(count_budget=10))
-
-    def test_degenerate_counts_detected(self, monkeypatch):
-        import jittervan.integrate as mod
-
-        monkeypatch.setattr(mod, "count_box_solutions", lambda b, m, budget: 2**m)
-        with pytest.raises(NumericalError):
-            delta_volume(Partition((1, 2)), QmcOptions(lattice_sizes=(3, 5, 7, 9)))
-
-    def test_needs_enough_sizes(self):
-        with pytest.raises(ValueError):
-            delta_volume(Partition((1, 2)), QmcOptions(lattice_sizes=(8, 16)))
+    def test_matches_lattice_counts(self):
+        assert len(LATTICE_VOLUMES) == 70
+        for omega, exact in LATTICE_VOLUMES.items():
+            assert delta_volume(Partition(omega)).exact == exact, omega
 
 
 class TestCountBoxSolutions:
-    def test_empty_basis(self):
-        assert count_box_solutions(np.zeros((2, 0), dtype=int), 5) == 1
+    """Integer kernel points in the box, counted by the finite-grid sum.
+
+    With the point-mass law every phase cancels (the difference forms sum
+    to zero), so finite_grid_term times (2m+1)^(p-h+1) is the exact count.
+    """
+
+    @staticmethod
+    def count(partition, grouping, m):
+        grid = finite_grid_term(partition, grouping, m, 0.5, 1, point_mass_half())
+        return round(grid * (2 * m + 1) ** (partition.p - grouping.k + 1))
 
     def test_identity_basis_is_full_cube(self):
-        assert count_box_solutions(np.eye(3, dtype=int), 4) == 9**3
+        assert self.count(Partition((1, 2, 3)), Partition((1, 1, 1)), 4) == 9**3
 
     def test_single_difference(self):
-        basis = integer_kernel_basis(difference_matrix(Partition((1, 2))))
-        assert count_box_solutions(basis, 10) == 21
+        assert self.count(Partition((1, 2)), Partition((1, 2)), 10) == 21
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5])
     def test_alternating_closed_form(self, m):
         # solutions of l1 - l2 + l3 - l4 = 0 in the box: sum of squared
         # convolution counts, (2m+1)(2(2m+1)^2 + 1)/3
-        basis = integer_kernel_basis(difference_matrix(Partition((1, 2, 1, 2))))
         width = 2 * m + 1
-        assert count_box_solutions(basis, m) == width * (2 * width**2 + 1) // 3
+        count = self.count(Partition((1, 2, 1, 2)), Partition((1, 2)), m)
+        assert count == width * (2 * width**2 + 1) // 3
 
 
 class TestCfIntegral:
@@ -263,7 +329,7 @@ class TestDispatch:
         w = Partition((1, 2, 3))
         assert (
             term_integral(w, Partition((1, 2, 3)), 0.4, 1, uniform01(), FAST).method
-            == "lattice_extrapolation"
+            == "exact_volume"
         )
         assert (
             term_integral(w, Partition((1, 1, 1)), 0.4, 1, uniform01(), FAST).method
@@ -334,6 +400,20 @@ class TestFiniteGridTerm:
             finite_grid_term(
                 Partition((1, 2, 3)), Partition((1, 1, 1)), 32, 0.5, 1, uniform01(), budget=100
             )
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[2, -1]],  # a non-integral map would skip lattice points
+            [[1, 1]],  # an integral map off the kernel of the merged rows
+        ],
+    )
+    def test_solution_map_guards(self, monkeypatch, rows):
+        system = reduce_system(np.array(rows))
+        monkeypatch.setattr(integrate_module, "constraint_system", lambda *_: system)
+        w = Partition((1, 2))
+        with pytest.raises(NumericalError):
+            finite_grid_term(w, w, 4, 0.5, 1, uniform01())
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, tplquad
 
+import jittervan.integrate as integrate_module
 from jittervan.integrate import QmcOptions
-from jittervan.jitter import point_mass_half, triangular01, uniform01
+from jittervan.jitter import JitterDistribution, point_mass_half, triangular01, uniform01
 from jittervan.moments import (
     clear_term_cache,
     convergence_report,
@@ -113,12 +114,27 @@ class TestMoment:
         )
         assert pinned == pytest.approx(direct, abs=1e-12)
 
-    def test_deterministic_and_cached(self):
+    def test_deterministic_and_cached(self, monkeypatch):
         clear_term_cache()
         a = moment(3, 0.55, 1, uniform01(), FAST)
+        calls = []
+        monkeypatch.setattr(integrate_module, "cf_integral", lambda *args: calls.append(1))
         b = moment(3, 0.55, 1, uniform01(), FAST)
+        assert not calls  # a fresh instance of a built-in law hits the cache
         assert a.value == b.value
         assert [t.v.value for t in a.terms] == [t.v.value for t in b.terms]
+
+    def test_cache_tells_laws_of_one_kind_apart(self):
+        def custom(cf):
+            return JitterDistribution("custom", cf, lambda rng, s: rng.random(s), True)
+
+        flat = custom(lambda t: np.exp(-1j * np.pi * t) * np.sinc(t))
+        peaked = custom(lambda t: (np.exp(-0.5j * np.pi * t) * np.sinc(0.5 * t)) ** 2)
+        clear_term_cache()
+        moment(3, 0.55, 1, flat, FAST)
+        after_flat = moment(3, 0.55, 1, peaked, FAST).value
+        clear_term_cache()
+        assert after_flat == moment(3, 0.55, 1, peaked, FAST).value
 
     def test_threads_do_not_change_values(self):
         a = moment(3, 0.52, 1, uniform01(), FAST, threads=1)
