@@ -11,22 +11,24 @@ then sum to zero and so do the rows, which is why every derived constraint
 system loses exactly one rank.
 
 Merging rows along a coarser partition of the blocks gives the constraint
-system whose zero set carries the delta-constrained integrals.  Elimination
-is done in exact rational arithmetic: the Jacobian factor weights the
-constrained integrals downstream and must not carry rounding error.  The
-matrix is the incidence matrix of the walk through the blocks, hence
-totally unimodular, so on these systems the solution map is integral and
-the Jacobian factor is 1.
+system whose zero set carries the delta-constrained integrals.  Its matrix
+is the incidence matrix of the cyclic walk through the groups: column i is
+the edge from the group of element i-1 to the group of element i.  The
+columns of a spanning tree of that walk are the pivots, and each free
+column's fundamental cycle through the tree gives the pivots as integer
+combinations of the free variables, with coefficients in {-1, 0, 1}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
 from .partitions import Partition
+
+Edge = tuple[int, int]
 
 
 def difference_matrix(partition: Partition) -> np.ndarray:
@@ -40,17 +42,21 @@ def difference_matrix(partition: Partition) -> np.ndarray:
     return mat
 
 
+def _check_grouping(partition: Partition, grouping: Partition) -> None:
+    if grouping.p != partition.k:
+        raise ValueError(
+            f"grouping must partition {{1,...,{partition.k}}}, got one of "
+            f"{grouping.p} elements"
+        )
+
+
 def merged_difference_rows(partition: Partition, grouping: Partition) -> np.ndarray:
     """Sum the difference-matrix rows along the blocks of ``grouping``.
 
     ``grouping`` must partition {1,...,k} where k is the block count of
     ``partition``; the result has one row per group.
     """
-    if grouping.p != partition.k:
-        raise ValueError(
-            f"grouping must partition {{1,...,{partition.k}}}, got one of "
-            f"{grouping.p} elements"
-        )
+    _check_grouping(partition, grouping)
     base = difference_matrix(partition)
     rows = np.zeros((grouping.k, partition.p), dtype=np.int64)
     for j, block in enumerate(grouping.blocks):
@@ -59,104 +65,93 @@ def merged_difference_rows(partition: Partition, grouping: Partition) -> np.ndar
     return rows
 
 
+def spanning_tree(edges: Sequence[Edge], k: int) -> tuple[int, ...]:
+    """Indices of a spanning forest of ``edges`` on the nodes 0..k-1.
+
+    Edges are kept greedily in the order given (union-find), so for an
+    incidence matrix these are its first linearly independent columns.
+    Loops are never kept.
+    """
+    root = list(range(k))
+
+    def find(node: int) -> int:
+        while root[node] != node:
+            root[node] = root[root[node]]
+            node = root[node]
+        return node
+
+    kept = []
+    for index, (a, b) in enumerate(edges):
+        top_a, top_b = find(a), find(b)
+        if top_a != top_b:
+            root[top_a] = top_b
+            kept.append(index)
+    return tuple(kept)
+
+
+def tree_flows(
+    edges: Sequence[Edge], tree: Sequence[int], vector: Sequence[int]
+) -> tuple[int, ...]:
+    """Coefficients t, one per tree edge, with sum_e t_e (e_b - e_a) = vector.
+
+    ``tree`` indexes a spanning tree of the edges (a, b) on the
+    len(vector) nodes and ``vector`` sums to zero.  Cutting a tree edge
+    splits the nodes in two; the edge carries the total of ``vector`` over
+    the part it points into.
+    """
+    links: list[list[tuple[int, int, int]]] = [[] for _ in vector]
+    for slot, index in enumerate(tree):
+        a, b = edges[index]
+        links[a].append((b, slot, 1))
+        links[b].append((a, slot, -1))
+    parent: dict[int, tuple[int, int, int]] = {}
+    order = [0]
+    for node in order:
+        for there, slot, sign in links[node]:
+            if there != 0 and there not in parent:
+                parent[there] = (node, slot, sign)
+                order.append(there)
+    below = list(vector)
+    flows = [0] * len(tree)
+    for child in reversed(order[1:]):
+        up, slot, sign = parent[child]
+        flows[slot] = sign * below[child]
+        below[up] += below[child]
+    return tuple(flows)
+
+
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """An exact row-reduced linear system D y = 0 over the rationals.
+    """The zero set of merged difference rows in free coordinates.
 
-    ``solution`` expresses the pivot variables as linear functions of the
-    free variables: y[pivot_columns] = solution @ y[free_columns].  The
-    ``jacobian_factor`` is 1/|det| of the pivot submatrix taken on the
-    independent rows, the weight a delta constraint contributes once the
-    pivot variables are integrated out.
+    y[pivot_columns] = solution @ y[free_columns]: the pivots are the
+    columns of a spanning tree of the walk through the groups, and column j
+    of the integer ``solution`` holds the tree flows of free column j's
+    fundamental cycle.
     """
 
-    matrix: tuple[tuple[int, ...], ...]
-    rank: int
-    pivot_rows: tuple[int, ...]
     pivot_columns: tuple[int, ...]
     free_columns: tuple[int, ...]
-    solution: tuple[tuple[Fraction, ...], ...]
-    jacobian_factor: Fraction
+    solution: tuple[tuple[int, ...], ...]
 
     @property
-    def n_rows(self) -> int:
-        return len(self.matrix)
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.matrix[0])
-
-    def solution_array(self) -> np.ndarray:
-        """Float copy of the pivot-from-free solution map (rank x n_free)."""
-        if self.rank == 0:
-            return np.zeros((0, len(self.free_columns)))
-        return np.array([[float(v) for v in row] for row in self.solution])
-
-    def substitute(self, free_values) -> list[Fraction]:
-        """Full exact solution vector for given free-variable values."""
-        free = [Fraction(v) for v in free_values]
-        if len(free) != len(self.free_columns):
-            raise ValueError(
-                f"expected {len(self.free_columns)} free values, got {len(free)}"
-            )
-        y: list[Fraction] = [Fraction(0)] * self.n_cols
-        for col, value in zip(self.free_columns, free):
-            y[col] = value
-        for row, col in enumerate(self.pivot_columns):
-            y[col] = sum(
-                (self.solution[row][t] * free[t] for t in range(len(free))),
-                Fraction(0),
-            )
-        return y
-
-
-def reduce_system(rows: np.ndarray) -> ConstraintSystem:
-    """Row-reduce an integer system D y = 0 exactly.
-
-    Pivots are chosen left to right, preferring entries of magnitude one so
-    the Jacobian factor stays 1 whenever the system allows it.  Elimination
-    turns the pivot submatrix into the identity through row additions and
-    one division per pivot, so its |det| is the product of the pivot
-    magnitudes met on the way.
-    """
-    n_rows, n_cols = rows.shape
-    work = [[Fraction(int(v)) for v in row] for row in rows]
-    pivot_rows: list[int] = []
-    pivot_cols: list[int] = []
-    used_rows: set[int] = set()
-    det = Fraction(1)
-    for col in range(n_cols):
-        candidates = [r for r in range(n_rows) if r not in used_rows and work[r][col] != 0]
-        if not candidates:
-            continue
-        unit = [r for r in candidates if abs(work[r][col]) == 1]
-        row = unit[0] if unit else min(candidates, key=lambda r: (abs(work[r][col]), r))
-        det *= abs(work[row][col])
-        inv = Fraction(1) / work[row][col]
-        work[row] = [v * inv for v in work[row]]
-        for r in range(n_rows):
-            if r != row and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[row])]
-        used_rows.add(row)
-        pivot_rows.append(row)
-        pivot_cols.append(col)
-    rank = len(pivot_cols)
-    free_cols = [c for c in range(n_cols) if c not in pivot_cols]
-    solution = tuple(
-        tuple(-work[pivot_rows[j]][f] for f in free_cols) for j in range(rank)
-    )
-    return ConstraintSystem(
-        matrix=tuple(tuple(int(v) for v in row) for row in rows),
-        rank=rank,
-        pivot_rows=tuple(pivot_rows),
-        pivot_columns=tuple(pivot_cols),
-        free_columns=tuple(free_cols),
-        solution=solution,
-        jacobian_factor=1 / det,
-    )
+    def rank(self) -> int:
+        return len(self.pivot_columns)
 
 
 def constraint_system(partition: Partition, grouping: Partition) -> ConstraintSystem:
-    """Zero-sum constraint system for a partition pair (reduced exactly)."""
-    return reduce_system(merged_difference_rows(partition, grouping))
+    """Zero-sum constraint system for a partition pair, solved on a tree."""
+    _check_grouping(partition, grouping)
+    group = [grouping.omega[b - 1] - 1 for b in partition.omega]
+    edges = [(group[i - 1], group[i]) for i in range(partition.p)]
+    tree = spanning_tree(edges, grouping.k)
+    free = tuple(c for c in range(partition.p) if c not in tree)
+    cycles = []
+    for c in free:
+        a, b = edges[c]
+        closing = [0] * grouping.k  # minus the free column e_b - e_a
+        closing[a] += 1
+        closing[b] -= 1
+        cycles.append(tree_flows(edges, tree, closing))
+    solution = tuple(tuple(cycle[r] for cycle in cycles) for r in range(len(tree)))
+    return ConstraintSystem(tree, free, solution)

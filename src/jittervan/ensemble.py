@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -61,36 +62,8 @@ class EnsembleConfig:
         return ((2 * self.M + 1) / self.rho) ** self.d
 
 
-def freq_index(l_vec, M: int) -> int:
-    """Scalar index of a frequency vector with components in [-M, M]."""
-    value = 0
-    width = 2 * M + 1
-    for m, comp in enumerate(l_vec):
-        if not -M <= comp <= M:
-            raise ValueError(f"frequency component {comp} outside [-{M}, {M}]")
-        value += width**m * int(comp)
-    return value
-
-
-def storage_row(l_vec, M: int, d: int) -> int:
-    """0-based row of a frequency vector (index shifted by the mid offset)."""
-    if len(l_vec) != d:
-        raise ValueError(f"expected {d} components, got {len(l_vec)}")
-    return freq_index(l_vec, M) + ((2 * M + 1) ** d - 1) // 2
-
-
-def vertex_index(q_vec, rho: int) -> int:
-    """Scalar index of a grid vertex with components in [0, rho-1]."""
-    value = 0
-    for m, comp in enumerate(q_vec):
-        if not 0 <= comp < rho:
-            raise ValueError(f"vertex component {comp} outside [0, {rho})")
-        value += rho**m * int(comp)
-    return value
-
-
 def vertex_vector(index: int, rho: int, d: int) -> tuple[int, ...]:
-    """Inverse of vertex_index."""
+    """Vertex vector of a column index: component m is digit m base rho."""
     if not 0 <= index < rho**d:
         raise ValueError(f"vertex index {index} outside [0, {rho ** d})")
     out = []
@@ -170,7 +143,7 @@ class SpectrumSample:
 
     eigenvalues: np.ndarray
     config: EnsembleConfig
-    seed: int
+    seed: int | Sequence[int]
 
     @property
     def trials(self) -> int:
@@ -178,22 +151,27 @@ class SpectrumSample:
 
 
 def simulate(
-    config: EnsembleConfig, trials: int, seed: int, threads: int = 1
+    config: EnsembleConfig,
+    trials: int,
+    seed: int | Sequence[int],
+    threads: int = 1,
 ) -> SpectrumSample:
     """Draw positions, build the Gram matrix and solve, trial by trial.
 
-    Trial t uses seed ``seed + t`` so runs are reproducible and trials can
-    be distributed across workers without sharing generator state.
+    Trial t draws from child t of ``np.random.SeedSequence(seed)``, so runs
+    are reproducible, runs with different seeds share no trial, and trials
+    can be distributed across workers without sharing generator state.
     """
     if trials < 1:
         raise ValueError(f"trial count must be >= 1, got {trials}")
 
-    def one(trial: int) -> np.ndarray:
-        positions = sample_positions(config, seed + trial)
+    def one(stream: np.random.SeedSequence) -> np.ndarray:
+        positions = sample_positions(config, stream)
         G = sampling_matrix(config, positions)
         return spectrum(gram_matrix(G, config.beta))
 
-    eigs = np.stack(ordered_map(one, range(trials), threads))
+    streams = np.random.SeedSequence(seed).spawn(trials)
+    eigs = np.stack(ordered_map(one, streams, threads))
     return SpectrumSample(eigs, config, seed)
 
 

@@ -11,10 +11,12 @@ of them are pinned to zero.  Three regimes are evaluated here.
   box-spline recurrence.
 * No pinning (single coarse block): a plain randomized quasi Monte Carlo
   average of the characteristic-function product over the cube.
-* Partial pinning: the pinned sums are eliminated exactly (rational
-  solution map), and the integrand is averaged over the free coordinates
-  with an indicator keeping the eliminated coordinates inside the cube,
-  weighted by the elimination Jacobian.
+* Partial pinning: the pinned sums are solved on a spanning tree of the
+  walk through the groups, which writes the pivot coordinates as integer
+  combinations of the free ones; the integrand is averaged over the free
+  coordinates with an indicator keeping the pivots inside the cube.  The
+  tree coordinates are unimodular, so the free coordinates carry unit
+  weight.
 
 A finite-grid evaluator of the same quantity at finite half-bandwidth M is
 provided as an independent cross-check; it converges to the integral as M
@@ -31,7 +33,13 @@ from functools import lru_cache
 import numpy as np
 from scipy.stats import qmc
 
-from .constraints import constraint_system, difference_matrix, merged_difference_rows
+from .constraints import (
+    constraint_system,
+    difference_matrix,
+    merged_difference_rows,
+    spanning_tree,
+    tree_flows,
+)
 from .errors import BudgetError, NumericalError, RealnessError
 from .jitter import JitterDistribution
 from .partitions import Partition
@@ -98,50 +106,6 @@ def term_seed(
 # ---------------------------------------------------------------------------
 
 
-def _spanning_tree_flows(
-    edges: tuple[tuple[int, int], ...], doubled: tuple[int, ...]
-) -> dict[tuple[int, int], tuple[int, int]]:
-    """Flows of a spanning tree carrying the node vector ``doubled``.
-
-    Returns {tree edge (a, b): (flow, tie)}, where the edge vector is
-    e_b - e_a, ``flow`` is the integer coefficient of that vector in the
-    tree expansion of ``doubled`` and ``tie`` is the sign of the
-    coefficient for the vector z = (1, ..., 1, -(k-1)).  The tree is grown
-    from the last node, so the subtree below each edge omits it and the
-    z-flow is never zero.
-    """
-    k = len(doubled)
-    root = k - 1
-    parent: dict[int, tuple[int, tuple[int, int]]] = {}
-    order = [root]
-    for node in order:
-        for edge in edges:
-            for here, there in (edge, edge[::-1]):
-                if here == node and there != root and there not in parent:
-                    parent[there] = (node, edge)
-                    order.append(there)
-    below = list(doubled)
-    flows = {}
-    for child in reversed(order[1:]):
-        up, edge = parent[child]
-        sign = 1 if edge[1] == child else -1
-        flows[edge] = (sign * below[child], sign)
-        below[up] += below[child]
-    return flows
-
-
-def _connected(edges: tuple[tuple[int, int], ...], k: int) -> bool:
-    reached = {0}
-    grew = True
-    while grew:
-        grew = False
-        for a, b in edges:
-            if (a in reached) != (b in reached):
-                reached |= {a, b}
-                grew = True
-    return len(reached) == k
-
-
 @lru_cache(maxsize=None)
 def _box_spline(
     edges: tuple[tuple[int, int], ...], doubled: tuple[int, ...]
@@ -156,23 +120,28 @@ def _box_spline(
     a bridge has the same flow in every expansion, so it is checked once
     the graph is a spanning tree, whose spline is the indicator of
     0 < t < 1.  Points on a face of that box are taken at x + eps z with
-    the tie vector z of ``_spanning_tree_flows``.
+    z = (1, ..., 1, -(k-1)).  z sums to zero and has a nonzero total on
+    every proper subset of the nodes, so its flow is nonzero on every edge
+    of any spanning tree.
     """
     k = len(doubled)
-    flows = _spanning_tree_flows(edges, doubled)
+    tree = spanning_tree(edges, k)
+    flows = tree_flows(edges, tree, doubled)
     cycles = len(edges) - (k - 1)
     if cycles == 0:
+        ties = tree_flows(edges, tree, (1,) * (k - 1) + (1 - k,))
         # (flow, tie) is flow + eps * tie in (0, 2), ordered lexicographically
-        inside = all((0, 0) < flow_tie < (2, 0) for flow_tie in flows.values())
+        inside = all((0, 0) < flow_tie < (2, 0) for flow_tie in zip(flows, ties))
         return Fraction(int(inside))
+    flow_of = {edges[index]: flow for index, flow in zip(tree, flows)}
     total = Fraction(0)
     for edge in dict.fromkeys(edges):
         rest = list(edges)
         rest.remove(edge)
         rest = tuple(rest)
-        if edge not in rest and not _connected(rest, k):
+        if edge not in rest and len(spanning_tree(rest, k)) < k - 1:
             continue
-        flow = Fraction(flows.get(edge, (0, 0))[0], 2)
+        flow = Fraction(flow_of.get(edge, 0), 2)
         if flow:
             total += flow * _box_spline(rest, doubled)
         a, b = edge
@@ -231,7 +200,8 @@ def cf_integral(
     """Characteristic-function integral for a partially pinned pair.
 
     For a single coarse block nothing is pinned and the average runs over
-    the whole cube; otherwise the pinned sums are eliminated exactly first.
+    the whole cube; otherwise the pivot coordinates follow from the free
+    ones through the integer solution map of ``constraint_system``.
     The estimate and its standard error come from independent scrambled
     replicates; the imaginary part must stay within the realness tolerance
     and is then discarded.
@@ -253,11 +223,10 @@ def cf_integral(
     system = constraint_system(partition, grouping)
     free_cols = list(system.free_columns)
     pivot_cols = list(system.pivot_columns)
-    solution = system.solution_array()
-    jacobian = float(system.jacobian_factor)
+    n_free = len(free_cols)
+    solution = np.array(system.solution, dtype=float).reshape(system.rank, n_free)
     forms = difference_matrix(partition).astype(float)
     scale = beta ** (1.0 / d)
-    n_free = len(free_cols)
 
     estimates = np.empty(opts.replicates, dtype=complex)
     for rep in range(opts.replicates):
@@ -278,7 +247,7 @@ def cf_integral(
         values = np.prod(dist.cf(scale * (y @ forms.T)), axis=1)
         if inside is not None:
             values = np.where(inside, values, 0.0)
-        estimates[rep] = jacobian * values.mean()
+        estimates[rep] = values.mean()
 
     real = estimates.real
     value = float(real.mean())
@@ -331,10 +300,10 @@ def finite_grid_term(
     Sums the characteristic-function product over integer label offsets in
     [-box, box]^p satisfying the pinned-sum constraints, normalized by
     (2*box+1)^(p-h+1); deterministic, and converges to the corresponding
-    integral as the box grows.  The free labels run over [-box, box] and
-    the pivot labels follow from the exact solution map, which must be
-    integral on p-h+1 free labels so the enumeration meets every lattice
-    point once; each point is checked against the merged rows in integers.
+    integral as the box grows.  The p-h+1 free labels run over
+    [-box, box] and the pivot labels follow from the integer solution map,
+    so the enumeration meets every lattice point once; each point is
+    checked against the merged rows in integers.
     """
     if box < 1:
         raise ValueError(f"half-bandwidth must be >= 1, got {box}")
@@ -344,17 +313,10 @@ def finite_grid_term(
         raise ValueError(f"aspect ratio must be in (0, 1], got {beta}")
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    p, h = partition.p, grouping.k
+    p = partition.p
     pinned = merged_difference_rows(partition, grouping)
     system = constraint_system(partition, grouping)
     free_cols = list(system.free_columns)
-    if len(free_cols) != p - h + 1 or any(
-        v.denominator != 1 for row in system.solution for v in row
-    ):
-        raise NumericalError(
-            f"solution map of ({partition}, {grouping}) is not an integral "
-            f"parametrization of its {p - h + 1}-dimensional kernel"
-        )
     pivot_cols = list(system.pivot_columns)
     solution = np.array(system.solution, dtype=np.int64)
     solution = solution.reshape(len(pivot_cols), len(free_cols))

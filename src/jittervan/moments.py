@@ -23,8 +23,8 @@ from .partitions import Partition, enumerate_partitions_k, mobius_coefficient
 
 DEFAULT_MOMENT_CAP = 5
 
-_cf_cache: dict[tuple, IntegralValue] = {}
-_cf_cache_lock = threading.Lock()
+_term_cache: dict[tuple, IntegralValue] = {}
+_term_cache_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,8 @@ class MomentResult:
 
 
 def clear_term_cache() -> None:
-    with _cf_cache_lock:
-        _cf_cache.clear()
+    with _term_cache_lock:
+        _term_cache.clear()
 
 
 def _evaluate_pair(
@@ -91,10 +91,6 @@ def _evaluate_pair(
     dist: JitterDistribution,
     opts: QmcOptions,
 ) -> IntegralValue:
-    k, h = omega.k, omega_prime.k
-    if k == 1 or h == k:
-        # exact paths; the delta volumes keep their own cache
-        return term_integral(omega, omega_prime, beta, d, dist, opts)
     key = (
         omega.omega,
         omega_prime.omega,
@@ -106,14 +102,14 @@ def _evaluate_pair(
         opts.sampler,
         opts.seed,
     )
-    with _cf_cache_lock:
-        hit = _cf_cache.get(key)
+    with _term_cache_lock:
+        hit = _term_cache.get(key)
     if hit is not None:
         return hit
     seeded = opts.with_seed(term_seed(omega, omega_prime, beta, d, dist.kind, opts.seed))
     value = term_integral(omega, omega_prime, beta, d, dist, seeded)
-    with _cf_cache_lock:
-        _cf_cache[key] = value
+    with _term_cache_lock:
+        _term_cache[key] = value
     return value
 
 

@@ -213,10 +213,10 @@ def mse_curve(
         raise ValueError("need at least one SNR value")
     snrs = [10 ** (db / 10.0) for db in snr_db_values]
     points: list[MsePoint] = []
-    for idx, d in enumerate(sorted(set(d_list))):
+    for d in sorted(set(d_list)):
         M, rho, beta_actual = resolve_shape(beta_target, d, size_budget)
         config = EnsembleConfig(d=d, M=M, rho=rho, dist=dist)
-        sample = simulate(config, trials, seed + 7919 * idx, threads)
+        sample = simulate(config, trials, [seed, d], threads)
         for db, snr in zip(snr_db_values, snrs):
             per_trial = [
                 mse_from_spectrum(sample.eigenvalues[t], beta_actual, snr)

@@ -196,7 +196,8 @@ def brute_trace_moment(
     """Monte-Carlo moment by direct matrix powers, no eigensolver.
 
     Returns the mean and standard error over trials of trace(T^p)/n_rows;
-    an independent path against the eigenvalue-based estimate.
+    an independent path against the eigenvalue-based estimate.  Trial t
+    draws the positions ``simulate`` draws for trial t at the same seed.
     """
     if p < 1:
         raise ValueError(f"moment order must be >= 1, got {p}")
@@ -207,8 +208,8 @@ def brute_trace_moment(
             f"matrix-power oracle is capped at 512 rows, got {config.n_rows}"
         )
     values = []
-    for trial in range(trials):
-        positions = sample_positions(config, seed + trial)
+    for stream in np.random.SeedSequence(seed).spawn(trials):
+        positions = sample_positions(config, stream)
         G = sampling_matrix(config, positions)
         T = gram_matrix(G, config.beta)
         power = np.linalg.matrix_power(T, p)

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 
-from .constraints import constraint_system, difference_matrix
+from .constraints import constraint_system, difference_matrix, merged_difference_rows
 from .ensemble import EnsembleConfig, empirical_moment, simulate
 from .integrate import QmcOptions, cf_integral, delta_volume, finite_grid_term
 from .jitter import from_name, point_mass_half, uniform01
@@ -118,8 +118,13 @@ def _suite_systems(seed: int) -> list[Check]:
             for h in range(1, w.k + 1):
                 for g in enumerate_partitions_k(w.k, h):
                     system = constraint_system(w, g)
+                    solution = np.array(system.solution, dtype=np.int64)
+                    solution = solution.reshape(system.rank, len(system.free_columns))
+                    rows = merged_difference_rows(w, g)
+                    residual = rows[:, system.free_columns]
+                    residual += rows[:, system.pivot_columns] @ solution
                     ok &= system.rank == h - 1
-                    ok &= system.jacobian_factor == Fraction(1)
+                    ok &= not (np.abs(solution) > 1).any() and not residual.any()
     checks.append(_check("systems.rank_is_groups_minus_one", ok, "p <= 4"))
     return checks
 

@@ -2,10 +2,13 @@ import csv
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from jittervan import cli
+from jittervan.ensemble import EnsembleConfig, resolve_shape, simulate
 from jittervan.errors import NumericalError
+from jittervan.jitter import from_name
 
 
 def run(args, capsys):
@@ -100,6 +103,29 @@ class TestSimulate:
             eig_rows = list(csv.DictReader(handle))
         assert len(eig_rows) == 5 * 729
         assert set(eig_rows[0]) == {"trial", "eigenvalue"}
+
+    def test_eigenvalue_csv_matches_simulate(self, tmp_path, capsys):
+        eigs = tmp_path / "eigs.csv"
+        code, _, _ = run(
+            [
+                "simulate", "--beta", "0.6", "--d", "1", "--budget", "60",
+                "--trials", "3", "--seed", "5", "--eigs-out", str(eigs),
+            ],
+            capsys,
+        )
+        assert code == 0
+        M, rho, _ = resolve_shape(0.6, 1, 60)
+        config = EnsembleConfig(d=1, M=M, rho=rho, dist=from_name("uniform"))
+        expected = simulate(config, 3, 5).eigenvalues
+        with open(eigs) as handle:
+            reader = csv.reader(handle)
+            assert next(reader) == ["trial", "eigenvalue"]
+            rows = list(reader)
+        assert len(rows) == 3 * config.n_rows
+        trials = [int(trial) for trial, _ in rows]
+        assert trials == [t for t in range(3) for _ in range(config.n_rows)]
+        values = np.array([float(value) for _, value in rows])
+        assert np.array_equal(values, expected.ravel())
 
     def test_infeasible_budget_exits_2(self, capsys):
         code, _, stderr = run(

@@ -1,5 +1,4 @@
 import itertools
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from jittervan.constraints import (
     constraint_system,
     difference_matrix,
     merged_difference_rows,
-    reduce_system,
 )
 from jittervan.integrate import finite_grid_term
 from jittervan.jitter import point_mass_half
@@ -16,6 +14,7 @@ from jittervan.partitions import (
     Partition,
     enumerate_partitions,
     enumerate_partitions_k,
+    partition_of,
 )
 
 
@@ -30,13 +29,14 @@ def all_pairs(p_max):
 def kernel_basis(system):
     """Integer kernel basis read off the solution map: one column per free
     coordinate, a unit there and the solution map's column on the pivots."""
-    basis = np.zeros((system.n_cols, len(system.free_columns)), dtype=np.int64)
+    n_cols = len(system.pivot_columns) + len(system.free_columns)
+    basis = np.zeros((n_cols, len(system.free_columns)), dtype=np.int64)
     for j, col in enumerate(system.free_columns):
         basis[col, j] = 1
         for row, pivot in enumerate(system.pivot_columns):
             entry = system.solution[row][j]
-            assert entry.denominator == 1
-            basis[pivot, j] = int(entry)
+            assert isinstance(entry, int)
+            basis[pivot, j] = entry
     return basis
 
 
@@ -78,10 +78,13 @@ class TestDifferenceMatrix:
 
 class TestConstraintSystem:
     def test_fully_pinned_pair(self):
-        system = constraint_system(Partition((1, 2)), Partition((1, 2)))
-        assert system.matrix == ((1, -1), (-1, 1))
+        w = Partition((1, 2))
+        assert merged_difference_rows(w, w).tolist() == [[1, -1], [-1, 1]]
+        system = constraint_system(w, w)
         assert system.rank == 1
-        assert system.jacobian_factor == Fraction(1)
+        # y1 = y2: the first column is the tree, the second closes the cycle
+        assert (system.pivot_columns, system.free_columns) == ((0,), (1,))
+        assert system.solution == ((1,),)
 
     def test_single_group_has_no_constraints(self):
         for omega in [Partition((1, 2)), Partition((1, 2, 3)), Partition((1, 2, 1, 3))]:
@@ -92,9 +95,12 @@ class TestConstraintSystem:
 
     def test_mixed_pair_by_hand(self):
         # merging the first two blocks leaves y1 - y3 = 0 and its negation
-        system = constraint_system(Partition((1, 2, 3)), Partition((1, 1, 2)))
-        assert system.matrix == ((1, 0, -1), (-1, 0, 1))
+        w, g = Partition((1, 2, 3)), Partition((1, 1, 2))
+        assert merged_difference_rows(w, g).tolist() == [[1, 0, -1], [-1, 0, 1]]
+        system = constraint_system(w, g)
         assert system.rank == 1
+        # the middle column is a loop inside the merged group: free, no flow
+        assert system.solution == ((0, 1),)
 
     @pytest.mark.parametrize("p", range(2, 5))
     def test_rank_is_group_count_minus_one(self, p):
@@ -112,48 +118,29 @@ class TestConstraintSystem:
             system = constraint_system(w, Partition(tuple(range(1, w.k + 1))))
             assert system.rank == w.k - 1
 
-    def test_substitution_solves_exactly(self):
-        import random
-
-        rng = random.Random(0)
-        pairs = list(all_pairs(4))
-        for w, g in pairs:
-            system = constraint_system(w, g)
-            for _ in range(3):
-                free = [
-                    Fraction(rng.randrange(-20, 21), rng.randrange(1, 9))
-                    for _ in system.free_columns
-                ]
-                y = system.substitute(free)
-                for row in system.matrix:
-                    assert sum(c * v for c, v in zip(row, y)) == 0
-
     def test_jacobian_factor_is_one_on_these_systems(self):
-        # every pivot submatrix here is unimodular (incidence structure), so
-        # the solution map stays in {-1, 0, 1}
+        # tree coordinates of an incidence matrix are unimodular: the
+        # solution map stays in {-1, 0, 1} and parametrizes the kernel
         for w, g in all_pairs(6):
             system = constraint_system(w, g)
-            assert system.jacobian_factor == Fraction(1)
             assert all(v in (-1, 0, 1) for row in system.solution for v in row)
+            assert not (merged_difference_rows(w, g) @ kernel_basis(system)).any()
 
-    def test_unit_pivot_preferred_within_column(self):
-        # two candidate rows in the first column: the unit entry wins
-        system = reduce_system(np.array([[2, 1, 0], [1, 0, -1]]))
-        assert system.pivot_columns[0] == 0
-        assert system.matrix[system.pivot_rows[0]][0] in (-1, 1)
-
-    def test_jacobian_without_unit_entries(self):
-        system = reduce_system(np.array([[2, -4]]))
-        assert system.rank == 1
-        assert system.jacobian_factor == Fraction(1, 2)
-
-    def test_non_unit_pivot_still_consistent(self):
-        # leading coefficient 2: the eliminated weight must be 1/2
-        system = reduce_system(np.array([[2, -1, 0], [0, 0, 0]]))
-        assert system.rank == 1
-        assert system.jacobian_factor == Fraction(1, 2)
-        y = system.substitute([Fraction(3), Fraction(5)])
-        assert 2 * y[0] - y[1] == 0
+    def test_random_pairs_past_the_enumeration_cap(self):
+        rng = np.random.default_rng(0)
+        for _ in range(1000):
+            p = int(rng.integers(2, 11))
+            w = partition_of(rng.integers(0, p, size=p).tolist())
+            g = partition_of(rng.integers(0, w.k, size=w.k).tolist())
+            rows = merged_difference_rows(w, g)
+            system = constraint_system(w, g)
+            assert system.rank == g.k - 1
+            assert all(v in (-1, 0, 1) for row in system.solution for v in row)
+            assert not (rows @ kernel_basis(system)).any()
+            # pivots are the first columns that raise the rank of the prefix
+            ranks = [np.linalg.matrix_rank(rows[:, :c]) for c in range(p + 1)]
+            first = tuple(c for c in range(p) if ranks[c + 1] > ranks[c])
+            assert system.pivot_columns == first, (w.omega, g.omega)
 
     def test_grouping_size_mismatch(self):
         with pytest.raises(ValueError):

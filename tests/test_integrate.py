@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import dblquad, quad
 
 import jittervan.integrate as integrate_module
-from jittervan.constraints import reduce_system
+from jittervan.constraints import ConstraintSystem
 from jittervan.errors import BudgetError, NumericalError, RealnessError
 from jittervan.integrate import (
     QmcOptions,
@@ -401,15 +401,9 @@ class TestFiniteGridTerm:
                 Partition((1, 2, 3)), Partition((1, 1, 1)), 32, 0.5, 1, uniform01(), budget=100
             )
 
-    @pytest.mark.parametrize(
-        "rows",
-        [
-            [[2, -1]],  # a non-integral map would skip lattice points
-            [[1, 1]],  # an integral map off the kernel of the merged rows
-        ],
-    )
-    def test_solution_map_guards(self, monkeypatch, rows):
-        system = reduce_system(np.array(rows))
+    def test_solution_map_guards(self, monkeypatch):
+        # y1 = -y2 is off the kernel of the pinned pair's rows (y1 = y2)
+        system = ConstraintSystem((0,), (1,), ((-1,),))
         monkeypatch.setattr(integrate_module, "constraint_system", lambda *_: system)
         w = Partition((1, 2))
         with pytest.raises(NumericalError):
