@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -117,6 +118,28 @@ class TestConstraintSystem:
         for w in enumerate_partitions(p):
             system = constraint_system(w, Partition(tuple(range(1, w.k + 1))))
             assert system.rank == w.k - 1
+
+    def test_substitution_solves_exactly(self):
+        # rational free labels through the integer solution map land exactly
+        # in the kernel of the merged rows
+        import random
+
+        rng = random.Random(0)
+        for w, g in all_pairs(4):
+            rows = merged_difference_rows(w, g).tolist()
+            system = constraint_system(w, g)
+            for _ in range(3):
+                free = [
+                    Fraction(rng.randrange(-20, 21), rng.randrange(1, 9))
+                    for _ in system.free_columns
+                ]
+                y = [Fraction(0)] * w.p
+                for col, value in zip(system.free_columns, free):
+                    y[col] = value
+                for pivot, coeffs in zip(system.pivot_columns, system.solution):
+                    y[pivot] = sum(c * v for c, v in zip(coeffs, free))
+                for row in rows:
+                    assert sum(c * v for c, v in zip(row, y)) == 0
 
     def test_jacobian_factor_is_one_on_these_systems(self):
         # tree coordinates of an incidence matrix are unimodular: the
