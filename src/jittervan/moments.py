@@ -6,6 +6,15 @@ signed combinatorial weight, an aspect-ratio power and an integral factor
 raised to the grid dimension.  The limiting moments for growing dimension
 are the Narayana polynomials, i.e. the Marchenko-Pastur moments, which are
 provided alongside for comparison.
+
+Rotating or reversing the p trace indices maps a pair onto another pair
+with the same integral, signed weight and aspect-ratio power: a rotation
+permutes the cube coordinates, and a reversal negates every column of the
+walk, which y -> -y on the centred cube undoes, for asymmetric laws too.
+So the pairs are grouped by dihedral orbit and one representative per
+orbit is integrated; every member term carries its value.  The members of
+an orbit share one estimate, so adding their errors linearly is exact
+within an orbit; across orbits the linear sum of errors is a bound.
 """
 
 from __future__ import annotations
@@ -13,13 +22,19 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from ._parallel import ordered_map
 from .integrate import IntegralValue, QmcOptions, term_integral, term_seed
 from .jitter import JitterDistribution
-from .partitions import Partition, enumerate_partitions_k, mobius_coefficient
+from .partitions import (
+    Partition,
+    dihedral_representative,
+    enumerate_partitions_k,
+    mobius_coefficient,
+)
 
 DEFAULT_MOMENT_CAP = 5
 
@@ -113,6 +128,25 @@ def _evaluate_pair(
     return value
 
 
+@lru_cache(maxsize=None)
+def _pair_orbits(p: int) -> tuple[tuple[tuple[Partition, Partition, int], ...], tuple]:
+    """Every (fine, coarse) pair of order p, grouped by dihedral orbit.
+
+    Returns the pairs in enumeration order, each tagged with the index of
+    its orbit, and the orbit representatives in order of first member.
+    """
+    pairs = []
+    orbits: dict[tuple[Partition, Partition], int] = {}
+    for k in range(1, p + 1):
+        for omega in enumerate_partitions_k(p, k, order_cap=max(p, 7)):
+            for h in range(1, k + 1):
+                for omega_prime in enumerate_partitions_k(k, h):
+                    rep = dihedral_representative(omega, omega_prime)
+                    orbit = orbits.setdefault(rep, len(orbits))
+                    pairs.append((omega, omega_prime, orbit))
+    return tuple(pairs), tuple(orbits)
+
+
 def moment(
     p: int,
     beta: float,
@@ -124,10 +158,13 @@ def moment(
 ) -> MomentResult:
     """p-th asymptotic eigenvalue moment of the jittered-grid ensemble.
 
-    Dispatches every partition pair to its integral regime, weights by the
-    signed block coefficient and the aspect-ratio power, and propagates the
-    quadrature errors linearly through the d-th power.  The first moment is
-    exactly 1 by construction.
+    Dispatches one partition pair per dihedral orbit to its integral
+    regime; every pair of the orbit then takes that value, weighted by its
+    signed block coefficient and the aspect-ratio power.  The quadrature
+    errors are propagated linearly through the d-th power and summed over
+    the terms: exact within an orbit, whose members share one estimate,
+    and a bound across orbits.  The terms keep the enumeration order.  The
+    first moment is exactly 1 by construction.
     """
     if not 1 <= p <= moment_cap:
         raise ValueError(f"moment order must satisfy 1 <= p <= {moment_cap}, got {p}")
@@ -137,24 +174,21 @@ def moment(
         raise ValueError(f"dimension must be >= 1, got {d}")
     opts = opts or QmcOptions()
 
-    pairs: list[tuple[Partition, Partition]] = []
-    for k in range(1, p + 1):
-        for omega in enumerate_partitions_k(p, k, order_cap=max(p, 7)):
-            for h in range(1, k + 1):
-                for omega_prime in enumerate_partitions_k(k, h):
-                    pairs.append((omega, omega_prime))
+    pairs, representatives = _pair_orbits(p)
+    values = ordered_map(
+        lambda rep: _evaluate_pair(*rep, beta, d, dist, opts), representatives, threads
+    )
 
-    def build(pair: tuple[Partition, Partition]) -> MomentTerm:
-        omega, omega_prime = pair
+    def build(omega: Partition, omega_prime: Partition, orbit: int) -> MomentTerm:
         k, h = omega.k, omega_prime.k
         u = mobius_coefficient(omega_prime)
-        v = _evaluate_pair(omega, omega_prime, beta, d, dist, opts)
+        v = values[orbit]
         weight = beta ** (p - h)
         contribution = weight * u * v.value**d
         err = weight * abs(u) * d * abs(v.value) ** (d - 1) * v.std_error
         return MomentTerm(k, h, omega, omega_prime, u, v, contribution, err)
 
-    terms = ordered_map(build, pairs, threads)
+    terms = [build(*pair) for pair in pairs]
     value = sum(term.contribution for term in terms)
     std_error = sum(term.std_error for term in terms)
     return MomentResult(p, beta, d, dist.kind, value, std_error, tuple(terms))

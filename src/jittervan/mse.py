@@ -88,8 +88,9 @@ def lmmse_demo(
 ) -> LmmseResult:
     """Estimate harmonics from noisy samples and compare with the trace.
 
-    Positions are drawn once; spectrum vectors are standard complex
-    Gaussian, noise variance is 1/snr per sample (unit-norm matrix columns
+    Positions are drawn once; the positions and the signal come from two
+    children of ``np.random.SeedSequence(seed)``.  Spectrum vectors are
+    standard complex Gaussian, noise variance is 1/snr per sample (unit-norm matrix columns
     make the per-sample signal power one).  Conditionally on the positions
     the trace value is the exact estimator error, so the empirical average
     converges to it as the draw count grows.
@@ -98,8 +99,9 @@ def lmmse_demo(
         raise ValueError(f"signal-to-noise ratio must be > 0, got {snr}")
     if draws < 2:
         raise ValueError(f"need at least 2 draws, got {draws}")
-    rng = np.random.default_rng(seed)
-    positions = sample_positions(config, seed)
+    signal_seed, positions_seed = np.random.SeedSequence(seed).spawn(2)
+    rng = np.random.default_rng(signal_seed)
+    positions = sample_positions(config, positions_seed)
     G = sampling_matrix(config, positions)
     n, r = G.shape
     beta = config.beta

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -17,9 +18,31 @@ from jittervan.moments import (
     mp_support,
     narayana,
 )
-from jittervan.partitions import enumerate_partitions_k
+from jittervan.partitions import dihedral_representative, enumerate_partitions_k
 
 FAST = QmcOptions(points=2**12, replicates=8, seed=19)
+
+
+def two_point():
+    """Asymmetric law with mean 1/2: mass 2/3 at 0.75 and 1/3 at 0."""
+    return JitterDistribution(
+        "two_point",
+        lambda t: (1 + 2 * np.exp(-2j * np.pi * t * 0.75)) / 3,
+        lambda rng, shape: np.where(rng.random(shape) < 2 / 3, 0.75, 0.0),
+        symmetric_about_half=False,
+    )
+
+
+def cf_orbits(p):
+    """The cf-regime pairs of order p, keyed by dihedral representative."""
+    orbits = {}
+    for k in range(2, p + 1):
+        for omega in enumerate_partitions_k(p, k):
+            for h in range(1, k):
+                for grouping in enumerate_partitions_k(k, h):
+                    rep = dihedral_representative(omega, grouping)
+                    orbits.setdefault(rep, []).append((omega, grouping))
+    return orbits
 
 
 def cf_square_integral(beta: float, d: int, factory=uniform01) -> float:
@@ -98,8 +121,15 @@ class TestMoment:
             assert 1 <= term.h <= term.k <= 3
             assert term.omega.k == term.k and term.omega_prime.k == term.h
             assert term.omega_prime.p == term.k
-        # term count: sum over k of S(3,k) * B(k)
+        # term count: sum over k of S(3,k) * B(k), in enumeration order
         assert len(result.terms) == 1 * 1 + 3 * 2 + 1 * 5
+        assert [(t.omega, t.omega_prime) for t in result.terms] == [
+            (omega, omega_prime)
+            for k in range(1, 4)
+            for omega in enumerate_partitions_k(3, k)
+            for h in range(1, k + 1)
+            for omega_prime in enumerate_partitions_k(k, h)
+        ]
 
     def test_pinned_terms_match_volume_sum(self):
         from jittervan.integrate import delta_volume
@@ -135,6 +165,27 @@ class TestMoment:
         after_flat = moment(3, 0.55, 1, peaked, FAST).value
         clear_term_cache()
         assert after_flat == moment(3, 0.55, 1, peaked, FAST).value
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    @pytest.mark.parametrize("p,orbits", [(3, 3), (4, 15)])
+    def test_one_cf_integral_per_orbit(self, monkeypatch, p, orbits, threads):
+        calls = []
+        cf_integral = integrate_module.cf_integral
+
+        def counted(*args):
+            calls.append(args[:2])
+            return cf_integral(*args)
+
+        clear_term_cache()
+        monkeypatch.setattr(integrate_module, "cf_integral", counted)
+        result = moment(p, 0.55, 1, uniform01(), FAST, threads=threads)
+        assert len(calls) == orbits
+        assert len(set(calls)) == orbits
+        assert all(dihedral_representative(*pair) == pair for pair in calls)
+        value_of = {(t.omega, t.omega_prime): t.v for t in result.terms}
+        for term in result.terms:
+            rep = dihedral_representative(term.omega, term.omega_prime)
+            assert term.v is value_of[rep]
 
     def test_threads_do_not_change_values(self):
         a = moment(3, 0.52, 1, uniform01(), FAST, threads=1)
@@ -173,6 +224,32 @@ class TestMoment:
                 "k", "h", "omega", "omega_prime", "u", "v", "v_err",
                 "method", "contribution",
             }
+
+
+class TestOrbitAgreement:
+    @pytest.mark.parametrize("factory", [triangular01, two_point])
+    def test_members_agree_within_three_sigma(self, factory):
+        # each member integrated directly, seeded by its own pair
+        dist = factory()
+        beta, d = 0.6, 1
+        worst = 0.0
+        for p in (2, 3, 4):
+            for members in cf_orbits(p).values():
+                values = [
+                    integrate_module.cf_integral(
+                        omega, grouping, beta, d, dist,
+                        FAST.with_seed(
+                            integrate_module.term_seed(
+                                omega, grouping, beta, d, dist.kind, FAST.seed
+                            )
+                        ),
+                    )
+                    for omega, grouping in members
+                ]
+                for a, b in itertools.combinations(values, 2):
+                    z = abs(a.value - b.value) / math.hypot(a.std_error, b.std_error)
+                    worst = max(worst, z)
+        assert worst < 3.0
 
 
 class TestMarchenkoPastur:

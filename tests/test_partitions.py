@@ -1,10 +1,13 @@
 import itertools
 
+import numpy as np
 import pytest
 
+from jittervan.constraints import constraint_system
 from jittervan.partitions import (
     Partition,
     bell,
+    dihedral_representative,
     enumerate_partitions,
     enumerate_partitions_k,
     label_vector_count,
@@ -220,3 +223,95 @@ class TestPartitionType:
             assert union == set(range(1, p + 1))
             assert sum(len(b) for b in w.blocks) == p
             assert len(w.blocks) == w.k == max(w.omega)
+
+
+def dihedral_image(omega, grouping, shift, reverse):
+    """Oracle: the pair seen through a rotation (after an optional
+    reversal) of the trace indices; the coarse partition follows each
+    fine block to its new label."""
+    walk = omega.omega[::-1] if reverse else omega.omega
+    labels = walk[shift:] + walk[:shift]
+    fine = partition_of(labels)
+    coarse = [0] * omega.k
+    for new, old in zip(fine.omega, labels):
+        coarse[new - 1] = grouping.omega[old - 1]
+    return fine, partition_of(coarse)
+
+
+def all_pairs(p):
+    return [
+        (omega, grouping)
+        for k in range(1, p + 1)
+        for omega in enumerate_partitions_k(p, k)
+        for h in range(1, k + 1)
+        for grouping in enumerate_partitions_k(k, h)
+    ]
+
+
+def key(pair):
+    return (pair[0].omega, pair[1].omega)
+
+
+class TestDihedralRepresentative:
+    @pytest.mark.parametrize("p", range(1, 6))
+    def test_idempotent_and_constant_on_orbit(self, p):
+        for pair in all_pairs(p):
+            rep = dihedral_representative(*pair)
+            assert dihedral_representative(*rep) == rep
+            for shift in range(p):
+                for reverse in (False, True):
+                    image = dihedral_image(*pair, shift, reverse)
+                    assert dihedral_representative(*image) == rep
+                    assert key(rep) <= key(image)
+
+    def test_reference_orbit(self):
+        # the three two-block strings of order three are one rotation orbit
+        rep = (Partition((1, 1, 2)), Partition((1, 1)))
+        for omega in [(1, 1, 2), (1, 2, 1), (1, 2, 2)]:
+            assert dihedral_representative(Partition(omega), Partition((1, 1))) == rep
+        rep = dihedral_representative(Partition((1, 2, 3)), Partition((1, 2, 1)))
+        assert rep == (Partition((1, 2, 3)), Partition((1, 1, 2)))
+
+    @pytest.mark.parametrize(
+        "p,cf_pairs,cf_orbits",
+        [(2, 1, 1), (3, 7, 3), (4, 45, 15), (5, 306, 50), (6, 2268, 286)],
+    )
+    def test_orbit_counts(self, p, cf_pairs, cf_orbits):
+        cf = [pair for pair in all_pairs(p) if 1 < pair[0].k and pair[1].k < pair[0].k]
+        assert len(cf) == cf_pairs
+        assert len({dihedral_representative(*pair) for pair in cf}) == cf_orbits
+
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_orbits_partition_the_pairs(self, p):
+        pairs = all_pairs(p)
+        reps = {dihedral_representative(*pair) for pair in pairs}
+        covered = []
+        for rep in reps:
+            orbit = {
+                key(dihedral_image(*rep, shift, reverse))
+                for shift in range(p)
+                for reverse in (False, True)
+            }
+            covered.extend(orbit)
+        assert sorted(covered) == sorted(key(pair) for pair in pairs)
+
+    def test_random_pairs_past_the_enumeration_cap(self):
+        rng = np.random.default_rng(20091)
+        for _ in range(500):
+            p = int(rng.integers(2, 10))
+            omega = partition_of(rng.integers(0, p, size=p).tolist())
+            grouping = partition_of(rng.integers(0, omega.k, size=omega.k).tolist())
+            shift, reverse = int(rng.integers(p)), bool(rng.integers(2))
+            image = dihedral_image(omega, grouping, shift, reverse)
+            assert dihedral_representative(*image) == dihedral_representative(
+                omega, grouping
+            )
+            assert image[0].k == omega.k and image[1].k == grouping.k
+            assert mobius_coefficient(image[1]) == mobius_coefficient(grouping)
+            assert (
+                constraint_system(*image).rank == constraint_system(omega, grouping).rank
+            )
+
+    def test_grouping_must_partition_the_blocks(self):
+        with pytest.raises(ValueError):
+            dihedral_representative(Partition((1, 2, 1)), Partition((1, 2, 3)))
