@@ -90,10 +90,11 @@ def lmmse_demo(
 
     Positions are drawn once; the positions and the signal come from two
     children of ``np.random.SeedSequence(seed)``.  Spectrum vectors are
-    standard complex Gaussian, noise variance is 1/snr per sample (unit-norm matrix columns
-    make the per-sample signal power one).  Conditionally on the positions
-    the trace value is the exact estimator error, so the empirical average
-    converges to it as the draw count grows.
+    standard complex Gaussian, noise variance is 1/snr per sample
+    (unit-norm matrix columns make the per-sample signal power one).
+    Conditionally on the positions the trace value is the exact estimator
+    error, so the empirical average converges to it as the draw count
+    grows.
     """
     if snr <= 0:
         raise ValueError(f"signal-to-noise ratio must be > 0, got {snr}")
