@@ -1,11 +1,19 @@
 """Finite realizations of the jittered-grid ensemble and their spectra.
 
 A configuration fixes the grid dimension d, the half-bandwidth M per
-dimension and the vertex count rho per dimension; the sampling matrix has
+dimension and the vertex count rho per dimension; the sampling matrix G has
 one row per frequency vector in [-M, M]^d and one unit-norm column per
 grid cell, each cell holding a single position jittered around its center.
-The scaled Gram matrix has unit diagonal by construction, so its spectrum
-averages to one in every realization.
+The scaled Gram matrix T = beta G G^H has unit diagonal by construction, so
+its spectrum averages to one in every realization.
+
+T[l, l'] depends on l - l' only, and storage row n-1-j holds the frequency
+-l of row j, so reversing the rows conjugates T: it is centro-Hermitian.
+Pairing each row with its mirror is a fixed unitary change of basis Q that
+turns G into the real matrix R = Q^H G of cosine, sine and constant rows.
+``simulate`` solves beta R R^T, which has the spectrum of T at a real Gram
+product and a real symmetric eigensolve; the complex ``sampling_matrix``
+stays for the estimator demo and the matrix-power oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +28,8 @@ from ._parallel import ordered_map
 from .errors import BudgetError, NumericalError
 from .jitter import JitterDistribution
 
-#: Refuse matrix builds larger than this many complex entries.
+#: Refuse sampling-matrix builds, complex or real, larger than this many
+#: entries.
 DEFAULT_CELL_BUDGET = 1 << 23
 
 #: Eigenvalues of the positive semidefinite Gram matrix may round below
@@ -98,8 +107,7 @@ def sample_positions(config: EnsembleConfig, seed) -> np.ndarray:
     return (vertices + jitter) / config.rho
 
 
-def sampling_matrix(config: EnsembleConfig, positions: np.ndarray) -> np.ndarray:
-    """Complex-exponential sampling matrix, n_rows x n_cols, unit columns."""
+def _check_build(config: EnsembleConfig, positions: np.ndarray) -> None:
     if positions.shape != (config.n_cols, config.d):
         raise ValueError(
             f"positions must have shape {(config.n_cols, config.d)}, "
@@ -110,18 +118,53 @@ def sampling_matrix(config: EnsembleConfig, positions: np.ndarray) -> np.ndarray
             f"matrix of {config.n_rows} x {config.n_cols} entries exceeds "
             f"the cell budget {config.cell_budget}"
         )
+
+
+def sampling_matrix(config: EnsembleConfig, positions: np.ndarray) -> np.ndarray:
+    """Complex-exponential sampling matrix, n_rows x n_cols, unit columns."""
+    _check_build(config, positions)
     freq = frequency_vectors(config.M, config.d)
     phases = freq @ positions.T
     return np.exp(-2j * np.pi * phases) / np.sqrt(config.n_rows)
 
 
+def real_sampling_matrix(
+    config: EnsembleConfig, positions: np.ndarray
+) -> np.ndarray:
+    """Real form R = Q^H G of the sampling matrix, same shape, unit columns.
+
+    With h = (n_rows - 1) / 2 and l running over the frequencies of the
+    storage rows after the middle one, rows 0..h-1 hold
+    sqrt(2/n) cos(2 pi l.x), rows h..2h-1 hold sqrt(2/n) sin(2 pi l.x) and
+    the last row is the zero frequency 1/sqrt(n).  Q is unitary, so
+    R R^T = Q^H G G^H Q has the eigenvalues of G G^H.
+    """
+    _check_build(config, positions)
+    n = config.n_rows
+    half = n // 2
+    freq = frequency_vectors(config.M, config.d)[half + 1 :]
+    R = np.empty((n, config.n_cols))
+    angles = R[:half]
+    np.matmul(freq, positions.T, out=angles)
+    angles *= 2 * np.pi
+    np.sin(angles, out=R[half:-1])
+    np.cos(angles, out=angles)
+    R[:-1] *= np.sqrt(2.0 / n)
+    R[-1] = 1.0 / np.sqrt(n)
+    return R
+
+
 def gram_matrix(G: np.ndarray, beta: float) -> np.ndarray:
-    """Scaled Gram matrix beta * G G^H (Hermitian, unit diagonal)."""
+    """Scaled Gram matrix beta * G G^H; real symmetric for a real G.
+
+    The complex sampling matrix gives unit diagonal; ``real_sampling_matrix``
+    gives the same trace and spectrum.
+    """
     return beta * (G @ G.conj().T)
 
 
 def spectrum(T: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix, clamped at zero.
+    """Ascending eigenvalues of a real symmetric or Hermitian matrix.
 
     Eigenvalues below the roundoff floor raise; tiny negatives are clipped
     to zero so downstream averages stay on [0, inf).
@@ -156,7 +199,7 @@ def simulate(
     seed: int | Sequence[int],
     threads: int = 1,
 ) -> SpectrumSample:
-    """Draw positions, build the Gram matrix and solve, trial by trial.
+    """Draw positions, build the real Gram matrix and solve, trial by trial.
 
     Trial t draws from child t of ``np.random.SeedSequence(seed)``, so runs
     are reproducible, runs with different seeds share no trial, and trials
@@ -167,8 +210,8 @@ def simulate(
 
     def one(stream: np.random.SeedSequence) -> np.ndarray:
         positions = sample_positions(config, stream)
-        G = sampling_matrix(config, positions)
-        return spectrum(gram_matrix(G, config.beta))
+        R = real_sampling_matrix(config, positions)
+        return spectrum(gram_matrix(R, config.beta))
 
     streams = np.random.SeedSequence(seed).spawn(trials)
     eigs = np.stack(ordered_map(one, streams, threads))

@@ -107,11 +107,11 @@ def lmmse_demo(
     n, r = G.shape
     beta = config.beta
 
-    eigs = spectrum(gram_matrix(G, beta))
-    trace_mse = mse_from_spectrum(eigs, beta, snr)
+    T = gram_matrix(G, beta)
+    trace_mse = mse_from_spectrum(spectrum(T), beta, snr)
 
     sigma2 = 1.0 / snr
-    system = G @ G.conj().T + sigma2 * np.eye(n)
+    system = T / beta + sigma2 * np.eye(n)
     shape_a = (n, draws)
     shape_n = (r, draws)
     a = (rng.standard_normal(shape_a) + 1j * rng.standard_normal(shape_a)) / np.sqrt(2)

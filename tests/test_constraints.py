@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from jittervan.constraints import (
     constraint_system,
@@ -65,6 +67,13 @@ class TestDifferenceMatrix:
             assert not mat.sum(axis=0).any()
             assert not mat.sum(axis=1).any()
             assert set(np.unique(mat)) <= {-1, 0, 1}
+
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=12))
+    def test_zero_sums_and_unit_entries_for_any_labels(self, labels):
+        mat = difference_matrix(partition_of(labels))
+        assert not mat.sum(axis=0).any()
+        assert not mat.sum(axis=1).any()
+        assert set(np.unique(mat)) <= {-1, 0, 1}
 
     @pytest.mark.parametrize("p", range(2, 6))
     def test_evaluates_block_sums(self, p):

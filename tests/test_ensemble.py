@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import jittervan.ensemble as ensemble_module
 from jittervan.ensemble import (
     EnsembleConfig,
     empirical_moment,
@@ -8,6 +9,7 @@ from jittervan.ensemble import (
     frequency_vectors,
     gram_matrix,
     histogram,
+    real_sampling_matrix,
     resolve_shape,
     sample_positions,
     sampling_matrix,
@@ -18,8 +20,9 @@ from jittervan.ensemble import (
 )
 from jittervan.errors import BudgetError
 from jittervan.integrate import QmcOptions
-from jittervan.jitter import point_mass_half, uniform01
+from jittervan.jitter import point_mass_half, triangular01, uniform01
 from jittervan.moments import moment
+from test_moments import two_point
 
 
 class TestIndexMaps:
@@ -53,8 +56,11 @@ class TestConfig:
 
     def test_cell_budget(self):
         config = EnsembleConfig(d=1, M=10, rho=50, dist=uniform01(), cell_budget=100)
+        for build in (sampling_matrix, real_sampling_matrix):
+            with pytest.raises(BudgetError):
+                build(config, sample_positions(config, 0))
         with pytest.raises(BudgetError):
-            sampling_matrix(config, sample_positions(config, 0))
+            simulate(config, 1, 0)
 
 
 class TestPositions:
@@ -123,15 +129,18 @@ class TestMatrices:
 
     def test_positions_shape_checked(self):
         config = EnsembleConfig(d=1, M=2, rho=8, dist=uniform01())
-        with pytest.raises(ValueError):
-            sampling_matrix(config, np.zeros((3, 1)))
+        for build in (sampling_matrix, real_sampling_matrix):
+            with pytest.raises(ValueError):
+                build(config, np.zeros((3, 1)))
 
 
 class TestSimulate:
     def test_half_cell_spectrum_is_all_ones(self):
-        config = EnsembleConfig(d=1, M=6, rho=25, dist=point_mass_half())
-        sample = simulate(config, 3, 0)
-        assert np.abs(sample.eigenvalues - 1.0).max() < 1e-10
+        # (1, 8, 25, 4) is the identity ensemble of acceptance criterion 4
+        for d, M, rho, trials in [(1, 6, 25, 3), (1, 8, 25, 4), (2, 2, 5, 2)]:
+            config = EnsembleConfig(d=d, M=M, rho=rho, dist=point_mass_half())
+            sample = simulate(config, trials, 0)
+            assert np.abs(sample.eigenvalues - 1.0).max() < 1e-10
 
     def test_unit_first_moment(self):
         config = EnsembleConfig(d=2, M=2, rho=8, dist=uniform01())
@@ -183,6 +192,54 @@ class TestSimulate:
             empirical_moment(sample, 0)
         with pytest.raises(ValueError):
             histogram(sample, 0)
+
+
+class TestRealForm:
+    @pytest.mark.parametrize("d,M,rho", [(1, 6, 20), (2, 2, 7), (3, 1, 4)])
+    @pytest.mark.parametrize(
+        "factory", [uniform01, triangular01, point_mass_half, two_point]
+    )
+    def test_spectra_match_complex_path(self, d, M, rho, factory):
+        config = EnsembleConfig(d=d, M=M, rho=rho, dist=factory())
+        sample = simulate(config, 3, 17)
+        for t, stream in enumerate(np.random.SeedSequence(17).spawn(3)):
+            G = sampling_matrix(config, sample_positions(config, stream))
+            expected = spectrum(gram_matrix(G, config.beta))
+            assert np.abs(sample.eigenvalues[t] - expected).max() < 1e-12
+
+    def test_simulate_builds_no_complex_matrix(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("simulate built the complex sampling matrix")
+
+        monkeypatch.setattr(ensemble_module, "sampling_matrix", refuse)
+        config = EnsembleConfig(d=2, M=2, rho=7, dist=uniform01())
+        assert simulate(config, 2, 0).eigenvalues.shape == (2, config.n_rows)
+
+    def test_equals_unitary_change_of_basis(self):
+        config = EnsembleConfig(d=2, M=1, rho=4, dist=uniform01())
+        positions = sample_positions(config, 2)
+        n, half = config.n_rows, config.n_rows // 2
+        freq = frequency_vectors(config.M, config.d)
+        # storage row n-1-j holds the frequency of row j negated
+        assert np.array_equal(freq[::-1], -freq)
+        QH = np.zeros((n, n), dtype=complex)
+        for i, j in enumerate(range(half + 1, n)):
+            QH[i, j] = QH[i, n - 1 - j] = 1 / np.sqrt(2)
+            QH[half + i, j] = 1j / np.sqrt(2)
+            QH[half + i, n - 1 - j] = -1j / np.sqrt(2)
+        QH[n - 1, half] = 1.0
+        assert np.allclose(QH @ QH.conj().T, np.eye(n), atol=1e-15)
+        G = sampling_matrix(config, positions)
+        R = real_sampling_matrix(config, positions)
+        assert R.dtype == np.float64
+        assert np.abs(QH @ G - R).max() < 1e-12
+
+    def test_unit_columns_and_constant_row(self):
+        config = EnsembleConfig(d=3, M=1, rho=5, dist=triangular01())
+        R = real_sampling_matrix(config, sample_positions(config, 4))
+        assert R.shape == (config.n_rows, config.n_cols)
+        assert np.allclose(np.sum(R**2, axis=0), 1.0, atol=1e-12)
+        assert np.all(R[-1] == 1 / np.sqrt(config.n_rows))
 
 
 class TestResolveShape:

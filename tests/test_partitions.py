@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jittervan.constraints import constraint_system
 from jittervan.partitions import (
@@ -97,6 +99,27 @@ class TestEnumeration:
 
     def test_cap_can_be_raised(self):
         assert len(enumerate_partitions(8, order_cap=8)) == bell(8)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_k_blocks_match_filtered_label_tuples(self, data):
+        p = data.draw(st.integers(1, 7))
+        k = data.draw(st.integers(1, p))
+
+        def restricted_growth(labels):
+            top = 0
+            for label in labels:
+                if label > top + 1:
+                    return False
+                top = max(top, label)
+            return top == k
+
+        oracle = [
+            labels
+            for labels in itertools.product(range(1, k + 1), repeat=p)
+            if restricted_growth(labels)
+        ]
+        assert [w.omega for w in enumerate_partitions_k(p, k)] == oracle
 
 
 class TestCounting:
