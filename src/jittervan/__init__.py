@@ -21,7 +21,7 @@ from .ensemble import (
     simulate,
     spectrum,
 )
-from .errors import BudgetError, NumericalError, RealnessError
+from .errors import BudgetError, NumericalError
 from .integrate import (
     IntegralValue,
     QmcOptions,
@@ -83,7 +83,6 @@ __all__ = [
     "NumericalError",
     "Partition",
     "QmcOptions",
-    "RealnessError",
     "SpectrumSample",
     "bell",
     "cf_integral",

@@ -1,7 +1,8 @@
 """Command-line front end: moments, mp, simulate, mse and verify.
 
-Every run is reproducible from (subcommand, parameters, seed); outputs are
-plain JSON or CSV meant to be fed to external plotting.
+Every run is reproducible from (subcommand, parameters, seed); the
+analytic moments draw nothing and take no seed.  Outputs are plain JSON or
+CSV meant to be fed to external plotting.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .ensemble import (
     write_histogram_csv,
 )
 from .errors import BudgetError, NumericalError
-from .integrate import QmcOptions
 from .jitter import JITTER_NAMES, from_name
 from .moments import moment, mp_moment, mp_support
 from .mse import mse_curve, snr_grid_db
@@ -72,9 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mom.add_argument("--beta", type=float, required=True)
     p_mom.add_argument("--d", type=int, default=1)
     p_mom.add_argument("--jitter", choices=sorted(JITTER_NAMES), default="uniform")
-    p_mom.add_argument("--seed", type=int, default=0)
-    p_mom.add_argument("--points", type=int, default=2**14)
-    p_mom.add_argument("--replicates", type=int, default=16)
     p_mom.add_argument("--mp", action="store_true", help="include the MP gap per order")
     p_mom.add_argument("--threads", **common_threads)
     p_mom.add_argument("--out", metavar="PATH", help="write results as JSON")
@@ -127,13 +124,12 @@ def _write_json(path: str, payload: dict) -> None:
 
 def _cmd_moments(args) -> int:
     dist = from_name(args.jitter)
-    opts = QmcOptions(points=args.points, replicates=args.replicates, seed=args.seed)
     results = []
     for p in range(1, args.p_max + 1):
-        res = moment(p, args.beta, args.d, dist, opts, threads=args.threads)
+        res = moment(p, args.beta, args.d, dist, threads=args.threads)
         results.append(res)
         line = (
-            f"p={p}  moment={res.value:.8f}  std_error={res.std_error:.2e}  "
+            f"p={p}  moment={res.value:.8f}  error={res.std_error:.2e}  "
             f"terms={len(res.terms)}"
         )
         if args.mp:
@@ -148,7 +144,6 @@ def _cmd_moments(args) -> int:
                 "beta": args.beta,
                 "d": args.d,
                 "jitter": args.jitter,
-                "seed": args.seed,
                 "results": [res.to_dict() for res in results],
             },
         )

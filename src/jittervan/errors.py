@@ -9,9 +9,5 @@ class NumericalError(RuntimeError):
     """A numerical procedure failed or produced an inconsistent result."""
 
 
-class RealnessError(NumericalError):
-    """A complex estimate kept a larger imaginary part than the tolerance allows."""
-
-
 class BudgetError(RuntimeError):
     """An enumeration or matrix build exceeded its configured resource budget."""

@@ -9,14 +9,24 @@ of them are pinned to zero.  Three regimes are evaluated here.
   difference forms are the incidence matrix of a graph on the blocks, so
   the volume is a box-spline value, computed exactly in rationals by the
   box-spline recurrence.
-* No pinning (single coarse block): a plain randomized quasi Monte Carlo
-  average of the characteristic-function product over the cube.
+* No pinning (single coarse block): the characteristic-function product
+  integrated over the whole cube by tensor Gauss-Legendre.
 * Partial pinning: the pinned sums are solved on a spanning tree of the
   walk through the groups, which writes the pivot coordinates as integer
-  combinations of the free ones; the integrand is averaged over the free
-  coordinates with an indicator keeping the pivots inside the cube.  The
-  tree coordinates are unimodular, so the free coordinates carry unit
-  weight.
+  combinations of the free ones.  The tree coordinates are unimodular, so
+  the free coordinates carry unit weight and the domain is the polytope P
+  of free coordinates whose pivots stay inside the cube.  Its constraint
+  matrix is totally unimodular, so its vertices are half-integers; its
+  boundary is triangulated, each boundary simplex is coned from the
+  origin, and each cone takes Stroud's collapsed Gauss-Jacobi rule.
+
+The integrand is entire (every law has compact support), so both rules
+converge geometrically in the nodes per axis.  The domain is centrally
+symmetric and the integrand takes conjugate values at x and -x, for any
+law, so half the nodes suffice and the integral is twice the real part of
+their sum: real by construction.  The error is the deterministic
+difference between the value at VALUE_ORDER nodes per axis and the rule
+at CHECK_ORDER.
 
 A finite-grid evaluator of the same quantity at finite half-bandwidth M is
 provided as an independent cross-check; it converges to the integral as M
@@ -25,13 +35,13 @@ grows.
 
 from __future__ import annotations
 
-import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.stats import qmc
+from scipy.spatial import ConvexHull, HalfspaceIntersection
+from scipy.special import roots_jacobi, roots_legendre
 
 from .constraints import (
     constraint_system,
@@ -40,65 +50,51 @@ from .constraints import (
     spanning_tree,
     tree_flows,
 )
-from .errors import BudgetError, NumericalError, RealnessError
+from .errors import BudgetError, NumericalError
 from .jitter import JitterDistribution
 from .partitions import Partition
+
+#: Gauss nodes per axis of the reported value, and of the lower-order rule
+#: whose difference from it is the reported error.
+VALUE_ORDER = 8
+CHECK_ORDER = 6
+#: Nodes evaluated per batch, which bounds the temporary arrays.
+_BATCH = 1 << 12
 
 
 @dataclass(frozen=True)
 class QmcOptions:
-    """Tuning knobs for the stochastic evaluation paths."""
+    """Former sampling options of the cf regimes, accepted and ignored.
+
+    The cf regimes are now evaluated by deterministic cubature at fixed
+    orders, so nothing here changes a value; the class stays so callers
+    that build it keep working.
+    """
 
     points: int = 2**14
     replicates: int = 16
     seed: int = 0
-    sampler: str = "sobol"  # "sobol" (scrambled) or "mc" for cross-checks
-    realness_factor: float = 10.0
-
-    def __post_init__(self) -> None:
-        if self.points < 2:
-            raise ValueError("need at least 2 integration points")
-        if self.replicates < 2:
-            raise ValueError("need at least 2 replicates for an error estimate")
-        if self.sampler not in ("sobol", "mc"):
-            raise ValueError(f"unknown sampler {self.sampler!r}")
-
-    def with_seed(self, seed: int) -> "QmcOptions":
-        return replace(self, seed=seed)
+    sampler: str = "sobol"
 
 
 @dataclass(frozen=True)
 class IntegralValue:
     """One evaluated integral factor with its error bookkeeping.
 
-    ``imag_residual`` records the magnitude of the imaginary part of the
-    raw complex estimate before it was discarded; exact paths store the
-    value additionally as a Fraction.
+    ``std_error`` is the error estimate: zero on the exact paths, the
+    difference between two cubature orders on the cf paths.  Exact paths
+    store the value additionally as a Fraction.
     """
 
     value: float
     std_error: float
     method: str
-    imag_residual: float = 0.0
     exact: Fraction | None = None
 
 
 def unity() -> IntegralValue:
     """The trivial factor for a single-block fine partition."""
     return IntegralValue(1.0, 0.0, "exact_unity")
-
-
-def term_seed(
-    partition: Partition,
-    grouping: Partition,
-    beta: float,
-    d: int,
-    kind: str,
-    base_seed: int,
-) -> int:
-    """Stable per-term seed: a checksum of the canonical term key."""
-    key = f"{partition}|{grouping}|{beta!r}|{d}|{kind}"
-    return zlib.crc32(key.encode()) ^ (base_seed & 0xFFFFFFFF)
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +181,93 @@ def delta_volume(partition: Partition) -> IntegralValue:
 
 
 # ---------------------------------------------------------------------------
-# randomized QMC for the characteristic-function regimes
+# Gauss cubature for the characteristic-function regimes
 # ---------------------------------------------------------------------------
+
+
+def _tensor(axes) -> tuple[np.ndarray, np.ndarray]:
+    """Product rule of one (nodes, weights) pair per axis."""
+    nodes = np.stack(np.meshgrid(*[x for x, _ in axes], indexing="ij"), axis=-1)
+    weights = np.ones(())
+    for _, w in axes:
+        weights = np.multiply.outer(weights, w)
+    return nodes.reshape(-1, len(axes)), weights.ravel()
+
+
+def _cube_half_rule(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor Gauss-Legendre on [-1/2, 1/2]^n, nodes with x_1 > 0 only.
+
+    ``order`` is even, so no node lies on x_1 = 0 and the rule is the
+    disjoint union of this half and its mirror image.
+    """
+    x, w = roots_legendre(order)
+    axes = [(x / 2, w / 2)] * n
+    axes[0] = (x[x > 0] / 2, w[x > 0] / 2)
+    return _tensor(axes)
+
+
+def _simplex_rule(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Collapsed Gauss-Jacobi rule on the simplex {l >= 0, sum l <= 1}.
+
+    Stroud's conical product: l_j = u_j * prod_{i<j} (1 - u_i) maps the
+    unit cube onto the simplex with Jacobian prod_i (1 - u_i)^(n-i), and
+    axis i takes the Gauss-Jacobi rule of that weight.  Exact for
+    polynomials of total degree 2 * order - 1; the weights sum to 1/n!.
+    """
+    axes = []
+    for i in range(1, n + 1):
+        x, w = roots_jacobi(order, n - i, 0)
+        axes.append(((1 + x) / 2, w / 2 ** (n - i + 1)))
+    u, weights = _tensor(axes)
+    lam = u.copy()
+    lam[:, 1:] *= np.cumprod(1 - u[:, :-1], axis=1)
+    return lam, weights
+
+
+def _half_cones(solution: np.ndarray) -> np.ndarray:
+    """Cones from the origin over half the boundary of P, as vertex rows.
+
+    P = {x in [-1/2, 1/2]^n : |solution @ x| <= 1/2} is centrally
+    symmetric, so the facets whose outward normal is lexicographically
+    positive and their mirror images tile its boundary.  The constraint
+    matrix is totally unimodular, so the vertices found by the halfspace
+    intersection are rounded to their exact half-integer values before the
+    boundary is triangulated.
+    """
+    n = solution.shape[1]
+    rows = np.vstack([np.eye(n), solution])
+    rows = np.unique(np.vstack([rows, -rows]), axis=0)
+    halfspaces = np.hstack([rows, np.full((len(rows), 1), -0.5)])
+    vertices = HalfspaceIntersection(halfspaces, np.zeros(n)).intersections
+    vertices = np.unique(np.round(2 * vertices) / 2, axis=0)
+    hull = ConvexHull(vertices, qhull_options="Qt")
+    normals = hull.equations[:, :-1]
+    lead = normals[np.arange(len(normals)), np.argmax(np.abs(normals) > 1e-9, axis=1)]
+    return vertices[hull.simplices[lead > 0]]
+
+
+def _cone_half_rule(cones: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The simplex rule mapped onto every cone: x = l @ vertex rows."""
+    lam, weights = _simplex_rule(cones.shape[1], order)
+    nodes = (lam @ cones).reshape(-1, cones.shape[1])
+    volumes = np.abs(np.linalg.det(cones))
+    return nodes, np.multiply.outer(volumes, weights).ravel()
+
+
+def _evaluate(
+    nodes: np.ndarray, weights: np.ndarray, forms: np.ndarray, dist: JitterDistribution
+) -> float:
+    """2 Re sum of w * prod_j cf((forms @ x)_j) over a half rule.
+
+    The mirror half contributes the complex conjugate: forms @ (-x) =
+    -(forms @ x) and cf(-t) = conj cf(t).
+    """
+    total = 0.0 + 0.0j
+    for start in range(0, len(nodes), _BATCH):
+        batch = nodes[start : start + _BATCH]
+        values = np.prod(dist.cf(batch @ forms.T), axis=1)
+        total += weights[start : start + _BATCH] @ values
+    return 2.0 * float(total.real)
 
 
 def cf_integral(
@@ -195,18 +276,16 @@ def cf_integral(
     beta: float,
     d: int,
     dist: JitterDistribution,
-    opts: QmcOptions | None = None,
 ) -> IntegralValue:
     """Characteristic-function integral for a partially pinned pair.
 
-    For a single coarse block nothing is pinned and the average runs over
-    the whole cube; otherwise the pivot coordinates follow from the free
-    ones through the integer solution map of ``constraint_system``.
-    The estimate and its standard error come from independent scrambled
-    replicates; the imaginary part must stay within the realness tolerance
-    and is then discarded.
+    For a single coarse block nothing is pinned and the rule is tensor
+    Gauss-Legendre on the whole cube; otherwise the pivot coordinates
+    follow from the free ones through the integer solution map of
+    ``constraint_system`` and the rule is the conical product over the
+    free-coordinate polytope.  The value is the rule at VALUE_ORDER nodes
+    per axis and the error its difference from the rule at CHECK_ORDER.
     """
-    opts = opts or QmcOptions()
     p, k = partition.p, partition.k
     if grouping.p != k:
         raise ValueError(f"grouping must partition {{1,...,{k}}}")
@@ -223,44 +302,19 @@ def cf_integral(
     system = constraint_system(partition, grouping)
     free_cols = list(system.free_columns)
     pivot_cols = list(system.pivot_columns)
-    n_free = len(free_cols)
-    solution = np.array(system.solution, dtype=float).reshape(system.rank, n_free)
+    solution = np.array(system.solution, dtype=float).reshape(system.rank, len(free_cols))
     forms = difference_matrix(partition).astype(float)
-    scale = beta ** (1.0 / d)
-
-    estimates = np.empty(opts.replicates, dtype=complex)
-    for rep in range(opts.replicates):
-        rng = np.random.default_rng([opts.seed & 0xFFFFFFFF, rep])
-        if opts.sampler == "sobol":
-            points = qmc.Sobol(d=n_free, scramble=True, seed=rng).random(opts.points)
-        else:
-            points = rng.random((opts.points, n_free))
-        y_free = points - 0.5
-        y = np.empty((opts.points, p))
-        y[:, free_cols] = y_free
-        if system.rank:
-            y_pivot = y_free @ solution.T
-            y[:, pivot_cols] = y_pivot
-            inside = np.all(np.abs(y_pivot) <= 0.5, axis=1)
-        else:
-            inside = None
-        values = np.prod(dist.cf(scale * (y @ forms.T)), axis=1)
-        if inside is not None:
-            values = np.where(inside, values, 0.0)
-        estimates[rep] = values.mean()
-
-    real = estimates.real
-    value = float(real.mean())
-    std_error = float(real.std(ddof=1) / np.sqrt(opts.replicates))
-    imag_residual = float(abs(estimates.imag.mean()))
-    if imag_residual > opts.realness_factor * max(std_error, 1e-9):
-        raise RealnessError(
-            f"imaginary residual {imag_residual:.3e} exceeds the tolerance for "
-            f"pair ({partition}, {grouping}) with jitter {dist.kind}; the "
-            "integrand is not real enough to discard its imaginary part"
-        )
-    method = "plain_qmc" if h == 1 else "qmc_constrained"
-    return IntegralValue(value, std_error, method, imag_residual)
+    # the forms as functions of the free coordinates, scaled
+    forms = beta ** (1.0 / d) * (forms[:, free_cols] + forms[:, pivot_cols] @ solution)
+    if h == 1:
+        method = "gauss_cube"
+        rules = [_cube_half_rule(p, order) for order in (VALUE_ORDER, CHECK_ORDER)]
+    else:
+        method = "gauss_cones"
+        cones = _half_cones(solution)
+        rules = [_cone_half_rule(cones, order) for order in (VALUE_ORDER, CHECK_ORDER)]
+    value, check = (_evaluate(nodes, weights, forms, dist) for nodes, weights in rules)
+    return IntegralValue(value, abs(value - check), method)
 
 
 def term_integral(
@@ -269,7 +323,6 @@ def term_integral(
     beta: float,
     d: int,
     dist: JitterDistribution,
-    opts: QmcOptions | None = None,
 ) -> IntegralValue:
     """Dispatch a partition pair to its evaluation regime."""
     if grouping.p != partition.k:
@@ -278,7 +331,7 @@ def term_integral(
         return unity()
     if grouping.k == partition.k:
         return delta_volume(partition)
-    return cf_integral(partition, grouping, beta, d, dist, opts)
+    return cf_integral(partition, grouping, beta, d, dist)
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,18 @@ from typing import Callable
 
 import numpy as np
 
+#: Arguments at which a characteristic function is checked to be Hermitian.
+_PROBES = np.array([0.25, 0.7, 1.3, 3.1])
+
 
 class JitterDistribution:
     """A jitter law given by a sampler plus characteristic function.
 
     Instances are immutable; samplers take explicit seeds (or generators)
-    so parallel trials can use disjoint streams.
+    so parallel trials can use disjoint streams.  The characteristic
+    function must be Hermitian, cf(-t) = conj cf(t), as that of any real
+    variate is; ``symmetric_about_half`` is recorded but the engine does
+    not depend on it.
     """
 
     def __init__(
@@ -45,6 +51,14 @@ class JitterDistribution:
         at_zero = complex(np.asarray(cf(np.array(0.0))).item())
         if abs(at_zero - 1.0) > 1e-12:
             raise ValueError(f"characteristic function must be 1 at t=0, got {at_zero}")
+        # the moment engine halves its cubature on cf(-t) = conj cf(t),
+        # which every real-valued law satisfies
+        gap = np.abs(self.cf(-_PROBES) - np.conj(self.cf(_PROBES))).max()
+        if gap > 1e-12:
+            raise ValueError(
+                f"characteristic function of {kind!r} is not Hermitian: "
+                f"|cf(-t) - conj cf(t)| reaches {gap:.3e}"
+            )
 
     @property
     def identity(self) -> tuple:

@@ -12,9 +12,11 @@ with the same integral, signed weight and aspect-ratio power: a rotation
 permutes the cube coordinates, and a reversal negates every column of the
 walk, which y -> -y on the centred cube undoes, for asymmetric laws too.
 So the pairs are grouped by dihedral orbit and one representative per
-orbit is integrated; every member term carries its value.  The members of
-an orbit share one estimate, so adding their errors linearly is exact
-within an orbit; across orbits the linear sum of errors is a bound.
+orbit is integrated; every member term carries its value.
+
+Each integral's error is the deterministic difference between two
+cubature orders, which exceeds the actual error, so the linear sum of the
+term errors through the d-th power is a bound on the moment's error.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._parallel import ordered_map
-from .integrate import IntegralValue, QmcOptions, term_integral, term_seed
+from .integrate import IntegralValue, QmcOptions, term_integral
 from .jitter import JitterDistribution
 from .partitions import (
     Partition,
@@ -104,25 +106,13 @@ def _evaluate_pair(
     beta: float,
     d: int,
     dist: JitterDistribution,
-    opts: QmcOptions,
 ) -> IntegralValue:
-    key = (
-        omega.omega,
-        omega_prime.omega,
-        repr(beta),
-        d,
-        dist.identity,
-        opts.points,
-        opts.replicates,
-        opts.sampler,
-        opts.seed,
-    )
+    key = (omega.omega, omega_prime.omega, repr(beta), d, dist.identity)
     with _term_cache_lock:
         hit = _term_cache.get(key)
     if hit is not None:
         return hit
-    seeded = opts.with_seed(term_seed(omega, omega_prime, beta, d, dist.kind, opts.seed))
-    value = term_integral(omega, omega_prime, beta, d, dist, seeded)
+    value = term_integral(omega, omega_prime, beta, d, dist)
     with _term_cache_lock:
         _term_cache[key] = value
     return value
@@ -162,11 +152,13 @@ def moment(
 
     Dispatches one partition pair per dihedral orbit to its integral
     regime; every pair of the orbit then takes that value, weighted by its
-    signed block coefficient and the aspect-ratio power.  The quadrature
-    errors are propagated linearly through the d-th power and summed over
-    the terms: exact within an orbit, whose members share one estimate,
-    and a bound across orbits.  The terms keep the enumeration order.  The
-    first moment is exactly 1 by construction.
+    signed block coefficient and the aspect-ratio power.  The cubature
+    error estimates are propagated linearly through the d-th power and
+    summed over the terms, a bound on the moment's error.  The terms keep
+    the enumeration order.  The first moment is exactly 1 by construction.
+
+    ``opts`` is accepted for existing callers and ignored: the integrals
+    are deterministic and take no sampling options.
     """
     if not 1 <= p <= moment_cap:
         raise ValueError(f"moment order must satisfy 1 <= p <= {moment_cap}, got {p}")
@@ -174,11 +166,10 @@ def moment(
         raise ValueError(f"aspect ratio must be in (0, 1], got {beta}")
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    opts = opts or QmcOptions()
 
     pairs, representatives = _pair_orbits(p)
     values = ordered_map(
-        lambda rep: _evaluate_pair(*rep, beta, d, dist, opts), representatives, threads
+        lambda rep: _evaluate_pair(*rep, beta, d, dist), representatives, threads
     )
 
     def build(omega: Partition, omega_prime: Partition, orbit: int) -> MomentTerm:
@@ -252,7 +243,6 @@ def convergence_report(
     beta: float,
     d_list,
     dist: JitterDistribution,
-    opts: QmcOptions | None = None,
     moment_cap: int = DEFAULT_MOMENT_CAP,
     threads: int = 1,
 ) -> list[ConvergenceRow]:
@@ -260,6 +250,6 @@ def convergence_report(
     limit = mp_moment(p, beta)
     rows = []
     for d in d_list:
-        result = moment(p, beta, d, dist, opts, moment_cap, threads)
+        result = moment(p, beta, d, dist, None, moment_cap, threads)
         rows.append(ConvergenceRow(d, result, limit, abs(result.value - limit)))
     return rows

@@ -17,7 +17,7 @@ from scipy.integrate import quad
 
 from .constraints import constraint_system, difference_matrix, merged_difference_rows
 from .ensemble import EnsembleConfig, empirical_moment, simulate
-from .integrate import QmcOptions, cf_integral, delta_volume, finite_grid_term
+from .integrate import cf_integral, delta_volume, finite_grid_term
 from .jitter import from_name, point_mass_half, uniform01
 from .moments import moment, mp_density, mp_moment, mp_support
 from .oracle import (
@@ -150,16 +150,17 @@ def _suite_integrals(seed: int) -> list[Check]:
             ok &= value.exact is not None and 0 < value.exact <= 1
     checks.append(_check("integrals.volumes_exact_in_unit_interval", ok, "p <= 4"))
 
-    opts = QmcOptions(points=2**12, replicates=8, seed=seed)
     w, g = Partition((1, 2)), Partition((1, 1))
-    est = cf_integral(w, g, 0.5, 1, uniform01(), opts)
-    target, _ = quad(lambda u: (1 - abs(u)) * np.sinc(0.5 * u) ** 2, -1, 1)
+    est = cf_integral(w, g, 0.5, 1, uniform01())
+    target, _ = quad(
+        lambda u: (1 - abs(u)) * np.sinc(0.5 * u) ** 2, -1, 1, epsabs=1e-13
+    )
     gap = abs(est.value - target)
     checks.append(
         _check(
-            "integrals.qmc_matches_reduced_quadrature",
-            gap < max(5 * est.std_error, 5e-4),
-            f"gap {gap:.1e}",
+            "integrals.cubature_matches_reduced_quadrature",
+            gap < 1e-10 and est.std_error < 1e-10,
+            f"gap {gap:.1e}, error estimate {est.std_error:.1e}",
         )
     )
     grid = finite_grid_term(w, g, 32, 0.5, 1, uniform01())
@@ -237,10 +238,9 @@ def _suite_ensemble(seed: int) -> list[Check]:
 
 def _suite_moments(seed: int) -> list[Check]:
     checks = []
-    opts = QmcOptions(points=2**12, replicates=8, seed=seed)
-    res = moment(1, 0.37, 2, uniform01(), opts)
+    res = moment(1, 0.37, 2, uniform01())
     checks.append(_check("moments.first_moment_is_one", res.value == 1.0, f"{res.value}"))
-    res = moment(2, 0.5, 1, uniform01(), opts)
+    res = moment(2, 0.5, 1, uniform01())
     inner, _ = quad(lambda u: (1 - abs(u)) * np.sinc(0.5 * u) ** 2, -1, 1)
     target = 1 + 0.5 - 0.5 * inner
     gap = abs(res.value - target)
@@ -251,7 +251,7 @@ def _suite_moments(seed: int) -> list[Check]:
             f"gap {gap:.1e}",
         )
     )
-    res = moment(3, 0.64, 1, point_mass_half(), opts)
+    res = moment(3, 0.64, 1, point_mass_half())
     checks.append(
         _check(
             "moments.half_cell_moments_are_one",

@@ -22,7 +22,7 @@ from jittervan.ensemble import (
     empirical_moment_std_error,
     simulate,
 )
-from jittervan.integrate import QmcOptions, cf_integral
+from jittervan.integrate import cf_integral
 from jittervan.jitter import point_mass_half, triangular01, uniform01
 from jittervan.moments import (
     convergence_report,
@@ -126,7 +126,7 @@ def test_criterion_2_first_moment():
         beta = float(rng.uniform(0.05, 1.0))
         d = int(rng.integers(1, 5))
         dist = factories[index % 3]()
-        value = moment(1, beta, d, dist, QmcOptions(seed=index)).value
+        value = moment(1, beta, d, dist).value
         worst_engine = max(worst_engine, abs(value - 1.0))
 
     worst_trace = 0.0
@@ -155,7 +155,7 @@ def test_criterion_3_second_moment_regression():
     detail = []
     for beta in (0.3, 0.7):
         for d in (1, 2):
-            result = moment(2, beta, d, uniform01(), QmcOptions(seed=3))
+            result = moment(2, beta, d, uniform01())
             scale = beta ** (1.0 / d)
             inner, _ = quad(
                 lambda u: (1 - abs(u)) * np.sinc(scale * u) ** 2,
@@ -188,7 +188,7 @@ def test_criterion_4_identity_ensemble():
 
     engine_dev, engine_tol = 0.0, 1e-3
     for p in range(1, 5):
-        result = moment(p, config.beta, 1, point_mass_half(), QmcOptions(seed=4))
+        result = moment(p, config.beta, 1, point_mass_half())
         tolerance = max(3 * result.std_error, 1e-3)
         engine_dev = max(engine_dev, abs(result.value - 1.0) / tolerance)
 
@@ -212,7 +212,7 @@ def test_criterion_5_theorem_vs_monte_carlo():
     for p in (2, 3):
         empirical = empirical_moment(sample, p)
         std_error = empirical_moment_std_error(sample, p)
-        analytic = moment(p, config.beta, 1, uniform01(), QmcOptions(seed=50 + p))
+        analytic = moment(p, config.beta, 1, uniform01())
         gap = abs(analytic.value - empirical)
         tolerance = 3 * std_error + 0.02
         ok &= gap <= tolerance
@@ -222,7 +222,6 @@ def test_criterion_5_theorem_vs_monte_carlo():
 
 def test_criterion_6_limit_contraction_and_gap():
     started = time.time()
-    opts = QmcOptions(points=2**13, replicates=8, seed=6)
     violations = []
     weakest = 1.0
     for p in range(2, 5):
@@ -232,13 +231,13 @@ def test_criterion_6_limit_contraction_and_gap():
             for h in range(1, omega.k):
                 for grouping in enumerate_partitions_k(omega.k, h):
                     for beta in (0.3, 0.7):
-                        value = cf_integral(omega, grouping, beta, 1, uniform01(), opts)
+                        value = cf_integral(omega, grouping, beta, 1, uniform01())
                         margin = 1 - abs(value.value)
                         weakest = min(weakest, margin)
                         if margin < 1e-3:
                             violations.append((omega.omega, grouping.omega, beta))
 
-    rows = convergence_report(2, 0.55, [1, 2, 3, 4], uniform01(), QmcOptions(seed=60))
+    rows = convergence_report(2, 0.55, [1, 2, 3, 4], uniform01())
     gaps = [row.gap for row in rows]
     decreasing = all(a > b for a, b in zip(gaps, gaps[1:]))
     final_relative = gaps[-1] / rows[-1].mp

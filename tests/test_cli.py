@@ -23,8 +23,7 @@ class TestMoments:
         code, stdout, _ = run(
             [
                 "moments", "--p-max", "3", "--beta", "0.55", "--d", "2",
-                "--jitter", "uniform", "--seed", "7", "--points", "4096",
-                "--replicates", "8", "--out", str(out),
+                "--jitter", "uniform", "--out", str(out),
             ],
             capsys,
         )
@@ -42,9 +41,11 @@ class TestMoments:
         assert "error" in stderr
 
     def test_unknown_flag_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            cli.main(["moments", "--p-max", "2", "--beta", "0.5", "--bogus"])
-        assert info.value.code == 2
+        # the analytic moments draw nothing, so they take no sampling flags
+        for flag in ("--bogus", "--seed", "--points", "--replicates"):
+            with pytest.raises(SystemExit) as info:
+                cli.main(["moments", "--p-max", "2", "--beta", "0.5", flag, "7"])
+            assert info.value.code == 2
 
     def test_reproducible_output(self, tmp_path, capsys):
         digests = []
@@ -52,8 +53,7 @@ class TestMoments:
             out = tmp_path / name
             code, _, _ = run(
                 [
-                    "moments", "--p-max", "2", "--beta", "0.4", "--seed", "9",
-                    "--points", "2048", "--replicates", "4", "--out", str(out),
+                    "moments", "--p-max", "2", "--beta", "0.4", "--out", str(out),
                 ],
                 capsys,
             )
