@@ -16,14 +16,13 @@ from jittervan.integrate import (
     unity,
 )
 from jittervan.jitter import JitterDistribution, point_mass_half, triangular01, uniform01
-from jittervan.moments import _pair_orbits
 from jittervan.partitions import (
     Partition,
     enumerate_partitions,
     enumerate_partitions_k,
     partition_of,
 )
-from test_moments import two_point
+from test_moments import cf_orbits, two_point
 
 LAWS = {"uniform01": uniform01, "triangular01": triangular01, "two_point": two_point}
 
@@ -312,12 +311,7 @@ def plain_monte_carlo(partition, grouping, beta, d, dist, points, replicates, se
 
 
 def cf_orbit_representatives(max_p):
-    return [
-        (omega, grouping)
-        for p in range(2, max_p + 1)
-        for omega, grouping in _pair_orbits(p)[1]
-        if 1 < omega.k and grouping.k < omega.k
-    ]
+    return [rep for p in range(2, max_p + 1) for rep in cf_orbits(p)]
 
 
 class TestCfIntegral:
