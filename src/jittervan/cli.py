@@ -123,6 +123,8 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _cmd_moments(args) -> int:
+    if args.p_max < 1:
+        raise ValueError(f"--p-max must be >= 1, got {args.p_max}")
     dist = from_name(args.jitter)
     results = []
     for p in range(1, args.p_max + 1):
@@ -152,6 +154,8 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_mp(args) -> int:
+    if args.p_max < 1:
+        raise ValueError(f"--p-max must be >= 1, got {args.p_max}")
     low, high = mp_support(args.beta)
     rows = []
     for p in range(1, args.p_max + 1):

@@ -30,7 +30,7 @@ from .jitter import JitterDistribution
 
 #: Refuse sampling-matrix builds, complex or real, larger than this many
 #: entries.
-DEFAULT_CELL_BUDGET = 1 << 23
+CELL_BUDGET = 1 << 23
 
 #: Eigenvalues of the positive semidefinite Gram matrix may round below
 #: zero by at most this much; anything lower is a solver failure.
@@ -45,7 +45,6 @@ class EnsembleConfig:
     M: int
     rho: int
     dist: JitterDistribution
-    cell_budget: int = DEFAULT_CELL_BUDGET
 
     def __post_init__(self) -> None:
         if self.d < 1:
@@ -83,19 +82,18 @@ def vertex_vector(index: int, rho: int, d: int) -> tuple[int, ...]:
 
 
 def frequency_vectors(M: int, d: int) -> np.ndarray:
-    """All frequency vectors in storage-row order, shape (2M+1)^d x d."""
-    width = 2 * M + 1
-    axis = np.arange(-M, M + 1)
-    grids = np.meshgrid(*([axis] * d), indexing="ij")
-    # component m advances with stride width^m, so axis m is the m-th mesh axis
-    stacked = np.stack([g.reshape(-1, order="F") for g in grids], axis=1)
-    return stacked
+    """All frequency vectors in storage-row order, shape (2M+1)^d x d.
+
+    Row j is the vertex vector of j on a grid of width 2M+1, shifted by -M.
+    """
+    return vertex_vectors(2 * M + 1, d) - M
 
 
 def vertex_vectors(rho: int, d: int) -> np.ndarray:
     """All vertex vectors in vertex-index order, shape rho^d x d."""
     axis = np.arange(rho)
     grids = np.meshgrid(*([axis] * d), indexing="ij")
+    # component m advances with stride rho^m, so axis m is the m-th mesh axis
     return np.stack([g.reshape(-1, order="F") for g in grids], axis=1)
 
 
@@ -113,10 +111,10 @@ def _check_build(config: EnsembleConfig, positions: np.ndarray) -> None:
             f"positions must have shape {(config.n_cols, config.d)}, "
             f"got {positions.shape}"
         )
-    if config.n_rows * config.n_cols > config.cell_budget:
+    if config.n_rows * config.n_cols > CELL_BUDGET:
         raise BudgetError(
             f"matrix of {config.n_rows} x {config.n_cols} entries exceeds "
-            f"the cell budget {config.cell_budget}"
+            f"the cell budget {CELL_BUDGET}"
         )
 
 

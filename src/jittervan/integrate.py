@@ -8,7 +8,8 @@ of them are pinned to zero.  Three regimes are evaluated here.
   normalized volume of the zero set inside the centered unit cube.  The
   difference forms are the incidence matrix of a graph on the blocks, so
   the volume is a box-spline value, computed exactly in rationals by the
-  box-spline recurrence.
+  box-spline recurrence.  A one-block fine partition is this case with no
+  edges, whose box spline is 1.
 * No pinning (single coarse block): the characteristic-function product
   integrated over the whole cube by tensor Gauss-Legendre.
 * Partial pinning: the pinned sums are solved on a spanning tree of the
@@ -91,11 +92,6 @@ class IntegralValue:
     std_error: float
     method: str
     exact: Fraction | None = None
-
-
-def unity() -> IntegralValue:
-    """The trivial factor for a single-block fine partition."""
-    return IntegralValue(1.0, 0.0, "exact_unity")
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +287,6 @@ def cf_integral(
     if grouping.p != k:
         raise ValueError(f"grouping must partition {{1,...,{k}}}")
     h = grouping.k
-    if k == 1:
-        raise ValueError("single-block fine partition is the exact-unity case")
     if h >= k:
         raise ValueError("fully pinned pairs are handled by delta_volume")
     if not 0 < beta <= 1:
@@ -325,11 +319,10 @@ def term_integral(
     d: int,
     dist: JitterDistribution,
 ) -> IntegralValue:
-    """Dispatch a partition pair to its evaluation regime."""
+    """Dispatch a pair: fully pinned (one-block fine partitions included)
+    to the exact volume, every other pair to the cf cubature."""
     if grouping.p != partition.k:
         raise ValueError(f"grouping must partition {{1,...,{partition.k}}}")
-    if partition.k == 1:
-        return unity()
     if grouping.k == partition.k:
         return delta_volume(partition)
     return cf_integral(partition, grouping, beta, d, dist)

@@ -40,7 +40,8 @@ from .partitions import (
     mobius_coefficient,
 )
 
-DEFAULT_MOMENT_CAP = 5
+#: Highest moment order evaluated.
+MOMENT_CAP = 5
 
 _term_cache: dict[tuple, IntegralValue] = {}
 _term_cache_lock = threading.Lock()
@@ -109,7 +110,9 @@ def _evaluate_pair(
     d: int,
     dist: JitterDistribution,
 ) -> IntegralValue:
-    key = (omega.omega, omega_prime.omega, repr(beta), d, dist.identity)
+    # a NumPy scalar keys and integrates as the Python float it equals
+    beta = float(beta)
+    key = (omega.omega, omega_prime.omega, beta, d, dist.identity)
     with _term_cache_lock:
         hit = _term_cache.get(key)
     if hit is not None:
@@ -132,7 +135,7 @@ def _pair_orbits(p: int) -> tuple[tuple[tuple[Partition, Partition, int], ...], 
     pairs = []
     orbits: dict[tuple[Partition, Partition], int] = {}
     for k in range(1, p + 1):
-        for omega in enumerate_partitions_k(p, k, order_cap=max(p, 7)):
+        for omega in enumerate_partitions_k(p, k):
             for h in range(1, k + 1):
                 for omega_prime in enumerate_partitions_k(k, h):
                     rep = dihedral_representative(omega, omega_prime)
@@ -147,7 +150,6 @@ def moment(
     d: int,
     dist: JitterDistribution,
     opts: QmcOptions | None = None,
-    moment_cap: int = DEFAULT_MOMENT_CAP,
     threads: int = 1,
 ) -> MomentResult:
     """p-th asymptotic eigenvalue moment of the jittered-grid ensemble.
@@ -157,13 +159,16 @@ def moment(
     signed block coefficient and the aspect-ratio power.  The cubature
     error estimates are propagated linearly through the d-th power and
     summed over the terms, a bound on the moment's error.  The terms keep
-    the enumeration order.  The first moment is exactly 1 by construction.
+    the enumeration order.  The first moment is exactly 1 by construction:
+    its only pair is the one-block partition, whose pinned volume is 1.
 
-    ``opts`` is accepted for existing callers and ignored: the integrals
-    are deterministic and take no sampling options.
+    ``p`` runs from 1 to ``MOMENT_CAP``.  ``opts`` is accepted for the
+    benchmark scripts, which build it, and ignored: the integrals are
+    deterministic and take no sampling options.  ``threads`` spreads the
+    orbit integrals over worker threads.
     """
-    if not 1 <= p <= moment_cap:
-        raise ValueError(f"moment order must satisfy 1 <= p <= {moment_cap}, got {p}")
+    if not 1 <= p <= MOMENT_CAP:
+        raise ValueError(f"moment order must satisfy 1 <= p <= {MOMENT_CAP}, got {p}")
     if not 0 < beta <= 1:
         raise ValueError(f"aspect ratio must be in (0, 1], got {beta}")
     if d < 1:
@@ -223,7 +228,6 @@ def mp_density(beta: float, z):
     low, high = mp_support(beta)
     arr = np.asarray(z, dtype=float)
     inside = (arr >= low) & (arr <= high)
-    out = np.zeros_like(arr)
     safe = np.where(inside, arr, 1.0)
     radicand = np.clip((high - safe) * (safe - low), 0.0, None)
     out = np.where(inside, np.sqrt(radicand) / (2 * np.pi * safe * beta), 0.0)
@@ -245,13 +249,11 @@ def convergence_report(
     beta: float,
     d_list,
     dist: JitterDistribution,
-    moment_cap: int = DEFAULT_MOMENT_CAP,
-    threads: int = 1,
 ) -> list[ConvergenceRow]:
     """Moments against the Marchenko-Pastur limit along a dimension list."""
     limit = mp_moment(p, beta)
     rows = []
     for d in d_list:
-        result = moment(p, beta, d, dist, moment_cap=moment_cap, threads=threads)
+        result = moment(p, beta, d, dist)
         rows.append(ConvergenceRow(d, result, limit, abs(result.value - limit)))
     return rows

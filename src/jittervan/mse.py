@@ -49,14 +49,12 @@ def mse_equally_spaced(beta: float, snr: float) -> float:
     return beta / (snr + beta)
 
 
-def mse_mp(beta: float, snr: float) -> float:
-    """Error under the Marchenko-Pastur spectrum, by adaptive quadrature.
+def mp_average(beta: float, f) -> tuple[float, float]:
+    """(integral of f(z) * mp_density(beta, z) dz, quadrature error).
 
-    The substitution z = c2 + (c1-c2) sin^2(theta) removes the square-root
-    edge singularities, so the integrand is smooth on [0, pi/2].
+    The substitution z = low + (high - low) sin^2(theta) removes the
+    square-root edge singularities, so the integrand is smooth on [0, pi/2].
     """
-    if snr <= 0:
-        raise ValueError(f"signal-to-noise ratio must be > 0, got {snr}")
     low, high = mp_support(beta)
     span = high - low
 
@@ -64,9 +62,16 @@ def mse_mp(beta: float, snr: float) -> float:
         s = math.sin(theta)
         z = low + span * s * s
         jac = 2 * span * s * math.cos(theta)
-        return beta / (z * snr + beta) * mp_density(beta, z) * jac
+        return f(z) * mp_density(beta, z) * jac
 
-    value, abserr = quad(integrand, 0.0, math.pi / 2, epsabs=1e-12, epsrel=1e-12)
+    return quad(integrand, 0.0, math.pi / 2, epsabs=1e-12, epsrel=1e-12)
+
+
+def mse_mp(beta: float, snr: float) -> float:
+    """Error under the Marchenko-Pastur spectrum, by adaptive quadrature."""
+    if snr <= 0:
+        raise ValueError(f"signal-to-noise ratio must be > 0, got {snr}")
+    value, abserr = mp_average(beta, lambda z: beta / (z * snr + beta))
     if abserr > 1e-9:
         raise NumericalError(
             f"spectral-average quadrature did not converge: abserr={abserr:.2e}"

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-#: Enumeration above this order is refused unless the caller raises the cap;
-#: the moment assembly grows super-exponentially in p.
-DEFAULT_ORDER_CAP = 7
+#: Enumeration above this order is refused: the partition count grows
+#: super-exponentially in p.
+ORDER_CAP = 7
 
 
 @dataclass(frozen=True)
@@ -138,28 +138,24 @@ def _growth_strings(p: int, k_exact: int | None) -> Iterator[tuple[int, ...]]:
             yield from rec(new_top)
             prefix.pop()
 
-    if k_exact is not None and not 1 <= k_exact <= p:
-        return
     yield from rec(1)
 
 
-def enumerate_partitions(p: int, order_cap: int = DEFAULT_ORDER_CAP) -> list[Partition]:
+def enumerate_partitions(p: int) -> list[Partition]:
     """All partitions of {1,...,p} in lexicographic restricted-growth order."""
     if p < 1:
         raise ValueError(f"order must be >= 1, got {p}")
-    if p > order_cap:
-        raise ValueError(f"order {p} exceeds the enumeration cap {order_cap}")
+    if p > ORDER_CAP:
+        raise ValueError(f"order {p} exceeds the enumeration cap {ORDER_CAP}")
     return [Partition(s) for s in _growth_strings(p, None)]
 
 
-def enumerate_partitions_k(
-    p: int, k: int, order_cap: int = DEFAULT_ORDER_CAP
-) -> list[Partition]:
+def enumerate_partitions_k(p: int, k: int) -> list[Partition]:
     """All partitions of {1,...,p} into exactly k blocks, lexicographic."""
     if p < 1:
         raise ValueError(f"order must be >= 1, got {p}")
-    if p > order_cap:
-        raise ValueError(f"order {p} exceeds the enumeration cap {order_cap}")
+    if p > ORDER_CAP:
+        raise ValueError(f"order {p} exceeds the enumeration cap {ORDER_CAP}")
     if not 1 <= k <= p:
         raise ValueError(f"block count must satisfy 1 <= k <= {p}, got {k}")
     return [Partition(s) for s in _growth_strings(p, k)]

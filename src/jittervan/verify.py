@@ -7,9 +7,9 @@ pytest suite runs the same ground much harder.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -19,7 +19,8 @@ from .constraints import constraint_system, difference_matrix, merged_difference
 from .ensemble import EnsembleConfig, empirical_moment, simulate
 from .integrate import cf_integral, delta_volume, finite_grid_term
 from .jitter import from_name, point_mass_half, uniform01
-from .moments import moment, mp_density, mp_moment, mp_support
+from .moments import moment, mp_moment
+from .mse import mp_average
 from .oracle import (
     PhaseSumInstance,
     brute_trace_moment,
@@ -49,6 +50,13 @@ class Check:
 
 def _check(name: str, condition: bool, detail: str = "") -> Check:
     return Check(name, bool(condition), detail)
+
+
+@cache
+def _pair_integral() -> float:
+    """The cf factor of ([1,2], [1,1]) at beta = 1/2, d = 1, uniform jitter."""
+    value, _ = quad(lambda u: (1 - abs(u)) * np.sinc(0.5 * u) ** 2, -1, 1, epsabs=1e-13)
+    return value
 
 
 def _suite_partitions(seed: int) -> list[Check]:
@@ -152,9 +160,7 @@ def _suite_integrals(seed: int) -> list[Check]:
 
     w, g = Partition((1, 2)), Partition((1, 1))
     est = cf_integral(w, g, 0.5, 1, uniform01())
-    target, _ = quad(
-        lambda u: (1 - abs(u)) * np.sinc(0.5 * u) ** 2, -1, 1, epsabs=1e-13
-    )
+    target = _pair_integral()
     gap = abs(est.value - target)
     checks.append(
         _check(
@@ -241,8 +247,7 @@ def _suite_moments(seed: int) -> list[Check]:
     res = moment(1, 0.37, 2, uniform01())
     checks.append(_check("moments.first_moment_is_one", res.value == 1.0, f"{res.value}"))
     res = moment(2, 0.5, 1, uniform01())
-    inner, _ = quad(lambda u: (1 - abs(u)) * np.sinc(0.5 * u) ** 2, -1, 1)
-    target = 1 + 0.5 - 0.5 * inner
+    target = 1 + 0.5 - 0.5 * _pair_integral()
     gap = abs(res.value - target)
     checks.append(
         _check(
@@ -265,18 +270,9 @@ def _suite_moments(seed: int) -> list[Check]:
 def _suite_mp(seed: int) -> list[Check]:
     checks = []
     beta = 0.55
-    low, high = mp_support(beta)
-    span = high - low
 
     def against_density(power: int) -> float:
-        def integrand(theta: float) -> float:
-            s = math.sin(theta)
-            z = low + span * s * s
-            jac = 2 * span * s * math.cos(theta)
-            return z**power * mp_density(beta, z) * jac
-
-        value, _ = quad(integrand, 0, math.pi / 2, epsabs=1e-12, epsrel=1e-12)
-        return value
+        return mp_average(beta, lambda z: z**power)[0]
 
     mass = against_density(0)
     mean = against_density(1)

@@ -47,6 +47,15 @@ class TestMoments:
                 cli.main(["moments", "--p-max", "2", "--beta", "0.5", flag, "7"])
             assert info.value.code == 2
 
+    def test_p_max_below_one_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        for p_max in ("0", "-1"):
+            code, stdout, stderr = run(
+                ["moments", "--p-max", p_max, "--beta", "0.5", "--out", str(out)], capsys
+            )
+            assert code == 2 and "--p-max" in stderr
+            assert stdout == "" and not out.exists()
+
     def test_reproducible_output(self, tmp_path, capsys):
         digests = []
         for name in ("a.json", "b.json"):
@@ -74,6 +83,14 @@ class TestMp:
         assert values[1] == pytest.approx(1.0)
         assert values[2] == pytest.approx(1.55)
         assert "support" in payload
+
+    def test_p_max_below_one_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "mp.json"
+        code, stdout, stderr = run(
+            ["mp", "--p-max", "0", "--beta", "0.55", "--out", str(out)], capsys
+        )
+        assert code == 2 and "--p-max" in stderr
+        assert stdout == "" and not out.exists()
 
 
 class TestSimulate:

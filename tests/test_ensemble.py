@@ -54,7 +54,8 @@ class TestConfig:
             EnsembleConfig(d=1, M=2, rho=4, dist=uniform01())  # beta > 1
 
     def test_cell_budget(self):
-        config = EnsembleConfig(d=1, M=10, rho=50, dist=uniform01(), cell_budget=100)
+        # 4097 x 4097 entries, twice CELL_BUDGET
+        config = EnsembleConfig(d=1, M=2048, rho=4097, dist=uniform01())
         for build in (sampling_matrix, real_sampling_matrix):
             with pytest.raises(BudgetError):
                 build(config, sample_positions(config, 0))

@@ -13,7 +13,6 @@ from jittervan.integrate import (
     delta_volume,
     finite_grid_term,
     term_integral,
-    unity,
 )
 from jittervan.jitter import JitterDistribution, point_mass_half, triangular01, uniform01
 from jittervan.partitions import (
@@ -446,7 +445,7 @@ class TestCfIntegral:
 class TestDispatch:
     def test_unity_for_single_block(self):
         value = term_integral(Partition((1, 1, 1)), Partition((1,)), 0.4, 2, uniform01())
-        assert value.method == "exact_unity"
+        assert value.method == "exact_volume" and value.exact == 1
         assert value.value == 1.0 and value.std_error == 0.0
 
     def test_routes_by_group_count(self):
@@ -463,7 +462,6 @@ class TestDispatch:
             term_integral(w, Partition((1, 2, 1)), 0.4, 1, uniform01()).method
             == "gauss_cones"
         )
-        assert unity().value == 1.0
 
 
 class TestFiniteGridTerm:

@@ -112,13 +112,13 @@ class TestSampler:
 
 class TestConstruction:
     def test_mean_must_be_half(self):
-        with pytest.raises(ValueError):
+        # the mean is read off the characteristic function, not declared
+        with pytest.raises(ValueError, match="gives 0.400000"):
             JitterDistribution(
                 "biased",
                 lambda t: np.exp(-2j * np.pi * t * 0.4),
                 lambda rng, shape: np.full(shape, 0.4),
                 symmetric_about_half=False,
-                mean=0.4,
             )
 
     def test_cf_must_be_one_at_origin(self):

@@ -148,6 +148,9 @@ class TestMoment:
         monkeypatch.setattr(integrate_module, "cf_integral", lambda *args: calls.append(1))
         b = moment(3, 0.55, 1, uniform01())
         assert not calls  # a fresh instance of a built-in law hits the cache
+        c = moment(3, np.float64(0.55), 1, uniform01())
+        assert not calls  # so does a NumPy scalar of the same aspect ratio
+        assert c.value == a.value
         assert a.value == b.value
         assert [t.v.value for t in a.terms] == [t.v.value for t in b.terms]
 
