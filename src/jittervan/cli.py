@@ -24,7 +24,7 @@ from .ensemble import (
 )
 from .errors import BudgetError, NumericalError
 from .jitter import JITTER_NAMES, from_name
-from .moments import moment, mp_moment, mp_support
+from .moments import MOMENT_CAP, moment, mp_moment, mp_support
 from .mse import mse_curve, snr_grid_db
 from .verify import SUITES, run_suites
 
@@ -123,8 +123,8 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _cmd_moments(args) -> int:
-    if args.p_max < 1:
-        raise ValueError(f"--p-max must be >= 1, got {args.p_max}")
+    if not 1 <= args.p_max <= MOMENT_CAP:
+        raise ValueError(f"--p-max must be in 1..{MOMENT_CAP}, got {args.p_max}")
     dist = from_name(args.jitter)
     results = []
     for p in range(1, args.p_max + 1):
@@ -178,6 +178,8 @@ def _cmd_mp(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.bins < 1:
+        raise ValueError(f"--bins must be >= 1, got {args.bins}")
     dist = from_name(args.jitter)
     M, rho, beta_actual = resolve_shape(args.beta, args.d, args.budget)
     config = EnsembleConfig(d=args.d, M=M, rho=rho, dist=dist)

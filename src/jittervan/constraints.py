@@ -14,14 +14,17 @@ Merging rows along a coarser partition of the blocks gives the constraint
 system whose zero set carries the delta-constrained integrals.  Its matrix
 is the incidence matrix of the cyclic walk through the groups: column i is
 the edge from the group of element i-1 to the group of element i.  The
-columns of a spanning tree of that walk are the pivots, and each free
-column's fundamental cycle through the tree gives the pivots as integer
-combinations of the free variables, with coefficients in {-1, 0, 1}.
+fundamental cycles of a spanning tree of that walk span the zero set: the
+integer basis B has one column per non-tree column, with a unit on that
+column and the cycle's tree flows, in {-1, 0, 1}, on the tree columns.
+Its rows at the non-tree columns are the identity, so y = B @ x meets
+every integer point of the zero set once and the free coordinates carry
+unit Jacobian (network matrices; Schrijver, Theory of Linear and Integer
+Programming, 1986, ch. 19).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -120,38 +123,24 @@ def tree_flows(
     return tuple(flows)
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
-    """The zero set of merged difference rows in free coordinates.
+def constraint_system(partition: Partition, grouping: Partition) -> np.ndarray:
+    """Integer basis B of the zero set of the merged rows, y = B @ x.
 
-    y[pivot_columns] = solution @ y[free_columns]: the pivots are the
-    columns of a spanning tree of the walk through the groups, and column j
-    of the integer ``solution`` holds the tree flows of free column j's
-    fundamental cycle.
+    B is p x (p - h + 1) for h groups.  The tree is the first columns that
+    raise the rank, kept greedily; each other column gets a basis column
+    with a unit on itself and its fundamental cycle's tree flows.
     """
-
-    pivot_columns: tuple[int, ...]
-    free_columns: tuple[int, ...]
-    solution: tuple[tuple[int, ...], ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivot_columns)
-
-
-def constraint_system(partition: Partition, grouping: Partition) -> ConstraintSystem:
-    """Zero-sum constraint system for a partition pair, solved on a tree."""
     _check_grouping(partition, grouping)
     group = [grouping.omega[b - 1] - 1 for b in partition.omega]
     edges = [(group[i - 1], group[i]) for i in range(partition.p)]
     tree = spanning_tree(edges, grouping.k)
-    free = tuple(c for c in range(partition.p) if c not in tree)
-    cycles = []
-    for c in free:
+    free = [c for c in range(partition.p) if c not in tree]
+    basis = np.zeros((partition.p, len(free)), dtype=np.int64)
+    for j, c in enumerate(free):
         a, b = edges[c]
         closing = [0] * grouping.k  # minus the free column e_b - e_a
         closing[a] += 1
         closing[b] -= 1
-        cycles.append(tree_flows(edges, tree, closing))
-    solution = tuple(tuple(cycle[r] for cycle in cycles) for r in range(len(tree)))
-    return ConstraintSystem(tree, free, solution)
+        basis[c, j] = 1
+        basis[tree, j] = tree_flows(edges, tree, closing)
+    return basis

@@ -70,17 +70,6 @@ class EnsembleConfig:
         return ((2 * self.M + 1) / self.rho) ** self.d
 
 
-def vertex_vector(index: int, rho: int, d: int) -> tuple[int, ...]:
-    """Vertex vector of a column index: component m is digit m base rho."""
-    if not 0 <= index < rho**d:
-        raise ValueError(f"vertex index {index} outside [0, {rho ** d})")
-    out = []
-    for _ in range(d):
-        out.append(index % rho)
-        index //= rho
-    return tuple(out)
-
-
 def frequency_vectors(M: int, d: int) -> np.ndarray:
     """All frequency vectors in storage-row order, shape (2M+1)^d x d.
 
@@ -90,7 +79,10 @@ def frequency_vectors(M: int, d: int) -> np.ndarray:
 
 
 def vertex_vectors(rho: int, d: int) -> np.ndarray:
-    """All vertex vectors in vertex-index order, shape rho^d x d."""
+    """All vertex vectors in vertex-index order, shape rho^d x d.
+
+    Component m of row i is digit m of i in base rho.
+    """
     axis = np.arange(rho)
     grids = np.meshgrid(*([axis] * d), indexing="ij")
     # component m advances with stride rho^m, so axis m is the m-th mesh axis
@@ -225,6 +217,8 @@ def empirical_moment(sample: SpectrumSample, p: int) -> float:
 
 def empirical_moment_std_error(sample: SpectrumSample, p: int) -> float:
     """Standard error over trials of the per-trial p-th moment."""
+    if p < 1:
+        raise ValueError(f"moment order must be >= 1, got {p}")
     per_trial = np.mean(sample.eigenvalues**p, axis=1)
     if len(per_trial) < 2:
         return 0.0

@@ -12,14 +12,14 @@ of them are pinned to zero.  Three regimes are evaluated here.
   edges, whose box spline is 1.
 * No pinning (single coarse block): the characteristic-function product
   integrated over the whole cube by tensor Gauss-Legendre.
-* Partial pinning: the pinned sums are solved on a spanning tree of the
-  walk through the groups, which writes the pivot coordinates as integer
-  combinations of the free ones.  The tree coordinates are unimodular, so
-  the free coordinates carry unit weight and the domain is the polytope P
-  of free coordinates whose pivots stay inside the cube.  Its constraint
-  matrix is totally unimodular, so its vertices are half-integers; its
-  boundary is triangulated, each boundary simplex is coned from the
-  origin, and each cone takes Stroud's collapsed Gauss-Jacobi rule.
+* Partial pinning: the zero set of the pinned sums is y = B @ x, with B
+  the integer basis of ``constraint_system``: the fundamental cycles of a
+  spanning tree of the walk through the groups.  B's rows at the free
+  coordinates are the identity, so x carries unit weight and the domain
+  is the polytope P = {x : |B @ x| <= 1/2}.  B is totally unimodular, so
+  the vertices of P are half-integers; its boundary is triangulated, each
+  boundary simplex is coned from the origin, and each cone takes Stroud's
+  collapsed Gauss-Jacobi rule.
 
 The integrand is entire (every law has compact support), so both rules
 converge geometrically in the nodes per axis.  The domain is centrally
@@ -221,19 +221,17 @@ def _simplex_rule(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     return lam, weights
 
 
-def _half_cones(solution: np.ndarray) -> np.ndarray:
+def _half_cones(basis: np.ndarray) -> np.ndarray:
     """Cones from the origin over half the boundary of P, as vertex rows.
 
-    P = {x in [-1/2, 1/2]^n : |solution @ x| <= 1/2} is centrally
-    symmetric, so the facets whose outward normal is lexicographically
-    positive and their mirror images tile its boundary.  The constraint
-    matrix is totally unimodular, so the vertices found by the halfspace
-    intersection are rounded to their exact half-integer values before the
-    boundary is triangulated.
+    P = {x : |basis @ x| <= 1/2} is centrally symmetric, so the facets
+    whose outward normal is lexicographically positive and their mirror
+    images tile its boundary.  The basis is totally unimodular, so the
+    vertices found by the halfspace intersection are rounded to their exact
+    half-integer values before the boundary is triangulated.
     """
-    n = solution.shape[1]
-    rows = np.vstack([np.eye(n), solution])
-    rows = np.unique(np.vstack([rows, -rows]), axis=0)
+    n = basis.shape[1]
+    rows = np.unique(np.vstack([basis, -basis]), axis=0)
     halfspaces = np.hstack([rows, np.full((len(rows), 1), -0.5)])
     vertices = HalfspaceIntersection(halfspaces, np.zeros(n)).intersections
     vertices = np.unique(np.round(2 * vertices) / 2, axis=0)
@@ -276,37 +274,30 @@ def cf_integral(
 ) -> IntegralValue:
     """Characteristic-function integral for a partially pinned pair.
 
-    For a single coarse block nothing is pinned and the rule is tensor
-    Gauss-Legendre on the whole cube; otherwise the pivot coordinates
-    follow from the free ones through the integer solution map of
-    ``constraint_system`` and the rule is the conical product over the
-    free-coordinate polytope.  The value is the rule at VALUE_ORDER nodes
-    per axis and the error its difference from the rule at CHECK_ORDER.
+    The forms are taken on the zero set y = B @ x, B the integer basis of
+    ``constraint_system``.  For a single coarse block B is the identity and
+    the rule is tensor Gauss-Legendre on the whole cube; otherwise it is
+    the conical product over P = {x : |B @ x| <= 1/2}.  The value is the
+    rule at VALUE_ORDER nodes per axis and the error its difference from
+    the rule at CHECK_ORDER.
     """
-    p, k = partition.p, partition.k
-    if grouping.p != k:
-        raise ValueError(f"grouping must partition {{1,...,{k}}}")
-    h = grouping.k
-    if h >= k:
+    basis = constraint_system(partition, grouping)
+    p, h = partition.p, grouping.k
+    if h >= partition.k:
         raise ValueError("fully pinned pairs are handled by delta_volume")
     if not 0 < beta <= 1:
         raise ValueError(f"aspect ratio must be in (0, 1], got {beta}")
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
 
-    system = constraint_system(partition, grouping)
-    free_cols = list(system.free_columns)
-    pivot_cols = list(system.pivot_columns)
-    solution = np.array(system.solution, dtype=float).reshape(system.rank, len(free_cols))
-    forms = difference_matrix(partition).astype(float)
     # the forms as functions of the free coordinates, scaled
-    forms = beta ** (1.0 / d) * (forms[:, free_cols] + forms[:, pivot_cols] @ solution)
+    forms = beta ** (1.0 / d) * (difference_matrix(partition) @ basis)
     if h == 1:
         method = "gauss_cube"
         rules = [_cube_half_rule(p, order) for order in (VALUE_ORDER, CHECK_ORDER)]
     else:
         method = "gauss_cones"
-        cones = _half_cones(solution)
+        cones = _half_cones(basis)
         rules = [_cone_half_rule(cones, order) for order in (VALUE_ORDER, CHECK_ORDER)]
     value, check = (_evaluate(nodes, weights, forms, dist) for nodes, weights in rules)
     return IntegralValue(value, abs(value - check), method)
@@ -347,29 +338,24 @@ def finite_grid_term(
     Sums the characteristic-function product over integer label offsets in
     [-box, box]^p satisfying the pinned-sum constraints, normalized by
     (2*box+1)^(p-h+1); deterministic, and converges to the corresponding
-    integral as the box grows.  The p-h+1 free labels run over
-    [-box, box] and the pivot labels follow from the integer solution map,
-    so the enumeration meets every lattice point once; each point is
-    checked against the merged rows in integers.
+    integral as the box grows.  The p-h+1 free labels x run over
+    [-box, box] and the labels are y = B @ x, B the integer basis of
+    ``constraint_system``, so the enumeration meets every lattice point
+    once.  B is checked against the merged rows in integers before any
+    node is enumerated.
     """
     if box < 1:
         raise ValueError(f"half-bandwidth must be >= 1, got {box}")
-    if grouping.p != partition.k:
-        raise ValueError(f"grouping must partition {{1,...,{partition.k}}}")
     if not 0 < beta <= 1:
         raise ValueError(f"aspect ratio must be in (0, 1], got {beta}")
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    p = partition.p
-    pinned = merged_difference_rows(partition, grouping)
-    system = constraint_system(partition, grouping)
-    free_cols = list(system.free_columns)
-    pivot_cols = list(system.pivot_columns)
-    solution = np.array(system.solution, dtype=np.int64)
-    solution = solution.reshape(len(pivot_cols), len(free_cols))
+    basis = constraint_system(partition, grouping)
+    if (merged_difference_rows(partition, grouping) @ basis).any():
+        raise NumericalError(f"basis of ({partition}, {grouping}) leaves the kernel")
     width = 2 * box + 1
-    shape = (width,) * len(free_cols)
-    nodes = width ** len(free_cols)
+    shape = (width,) * basis.shape[1]
+    nodes = width ** basis.shape[1]
     if nodes > budget:
         raise BudgetError(
             f"finite-grid enumeration needs {nodes:.2e} nodes, over the "
@@ -381,14 +367,7 @@ def finite_grid_term(
     total = 0.0 + 0.0j
     for start in range(0, nodes, chunk):
         flat = np.arange(start, min(start + chunk, nodes), dtype=np.int64)
-        free = np.stack(np.unravel_index(flat, shape), axis=1) - box
-        y = np.empty((len(flat), p), dtype=np.int64)
-        y[:, free_cols] = free
-        y[:, pivot_cols] = free @ solution.T
+        y = (np.stack(np.unravel_index(flat, shape), axis=1) - box) @ basis.T
         y = y[np.all(np.abs(y) <= box, axis=1)]
-        if (y @ pinned.T).any():
-            raise NumericalError(
-                f"solution map of ({partition}, {grouping}) leaves the kernel"
-            )
         total += np.prod(dist.cf(scale * (y @ forms.T)), axis=1).sum()
     return float(total.real / nodes)

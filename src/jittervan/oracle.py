@@ -23,7 +23,7 @@ from .ensemble import (
     gram_matrix,
     sample_positions,
     sampling_matrix,
-    vertex_vector,
+    vertex_vectors,
 )
 from .errors import BudgetError
 from .partitions import Partition, enumerate_partitions_k, mobius_coefficient
@@ -104,11 +104,8 @@ def distinct_label_sum(
             f"{math.perm(r, k)} tuples, over the budget {tuple_budget}"
         )
     # integer phase exponent per (label, block), reduced modulo rho
-    table = np.empty((r, k), dtype=np.int64)
-    for label in range(r):
-        grid = vertex_vector(label, instance.rho, instance.d)
-        for j, vec in enumerate(instance.block_vectors):
-            table[label, j] = sum(g * v for g, v in zip(grid, vec)) % instance.rho
+    vectors = np.array(instance.block_vectors, dtype=np.int64)
+    table = vertex_vectors(instance.rho, instance.d) @ vectors.T % instance.rho
     residue_counts = np.zeros(instance.rho, dtype=np.int64)
     for tup in itertools.permutations(range(r), k):
         exponent = 0

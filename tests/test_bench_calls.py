@@ -5,9 +5,27 @@ package with these argument shapes; the bench suite itself is not part of
 the default test run, so a signature change that breaks them shows here.
 """
 
+import importlib
+
 import numpy as np
 
 import jittervan as jv
+
+#: The attributes the benchmark's tracing wraps, by submodule.  Tracing
+#: skips a missing attribute, so a renamed layer would silently read 0.
+TRACED_LAYERS = {
+    "moments": ("moment", "term_integral", "enumerate_partitions_k"),
+    "integrate": ("delta_volume", "cf_integral", "constraint_system"),
+    "ensemble": ("sample_positions", "sampling_matrix", "gram_matrix", "spectrum"),
+    "mse": ("simulate", "mse_curve", "mse_from_spectrum", "mse_mp"),
+}
+
+
+def test_traced_layers_exist():
+    for module, names in TRACED_LAYERS.items():
+        namespace = importlib.import_module(f"jittervan.{module}")
+        for name in names:
+            assert callable(getattr(namespace, name, None)), f"{module}.{name}"
 
 
 def test_moment_with_sampling_options():

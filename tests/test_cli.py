@@ -9,6 +9,7 @@ from jittervan import cli
 from jittervan.ensemble import EnsembleConfig, resolve_shape, simulate
 from jittervan.errors import NumericalError
 from jittervan.jitter import from_name
+from jittervan.moments import MOMENT_CAP
 
 
 def run(args, capsys):
@@ -55,6 +56,19 @@ class TestMoments:
             )
             assert code == 2 and "--p-max" in stderr
             assert stdout == "" and not out.exists()
+
+    def test_p_max_above_cap_exits_2_before_any_moment(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "moment", lambda *_, **__: pytest.fail("moment called"))
+        out = tmp_path / "m.json"
+        code, stdout, stderr = run(
+            [
+                "moments", "--p-max", str(MOMENT_CAP + 1), "--beta", "0.55", "--d", "2",
+                "--out", str(out),
+            ],
+            capsys,
+        )
+        assert code == 2 and "--p-max" in stderr
+        assert stdout == "" and not out.exists()
 
     def test_reproducible_output(self, tmp_path, capsys):
         digests = []
@@ -143,6 +157,17 @@ class TestSimulate:
         assert trials == [t for t in range(3) for _ in range(config.n_rows)]
         values = np.array([float(value) for _, value in rows])
         assert np.array_equal(values, expected.ravel())
+
+    def test_bins_below_one_exits_2_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "simulate", lambda *_, **__: pytest.fail("simulate called"))
+        out = tmp_path / "h.csv"
+        for extra in ([], ["--out", str(out)]):
+            code, stdout, stderr = run(
+                ["simulate", "--beta", "0.5", "--bins", "0", "--trials", "30", *extra],
+                capsys,
+            )
+            assert code == 2 and "--bins" in stderr
+            assert stdout == "" and not out.exists()
 
     def test_infeasible_budget_exits_2(self, capsys):
         code, _, stderr = run(

@@ -29,20 +29,6 @@ def all_pairs(p_max):
                     yield w, g
 
 
-def kernel_basis(system):
-    """Integer kernel basis read off the solution map: one column per free
-    coordinate, a unit there and the solution map's column on the pivots."""
-    n_cols = len(system.pivot_columns) + len(system.free_columns)
-    basis = np.zeros((n_cols, len(system.free_columns)), dtype=np.int64)
-    for j, col in enumerate(system.free_columns):
-        basis[col, j] = 1
-        for row, pivot in enumerate(system.pivot_columns):
-            entry = system.solution[row][j]
-            assert isinstance(entry, int)
-            basis[pivot, j] = entry
-    return basis
-
-
 class TestDifferenceMatrix:
     def test_two_singletons(self):
         assert difference_matrix(Partition((1, 2))).tolist() == [[1, -1], [-1, 1]]
@@ -90,73 +76,72 @@ class TestConstraintSystem:
     def test_fully_pinned_pair(self):
         w = Partition((1, 2))
         assert merged_difference_rows(w, w).tolist() == [[1, -1], [-1, 1]]
-        system = constraint_system(w, w)
-        assert system.rank == 1
+        basis = constraint_system(w, w)
+        assert basis.dtype == np.int64
         # y1 = y2: the first column is the tree, the second closes the cycle
-        assert (system.pivot_columns, system.free_columns) == ((0,), (1,))
-        assert system.solution == ((1,),)
+        assert basis.tolist() == [[1], [1]]
 
     def test_single_group_has_no_constraints(self):
         for omega in [Partition((1, 2)), Partition((1, 2, 3)), Partition((1, 2, 1, 3))]:
-            system = constraint_system(omega, Partition((1,) * omega.k))
-            assert system.rank == 0
-            assert system.pivot_columns == ()
-            assert len(system.free_columns) == omega.p
+            basis = constraint_system(omega, Partition((1,) * omega.k))
+            assert np.array_equal(basis, np.eye(omega.p, dtype=np.int64))
 
     def test_mixed_pair_by_hand(self):
         # merging the first two blocks leaves y1 - y3 = 0 and its negation
         w, g = Partition((1, 2, 3)), Partition((1, 1, 2))
         assert merged_difference_rows(w, g).tolist() == [[1, 0, -1], [-1, 0, 1]]
-        system = constraint_system(w, g)
-        assert system.rank == 1
         # the middle column is a loop inside the merged group: free, no flow
-        assert system.solution == ((0, 1),)
+        assert constraint_system(w, g).tolist() == [[0, 1], [1, 0], [0, 1]]
 
     @pytest.mark.parametrize("p", range(2, 5))
     def test_rank_is_group_count_minus_one(self, p):
         for w in enumerate_partitions(p):
             for h in range(1, w.k + 1):
                 for g in enumerate_partitions_k(w.k, h):
-                    system = constraint_system(w, g)
-                    assert system.rank == h - 1
-                    assert len(system.pivot_columns) == system.rank
-                    assert len(system.free_columns) == p - system.rank
+                    assert constraint_system(w, g).shape == (p, p - h + 1)
 
     @pytest.mark.parametrize("p", [4, 5])
     def test_fully_pinned_rank(self, p):
         for w in enumerate_partitions(p):
-            system = constraint_system(w, Partition(tuple(range(1, w.k + 1))))
-            assert system.rank == w.k - 1
+            basis = constraint_system(w, Partition(tuple(range(1, w.k + 1))))
+            assert basis.shape == (p, p - w.k + 1)
 
     def test_substitution_solves_exactly(self):
-        # rational free labels through the integer solution map land exactly
-        # in the kernel of the merged rows
+        # rational coordinates through the integer basis land exactly in
+        # the kernel of the merged rows
         import random
 
         rng = random.Random(0)
         for w, g in all_pairs(4):
             rows = merged_difference_rows(w, g).tolist()
-            system = constraint_system(w, g)
+            basis = constraint_system(w, g).tolist()
             for _ in range(3):
-                free = [
+                x = [
                     Fraction(rng.randrange(-20, 21), rng.randrange(1, 9))
-                    for _ in system.free_columns
+                    for _ in basis[0]
                 ]
-                y = [Fraction(0)] * w.p
-                for col, value in zip(system.free_columns, free):
-                    y[col] = value
-                for pivot, coeffs in zip(system.pivot_columns, system.solution):
-                    y[pivot] = sum(c * v for c, v in zip(coeffs, free))
+                y = [sum(c * v for c, v in zip(coeffs, x)) for coeffs in basis]
                 for row in rows:
                     assert sum(c * v for c, v in zip(row, y)) == 0
 
+    @staticmethod
+    def check_basis(w, g):
+        """B is p x (p - h + 1) in {-1, 0, 1}, in the kernel, and its rows at
+        the columns that do not raise the prefix rank are the identity: the
+        unit Jacobian the cubature weights assume."""
+        rows = merged_difference_rows(w, g)
+        basis = constraint_system(w, g)
+        assert basis.dtype == np.int64
+        assert basis.shape == (w.p, w.p - g.k + 1)
+        assert set(np.unique(basis)) <= {-1, 0, 1}
+        assert not (rows @ basis).any()
+        ranks = [np.linalg.matrix_rank(rows[:, :c]) for c in range(w.p + 1)]
+        free = [c for c in range(w.p) if ranks[c + 1] == ranks[c]]
+        assert np.array_equal(basis[free], np.eye(len(free))), (w.omega, g.omega)
+
     def test_jacobian_factor_is_one_on_these_systems(self):
-        # tree coordinates of an incidence matrix are unimodular: the
-        # solution map stays in {-1, 0, 1} and parametrizes the kernel
         for w, g in all_pairs(6):
-            system = constraint_system(w, g)
-            assert all(v in (-1, 0, 1) for row in system.solution for v in row)
-            assert not (merged_difference_rows(w, g) @ kernel_basis(system)).any()
+            self.check_basis(w, g)
 
     def test_random_pairs_past_the_enumeration_cap(self):
         rng = np.random.default_rng(0)
@@ -164,19 +149,13 @@ class TestConstraintSystem:
             p = int(rng.integers(2, 11))
             w = partition_of(rng.integers(0, p, size=p).tolist())
             g = partition_of(rng.integers(0, w.k, size=w.k).tolist())
-            rows = merged_difference_rows(w, g)
-            system = constraint_system(w, g)
-            assert system.rank == g.k - 1
-            assert all(v in (-1, 0, 1) for row in system.solution for v in row)
-            assert not (rows @ kernel_basis(system)).any()
-            # pivots are the first columns that raise the rank of the prefix
-            ranks = [np.linalg.matrix_rank(rows[:, :c]) for c in range(p + 1)]
-            first = tuple(c for c in range(p) if ranks[c + 1] > ranks[c])
-            assert system.pivot_columns == first, (w.omega, g.omega)
+            self.check_basis(w, g)
 
     def test_grouping_size_mismatch(self):
         with pytest.raises(ValueError):
             merged_difference_rows(Partition((1, 2)), Partition((1, 2, 3)))
+        with pytest.raises(ValueError):
+            constraint_system(Partition((1, 2)), Partition((1, 2, 3)))
 
 
 class TestIntegerKernel:
@@ -185,7 +164,7 @@ class TestIntegerKernel:
         for w in enumerate_partitions(p):
             mat = difference_matrix(w)
             pinned = Partition(tuple(range(1, w.k + 1)))
-            basis = kernel_basis(constraint_system(w, pinned))
+            basis = constraint_system(w, pinned)
             assert basis.shape == (p, p - w.k + 1)
             assert not (mat @ basis).any()
 
@@ -205,6 +184,6 @@ class TestIntegerKernel:
     def test_merged_rows_kernel(self):
         for w, g in all_pairs(4):
             rows = merged_difference_rows(w, g)
-            basis = kernel_basis(constraint_system(w, g))
+            basis = constraint_system(w, g)
             assert basis.shape[1] == w.p - (g.k - 1)
             assert not (rows @ basis).any()

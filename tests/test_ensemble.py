@@ -15,7 +15,6 @@ from jittervan.ensemble import (
     sampling_matrix,
     simulate,
     spectrum,
-    vertex_vector,
     vertex_vectors,
 )
 from jittervan.errors import BudgetError
@@ -27,15 +26,9 @@ from test_moments import two_point
 class TestIndexMaps:
     def test_vertex_round_trip(self):
         mats = vertex_vectors(3, 2)
+        assert mats.shape == (9, 2)
         for mu in range(9):
-            assert tuple(mats[mu]) == vertex_vector(mu, 3, 2)
             assert mu == sum(int(q) * 3**m for m, q in enumerate(mats[mu]))
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            vertex_vector(9, 3, 2)
-        with pytest.raises(ValueError):
-            vertex_vector(-1, 3, 2)
 
 
 class TestConfig:
@@ -188,8 +181,11 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(config, 0, 1)
         sample = simulate(config, 2, 1)
-        with pytest.raises(ValueError):
-            empirical_moment(sample, 0)
+        for p in (0, -1):
+            with pytest.raises(ValueError):
+                empirical_moment(sample, p)
+            with pytest.raises(ValueError):
+                empirical_moment_std_error(sample, p)
         with pytest.raises(ValueError):
             histogram(sample, 0)
 

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import dblquad, quad
 
 import jittervan.integrate as integrate_module
-from jittervan.constraints import ConstraintSystem, constraint_system, difference_matrix
+from jittervan.constraints import constraint_system, difference_matrix
 from jittervan.errors import BudgetError, NumericalError
 from jittervan.integrate import (
     cf_integral,
@@ -293,16 +293,12 @@ def plain_monte_carlo(partition, grouping, beta, d, dist, points, replicates, se
 
     Returns (mean, standard error) over the replicates.
     """
-    system = constraint_system(partition, grouping)
-    free, pivots = list(system.free_columns), list(system.pivot_columns)
-    solution = np.array(system.solution, dtype=float).reshape(len(pivots), len(free))
+    basis = constraint_system(partition, grouping)
     forms = difference_matrix(partition).astype(float)
     rng = np.random.default_rng(seed)
     estimates = []
     for _ in range(replicates):
-        y = np.empty((points, partition.p))
-        y[:, free] = rng.random((points, len(free))) - 0.5
-        y[:, pivots] = y[:, free] @ solution.T
+        y = (rng.random((points, basis.shape[1])) - 0.5) @ basis.T
         inside = np.all(np.abs(y) <= 0.5, axis=1)
         values = np.prod(dist.cf(beta ** (1.0 / d) * (y @ forms.T)), axis=1)
         estimates.append(np.where(inside, values, 0.0).mean().real)
@@ -427,7 +423,7 @@ class TestCfIntegral:
             cf_integral(Partition((1, 2)), Partition((1, 1)), 1.5, 1, uniform01())
         with pytest.raises(ValueError):
             cf_integral(Partition((1, 2)), Partition((1, 1)), 0.5, 0, uniform01())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="grouping must partition"):
             cf_integral(Partition((1, 2)), Partition((1, 1, 2)), 0.5, 1, uniform01())
 
     def test_realness_guard_fires_on_inconsistent_cf(self):
@@ -524,12 +520,19 @@ class TestFiniteGridTerm:
             )
 
     def test_solution_map_guards(self, monkeypatch):
-        # y1 = -y2 is off the kernel of the pinned pair's rows (y1 = y2)
-        system = ConstraintSystem((0,), (1,), ((-1,),))
-        monkeypatch.setattr(integrate_module, "constraint_system", lambda *_: system)
+        # y1 = -y2 is off the kernel of the pinned pair's rows (y1 = y2),
+        # which is caught before any node reaches the cf
+        basis = np.array([[1], [-1]], dtype=np.int64)
+        monkeypatch.setattr(integrate_module, "constraint_system", lambda *_: basis)
+        law, calls = uniform01(), []
+        counted = JitterDistribution(
+            law.kind, lambda t: calls.append(t) or law.cf(t), law.draw, True
+        )
+        calls.clear()
         w = Partition((1, 2))
         with pytest.raises(NumericalError):
-            finite_grid_term(w, w, 4, 0.5, 1, uniform01())
+            finite_grid_term(w, w, 4, 0.5, 1, counted)
+        assert calls == []
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -23,15 +23,13 @@ def reference_phase_sum(instance: PhaseSumInstance) -> complex:
     """Second oracle: literal complex product enumeration (no residues)."""
     import itertools
 
-    from jittervan.ensemble import vertex_vector
-
     zeta = cmath.exp(-2j * cmath.pi / instance.rho)
     total = 0j
     k = instance.omega.k
     for labels in itertools.permutations(range(instance.r), k):
         product = 1 + 0j
         for j, vec in enumerate(instance.block_vectors):
-            grid = vertex_vector(labels[j], instance.rho, instance.d)
+            grid = [labels[j] // instance.rho**m % instance.rho for m in range(instance.d)]
             product *= zeta ** sum(g * v for g, v in zip(grid, vec))
         total += product
     return total
