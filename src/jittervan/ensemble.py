@@ -97,17 +97,22 @@ def sample_positions(config: EnsembleConfig, seed) -> np.ndarray:
     return (vertices + jitter) / config.rho
 
 
+def check_cell_budget(config: EnsembleConfig) -> None:
+    """Refuse a configuration whose sampling matrix exceeds CELL_BUDGET."""
+    if config.n_rows * config.n_cols > CELL_BUDGET:
+        raise BudgetError(
+            f"matrix of {config.n_rows} x {config.n_cols} entries exceeds "
+            f"the cell budget {CELL_BUDGET}"
+        )
+
+
 def _check_build(config: EnsembleConfig, positions: np.ndarray) -> None:
     if positions.shape != (config.n_cols, config.d):
         raise ValueError(
             f"positions must have shape {(config.n_cols, config.d)}, "
             f"got {positions.shape}"
         )
-    if config.n_rows * config.n_cols > CELL_BUDGET:
-        raise BudgetError(
-            f"matrix of {config.n_rows} x {config.n_cols} entries exceeds "
-            f"the cell budget {CELL_BUDGET}"
-        )
+    check_cell_budget(config)
 
 
 def sampling_matrix(config: EnsembleConfig, positions: np.ndarray) -> np.ndarray:
@@ -197,6 +202,7 @@ def simulate(
     """
     if trials < 1:
         raise ValueError(f"trial count must be >= 1, got {trials}")
+    check_cell_budget(config)
 
     def one(stream: np.random.SeedSequence) -> np.ndarray:
         positions = sample_positions(config, stream)
@@ -272,12 +278,12 @@ def resolve_shape(
             f"size budget {size_budget} cannot fit the minimal grid at d={d}"
         )
     width = 2 * M + 1
+    # the error is unimodal in rho with its minimum next to width / beta^(1/d),
+    # so the integers around that point, scanned upward, hold the best rho
+    centre = int(width / beta_target ** (1.0 / d))
     best: tuple[float, int] | None = None
-    # the error is unimodal in rho, but the range is small enough to scan
-    rho_hi = max(width, int(np.ceil(width / beta_target ** (1.0 / d))) + 2)
-    for rho in range(width, rho_hi + 1):
-        achieved = (width / rho) ** d
-        err = abs(achieved - beta_target)
+    for rho in range(max(width, centre - 1), max(width, centre + 2) + 1):
+        err = abs((width / rho) ** d - beta_target)
         if best is None or err < best[0] - 1e-15:
             best = (err, rho)
     assert best is not None

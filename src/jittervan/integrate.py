@@ -25,7 +25,9 @@ The integrand is entire (every law has compact support), so both rules
 converge geometrically in the nodes per axis.  The domain is centrally
 symmetric and the integrand takes conjugate values at x and -x, for any
 law, so half the nodes suffice and the integral is twice the real part of
-their sum: real by construction.  The error is the deterministic
+their sum: real by construction.  The same two identities, cf(0) = 1 and
+cf(-t) = conj cf(t), fold the forms: zero rows drop out and rows that repeat
+another up to sign share one cf evaluation.  The error is the deterministic
 difference between the value at VALUE_ORDER nodes per axis and the rule
 at CHECK_ORDER.
 
@@ -42,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.spatial import ConvexHull, HalfspaceIntersection
-from scipy.special import roots_jacobi, roots_legendre
+from scipy.special import roots_jacobi
 
 from .constraints import (
     constraint_system,
@@ -182,6 +184,15 @@ def delta_volume(partition: Partition) -> IntegralValue:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _gauss_jacobi(order: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Jacobi nodes and weights of weight (1 - x)^alpha on
+    [-1, 1]; alpha = 0 is Gauss-Legendre."""
+    x, w = roots_jacobi(order, alpha, 0)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _tensor(axes) -> tuple[np.ndarray, np.ndarray]:
     """Product rule of one (nodes, weights) pair per axis."""
     nodes = np.stack(np.meshgrid(*[x for x, _ in axes], indexing="ij"), axis=-1)
@@ -197,7 +208,7 @@ def _cube_half_rule(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     ``order`` is even, so no node lies on x_1 = 0 and the rule is the
     disjoint union of this half and its mirror image.
     """
-    x, w = roots_legendre(order)
+    x, w = _gauss_jacobi(order, 0)
     axes = [(x / 2, w / 2)] * n
     axes[0] = (x[x > 0] / 2, w[x > 0] / 2)
     return _tensor(axes)
@@ -213,7 +224,7 @@ def _simplex_rule(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """
     axes = []
     for i in range(1, n + 1):
-        x, w = roots_jacobi(order, n - i, 0)
+        x, w = _gauss_jacobi(order, n - i)
         axes.append(((1 + x) / 2, w / 2 ** (n - i + 1)))
     u, weights = _tensor(axes)
     lam = u.copy()
@@ -249,19 +260,55 @@ def _cone_half_rule(cones: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarr
     return nodes, np.multiply.outer(volumes, weights).ravel()
 
 
+def _fold(forms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct nonzero rows of an integer form matrix, up to sign.
+
+    Returns the distinct rows, each led by a positive entry, and for every
+    nonzero row of ``forms`` its index into them and whether it was negated.
+    """
+    forms = forms[forms.any(axis=1)]
+    lead = forms[np.arange(len(forms)), np.argmax(forms != 0, axis=1)]
+    flip = lead < 0
+    distinct, index = np.unique(
+        np.where(flip[:, None], -forms, forms), axis=0, return_inverse=True
+    )
+    return distinct, index.ravel(), flip
+
+
+def _product(
+    x: np.ndarray,
+    folded: tuple[np.ndarray, np.ndarray, np.ndarray],
+    dist: JitterDistribution,
+) -> np.ndarray:
+    """prod_j cf((forms @ x)_j) at each row of x, from the folded forms.
+
+    ``folded`` is ``_fold`` of the forms with the distinct rows scaled.
+    The law's cf is evaluated once per distinct row: a dropped zero row
+    contributes cf(0) = 1, and a negated row cf(-t) = conj cf(t).
+    """
+    distinct, index, flip = folded
+    values = dist.cf(x @ distinct.T)[:, index]
+    np.conjugate(values, out=values, where=flip)
+    return np.prod(values, axis=1)
+
+
 def _evaluate(
-    nodes: np.ndarray, weights: np.ndarray, forms: np.ndarray, dist: JitterDistribution
+    nodes: np.ndarray,
+    weights: np.ndarray,
+    folded: tuple[np.ndarray, np.ndarray, np.ndarray],
+    dist: JitterDistribution,
 ) -> float:
     """2 Re sum of w * prod_j cf((forms @ x)_j) over a half rule.
 
-    The mirror half contributes the complex conjugate: forms @ (-x) =
-    -(forms @ x) and cf(-t) = conj cf(t).
+    The product comes from ``_product`` on the folded forms, which relies
+    on cf(0) = 1 and cf(-t) = conj cf(t).  The second identity also gives
+    the mirror half: forms @ (-x) = -(forms @ x), so it contributes the
+    complex conjugate of this half.
     """
     total = 0.0 + 0.0j
     for start in range(0, len(nodes), _BATCH):
         batch = nodes[start : start + _BATCH]
-        values = np.prod(dist.cf(batch @ forms.T), axis=1)
-        total += weights[start : start + _BATCH] @ values
+        total += weights[start : start + _BATCH] @ _product(batch, folded, dist)
     return 2.0 * float(total.real)
 
 
@@ -290,8 +337,9 @@ def cf_integral(
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
 
-    # the forms as functions of the free coordinates, scaled
-    forms = beta ** (1.0 / d) * (difference_matrix(partition) @ basis)
+    # the forms as functions of the free coordinates, folded, then scaled
+    distinct, index, flip = _fold(difference_matrix(partition) @ basis)
+    folded = (beta ** (1.0 / d) * distinct, index, flip)
     if h == 1:
         method = "gauss_cube"
         rules = [_cube_half_rule(p, order) for order in (VALUE_ORDER, CHECK_ORDER)]
@@ -299,7 +347,7 @@ def cf_integral(
         method = "gauss_cones"
         cones = _half_cones(basis)
         rules = [_cone_half_rule(cones, order) for order in (VALUE_ORDER, CHECK_ORDER)]
-    value, check = (_evaluate(nodes, weights, forms, dist) for nodes, weights in rules)
+    value, check = (_evaluate(nodes, weights, folded, dist) for nodes, weights in rules)
     return IntegralValue(value, abs(value - check), method)
 
 

@@ -20,6 +20,7 @@ from scipy.integrate import quad
 
 from .ensemble import (
     EnsembleConfig,
+    check_cell_budget,
     gram_matrix,
     resolve_shape,
     sample_positions,
@@ -105,6 +106,7 @@ def lmmse_demo(
         raise ValueError(f"signal-to-noise ratio must be > 0, got {snr}")
     if draws < 2:
         raise ValueError(f"need at least 2 draws, got {draws}")
+    check_cell_budget(config)
     signal_seed, positions_seed = np.random.SeedSequence(seed).spawn(2)
     rng = np.random.default_rng(signal_seed)
     positions = sample_positions(config, positions_seed)

@@ -1,7 +1,10 @@
+import time
+
 import numpy as np
 import pytest
 
 import jittervan.ensemble as ensemble_module
+import jittervan.mse as mse_module
 from jittervan.ensemble import (
     EnsembleConfig,
     empirical_moment,
@@ -20,7 +23,25 @@ from jittervan.ensemble import (
 from jittervan.errors import BudgetError
 from jittervan.jitter import point_mass_half, triangular01, uniform01
 from jittervan.moments import moment
+from jittervan.mse import lmmse_demo
 from test_moments import two_point
+
+
+def scanned_shape(beta_target, d, size_budget):
+    """Brute-force reference for ``resolve_shape``: every vertex count from
+    the grid width to just past width / beta^(1/d), fewest vertices winning
+    unless another is better by 1e-15."""
+    M = 1
+    while (2 * (M + 1) + 1) ** d <= size_budget:
+        M += 1
+    width = 2 * M + 1
+    best = None
+    rho_hi = max(width, int(np.ceil(width / beta_target ** (1.0 / d))) + 2)
+    for rho in range(width, rho_hi + 1):
+        err = abs((width / rho) ** d - beta_target)
+        if best is None or err < best[0] - 1e-15:
+            best = (err, rho)
+    return M, best[1], (width / best[1]) ** d
 
 
 class TestIndexMaps:
@@ -54,6 +75,20 @@ class TestConfig:
                 build(config, sample_positions(config, 0))
         with pytest.raises(BudgetError):
             simulate(config, 1, 0)
+
+    def test_budget_refused_before_any_draw(self, monkeypatch):
+        # 9 x 4e6 entries, over the budget: refused before any of the 4e6 draws
+        config = EnsembleConfig(d=2, M=1, rho=2000, dist=uniform01())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("positions drawn before the budget check")
+
+        monkeypatch.setattr(ensemble_module, "sample_positions", refuse)
+        monkeypatch.setattr(mse_module, "sample_positions", refuse)
+        with pytest.raises(BudgetError):
+            simulate(config, 1, 0)
+        with pytest.raises(BudgetError):
+            lmmse_demo(config, 1.0, seed=0)
 
 
 class TestPositions:
@@ -260,6 +295,31 @@ class TestResolveShape:
             (abs(width / r - target), r) for r in range(width, width * 4)
         )
         assert abs(beta - target) == pytest.approx(best[0], abs=1e-15)
+
+    # every budget that fits the minimal grid, short of a d = 1 width whose
+    # reference scan would take minutes
+    @pytest.mark.parametrize(
+        "d, budget",
+        [
+            (d, budget)
+            for d in (1, 2, 3, 4)
+            for budget in (30, 200, 1000, 1225, 10**5)
+            if 3**d <= budget and budget ** (1 / d) <= 2000
+        ],
+    )
+    def test_matches_the_full_scan(self, d, budget):
+        # with the criterion-9 and mc-spectrum targets 0.2, 0.6 and 0.729
+        targets = np.concatenate([np.geomspace(1e-3, 1, 25), [0.2, 0.6, 0.729, 0.55, 1 / 3]])
+        for target in targets:
+            assert resolve_shape(target, d, budget) == scanned_shape(target, d, budget)
+
+    def test_tiny_target_returns_at_once(self):
+        # the scan over vertex counts would run 1e12 steps here
+        start = time.perf_counter()
+        M, rho, beta = resolve_shape(1e-9, 1, 1000)
+        assert time.perf_counter() - start < 0.5
+        assert M == 499 and abs(rho - 999 * 10**9) <= 2
+        assert beta == pytest.approx(1e-9, rel=1e-11)
 
     def test_infeasible_budget(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
+from scipy.special import roots_jacobi, roots_legendre
 
 import jittervan.integrate as integrate_module
 from jittervan.constraints import constraint_system, difference_matrix
@@ -436,6 +437,70 @@ class TestCfIntegral:
                 lambda rng, shape: np.full(shape, 0.5),
                 symmetric_about_half=False,
             )
+
+
+def integer_forms(partition, grouping):
+    return difference_matrix(partition) @ constraint_system(partition, grouping)
+
+
+class TestFold:
+    def test_rows_are_nonzero_distinct_up_to_sign_and_lead_positive(self):
+        for pair in cf_orbit_representatives(5):
+            forms = integer_forms(*pair)
+            distinct, index, flip = integrate_module._fold(forms)
+            assert distinct.any(axis=1).all(), pair
+            lead = distinct[np.arange(len(distinct)), np.argmax(distinct != 0, axis=1)]
+            assert (lead > 0).all(), pair
+            signed = np.vstack([distinct, -distinct])
+            assert len(np.unique(signed, axis=0)) == 2 * len(distinct), pair
+            # index and flip rebuild the nonzero rows in order
+            rebuilt = np.where(flip[:, None], -distinct[index], distinct[index])
+            assert np.array_equal(rebuilt, forms[forms.any(axis=1)]), pair
+
+    def test_fold_drops_and_shares_rows(self):
+        forms = np.array([[1, -1], [0, 0], [-1, 1], [0, 2], [1, -1]])
+        distinct, index, flip = integrate_module._fold(forms)
+        assert distinct.tolist() == [[0, 2], [1, -1]]
+        assert index.tolist() == [1, 1, 0, 1]
+        assert flip.tolist() == [False, True, False, False]
+
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    def test_folded_product_equals_plain_product(self, law):
+        dist = LAWS[law]()
+        scale = 0.55 ** (1 / 2)
+        rng = np.random.default_rng(17)
+        for pair in cf_orbit_representatives(5):
+            forms = integer_forms(*pair)
+            distinct, index, flip = integrate_module._fold(forms)
+            x = rng.uniform(-0.5, 0.5, (64, forms.shape[1]))
+            folded = integrate_module._product(x, (scale * distinct, index, flip), dist)
+            plain = np.prod(dist.cf(x @ (scale * forms).T), axis=1)
+            assert np.abs(folded - plain).max() <= 1e-14, pair
+
+
+class TestGaussRoots:
+    def test_memo_is_read_only_and_fresh(self, monkeypatch):
+        keys = set()
+
+        def recording(order, alpha, beta):
+            keys.add((order, alpha))
+            return roots_jacobi(order, alpha, beta)
+
+        monkeypatch.setattr(integrate_module, "roots_jacobi", recording)
+        integrate_module._gauss_jacobi.cache_clear()
+        for pair in cf_orbit_representatives(5):
+            cf_integral(*pair, 0.55, 2, uniform01())
+        monkeypatch.undo()
+        orders = (integrate_module.VALUE_ORDER, integrate_module.CHECK_ORDER)
+        assert keys == {(order, alpha) for order in orders for alpha in range(4)}
+        for order, alpha in keys:
+            x, w = integrate_module._gauss_jacobi(order, alpha)
+            fresh = roots_legendre(order) if alpha == 0 else roots_jacobi(order, alpha, 0)
+            assert np.array_equal(x, fresh[0]) and np.array_equal(w, fresh[1])
+            for array in (x, w):
+                with pytest.raises(ValueError):
+                    array[0] = 0.0
+        integrate_module._gauss_jacobi.cache_clear()
 
 
 class TestDispatch:
