@@ -280,7 +280,13 @@ def resolve_shape(
     width = 2 * M + 1
     # the error is unimodal in rho with its minimum next to width / beta^(1/d),
     # so the integers around that point, scanned upward, hold the best rho
-    centre = int(width / beta_target ** (1.0 / d))
+    centre = width / beta_target ** (1.0 / d)
+    if not np.isfinite(centre):
+        raise ValueError(
+            f"target aspect ratio {beta_target} needs more vertices per axis than "
+            f"a float holds at d={d}"
+        )
+    centre = int(centre)
     best: tuple[float, int] | None = None
     for rho in range(max(width, centre - 1), max(width, centre + 2) + 1):
         err = abs((width / rho) ** d - beta_target)

@@ -7,12 +7,29 @@ raised to the grid dimension.  The limiting moments for growing dimension
 are the Narayana polynomials, i.e. the Marchenko-Pastur moments, which are
 provided alongside for comparison.
 
-Rotating or reversing the p trace indices maps a pair onto another pair
-with the same integral, signed weight and aspect-ratio power: a rotation
-permutes the cube coordinates, and a reversal negates every column of the
-walk, which y -> -y on the centred cube undoes, for asymmetric laws too.
-So the pairs are grouped by dihedral orbit and one representative per
-orbit is integrated; every member term carries its value.
+The integral factor reads the pair as a closed walk through the blocks:
+coordinate y_i sits on the edge from the block of element i - 1 to the
+block of element i, each block's form is its net inflow, and the net
+inflows of each group sum to zero.  So the factor depends only on the
+directed block multigraph and the grouping, not on the walk's order, and
+three moves keep its value:
+
+* dropping a loop: a repeated consecutive label gives a zero column, whose
+  coordinate integrates to 1;
+* series contraction: a block met once by the walk and alone in its group
+  has its net inflow pinned to zero, so its in-edge and out-edge carry one
+  coordinate, with unit Jacobian, and its cf factor is cf(0) = 1;
+* relabelling the blocks consistently with the grouping, and reversing
+  every edge: the reversal negates every form, which y -> -y on the
+  centred cube undoes, for asymmetric laws too.
+
+The characteristic-function pairs are therefore grouped into classes:
+each is reduced by the first two moves and keyed by the least labelling
+under the third, and one pair per class, of the lowest order, is
+integrated; every member term carries its value.  Rotations and
+reversals of the trace indices, the dihedral symmetry of the trace, are
+among these moves.  Fully pinned pairs are exact volumes, evaluated per
+pair through their own cache.
 
 Each integral's error is the deterministic difference between two
 cubature orders.  It exceeds the actual error, by 25 times or more on
@@ -25,8 +42,10 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby, permutations, product
 
 import numpy as np
 
@@ -35,9 +54,9 @@ from .integrate import IntegralValue, QmcOptions, term_integral
 from .jitter import JitterDistribution
 from .partitions import (
     Partition,
-    dihedral_representative,
     enumerate_partitions_k,
     mobius_coefficient,
+    partition_of,
 )
 
 #: Highest moment order evaluated.
@@ -123,25 +142,98 @@ def _evaluate_pair(
     return value
 
 
-@lru_cache(maxsize=None)
-def _pair_orbits(p: int) -> tuple[tuple[tuple[Partition, Partition, int], ...], tuple]:
-    """Every (fine, coarse) pair of order p, grouped by dihedral orbit.
+def _class_representative(
+    partition: Partition, grouping: Partition
+) -> tuple[Partition, Partition]:
+    """The pair integrated for a characteristic-function pair's class.
 
-    Returns the pairs in enumeration order, each tagged with the index of
-    its orbit, and the orbit representatives in order of first member.
-    Memoised on p: rebuilding the p = 5 table costs about ten times a whole
-    cache-warm replay of the moments p = 1..5.
+    The walk drops its loops and contracts every block met once and alone
+    in its group, until neither applies; a group of two or more blocks
+    loses none, so the reduced pair keeps fewer groups than blocks.
+    """
+    group = grouping.omega
+    members = Counter(group)
+    walk = list(partition.omega)
+    while True:
+        kept = [b for i, b in enumerate(walk) if b != walk[i - 1]]
+        met = Counter(kept)
+        kept = [b for b in kept if met[b] > 1 or members[group[b - 1]] > 1]
+        if kept == walk:
+            break
+        walk = kept
+    coarse = partition_of([group[b - 1] for b in dict.fromkeys(walk)])
+    return _least_labelling(partition_of(walk).omega, coarse.omega)
+
+
+@lru_cache(maxsize=None)
+def _least_labelling(
+    walk: tuple[int, ...], grouping: tuple[int, ...]
+) -> tuple[Partition, Partition]:
+    """Representative of a reduced pair's class, keyed by its least labelling.
+
+    The blocks take every labelling that lists them by (group size,
+    degree), and every edge may be reversed; the least (grouping, sorted
+    edge list) over these is the class key.  Its edges are walked as an
+    Euler circuit from block 0, taking the least unused edge at each block
+    (Hierholzer), so the representative depends on the key alone.
+    """
+    degree = Counter(walk)
+    members = Counter(grouping)
+
+    def invariant(block: int) -> tuple[int, int]:
+        return members[grouping[block - 1]], degree[block]
+
+    edges = [(walk[i - 1], walk[i]) for i in range(len(walk))]
+    runs = [
+        list(run) for _, run in groupby(sorted(degree, key=invariant), key=invariant)
+    ]
+    keys = []
+    for choice in product(*map(permutations, runs)):
+        order = [block for run in choice for block in run]
+        label = {block: new for new, block in enumerate(order)}
+        coarse = partition_of([grouping[block - 1] for block in order]).omega
+        forward = sorted((label[a], label[b]) for a, b in edges)
+        keys.append((coarse, forward))
+        keys.append((coarse, sorted((b, a) for a, b in forward)))
+    coarse, key_edges = min(keys)
+    after: dict[int, list[int]] = {}
+    for a, b in sorted(key_edges, reverse=True):
+        after.setdefault(a, []).append(b)  # pop() yields the least block
+    stack, circuit = [0], []
+    while stack:
+        if after.get(stack[-1]):
+            stack.append(after[stack[-1]].pop())
+        else:
+            circuit.append(stack.pop())
+    circuit = circuit[::-1][:-1]
+    return partition_of(circuit), partition_of(
+        [coarse[block] for block in dict.fromkeys(circuit)]
+    )
+
+
+@lru_cache(maxsize=None)
+def _pair_classes(p: int) -> tuple[tuple[tuple[Partition, Partition, int], ...], tuple]:
+    """Every (fine, coarse) pair of order p, tagged with the pair to integrate.
+
+    A characteristic-function pair takes its class representative and a
+    fully pinned pair itself.  Returns the pairs in enumeration order, each
+    tagged with the index of its integrated pair, and those pairs in order
+    of first member.  Memoised on p, as rebuilding it costs more than a
+    cache-warm replay of the moments.
     """
     pairs = []
-    orbits: dict[tuple[Partition, Partition], int] = {}
+    integrated: dict[tuple[Partition, Partition], int] = {}
     for k in range(1, p + 1):
         for omega in enumerate_partitions_k(p, k):
             for h in range(1, k + 1):
                 for omega_prime in enumerate_partitions_k(k, h):
-                    rep = dihedral_representative(omega, omega_prime)
-                    orbit = orbits.setdefault(rep, len(orbits))
-                    pairs.append((omega, omega_prime, orbit))
-    return tuple(pairs), tuple(orbits)
+                    if h < k:
+                        rep = _class_representative(omega, omega_prime)
+                    else:
+                        rep = (omega, omega_prime)
+                    index = integrated.setdefault(rep, len(integrated))
+                    pairs.append((omega, omega_prime, index))
+    return tuple(pairs), tuple(integrated)
 
 
 def moment(
@@ -154,9 +246,10 @@ def moment(
 ) -> MomentResult:
     """p-th asymptotic eigenvalue moment of the jittered-grid ensemble.
 
-    Dispatches one partition pair per dihedral orbit to its integral
-    regime; every pair of the orbit then takes that value, weighted by its
-    signed block coefficient and the aspect-ratio power.  The cubature
+    Dispatches one partition pair per class to its integral regime, and
+    each fully pinned pair to its exact volume; every pair of a class then
+    takes that value, weighted by its signed block coefficient and the
+    aspect-ratio power.  The cubature
     error estimates are propagated linearly through the d-th power and
     summed over the terms, a bound on the moment's error.  The terms keep
     the enumeration order.  The first moment is exactly 1 by construction:
@@ -165,7 +258,7 @@ def moment(
     ``p`` runs from 1 to ``MOMENT_CAP``.  ``opts`` is accepted for the
     benchmark scripts, which build it, and ignored: the integrals are
     deterministic and take no sampling options.  ``threads`` spreads the
-    orbit integrals over worker threads.
+    class integrals over worker threads.
     """
     if not 1 <= p <= MOMENT_CAP:
         raise ValueError(f"moment order must satisfy 1 <= p <= {MOMENT_CAP}, got {p}")
@@ -174,15 +267,15 @@ def moment(
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
 
-    pairs, representatives = _pair_orbits(p)
+    pairs, integrated = _pair_classes(p)
     values = ordered_map(
-        lambda rep: _evaluate_pair(*rep, beta, d, dist), representatives, threads
+        lambda rep: _evaluate_pair(*rep, beta, d, dist), integrated, threads
     )
 
-    def build(omega: Partition, omega_prime: Partition, orbit: int) -> MomentTerm:
+    def build(omega: Partition, omega_prime: Partition, index: int) -> MomentTerm:
         k, h = omega.k, omega_prime.k
         u = mobius_coefficient(omega_prime)
-        v = values[orbit]
+        v = values[index]
         weight = beta ** (p - h)
         contribution = weight * u * v.value**d
         err = weight * abs(u) * d * abs(v.value) ** (d - 1) * v.std_error

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .ensemble import (
     EnsembleConfig,
@@ -30,7 +29,6 @@ from .ensemble import (
 )
 from .errors import NumericalError
 from .jitter import JitterDistribution
-from .moments import mp_density, mp_support
 
 
 def mse_from_spectrum(eigenvalues, beta: float, snr: float) -> float:
@@ -50,34 +48,23 @@ def mse_equally_spaced(beta: float, snr: float) -> float:
     return beta / (snr + beta)
 
 
-def mp_average(beta: float, f) -> tuple[float, float]:
-    """(integral of f(z) * mp_density(beta, z) dz, quadrature error).
-
-    The substitution z = low + (high - low) sin^2(theta) removes the
-    square-root edge singularities, so the integrand is smooth on [0, pi/2].
-    """
-    low, high = mp_support(beta)
-    span = high - low
-
-    def integrand(theta: float) -> float:
-        s = math.sin(theta)
-        z = low + span * s * s
-        jac = 2 * span * s * math.cos(theta)
-        return f(z) * mp_density(beta, z) * jac
-
-    return quad(integrand, 0.0, math.pi / 2, epsabs=1e-12, epsrel=1e-12)
-
-
 def mse_mp(beta: float, snr: float) -> float:
-    """Error under the Marchenko-Pastur spectrum, by adaptive quadrature."""
+    """Error under the Marchenko-Pastur spectrum, in closed form.
+
+    With s = beta / snr the error is s * m(-s), where m is the Stieltjes
+    transform of the limit, the root of beta z m^2 + (z - 1 + beta) m + 1 = 0
+    (the eta-transform of Tulino and Verdu, Random Matrix Theory and
+    Wireless Communications, 2004).  At z = -s the positive root is taken in
+    its Vieta form 2 / (b + sqrt(b^2 + 4 beta s)), b = s + (1 - beta) > 0,
+    which sums positive terms only, so no digits cancel.
+    """
+    if not 0 < beta <= 1:
+        raise ValueError(f"aspect ratio must be in (0, 1], got {beta}")
     if snr <= 0:
         raise ValueError(f"signal-to-noise ratio must be > 0, got {snr}")
-    value, abserr = mp_average(beta, lambda z: beta / (z * snr + beta))
-    if abserr > 1e-9:
-        raise NumericalError(
-            f"spectral-average quadrature did not converge: abserr={abserr:.2e}"
-        )
-    return value
+    s = beta / snr
+    b = s + (1.0 - beta)
+    return 2.0 * s / (b + math.sqrt(b * b + 4.0 * beta * s))
 
 
 class LmmseResult(NamedTuple):

@@ -77,42 +77,8 @@ def partition_of(labels: Sequence[int]) -> Partition:
     """
     if len(labels) == 0:
         raise ValueError("cannot partition an empty label vector")
-    return Partition(_first_use_labels(labels))
-
-
-def _first_use_labels(labels: Sequence[int]) -> tuple[int, ...]:
-    """Relabel values 1, 2, ... in order of first appearance."""
     seen: dict[int, int] = {}
-    return tuple(seen.setdefault(value, len(seen) + 1) for value in labels)
-
-
-def dihedral_representative(
-    partition: Partition, grouping: Partition
-) -> tuple[Partition, Partition]:
-    """Canonical member of a (fine, coarse) pair's dihedral orbit.
-
-    The 2p rotations and reversals of the p indices act on ``partition``;
-    its blocks are relabelled in order of first appearance and
-    ``grouping`` (a partition of those blocks) follows the relabelling.
-    The least pair of restricted-growth strings over the orbit is
-    returned, so two pairs share a representative exactly when one maps
-    onto the other.  Block sizes and counts of both partitions are kept.
-    """
-    if grouping.p != partition.k:
-        raise ValueError(f"grouping must partition {{1,...,{partition.k}}}")
-
-    def relabelled(labels: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        # dict.fromkeys lists the old block labels in their new order
-        coarse = [grouping.omega[b - 1] for b in dict.fromkeys(labels)]
-        return _first_use_labels(labels), _first_use_labels(coarse)
-
-    omega = partition.omega
-    fine, coarse = min(
-        relabelled(walk[shift:] + walk[:shift])
-        for walk in (omega, omega[::-1])
-        for shift in range(len(walk))
-    )
-    return Partition(fine), Partition(coarse)
+    return Partition(tuple(seen.setdefault(value, len(seen) + 1) for value in labels))
 
 
 def _growth_strings(p: int, k_exact: int | None) -> Iterator[tuple[int, ...]]:

@@ -7,6 +7,7 @@ pytest suite runs the same ground much harder.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -19,8 +20,7 @@ from .constraints import constraint_system, difference_matrix, merged_difference
 from .ensemble import EnsembleConfig, empirical_moment, simulate
 from .integrate import cf_integral, delta_volume, finite_grid_term
 from .jitter import from_name, point_mass_half, uniform01
-from .moments import moment, mp_moment
-from .mse import mp_average
+from .moments import moment, mp_density, mp_moment, mp_support
 from .oracle import (
     PhaseSumInstance,
     brute_trace_moment,
@@ -261,6 +261,24 @@ def _suite_moments(seed: int) -> list[Check]:
         )
     )
     return checks
+
+
+def mp_average(beta: float, f) -> tuple[float, float]:
+    """(integral of f(z) * mp_density(beta, z) dz, quadrature error).
+
+    The substitution z = low + (high - low) sin^2(theta) removes the
+    square-root edge singularities, so the integrand is smooth on [0, pi/2].
+    """
+    low, high = mp_support(beta)
+    span = high - low
+
+    def integrand(theta: float) -> float:
+        s = math.sin(theta)
+        z = low + span * s * s
+        jac = 2 * span * s * math.cos(theta)
+        return f(z) * mp_density(beta, z) * jac
+
+    return quad(integrand, 0.0, math.pi / 2, epsabs=1e-12, epsrel=1e-12)
 
 
 def _suite_mp(seed: int) -> list[Check]:

@@ -321,6 +321,14 @@ class TestResolveShape:
         assert M == 499 and abs(rho - 999 * 10**9) <= 2
         assert beta == pytest.approx(1e-9, rel=1e-11)
 
+    def test_target_too_small_for_a_float_vertex_count(self):
+        # width / target overflows to inf at d = 1: refused like the others
+        with pytest.raises(ValueError, match="vertices"):
+            resolve_shape(1e-320, 1, 1000)
+        # the same target at d = 2 needs about 1e160 vertices, a finite count
+        M, rho, beta = resolve_shape(1e-320, 2, 1000)
+        assert rho > 10**159 and beta > 0
+
     def test_infeasible_budget(self):
         with pytest.raises(ValueError):
             resolve_shape(0.5, 2, 8)

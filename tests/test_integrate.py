@@ -16,13 +16,15 @@ from jittervan.integrate import (
     term_integral,
 )
 from jittervan.jitter import JitterDistribution, point_mass_half, triangular01, uniform01
+from jittervan.moments import _class_representative, moment
 from jittervan.partitions import (
     Partition,
     enumerate_partitions,
     enumerate_partitions_k,
     partition_of,
 )
-from test_moments import cf_orbits, two_point
+from test_moments import cf_orbits, cf_pairs, two_point
+from test_partitions import dihedral_representative
 
 LAWS = {"uniform01": uniform01, "triangular01": triangular01, "two_point": two_point}
 
@@ -525,6 +527,44 @@ class TestDispatch:
         )
 
 
+#: (law, beta, d) at which the extrapolated grid checks the engine's terms.
+GRID_CONFIGS = [("uniform01", 0.6, 1), ("uniform01", 0.55, 2), ("two_point", 0.55, 2)]
+
+
+def extrapolated_grid(partition, grouping, beta, d, dist, boxes=(4, 8, 16)):
+    """Richardson limit of ``finite_grid_term`` over growing boxes.
+
+    At odd width W = 2 * box + 1 the grid value expands in even powers of
+    1 / W (the Euler-Maclaurin expansion; Lyness and Puri, Math. Comp.,
+    1973), so the values at len(boxes) widths are fitted by 1, W^-2, W^-4,
+    ..., and the constant of the fit is the limit.
+    """
+    widths = 2.0 * np.array(boxes) + 1
+    grid = [finite_grid_term(partition, grouping, box, beta, d, dist) for box in boxes]
+    fit = np.vander(widths**-2.0, len(boxes), increasing=True)
+    return float(np.linalg.solve(fit, grid)[0])
+
+
+def order_five_members():
+    """One order-5 cf pair per class, with the fewest free coordinates.
+
+    A pair outside the representative's dihedral orbit is taken where the
+    class has one, else a pair of that orbit other than the representative.
+    Only the five-cycle in one group has neither: its class is that one pair.
+    """
+    chosen = {}
+    for pair in cf_pairs(5):
+        rep = _class_representative(*pair)
+        score = (
+            dihedral_representative(*pair) == dihedral_representative(*rep),
+            pair == rep,
+            pair[0].p - pair[1].k,
+        )
+        if rep not in chosen or score < chosen[rep][0]:
+            chosen[rep] = (score, pair)
+    return [pair for _, pair in chosen.values()]
+
+
 class TestFiniteGridTerm:
     def test_single_block_counts_to_one(self):
         for m in (3, 9):
@@ -570,13 +610,29 @@ class TestFiniteGridTerm:
 
     @pytest.mark.slow
     def test_agreement_every_pair_order_four(self):
-        for w in enumerate_partitions(4):
-            for h in range(1, w.k + 1):
-                for g in enumerate_partitions_k(w.k, h):
-                    grid = finite_grid_term(w, g, 32, 0.6, 1, uniform01())
-                    value = term_integral(w, g, 0.6, 1, uniform01())
-                    tol = max(5 * value.std_error, 0.02)
-                    assert abs(value.value - grid) <= tol, (w.omega, g.omega)
+        # every pair with p <= 4, fully pinned ones included, against the
+        # engine's term, whose value comes from its class representative
+        for law, beta, d in GRID_CONFIGS:
+            for p in range(1, 5):
+                for term in moment(p, beta, d, LAWS[law]()).terms:
+                    pair = (term.omega, term.omega_prime)
+                    grid = extrapolated_grid(*pair, beta, d, LAWS[law]())
+                    assert abs(grid - term.v.value) <= 1e-7, (law, beta, d, pair)
+
+    @pytest.mark.slow
+    def test_agreement_class_members_order_five(self):
+        # the widths 5, 7, 9 and 13, fitted through W^-6, keep the
+        # five-dimensional grids small
+        members = order_five_members()
+        assert len(members) == 17
+        for law, beta, d in GRID_CONFIGS:
+            value_of = {
+                (t.omega, t.omega_prime): t.v.value
+                for t in moment(5, beta, d, LAWS[law]()).terms
+            }
+            for pair in members:
+                grid = extrapolated_grid(*pair, beta, d, LAWS[law](), boxes=(2, 3, 4, 6))
+                assert abs(grid - value_of[pair]) <= 1e-7, (law, beta, d, pair)
 
     def test_budget_guard(self):
         with pytest.raises(BudgetError):

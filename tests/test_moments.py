@@ -7,9 +7,10 @@ import pytest
 from scipy.integrate import quad, tplquad
 
 import jittervan.integrate as integrate_module
-from jittervan.integrate import QmcOptions
+from jittervan.integrate import QmcOptions, term_integral
 from jittervan.jitter import JitterDistribution, point_mass_half, triangular01, uniform01
 from jittervan.moments import (
+    _class_representative,
     clear_term_cache,
     convergence_report,
     moment,
@@ -18,7 +19,8 @@ from jittervan.moments import (
     mp_support,
     narayana,
 )
-from jittervan.partitions import dihedral_representative, enumerate_partitions_k
+from jittervan.partitions import Partition, enumerate_partitions_k, partition_of
+from test_partitions import all_pairs, dihedral_image, dihedral_representative
 
 def two_point():
     """Asymmetric law with mean 1/2: mass 2/3 at 0.75 and 1/3 at 0."""
@@ -40,6 +42,85 @@ def cf_orbits(p):
                     rep = dihedral_representative(omega, grouping)
                     orbits.setdefault(rep, []).append((omega, grouping))
     return orbits
+
+
+def cf_pairs(p):
+    return [pair for pair in all_pairs(p) if pair[1].k < pair[0].k]
+
+
+def cf_classes(max_p):
+    """The cf-regime pairs of orders 2..max_p, keyed by class representative."""
+    classes = {}
+    for p in range(2, max_p + 1):
+        for pair in cf_pairs(p):
+            classes.setdefault(_class_representative(*pair), []).append(pair)
+    return classes
+
+
+def multigraph(omega, grouping):
+    """The walk's directed edges between 0-based blocks, and each block's group."""
+    walk = [b - 1 for b in omega.omega]
+    edges = [(walk[i - 1], walk[i]) for i in range(len(walk))]
+    return edges, list(grouping.omega)
+
+
+def pair_of_walk(walk, group):
+    """The pair of a closed walk through blocks, each block in group[block]."""
+    return partition_of(walk), partition_of([group[b] for b in dict.fromkeys(walk)])
+
+
+def random_circuit(edges, rng):
+    """A random Euler circuit of a connected balanced multigraph."""
+    after = {}
+    for a, b in edges:
+        after.setdefault(a, []).append(b)
+    for ends in after.values():
+        rng.shuffle(ends)
+    stack, circuit = [edges[rng.integers(len(edges))][0]], []
+    while stack:
+        if after.get(stack[-1]):
+            stack.append(after[stack[-1]].pop())
+        else:
+            circuit.append(stack.pop())
+    return circuit[::-1][:-1]
+
+
+def brute_class_key(omega, grouping):
+    """Oracle: the class key from the multigraph, over every block labelling.
+
+    Loops are deleted from the edge multiset, and every block with one
+    in-edge and one out-edge that is alone in its group is bypassed, until
+    neither applies; then the least (grouping, sorted edges) over all
+    block permutations and both edge directions is the key.
+    """
+    edges, group = multigraph(omega, grouping)
+    members = {g: group.count(g) for g in group}
+    while True:
+        edges = [(a, b) for a, b in edges if a != b]
+        series = [
+            v
+            for v in {a for a, _ in edges}
+            if members[group[v]] == 1 and sum(a == v for a, _ in edges) == 1
+        ]
+        if not series:
+            break
+        v = series[0]
+        [into] = [e for e in edges if e[1] == v]
+        [out] = [e for e in edges if e[0] == v]
+        edges.remove(into)
+        edges.remove(out)
+        edges.append((into[0], out[1]))
+    blocks = sorted({a for a, _ in edges})
+    keys = []
+    for order in itertools.permutations(blocks):
+        label = {b: i for i, b in enumerate(order)}
+        coarse = partition_of([group[b] for b in order]).omega
+        for flip in (False, True):
+            mapped = tuple(
+                sorted((label[b], label[a]) if flip else (label[a], label[b]) for a, b in edges)
+            )
+            keys.append((coarse, mapped))
+    return min(keys)
 
 
 def cf_square_integral(beta: float, d: int, factory=uniform01) -> float:
@@ -167,25 +248,35 @@ class TestMoment:
         assert after_flat == moment(3, 0.55, 1, peaked).value
 
     @pytest.mark.parametrize("threads", [1, 4])
-    @pytest.mark.parametrize("p,orbits", [(3, 3), (4, 15)])
-    def test_one_cf_integral_per_orbit(self, monkeypatch, p, orbits, threads):
-        calls = []
+    @pytest.mark.parametrize("p,classes", [(3, 2), (4, 8), (5, 17)])
+    def test_one_cf_integral_per_class(self, monkeypatch, p, classes, threads):
+        calls = {}
         cf_integral = integrate_module.cf_integral
 
         def counted(*args):
-            calls.append(args[:2])
-            return cf_integral(*args)
+            value = cf_integral(*args)
+            calls.setdefault(args[:2], []).append(value)
+            return value
 
         clear_term_cache()
         monkeypatch.setattr(integrate_module, "cf_integral", counted)
         result = moment(p, 0.55, 1, uniform01(), threads=threads)
-        assert len(calls) == orbits
-        assert len(set(calls)) == orbits
-        assert all(dihedral_representative(*pair) == pair for pair in calls)
-        value_of = {(t.omega, t.omega_prime): t.v for t in result.terms}
+        assert sum(len(values) for values in calls.values()) == classes
+        assert len(calls) == classes
+        assert all(_class_representative(*pair) == pair for pair in calls)
         for term in result.terms:
-            rep = dihedral_representative(term.omega, term.omega_prime)
-            assert term.v is value_of[rep]
+            if term.h < term.k:
+                [value] = calls[_class_representative(term.omega, term.omega_prime)]
+                assert term.v is value
+
+    def test_member_reports_its_representatives_rule(self):
+        # block 3 is met once and alone in its group: the pair contracts to
+        # the two-block walk with one group, the 2-cube
+        pair = (Partition((1, 2, 3)), Partition((1, 1, 2)))
+        assert _class_representative(*pair) == (Partition((1, 2)), Partition((1, 1)))
+        result = moment(3, 0.55, 2, uniform01())
+        [term] = [t for t in result.terms if (t.omega, t.omega_prime) == pair]
+        assert term.v.method == "gauss_cube"
 
     def test_sampling_options_are_ignored(self):
         opts = QmcOptions(points=2**14, replicates=16, seed=101, sampler="sobol")
@@ -256,6 +347,85 @@ class TestOrbitAgreement:
                     sigma = max(math.hypot(a.std_error, b.std_error), 1e-14)
                     worst = max(worst, abs(a.value - b.value) / sigma)
         assert worst < 3.0
+
+
+class TestClassKey:
+    @pytest.mark.parametrize("p", range(2, 6))
+    def test_idempotent_lower_order_and_constant_on_orbits(self, p):
+        for pair in cf_pairs(p):
+            rep = _class_representative(*pair)
+            assert _class_representative(*rep) == rep
+            assert rep[1].k < rep[0].k and rep[0].p <= p
+            assert rep[0].p - rep[1].k <= p - pair[1].k
+            for shift in range(p):
+                for reverse in (False, True):
+                    image = dihedral_image(*pair, shift, reverse)
+                    assert _class_representative(*image) == rep
+
+    def test_relabels_circuits_loops_and_series_blocks_keep_the_key(self):
+        rng = np.random.default_rng(20261018)
+        for p in range(2, 7):
+            for pair in cf_pairs(p)[:: 1 if p < 6 else 7]:
+                rep = _class_representative(*pair)
+                edges, group = multigraph(*pair)
+                k = pair[0].k
+                relabel = rng.permutation(k)
+                moved = [(relabel[a], relabel[b]) for a, b in edges]
+                moved_group = [0] * k
+                for b in range(k):
+                    moved_group[relabel[b]] = group[b]
+                walk = random_circuit(moved, rng)
+                if rng.integers(2):
+                    walk = walk[::-1]
+                assert _class_representative(*pair_of_walk(walk, moved_group)) == rep
+                # a repeated label (a loop), then a new block alone in a new
+                # group (in series), inserted at random places
+                at = int(rng.integers(len(walk)))
+                looped = walk[: at + 1] + walk[at:]
+                assert _class_representative(*pair_of_walk(looped, moved_group)) == rep
+                at = int(rng.integers(len(walk)))
+                series = walk[:at] + [k] + walk[at:]
+                extended = moved_group + [max(moved_group) + 1]
+                assert _class_representative(*pair_of_walk(series, extended)) == rep
+
+    @pytest.mark.parametrize("p", range(2, 6))
+    def test_classes_match_the_brute_force_key(self, p):
+        # one representative per brute-force key and one key per
+        # representative: restricting the labellings merges no classes and
+        # splits none
+        reps, keys = {}, {}
+        for pair in cf_pairs(p):
+            rep, key = _class_representative(*pair), brute_class_key(*pair)
+            assert reps.setdefault(key, rep) == rep
+            assert keys.setdefault(rep, key) == key
+            assert brute_class_key(*rep) == key
+
+    @pytest.mark.parametrize(
+        "p,cf_pair_count,classes,new",
+        [(2, 1, 1, 1), (3, 7, 2, 1), (4, 45, 8, 6), (5, 306, 17, 9), (6, 2268, 82, 65)],
+    )
+    def test_class_counts(self, p, cf_pair_count, classes, new):
+        pairs = cf_pairs(p)
+        reps = {_class_representative(*pair) for pair in pairs}
+        assert len(pairs) == cf_pair_count
+        assert len(reps) == classes
+        assert sum(rep[0].p == p for rep in reps) == new
+
+
+class TestClassAgreement:
+    @pytest.mark.parametrize("factory", [uniform01, triangular01, two_point])
+    def test_members_agree_within_reported_errors(self, factory):
+        # every member integrated directly at its own order, over its own
+        # free coordinates and triangulation, against the representative
+        dist = factory()
+        beta, d = 0.55, 2
+        classes = cf_classes(5)
+        assert sum(len(members) for members in classes.values()) == 1 + 7 + 45 + 306
+        for rep, members in classes.items():
+            a = term_integral(*rep, beta, d, dist)
+            for pair in members:
+                b = term_integral(*pair, beta, d, dist)
+                assert abs(a.value - b.value) <= a.std_error + b.std_error, pair
 
 
 class TestMarchenkoPastur:

@@ -9,7 +9,6 @@ from jittervan.constraints import constraint_system
 from jittervan.partitions import (
     Partition,
     bell,
-    dihedral_representative,
     enumerate_partitions,
     enumerate_partitions_k,
     label_vector_count,
@@ -243,6 +242,33 @@ class TestPartitionType:
             assert union == set(range(1, p + 1))
             assert sum(len(b) for b in w.blocks) == p
             assert len(w.blocks) == w.k == max(w.omega)
+
+
+def dihedral_representative(partition, grouping):
+    """Oracle: the least member of a (fine, coarse) pair's dihedral orbit.
+
+    The 2p rotations and reversals of the p indices act on ``partition``;
+    its blocks are relabelled in order of first appearance and
+    ``grouping`` (a partition of those blocks) follows the relabelling.
+    The least pair of restricted-growth strings over the orbit is
+    returned, so two pairs share a representative exactly when one maps
+    onto the other.
+    """
+    if grouping.p != partition.k:
+        raise ValueError(f"grouping must partition {{1,...,{partition.k}}}")
+
+    def relabelled(labels):
+        # dict.fromkeys lists the old block labels in their new order
+        coarse = [grouping.omega[b - 1] for b in dict.fromkeys(labels)]
+        return partition_of(labels).omega, partition_of(coarse).omega
+
+    omega = partition.omega
+    fine, coarse = min(
+        relabelled(walk[shift:] + walk[:shift])
+        for walk in (omega, omega[::-1])
+        for shift in range(len(walk))
+    )
+    return Partition(fine), Partition(coarse)
 
 
 def dihedral_image(omega, grouping, shift, reverse):
