@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; every realization draws from it
 
 from ._parallel import ordered_map
 from .errors import BudgetError, NumericalError

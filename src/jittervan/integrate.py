@@ -17,9 +17,10 @@ of them are pinned to zero.  Three regimes are evaluated here.
   spanning tree of the walk through the groups.  B's rows at the free
   coordinates are the identity, so x carries unit weight and the domain
   is the polytope P = {x : |B @ x| <= 1/2}.  B is totally unimodular, so
-  the vertices of P are half-integers; its boundary is triangulated, each
-  boundary simplex is coned from the origin, and each cone takes Stroud's
-  collapsed Gauss-Jacobi rule.
+  the doubled vertices of P lie in {-1, 0, 1}^n and are found in integers;
+  its boundary is triangulated by pulling, each boundary simplex is coned
+  from the origin, and each cone takes Stroud's collapsed Gauss-Jacobi
+  rule, whose roots come from the Golub-Welsch eigenproblem.
 
 The integrand is entire (every law has compact support), so both rules
 converge geometrically in the nodes per axis.  The domain is centrally
@@ -38,13 +39,12 @@ grows.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.spatial import ConvexHull, HalfspaceIntersection
-from scipy.special import roots_jacobi
 
 from .constraints import (
     constraint_system,
@@ -184,11 +184,58 @@ def delta_volume(partition: Partition) -> IntegralValue:
 # ---------------------------------------------------------------------------
 
 
+def _golub_welsch(order: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi nodes and weights of weight (1 - x)^alpha on [-1, 1].
+
+    Golub and Welsch (Math. Comp., 1969): the nodes are the eigenvalues of
+    the Jacobi matrix of the orthonormal recurrence, and the weights are
+    mu_0 v_0^2 for the unit eigenvectors v, mu_0 = 2^(alpha+1) / (alpha+1).
+    The eigenvector of node x is (p_0(x), ..., p_{order-1}(x)) for the
+    orthonormal polynomials p_k, so mu_0 v_0^2 = 1 / sum_k p_k(x)^2: a sum
+    of positive terms, accurate relative to the smallest weight where the
+    first component of a computed eigenvector is not.  One Newton step on
+    p_order polishes the nodes first.  For alpha = 0 nodes and weights are
+    made exactly mirror-symmetric.
+    """
+    a = float(alpha)
+    k = np.arange(1, order + 1)
+    s = 2 * k + a
+    # the Jacobi matrix: diagonal diag[0..order-1], off-diagonal off[0..order-2];
+    # off[order-1] closes the recurrence for p_order
+    diag = np.r_[-a / (a + 2), -a * a / (s[:-1] * (s[:-1] + 2))]
+    off = 2 * k * (k + a) / (s * np.sqrt((s + 1) * (s - 1)))
+
+    def recurrence(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """p_order and its derivative at x, and sum_{k < order} p_k(x)^2."""
+        # p_0 = mu_0^(-1/2)
+        p_prev, p = 0.0, np.full_like(x, (a + 1) ** 0.5 / 2 ** ((a + 1) / 2))
+        dp_prev, dp = 0.0, np.zeros_like(x)
+        squares = np.zeros_like(x)
+        for j in range(order):
+            back = off[j - 1] if j else 0.0
+            squares += p * p
+            p_prev, p, dp_prev, dp = (
+                p,
+                ((x - diag[j]) * p - back * p_prev) / off[j],
+                dp,
+                (p + (x - diag[j]) * dp - back * dp_prev) / off[j],
+            )
+        return p, dp, squares
+
+    band = off[:-1]
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(band, 1) + np.diag(band, -1))
+    p, dp, _ = recurrence(x)
+    x = x - p / dp
+    w = 1.0 / recurrence(x)[2]
+    if alpha == 0:
+        x, w = (x - x[::-1]) / 2, (w + w[::-1]) / 2
+    return x, w
+
+
 @lru_cache(maxsize=None)
 def _gauss_jacobi(order: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Jacobi nodes and weights of weight (1 - x)^alpha on
-    [-1, 1]; alpha = 0 is Gauss-Legendre."""
-    x, w = roots_jacobi(order, alpha, 0)
+    """Read-only memo of ``_golub_welsch``; alpha = 0 is Gauss-Legendre."""
+    x, w = _golub_welsch(order, alpha)
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
@@ -232,24 +279,71 @@ def _simplex_rule(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     return lam, weights
 
 
-def _half_cones(basis: np.ndarray) -> np.ndarray:
+def _maximal(faces: list[int]) -> list[int]:
+    """The distinct nonzero vertex bitmasks in ``faces`` that no other holds."""
+    return [
+        f for f in dict.fromkeys(faces) if f and not any(f & g == f != g for g in faces)
+    ]
+
+
+@lru_cache(maxsize=None)
+def _half_cones(data: bytes, shape: tuple[int, int]) -> np.ndarray:
     """Cones from the origin over half the boundary of P, as vertex rows.
 
-    P = {x : |basis @ x| <= 1/2} is centrally symmetric, so the facets
-    whose outward normal is lexicographically positive and their mirror
-    images tile its boundary.  The basis is totally unimodular, so the
-    vertices found by the halfspace intersection are rounded to their exact
-    half-integer values before the boundary is triangulated.
+    The int64 basis B arrives as its bytes and shape, the memo key.
+    P = {x : |B @ x| <= 1/2} is centrally symmetric, so the facets whose
+    outward normal leads with a positive entry and their mirror images tile
+    its boundary.  B is totally unimodular and holds the identity rows, so
+    every doubled vertex 2x lies in {-1, 0, 1}^n.  The vertices are the
+    feasible candidates there whose tight rows have rank n: the face those
+    rows cut out is integral too, so it is the point alone exactly when no
+    other candidate is tight on all of them.  A facet is a signed row whose
+    set of tight vertices is maximal.  Each facet is triangulated by
+    pulling (De Loera, Rambau and Santos, Triangulations, 2010, 4.3): a
+    face is coned from its least vertex over the triangulations of its
+    sub-faces that miss that vertex, the sub-faces being its maximal proper
+    intersections with the facets.  Faces are vertex bitmasks, each
+    triangulated once, and everything before the final halving is integer
+    arithmetic.  Returns a read-only array of shape (cones, n, n).
     """
-    n = basis.shape[1]
-    rows = np.unique(np.vstack([basis, -basis]), axis=0)
-    halfspaces = np.hstack([rows, np.full((len(rows), 1), -0.5)])
-    vertices = HalfspaceIntersection(halfspaces, np.zeros(n)).intersections
-    vertices = np.unique(np.round(2 * vertices) / 2, axis=0)
-    hull = ConvexHull(vertices, qhull_options="Qt")
-    normals = hull.equations[:, :-1]
-    lead = normals[np.arange(len(normals)), np.argmax(np.abs(normals) > 1e-9, axis=1)]
-    return vertices[hull.simplices[lead > 0]]
+    basis = np.frombuffer(data, dtype=np.int64).reshape(shape)
+    candidates = np.array(list(itertools.product((-1, 0, 1), repeat=shape[1])))
+    values = candidates @ basis.T
+    feasible = (np.abs(values) <= 1).all(axis=1)
+    candidates, values = candidates[feasible], values[feasible]
+    tight = np.hstack([values == 1, values == -1])
+    covered = (tight[:, None, :] <= tight[None, :, :]).all(axis=2).sum(axis=1)
+    vertices = candidates[covered == 1]
+
+    rows = np.vstack([basis, -basis])
+    masks = [
+        sum(1 << int(i) for i in np.flatnonzero(column))
+        for column in (vertices @ rows.T == 1).T
+    ]
+    facets = _maximal(masks)
+    lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
+    positive = dict.fromkeys(
+        m for m, sign in zip(masks, lead) if sign > 0 and m in facets
+    )
+    simplices: dict[int, list[int]] = {}
+
+    def pull(face: int) -> list[int]:
+        if face not in simplices:
+            apex = face & -face
+            subs = _maximal([face & f for f in facets if face & f != face])
+            simplices[face] = [
+                s | apex for sub in subs if not sub & apex for s in pull(sub)
+            ] or [face]
+        return simplices[face]
+
+    cones = [
+        [i for i in range(len(vertices)) if simplex >> i & 1]
+        for facet in positive
+        for simplex in pull(facet)
+    ]
+    cones = vertices[np.array(cones)] / 2
+    cones.flags.writeable = False
+    return cones
 
 
 def _cone_half_rule(cones: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -345,7 +439,7 @@ def cf_integral(
         rules = [_cube_half_rule(p, order) for order in (VALUE_ORDER, CHECK_ORDER)]
     else:
         method = "gauss_cones"
-        cones = _half_cones(basis)
+        cones = _half_cones(basis.tobytes(), basis.shape)
         rules = [_cone_half_rule(cones, order) for order in (VALUE_ORDER, CHECK_ORDER)]
     value, check = (_evaluate(nodes, weights, folded, dist) for nodes, weights in rules)
     return IntegralValue(value, abs(value - check), method)

@@ -14,7 +14,6 @@ from functools import cache
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .constraints import constraint_system, difference_matrix, merged_difference_rows
 from .ensemble import EnsembleConfig, empirical_moment, simulate
@@ -55,6 +54,8 @@ def _check(name: str, condition: bool, detail: str = "") -> Check:
 @cache
 def _pair_integral() -> float:
     """The cf factor of ([1,2], [1,1]) at beta = 1/2, d = 1, uniform jitter."""
+    from scipy.integrate import quad
+
     value, _ = quad(lambda u: (1 - abs(u)) * np.sinc(0.5 * u) ** 2, -1, 1, epsabs=1e-13)
     return value
 
@@ -269,6 +270,8 @@ def mp_average(beta: float, f) -> tuple[float, float]:
     The substitution z = low + (high - low) sin^2(theta) removes the
     square-root edge singularities, so the integrand is smooth on [0, pi/2].
     """
+    from scipy.integrate import quad
+
     low, high = mp_support(beta)
     span = high - low
 

@@ -1,9 +1,11 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
+from scipy.spatial import HalfspaceIntersection
 from scipy.special import roots_jacobi, roots_legendre
 
 import jittervan.integrate as integrate_module
@@ -16,7 +18,7 @@ from jittervan.integrate import (
     term_integral,
 )
 from jittervan.jitter import JitterDistribution, point_mass_half, triangular01, uniform01
-from jittervan.moments import _class_representative, moment
+from jittervan.moments import _class_representative, _pair_classes, moment
 from jittervan.partitions import (
     Partition,
     enumerate_partitions,
@@ -480,15 +482,22 @@ class TestFold:
             assert np.abs(folded - plain).max() <= 1e-14, pair
 
 
+def jacobi_moment(alpha: int, k: int) -> Fraction:
+    """Exact integral of x^k (1 - x)^alpha over [-1, 1]."""
+    terms = range(k % 2, alpha + 1, 2)  # odd powers integrate to zero
+    return sum(Fraction((-1) ** j * math.comb(alpha, j) * 2, j + k + 1) for j in terms)
+
+
 class TestGaussRoots:
     def test_memo_is_read_only_and_fresh(self, monkeypatch):
         keys = set()
+        golub_welsch = integrate_module._golub_welsch
 
-        def recording(order, alpha, beta):
+        def recording(order, alpha):
             keys.add((order, alpha))
-            return roots_jacobi(order, alpha, beta)
+            return golub_welsch(order, alpha)
 
-        monkeypatch.setattr(integrate_module, "roots_jacobi", recording)
+        monkeypatch.setattr(integrate_module, "_golub_welsch", recording)
         integrate_module._gauss_jacobi.cache_clear()
         for pair in cf_orbit_representatives(5):
             cf_integral(*pair, 0.55, 2, uniform01())
@@ -497,12 +506,86 @@ class TestGaussRoots:
         assert keys == {(order, alpha) for order in orders for alpha in range(4)}
         for order, alpha in keys:
             x, w = integrate_module._gauss_jacobi(order, alpha)
-            fresh = roots_legendre(order) if alpha == 0 else roots_jacobi(order, alpha, 0)
+            fresh = golub_welsch(order, alpha)
             assert np.array_equal(x, fresh[0]) and np.array_equal(w, fresh[1])
             for array in (x, w):
                 with pytest.raises(ValueError):
                     array[0] = 0.0
         integrate_module._gauss_jacobi.cache_clear()
+
+    @pytest.mark.parametrize("alpha", range(6))
+    def test_matches_scipy_roots(self, alpha):
+        # scipy's own weights are off by up to 5.4e-13 relative at order 20
+        # (against a 50-digit Golub-Welsch), so the weights are held to
+        # 1e-12 here and to the exact moments below
+        for order in range(2, 21):
+            x, w = integrate_module._golub_welsch(order, alpha)
+            ref_x, ref_w = roots_legendre(order) if alpha == 0 else roots_jacobi(order, alpha, 0)
+            assert np.abs(x - ref_x).max() <= 1e-15, order
+            assert (np.abs(w - ref_w) / ref_w).max() <= 1e-12, order
+
+    @pytest.mark.parametrize("alpha", range(6))
+    def test_exact_on_polynomials(self, alpha):
+        # the defining property: degree 2 * order - 1 integrated exactly
+        mass = Fraction(2 ** (alpha + 1), alpha + 1)
+        for order in range(2, 21):
+            x, w = integrate_module._golub_welsch(order, alpha)
+            nodes = [Fraction(value) for value in x]
+            weights = [Fraction(value) for value in w]
+            for k in range(2 * order):
+                rule = sum(wi * xi**k for wi, xi in zip(weights, nodes))
+                assert abs(rule - jacobi_moment(alpha, k)) <= 4e-15 * mass, (order, k)
+
+    @pytest.mark.parametrize("order", range(2, 21))
+    def test_legendre_rule_is_mirror_symmetric(self, order):
+        x, w = integrate_module._golub_welsch(order, 0)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+
+
+def cone_classes(p_max: int):
+    """(order, class representative) of every class a moment of order
+    p <= p_max integrates over cones; a class recurs at higher orders."""
+    return [
+        (p, fine, coarse)
+        for p in range(1, p_max + 1)
+        for fine, coarse in _pair_classes(p)[1]
+        if 1 < coarse.k < fine.k
+    ]
+
+
+class TestHalfCones:
+    def test_volume_and_vertices_on_every_class_to_order_six(self):
+        classes = cone_classes(6)
+        assert len(classes) == 74
+        counts = Counter()
+        for p, fine, coarse in classes:
+            basis = constraint_system(fine, coarse)
+            n = basis.shape[1]
+            cones = integrate_module._half_cones(basis.tobytes(), basis.shape)
+            counts[p] += len(cones)
+            # the cones and their mirrors tile the boundary, so twice their
+            # volume is the pinned volume of the walk through the groups
+            dets = np.linalg.det(2 * cones)
+            assert np.abs(dets - np.round(dets)).max() < 1e-9
+            volume = 2 * Fraction(int(np.abs(np.round(dets)).sum()), 2**n * math.factorial(n))
+            walk = partition_of([coarse.omega[b - 1] for b in fine.omega])
+            assert volume == delta_volume(walk).exact, (fine, coarse)
+            # every vertex of P is a vertex of the triangulated boundary
+            rows = np.unique(np.vstack([basis, -basis]), axis=0)
+            halfspaces = np.hstack([rows, np.full((len(rows), 1), -0.5)])
+            qhull = HalfspaceIntersection(halfspaces, np.zeros(n)).intersections
+            expected = np.unique(np.round(2 * qhull).astype(np.int64), axis=0)
+            doubled = (2 * np.vstack([cones, -cones])).reshape(-1, n).astype(np.int64)
+            assert np.array_equal(np.unique(doubled, axis=0), expected), (fine, coarse)
+        assert dict(counts) == {4: 14, 5: 126, 6: 3658}
+
+    def test_memo_per_basis_is_read_only(self):
+        fine, coarse = Partition((1, 2, 3, 4)), Partition((1, 2, 1, 2))
+        basis = constraint_system(fine, coarse)
+        cones = integrate_module._half_cones(basis.tobytes(), basis.shape)
+        assert integrate_module._half_cones(basis.tobytes(), basis.shape) is cones
+        with pytest.raises(ValueError):
+            cones[0, 0, 0] = 0.0
 
 
 class TestDispatch:
