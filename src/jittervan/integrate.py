@@ -64,6 +64,8 @@ CHECK_ORDER = 6
 #: Nodes evaluated per batch, which bounds the temporary arrays: the
 #: moments p = 1..5 peak at about 91 MB resident this way, 121 MB unbatched.
 _BATCH = 1 << 12
+#: Lattice nodes the finite-grid cross-check may enumerate.
+GRID_BUDGET = 10**8
 
 
 @dataclass(frozen=True)
@@ -232,12 +234,16 @@ def _golub_welsch(order: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 @lru_cache(maxsize=None)
 def _gauss_jacobi(order: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only memo of ``_golub_welsch``; alpha = 0 is Gauss-Legendre."""
-    x, w = _golub_welsch(order, alpha)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
+    return _read_only(*_golub_welsch(order, alpha))
 
 
 def _tensor(axes) -> tuple[np.ndarray, np.ndarray]:
@@ -249,18 +255,20 @@ def _tensor(axes) -> tuple[np.ndarray, np.ndarray]:
     return nodes.reshape(-1, len(axes)), weights.ravel()
 
 
+@lru_cache(maxsize=None)
 def _cube_half_rule(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Tensor Gauss-Legendre on [-1/2, 1/2]^n, nodes with x_1 > 0 only.
 
     ``order`` is even, so no node lies on x_1 = 0 and the rule is the
-    disjoint union of this half and its mirror image.
+    disjoint union of this half and its mirror image.  A read-only memo.
     """
     x, w = _gauss_jacobi(order, 0)
     axes = [(x / 2, w / 2)] * n
     axes[0] = (x[x > 0] / 2, w[x > 0] / 2)
-    return _tensor(axes)
+    return _read_only(*_tensor(axes))
 
 
+@lru_cache(maxsize=None)
 def _simplex_rule(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Collapsed Gauss-Jacobi rule on the simplex {l >= 0, sum l <= 1}.
 
@@ -268,6 +276,7 @@ def _simplex_rule(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     unit cube onto the simplex with Jacobian prod_i (1 - u_i)^(n-i), and
     axis i takes the Gauss-Jacobi rule of that weight.  Exact for
     polynomials of total degree 2 * order - 1; the weights sum to 1/n!.
+    A read-only memo.
     """
     axes = []
     for i in range(1, n + 1):
@@ -276,7 +285,7 @@ def _simplex_rule(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     u, weights = _tensor(axes)
     lam = u.copy()
     lam[:, 1:] *= np.cumprod(1 - u[:, :-1], axis=1)
-    return lam, weights
+    return _read_only(lam, weights)
 
 
 def _maximal(faces: list[int]) -> list[int]:
@@ -341,9 +350,7 @@ def _half_cones(data: bytes, shape: tuple[int, int]) -> np.ndarray:
         for facet in positive
         for simplex in pull(facet)
     ]
-    cones = vertices[np.array(cones)] / 2
-    cones.flags.writeable = False
-    return cones
+    return _read_only(vertices[np.array(cones)] / 2)[0]
 
 
 def _cone_half_rule(cones: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -473,7 +480,6 @@ def finite_grid_term(
     beta: float,
     d: int,
     dist: JitterDistribution,
-    budget: int = 10**8,
 ) -> float:
     """Exact finite half-bandwidth evaluation of an integral factor.
 
@@ -483,8 +489,8 @@ def finite_grid_term(
     integral as the box grows.  The p-h+1 free labels x run over
     [-box, box] and the labels are y = B @ x, B the integer basis of
     ``constraint_system``, so the enumeration meets every lattice point
-    once.  B is checked against the merged rows in integers before any
-    node is enumerated.
+    once.  B is checked against the merged rows in integers, and the node
+    count against GRID_BUDGET, before any node is enumerated.
     """
     if box < 1:
         raise ValueError(f"half-bandwidth must be >= 1, got {box}")
@@ -498,10 +504,10 @@ def finite_grid_term(
     width = 2 * box + 1
     shape = (width,) * basis.shape[1]
     nodes = width ** basis.shape[1]
-    if nodes > budget:
+    if nodes > GRID_BUDGET:
         raise BudgetError(
             f"finite-grid enumeration needs {nodes:.2e} nodes, over the "
-            f"budget {budget}"
+            f"budget {GRID_BUDGET}"
         )
     forms = difference_matrix(partition)
     scale = beta ** (1.0 / d) / width

@@ -1,8 +1,10 @@
-"""Self-contained identity and oracle checks behind the verify subcommand.
+"""Identity and oracle checks behind the verify subcommand, shared with pytest.
 
-These are fast spot checks of the invariants the engine relies on, wired
-so a deployment can be probed without the development test suite; the
-pytest suite runs the same ground much harder.
+Each predicate tests one invariant at one point of its range.  A suite runs
+it over the range as the check suite.<predicate name>, and the tests call it
+at single points, so the probe and the tests cannot drift apart.  The scipy
+oracles (the reduced bracket quadrature and the Marchenko-Pastur density
+average) import scipy when called, so importing the CLI loads none.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -18,7 +20,13 @@ import numpy as np
 from .constraints import constraint_system, difference_matrix, merged_difference_rows
 from .ensemble import EnsembleConfig, empirical_moment, simulate
 from .integrate import cf_integral, delta_volume, finite_grid_term
-from .jitter import from_name, point_mass_half, uniform01
+from .jitter import (
+    JitterDistribution,
+    from_name,
+    point_mass_half,
+    triangular01,
+    uniform01,
+)
 from .moments import moment, mp_density, mp_moment, mp_support
 from .oracle import (
     PhaseSumInstance,
@@ -33,6 +41,7 @@ from .partitions import (
     bell,
     enumerate_partitions,
     enumerate_partitions_k,
+    label_vector_count,
     label_vectors,
     mobius_coefficient,
     partition_of,
@@ -47,221 +56,21 @@ class Check:
     detail: str
 
 
-def _check(name: str, condition: bool, detail: str = "") -> Check:
-    return Check(name, bool(condition), detail)
+def bracket_integral(beta: float, d: int, dist: JitterDistribution) -> float:
+    """The two-index bracket by reduced 1-D quadrature.
 
-
-@cache
-def _pair_integral() -> float:
-    """The cf factor of ([1,2], [1,1]) at beta = 1/2, d = 1, uniform jitter."""
+    The integral of |cf(s (y1 - y2))|^2 over the centred unit square,
+    s = beta^(1/d), is with u = y1 - y2 that of (1 - |u|) |cf(s u)|^2 over
+    [-1, 1].
+    """
     from scipy.integrate import quad
 
-    value, _ = quad(lambda u: (1 - abs(u)) * np.sinc(0.5 * u) ** 2, -1, 1, epsabs=1e-13)
+    scale = beta ** (1.0 / d)
+    value, _ = quad(
+        lambda u: (1 - abs(u)) * abs(complex(dist.cf(scale * u))) ** 2,
+        -1, 1, epsabs=1e-13, limit=200,
+    )
     return value
-
-
-def _suite_partitions(seed: int) -> list[Check]:
-    checks = []
-    ok = all(len(enumerate_partitions(p)) == bell(p) for p in range(1, 7))
-    checks.append(_check("partitions.count_matches_bell", ok, "p <= 6"))
-    ok = all(
-        len(enumerate_partitions_k(p, k)) == stirling2(p, k)
-        for p in range(1, 7)
-        for k in range(1, p + 1)
-    )
-    checks.append(_check("partitions.count_matches_stirling", ok, "p <= 6"))
-    induced = partition_of([1, 5, 2, 8, 5, 3, 2])
-    checks.append(
-        _check(
-            "partitions.first_appearance_labeling",
-            induced.omega == (1, 2, 3, 4, 2, 5, 3) and induced.k == 5,
-            str(induced),
-        )
-    )
-    ok = True
-    for p in range(2, 5):
-        for r in range(1, 5):
-            total = sum(
-                len(list(label_vectors(w, r))) for w in enumerate_partitions(p)
-            )
-            ok &= total == r**p
-    checks.append(_check("partitions.label_vectors_cover_grid", ok, "p <= 4, r <= 4"))
-    ok = all(
-        sum(mobius_coefficient(w) for w in enumerate_partitions(k)) == 0
-        for k in range(2, 6)
-    )
-    checks.append(_check("partitions.signed_weights_telescope", ok, "k in 2..5"))
-    return checks
-
-
-def _suite_jitter(seed: int) -> list[Check]:
-    checks = []
-    n = 200_000
-    for name in ("uniform", "point", "triangular"):
-        dist = from_name(name)
-        draws = dist.sample(n, seed)
-        ok = draws.min() >= 0.0 and draws.max() < 1.0
-        ok &= abs(draws.mean() - 0.5) < 0.005
-        worst = 0.0
-        for t in (0.3, 1.1, 2.7):
-            empirical = np.exp(-2j * np.pi * t * draws).mean()
-            worst = max(worst, abs(empirical - complex(dist.cf(t))))
-        ok &= worst < 0.01
-        checks.append(
-            _check(f"jitter.sampler_matches_cf[{name}]", ok, f"worst gap {worst:.1e}")
-        )
-    return checks
-
-
-def _suite_systems(seed: int) -> list[Check]:
-    checks = []
-    ok = True
-    for p in range(2, 6):
-        for w in enumerate_partitions(p):
-            forms = difference_matrix(w)
-            ok &= not forms.sum(axis=0).any() and not forms.sum(axis=1).any()
-    checks.append(_check("systems.rows_and_columns_sum_zero", ok, "p <= 5"))
-    ok = True
-    for p in range(2, 5):
-        for w in enumerate_partitions(p):
-            for h in range(1, w.k + 1):
-                for g in enumerate_partitions_k(w.k, h):
-                    basis = constraint_system(w, g)
-                    ok &= basis.shape == (p, p - h + 1)
-                    ok &= not (np.abs(basis) > 1).any()
-                    ok &= not (merged_difference_rows(w, g) @ basis).any()
-    checks.append(_check("systems.rank_is_groups_minus_one", ok, "p <= 4"))
-    return checks
-
-
-def _suite_integrals(seed: int) -> list[Check]:
-    checks = []
-    v = delta_volume(Partition((1, 2)))
-    checks.append(_check("integrals.pinned_pair_volume", v.exact == 1, f"{v.value}"))
-    v = delta_volume(Partition((1, 2, 1, 2)))
-    checks.append(
-        _check(
-            "integrals.alternating_volume_two_thirds",
-            v.exact == Fraction(2, 3),
-            f"{v.value}",
-        )
-    )
-    ok = True
-    for p in range(2, 5):
-        for w in enumerate_partitions(p):
-            if w.k < 2:
-                continue
-            value = delta_volume(w)
-            ok &= value.exact is not None and 0 < value.exact <= 1
-    checks.append(_check("integrals.volumes_exact_in_unit_interval", ok, "p <= 4"))
-
-    w, g = Partition((1, 2)), Partition((1, 1))
-    est = cf_integral(w, g, 0.5, 1, uniform01())
-    target = _pair_integral()
-    gap = abs(est.value - target)
-    checks.append(
-        _check(
-            "integrals.cubature_matches_reduced_quadrature",
-            gap < 1e-10 and est.std_error < 1e-10,
-            f"gap {gap:.1e}, error estimate {est.std_error:.1e}",
-        )
-    )
-    grid = finite_grid_term(w, g, 32, 0.5, 1, uniform01())
-    checks.append(
-        _check(
-            "integrals.finite_grid_approaches_integral",
-            abs(grid - target) < 0.02,
-            f"gap {abs(grid - target):.1e}",
-        )
-    )
-    return checks
-
-
-def _suite_phase_sums(seed: int) -> list[Check]:
-    checks = []
-    inst = PhaseSumInstance(Partition((1,) * 3), ((0,),), 5, 1)
-    lhs, rhs = distinct_label_sum(inst), partition_delta_sum(inst)
-    checks.append(
-        _check("phase_sums.single_block_counts_labels", lhs == rhs == 5, f"{lhs}")
-    )
-    inst = PhaseSumInstance(Partition((1, 2)), ((1,), (-1,)), 5, 1)
-    lhs, rhs = distinct_label_sum(inst), partition_delta_sum(inst)
-    checks.append(
-        _check(
-            "phase_sums.two_block_closed_form",
-            abs(lhs - rhs) < 1e-9 and rhs == -5,
-            f"lhs {lhs:.6f} rhs {rhs}",
-        )
-    )
-    rows = residual_scan(Partition((1, 2, 3)), ((0,), (0,), (0,)), [4, 6, 8, 10])
-    decayed = rows[-1].residual / rows[-1].r ** 3 <= rows[0].residual / rows[0].r ** 3
-    checks.append(
-        _check(
-            "phase_sums.zero_offsets_residual_order",
-            decayed,
-            f"residuals {[r.residual for r in rows]}",
-        )
-    )
-    w = Partition((1, 2, 1, 3))
-    inst = instance_from_labels(w, np.array([[1], [0], [-1], [1]]), 7)
-    lhs, rhs = distinct_label_sum(inst), partition_delta_sum(inst)
-    checks.append(
-        _check(
-            "phase_sums.mixed_instance_leading_order",
-            abs(lhs - rhs) <= 3 * inst.r,
-            f"residual {abs(lhs - rhs):.2f} at r={inst.r}",
-        )
-    )
-    return checks
-
-
-def _suite_ensemble(seed: int) -> list[Check]:
-    checks = []
-    config = EnsembleConfig(d=1, M=6, rho=25, dist=point_mass_half())
-    sample = simulate(config, 2, seed)
-    gap = float(np.abs(sample.eigenvalues - 1.0).max())
-    checks.append(
-        _check("ensemble.half_cell_jitter_is_identity", gap < 1e-10, f"max|l-1| {gap:.1e}")
-    )
-    config = EnsembleConfig(d=1, M=8, rho=34, dist=uniform01())
-    sample = simulate(config, 3, seed)
-    ok = abs(empirical_moment(sample, 1) - 1.0) < 1e-10
-    checks.append(_check("ensemble.unit_trace", ok, "3 trials"))
-    brute, _ = brute_trace_moment(config, 2, 3, seed)
-    eig = empirical_moment(sample, 2)
-    checks.append(
-        _check(
-            "ensemble.matrix_power_matches_eigensolver",
-            abs(brute - eig) < 1e-8,
-            f"gap {abs(brute - eig):.1e}",
-        )
-    )
-    return checks
-
-
-def _suite_moments(seed: int) -> list[Check]:
-    checks = []
-    res = moment(1, 0.37, 2, uniform01())
-    checks.append(_check("moments.first_moment_is_one", res.value == 1.0, f"{res.value}"))
-    res = moment(2, 0.5, 1, uniform01())
-    target = 1 + 0.5 - 0.5 * _pair_integral()
-    gap = abs(res.value - target)
-    checks.append(
-        _check(
-            "moments.second_moment_reduced_form",
-            gap < max(5 * res.std_error, 5e-4),
-            f"gap {gap:.1e}",
-        )
-    )
-    res = moment(3, 0.64, 1, point_mass_half())
-    checks.append(
-        _check(
-            "moments.half_cell_moments_are_one",
-            abs(res.value - 1.0) < 1e-6,
-            f"{res.value:.8f}",
-        )
-    )
-    return checks
 
 
 def mp_average(beta: float, f) -> tuple[float, float]:
@@ -281,25 +90,264 @@ def mp_average(beta: float, f) -> tuple[float, float]:
         jac = 2 * span * s * math.cos(theta)
         return f(z) * mp_density(beta, z) * jac
 
-    return quad(integrand, 0.0, math.pi / 2, epsabs=1e-12, epsrel=1e-12)
+    return quad(integrand, 0.0, math.pi / 2, epsabs=1e-13, epsrel=1e-13)
+
+
+def count_matches_bell(p: int) -> bool:
+    return len(enumerate_partitions(p)) == bell(p)
+
+
+def count_matches_stirling(p: int) -> bool:
+    counts = [len(enumerate_partitions_k(p, k)) for k in range(1, p + 1)]
+    return counts == [stirling2(p, k) for k in range(1, p + 1)]
+
+
+def first_appearance_labeling() -> bool:
+    w = partition_of([1, 5, 2, 8, 5, 3, 2])
+    blocks = (frozenset({2, 5}), frozenset({3, 7}))
+    return w.omega == (1, 2, 3, 4, 2, 5, 3) and w.k == 5 and w.blocks[1:3] == blocks
+
+
+def label_vectors_cover_grid(p: int, r: int) -> bool:
+    """Each order-p partition gets its falling-factorial count of label
+    vectors, each mapping back to it, and together they tile the r^p grid."""
+    total = 0
+    for w in enumerate_partitions(p):
+        vectors = list(label_vectors(w, r))
+        total += len(vectors)
+        if len(vectors) != label_vector_count(w.k, r) or any(
+            partition_of(mu) != w for mu in vectors
+        ):
+            return False
+    return total == r**p
+
+
+def signed_weights_telescope(k: int) -> bool:
+    return sum(mobius_coefficient(w) for w in enumerate_partitions(k)) == 0
+
+
+def sampler_matches_cf(
+    dist: JitterDistribution, ts: tuple[float, ...], seed: int
+) -> bool:
+    """10^6 draws stay in [0, 1), average 1/2 and match the cf at each t."""
+    draws = dist.sample(10**6, seed)
+    in_cell = draws.min() >= 0.0 and draws.max() < 1.0
+    return in_cell and abs(draws.mean() - 0.5) < 0.005 and all(
+        abs(np.exp(-2j * np.pi * t * draws).mean() - complex(dist.cf(t))) < 5e-3
+        for t in ts
+    )
+
+
+def rows_and_columns_sum_zero(p: int) -> bool:
+    """Every difference matrix of order p has zero sums and unit entries."""
+    return all(
+        not forms.sum(axis=0).any()
+        and not forms.sum(axis=1).any()
+        and np.abs(forms).max() <= 1
+        for forms in map(difference_matrix, enumerate_partitions(p))
+    )
+
+
+def rank_is_groups_minus_one(p: int) -> bool:
+    """Every basis of order p is p x (p - h + 1), with unit entries, in the
+    kernel of the merged rows."""
+    for w in enumerate_partitions(p):
+        for g in enumerate_partitions(w.k):
+            basis = constraint_system(w, g)
+            unit = basis.shape == (p, p - g.k + 1) and np.abs(basis).max() <= 1
+            if not unit or (merged_difference_rows(w, g) @ basis).any():
+                return False
+    return True
+
+
+def pinned_pair_volume() -> bool:
+    v = delta_volume(Partition((1, 2)))
+    exact = v.exact == 1 and v.value == 1.0 and v.std_error == 0.0
+    return exact and v.method == "exact_volume"
+
+
+def alternating_volume_two_thirds() -> bool:
+    return delta_volume(Partition((1, 2, 1, 2))).exact == Fraction(2, 3)
+
+
+def volumes_exact_in_unit_interval(p: int) -> bool:
+    return all(
+        v.std_error == 0.0 and v.exact is not None and 0 < v.exact <= 1
+        for v in map(delta_volume, enumerate_partitions(p))
+    )
+
+
+def cubature_matches_reduced_quadrature() -> bool:
+    est = cf_integral(Partition((1, 2)), Partition((1, 1)), 0.5, 1, uniform01())
+    gap = abs(est.value - bracket_integral(0.5, 1, uniform01()))
+    return est.method == "gauss_cube" and gap < 1e-10 and est.std_error < 1e-10
+
+
+def finite_grid_approaches_integral() -> bool:
+    pair = Partition((1, 2)), Partition((1, 1))
+    grid = finite_grid_term(*pair, 32, 0.5, 1, uniform01())
+    return abs(grid - bracket_integral(0.5, 1, uniform01())) < 0.02
+
+
+def single_block_counts_labels() -> bool:
+    inst = PhaseSumInstance(Partition((1, 1, 1)), ((0,),), 5, 1)
+    return distinct_label_sum(inst) == partition_delta_sum(inst) == 5
+
+
+def two_block_closed_form() -> bool:
+    inst = PhaseSumInstance(Partition((1, 2)), ((1,), (-1,)), 5, 1)
+    return abs(distinct_label_sum(inst) + 5) < 1e-9 and partition_delta_sum(inst) == -5
+
+
+def zero_offsets_residual_order() -> bool:
+    return residual_scan(Partition((1, 2, 3)), ((0,),) * 3, [4, 6, 8, 10]).decays
+
+
+def mixed_instance_leading_order() -> bool:
+    offsets = np.array([[1], [0], [-1], [1]])
+    inst = instance_from_labels(Partition((1, 2, 1, 3)), offsets, 7)
+    return abs(distinct_label_sum(inst) - partition_delta_sum(inst)) <= 3 * inst.r
+
+
+def half_cell_jitter_is_identity(seed: int) -> bool:
+    """Half-cell positions make T the identity; (1, 8, 25) is criterion 4's."""
+    for d, M, rho, trials in [(1, 6, 25, 3), (1, 8, 25, 4), (2, 2, 5, 2)]:
+        sample = simulate(EnsembleConfig(d, M, rho, point_mass_half()), trials, seed)
+        if np.abs(sample.eigenvalues - 1.0).max() >= 1e-10:
+            return False
+    return True
+
+
+def unit_trace(seed: int) -> bool:
+    """The eigenvalues of every trial, not only of the pool, average to one."""
+    sample = simulate(EnsembleConfig(2, 2, 8, uniform01()), 5, seed)
+    per_trial = np.abs(sample.eigenvalues.mean(axis=1) - 1.0).max()
+    return per_trial < 1e-10 and abs(empirical_moment(sample, 1) - 1.0) < 1e-10
+
+
+def matrix_power_matches_eigensolver(seed: int) -> bool:
+    config = EnsembleConfig(1, 8, 20, uniform01())
+    sample = simulate(config, 5, seed)
+    brute = [brute_trace_moment(config, p, 5, seed)[0] for p in (2, 3)]
+    eig = [empirical_moment(sample, p) for p in (2, 3)]
+    return np.allclose(brute, eig, rtol=0.0, atol=1e-8)
+
+
+def first_moment_is_one(beta: float, d: int, dist: JitterDistribution) -> bool:
+    res = moment(1, beta, d, dist)
+    return res.value == 1.0 and res.std_error == 0.0 and len(res.terms) == 1
+
+
+def second_moment_reduced_form(beta: float, d: int) -> bool:
+    """m2 = 1 + beta - beta * bracket^d for uniform jitter."""
+    res = moment(2, beta, d, uniform01())
+    target = 1 + beta - beta * bracket_integral(beta, d, uniform01()) ** d
+    return abs(res.value - target) <= max(3 * res.std_error, 1e-4)
+
+
+def half_cell_moments_are_one(p: int, beta: float) -> bool:
+    return abs(moment(p, beta, 1, point_mass_half()).value - 1.0) < 1e-6
+
+
+def density_normalized(beta: float) -> bool:
+    return abs(mp_average(beta, lambda z: 1.0)[0] - 1.0) < 1e-8
+
+
+def density_mean_one(beta: float) -> bool:
+    return abs(mp_average(beta, lambda z: z)[0] - 1.0) < 1e-8
+
+
+def moments_match_density(p: int, beta: float) -> bool:
+    return abs(mp_moment(p, beta) - mp_average(beta, lambda z: z**p)[0]) < 1e-8
+
+
+def _run(suite: str, rows) -> list[Check]:
+    """One check per (predicate, argument tuples, detail) row, named
+    suite.<predicate name> and passed when the predicate holds on every
+    tuple."""
+    return [
+        Check(f"{suite}.{f.__name__}", all(f(*args) for args in points), detail)
+        for f, points, detail in rows
+    ]
+
+
+def _suite_partitions(seed: int) -> list[Check]:
+    return _run("partitions", [
+        (count_matches_bell, product(range(1, 8)), "p <= 7"),
+        (count_matches_stirling, product(range(1, 8)), "p <= 7"),
+        (first_appearance_labeling, [()], "[1,2,3,4,2,5,3]"),
+        (label_vectors_cover_grid, product(range(1, 6), range(1, 7)), "p <= 5, r <= 6"),
+        (signed_weights_telescope, product(range(2, 6)), "k in 2..5"),
+    ])
+
+
+def _suite_jitter(seed: int) -> list[Check]:
+    return [
+        Check(
+            f"jitter.sampler_matches_cf[{name}]",
+            sampler_matches_cf(from_name(name), (0.3, 1.1, 2.7), seed),
+            "10^6 draws, t in 0.3, 1.1, 2.7",
+        )
+        for name in ("uniform", "point", "triangular")
+    ]
+
+
+def _suite_systems(seed: int) -> list[Check]:
+    return _run("systems", [
+        (rows_and_columns_sum_zero, product(range(2, 6)), "p <= 5"),
+        (rank_is_groups_minus_one, product(range(2, 5)), "p <= 4"),
+    ])
+
+
+def _suite_integrals(seed: int) -> list[Check]:
+    return _run("integrals", [
+        (pinned_pair_volume, [()], "[1,2]"),
+        (alternating_volume_two_thirds, [()], "[1,2,1,2]"),
+        (volumes_exact_in_unit_interval, product(range(2, 7)), "p <= 6"),
+        (cubature_matches_reduced_quadrature, [()], "within 1e-10"),
+        (finite_grid_approaches_integral, [()], "box 32, within 0.02"),
+    ])
+
+
+def _suite_phase_sums(seed: int) -> list[Check]:
+    return _run("phase_sums", [
+        (single_block_counts_labels, [()], "r = 5"),
+        (two_block_closed_form, [()], "r = 5"),
+        (zero_offsets_residual_order, [()], "r in 4..10"),
+        (mixed_instance_leading_order, [()], "r = 7"),
+    ])
+
+
+def _suite_ensemble(seed: int) -> list[Check]:
+    return _run("ensemble", [
+        (half_cell_jitter_is_identity, [(seed,)], "three shapes"),
+        (unit_trace, [(seed,)], "5 trials"),
+        (matrix_power_matches_eigensolver, [(seed,)], "p in 2, 3"),
+    ])
+
+
+def _suite_moments(seed: int) -> list[Check]:
+    laws = [
+        (0.3, 1, uniform01()),
+        (0.9, 3, point_mass_half()),
+        (0.55, 2, triangular01()),
+    ]
+    shapes = [(0.3, 1), (0.7, 1), (0.55, 2), (0.9, 4)]
+    half_cell = [(2, 0.64), (3, 0.42), (3, 0.64), (4, 0.42)]
+    return _run("moments", [
+        (first_moment_is_one, laws, "three laws"),
+        (second_moment_reduced_form, shapes, "four (beta, d)"),
+        (half_cell_moments_are_one, half_cell, "p in 2..4"),
+    ])
 
 
 def _suite_mp(seed: int) -> list[Check]:
-    checks = []
-    beta = 0.55
-
-    def against_density(power: int) -> float:
-        return mp_average(beta, lambda z: z**power)[0]
-
-    mass = against_density(0)
-    mean = against_density(1)
-    checks.append(_check("mp.density_normalized", abs(mass - 1) < 1e-8, f"{mass:.10f}"))
-    checks.append(_check("mp.density_mean_one", abs(mean - 1) < 1e-8, f"{mean:.10f}"))
-    ok = all(
-        abs(mp_moment(p, beta) - against_density(p)) < 1e-8 for p in range(1, 5)
-    )
-    checks.append(_check("mp.moments_match_density", ok, "p <= 4"))
-    return checks
+    betas = (0.2, 0.55, 0.729, 1.0)
+    return _run("mp", [
+        (density_normalized, product(betas), "beta in 0.2..1"),
+        (density_mean_one, product(betas), "beta in 0.2..1"),
+        (moments_match_density, product(range(1, 7), betas[:3]), "p <= 6"),
+    ])
 
 
 SUITES: dict[str, Callable[[int], list[Check]]] = {

@@ -259,6 +259,20 @@ class TestVerify:
         assert code == 3
         assert "FAIL" in stdout
 
+    def test_growing_residual_reads_fail(self, capsys, monkeypatch):
+        # a distinct-label sum off by r^4 breaks the residual order: the
+        # scan reports it as a failed check, not as an escaping exception
+        from jittervan import oracle
+
+        exact = oracle.distinct_label_sum
+        monkeypatch.setattr(
+            oracle, "distinct_label_sum", lambda inst: exact(inst) + inst.r**4
+        )
+        code, stdout, _ = run(["verify", "--suite", "phase_sums"], capsys)
+        assert code == 3
+        [line] = [row for row in stdout.splitlines() if "residual_order" in row]
+        assert "FAIL" in line
+
 
 class TestErrorMapping:
     def test_numerical_error_exits_3(self, capsys, monkeypatch):

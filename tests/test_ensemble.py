@@ -5,6 +5,7 @@ import pytest
 
 import jittervan.ensemble as ensemble_module
 import jittervan.mse as mse_module
+from jittervan import verify
 from jittervan.ensemble import (
     EnsembleConfig,
     empirical_moment,
@@ -164,18 +165,10 @@ class TestMatrices:
 
 class TestSimulate:
     def test_half_cell_spectrum_is_all_ones(self):
-        # (1, 8, 25, 4) is the identity ensemble of acceptance criterion 4
-        for d, M, rho, trials in [(1, 6, 25, 3), (1, 8, 25, 4), (2, 2, 5, 2)]:
-            config = EnsembleConfig(d=d, M=M, rho=rho, dist=point_mass_half())
-            sample = simulate(config, trials, 0)
-            assert np.abs(sample.eigenvalues - 1.0).max() < 1e-10
+        assert verify.half_cell_jitter_is_identity(0)
 
     def test_unit_first_moment(self):
-        config = EnsembleConfig(d=2, M=2, rho=8, dist=uniform01())
-        sample = simulate(config, 5, 1)
-        assert empirical_moment(sample, 1) == pytest.approx(1.0, abs=1e-10)
-        per_trial = sample.eigenvalues.mean(axis=1)
-        assert np.abs(per_trial - 1.0).max() < 1e-10
+        assert verify.unit_trace(1)
 
     def test_reproducible_and_trial_seeded(self):
         config = EnsembleConfig(d=1, M=4, rho=12, dist=uniform01())

@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.integrate import dblquad, quad
+from scipy.integrate import quad
 from scipy.spatial import HalfspaceIntersection
 from scipy.special import roots_jacobi, roots_legendre
 
 import jittervan.integrate as integrate_module
+from jittervan import verify
 from jittervan.constraints import constraint_system, difference_matrix
 from jittervan.errors import BudgetError, NumericalError
 from jittervan.integrate import (
@@ -203,11 +204,7 @@ def rotate_pair(omega: Partition, grouping: Partition, shift: int):
 
 class TestDeltaVolume:
     def test_two_singletons_is_one(self):
-        value = delta_volume(Partition((1, 2)))
-        assert value.exact == 1
-        assert value.value == 1.0
-        assert value.std_error == 0.0
-        assert value.method == "exact_volume"
+        assert verify.pinned_pair_volume()
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_single_block_is_one(self, p):
@@ -234,11 +231,7 @@ class TestDeltaVolume:
 
     @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
     def test_exact_rational_in_unit_interval(self, p):
-        for w in enumerate_partitions(p):
-            value = delta_volume(w)
-            assert value.std_error == 0.0
-            assert value.exact is not None
-            assert 0 < value.exact <= 1
+        assert verify.volumes_exact_in_unit_interval(p)
 
     def test_unit_value_iff_noncrossing(self):
         # the partitions at volume one are counted by the Narayana numbers
@@ -316,26 +309,14 @@ def cf_orbit_representatives(max_p):
 
 class TestCfIntegral:
     def test_uniform_reduced_quadrature(self):
-        est = cf_integral(Partition((1, 2)), Partition((1, 1)), 0.5, 1, uniform01())
-        target, _ = quad(
-            lambda u: (1 - abs(u)) * np.sinc(0.5 * u) ** 2, -1, 1, epsabs=1e-12
-        )
-        assert est.method == "gauss_cube"
-        assert abs(est.value - target) <= max(3 * est.std_error, 1e-4)
+        assert verify.cubature_matches_reduced_quadrature()
 
     @pytest.mark.parametrize("beta,d", [(0.3, 1), (0.8, 2)])
     def test_point_mass_two_dimensional_quadrature(self, beta, d):
         est = cf_integral(
             Partition((1, 2)), Partition((1, 1)), beta, d, point_mass_half()
         )
-        scale = beta ** (1.0 / d)
-
-        def integrand(y2, y1):
-            w = y1 - y2
-            product = np.exp(-1j * np.pi * scale * w) * np.exp(1j * np.pi * scale * w)
-            return product.real
-
-        target, _ = dblquad(integrand, -0.5, 0.5, -0.5, 0.5, epsabs=1e-10)
+        target = verify.bracket_integral(beta, d, point_mass_half())
         assert abs(est.value - target) <= max(3 * est.std_error, 1e-9)
         assert target == pytest.approx(1.0)
 
@@ -345,9 +326,7 @@ class TestCfIntegral:
         est = cf_integral(
             Partition((1, 2, 3)), Partition((1, 1, 2)), 0.6, 1, uniform01()
         )
-        target, _ = quad(
-            lambda u: (1 - abs(u)) * np.sinc(0.6 * u) ** 2, -1, 1, epsabs=1e-12
-        )
+        target = verify.bracket_integral(0.6, 1, uniform01())
         assert est.method == "gauss_cones"
         assert abs(est.value - target) <= max(5 * est.std_error, 5e-4)
 
@@ -355,9 +334,7 @@ class TestCfIntegral:
         est = cf_integral(
             Partition((1, 2)), Partition((1, 1)), 0.7, 1, triangular01()
         )
-        target, _ = quad(
-            lambda u: (1 - abs(u)) * np.sinc(0.35 * u) ** 4, -1, 1, epsabs=1e-12
-        )
+        target = verify.bracket_integral(0.7, 1, triangular01())
         assert abs(est.value - target) <= max(3 * est.std_error, 1e-4)
 
     def test_plain_monte_carlo_agrees(self):
@@ -497,8 +474,11 @@ class TestGaussRoots:
             keys.add((order, alpha))
             return golub_welsch(order, alpha)
 
+        rules = (integrate_module._cube_half_rule, integrate_module._simplex_rule)
+        memos = (integrate_module._gauss_jacobi,) + rules
         monkeypatch.setattr(integrate_module, "_golub_welsch", recording)
-        integrate_module._gauss_jacobi.cache_clear()
+        for memo in memos:
+            memo.cache_clear()
         for pair in cf_orbit_representatives(5):
             cf_integral(*pair, 0.55, 2, uniform01())
         monkeypatch.undo()
@@ -511,7 +491,20 @@ class TestGaussRoots:
             for array in (x, w):
                 with pytest.raises(ValueError):
                     array[0] = 0.0
-        integrate_module._gauss_jacobi.cache_clear()
+        # the cube and simplex rules are memoised per (n, order) the same way
+        for memo in rules:
+            assert memo.cache_info().currsize > 0
+            for n in (2, 3):
+                for order in orders:
+                    arrays = memo(n, order)
+                    assert memo(n, order) is arrays
+                    fresh = memo.__wrapped__(n, order)
+                    assert all(np.array_equal(a, b) for a, b in zip(arrays, fresh))
+                    for array in arrays:
+                        with pytest.raises(ValueError):
+                            array[0] = 0.0
+        for memo in memos:
+            memo.cache_clear()
 
     @pytest.mark.parametrize("alpha", range(6))
     def test_matches_scipy_roots(self, alpha):
@@ -718,9 +711,11 @@ class TestFiniteGridTerm:
                 assert abs(grid - value_of[pair]) <= 1e-7, (law, beta, d, pair)
 
     def test_budget_guard(self):
+        # three free labels in [-232, 232]: 465^3 nodes, over the budget
+        assert 465**3 > integrate_module.GRID_BUDGET
         with pytest.raises(BudgetError):
             finite_grid_term(
-                Partition((1, 2, 3)), Partition((1, 1, 1)), 32, 0.5, 1, uniform01(), budget=100
+                Partition((1, 2, 3)), Partition((1, 1, 1)), 232, 0.5, 1, uniform01()
             )
 
     def test_solution_map_guards(self, monkeypatch):

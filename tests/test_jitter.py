@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from jittervan import verify
 from jittervan.jitter import (
     JitterDistribution,
     from_name,
@@ -104,10 +105,7 @@ class TestSampler:
     @pytest.mark.parametrize("factory", ALL_KINDS)
     @pytest.mark.parametrize("t", [0.3, 1.1, 2.7])
     def test_sampler_consistent_with_cf(self, factory, t):
-        dist = factory()
-        draws = dist.sample(10**6, 7)
-        empirical = np.exp(-2j * np.pi * t * draws).mean()
-        assert abs(empirical - complex(dist.cf(t))) < 5e-3
+        assert verify.sampler_matches_cf(factory(), (t,), 7)
 
 
 class TestConstruction:

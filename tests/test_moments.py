@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad, tplquad
+from scipy.integrate import tplquad
 
 import jittervan.integrate as integrate_module
+from jittervan import verify
 from jittervan.integrate import QmcOptions, term_integral
 from jittervan.jitter import JitterDistribution, point_mass_half, triangular01, uniform01
 from jittervan.moments import (
@@ -123,59 +124,25 @@ def brute_class_key(omega, grouping):
     return min(keys)
 
 
-def cf_square_integral(beta: float, d: int, factory=uniform01) -> float:
-    """Oracle for the two-index bracket: reduced 1-D quadrature."""
-    dist = factory()
-    scale = beta ** (1.0 / d)
-
-    def integrand(u: float) -> float:
-        return (1 - abs(u)) * abs(complex(dist.cf(scale * u))) ** 2
-
-    value, _ = quad(integrand, -1, 1, epsabs=1e-12, limit=200)
-    return value
-
-
-def mp_moment_by_quadrature(p: int, beta: float) -> float:
-    """Oracle: integrate z^p against the limiting density directly."""
-    low, high = mp_support(beta)
-    span = high - low
-
-    def integrand(theta: float) -> float:
-        s = math.sin(theta)
-        z = low + span * s * s
-        jac = 2 * span * s * math.cos(theta)
-        return z**p * mp_density(beta, z) * jac
-
-    value, _ = quad(integrand, 0, math.pi / 2, epsabs=1e-13, epsrel=1e-13)
-    return value
-
-
 class TestMoment:
     @pytest.mark.parametrize(
         "beta,d,factory",
         [(0.3, 1, uniform01), (0.9, 3, point_mass_half), (0.55, 2, triangular01)],
     )
     def test_first_moment_exactly_one(self, beta, d, factory):
-        result = moment(1, beta, d, factory())
-        assert result.value == 1.0
-        assert result.std_error == 0.0
-        assert len(result.terms) == 1
+        assert verify.first_moment_is_one(beta, d, factory())
 
     @pytest.mark.parametrize("beta,d", [(0.3, 1), (0.7, 1), (0.55, 2), (0.9, 4)])
     def test_second_moment_closed_form(self, beta, d):
-        result = moment(2, beta, d, uniform01())
-        bracket = cf_square_integral(beta, d)
-        target = 1 + beta - beta * bracket**d
-        assert result.value == pytest.approx(target, abs=max(3 * result.std_error, 1e-4))
+        assert verify.second_moment_reduced_form(beta, d)
 
     def test_second_moment_half_cell(self):
-        result = moment(2, 0.64, 1, point_mass_half())
-        assert result.value == pytest.approx(1.0, abs=1e-6)
+        assert verify.half_cell_moments_are_one(2, 0.64)
 
     def test_third_moment_against_quadrature(self):
         # full expansion at order three, with both brackets from quadrature
         beta = 0.5
-        bracket = cf_square_integral(beta, 1)
+        bracket = verify.bracket_integral(beta, 1, uniform01())
         triple, _ = tplquad(
             lambda y3, y2, y1: np.sinc(beta * (y1 - y2))
             * np.sinc(beta * (y2 - y3))
@@ -189,8 +156,7 @@ class TestMoment:
 
     @pytest.mark.parametrize("p", [3, 4])
     def test_half_cell_moments_equal_one(self, p):
-        result = moment(p, 0.42, 1, point_mass_half())
-        assert result.value == pytest.approx(1.0, abs=max(3 * result.std_error, 1e-3))
+        assert verify.half_cell_moments_are_one(p, 0.42)
 
     def test_term_bookkeeping(self):
         result = moment(3, 0.6, 2, uniform01())
@@ -444,14 +410,12 @@ class TestMarchenkoPastur:
     @pytest.mark.parametrize("beta", [0.2, 0.55, 0.729])
     @pytest.mark.parametrize("p", range(1, 7))
     def test_matches_density_quadrature(self, p, beta):
-        assert mp_moment(p, beta) == pytest.approx(
-            mp_moment_by_quadrature(p, beta), abs=1e-8
-        )
+        assert verify.moments_match_density(p, beta)
 
     @pytest.mark.parametrize("beta", [0.2, 0.55, 0.729, 1.0])
     def test_density_normalization_and_mean(self, beta):
-        assert mp_moment_by_quadrature(0, beta) == pytest.approx(1.0, abs=1e-8)
-        assert mp_moment_by_quadrature(1, beta) == pytest.approx(1.0, abs=1e-8)
+        assert verify.density_normalized(beta)
+        assert verify.density_mean_one(beta)
 
     def test_density_support(self):
         low, high = mp_support(0.55)
@@ -486,7 +450,7 @@ class TestConvergence:
         beta = 0.55
         rows = convergence_report(2, beta, [1, 2, 3, 4], uniform01())
         for row in rows:
-            bracket = cf_square_integral(beta, row.d)
+            bracket = verify.bracket_integral(beta, row.d, uniform01())
             assert row.gap == pytest.approx(
                 beta * bracket**row.d, abs=max(3 * row.moment.std_error, 1e-4)
             )

@@ -3,11 +3,14 @@ import cmath
 import numpy as np
 import pytest
 
-from jittervan.ensemble import EnsembleConfig, empirical_moment, simulate
+from jittervan import verify
+from jittervan.ensemble import EnsembleConfig
 from jittervan.errors import BudgetError
 from jittervan.jitter import point_mass_half, uniform01
 from jittervan.moments import moment
 from jittervan.oracle import (
+    BLOCK_CAP,
+    TUPLE_BUDGET,
     PhaseSumInstance,
     brute_trace_moment,
     distinct_label_sum,
@@ -57,9 +60,7 @@ class TestInstances:
 
 class TestDistinctLabelSum:
     def test_single_block_zero_vector(self):
-        instance = PhaseSumInstance(Partition((1, 1)), ((0,),), 5, 1)
-        assert distinct_label_sum(instance) == pytest.approx(5)
-        assert partition_delta_sum(instance) == 5
+        assert verify.single_block_counts_labels()
 
     def test_single_block_full_root_sum(self):
         # nonzero offset on a single block: a full sum of unit roots
@@ -70,9 +71,7 @@ class TestDistinctLabelSum:
         assert partition_delta_sum(instance) == 0
 
     def test_two_blocks_closed_form(self):
-        instance = PhaseSumInstance(Partition((1, 2)), ((1,), (-1,)), 5, 1)
-        assert distinct_label_sum(instance) == pytest.approx(-5)
-        assert partition_delta_sum(instance) == -5
+        assert verify.two_block_closed_form()
 
     def test_matches_reference_enumeration(self):
         rng = np.random.default_rng(7)
@@ -94,14 +93,14 @@ class TestDistinctLabelSum:
         assert distinct_label_sum(instance) == 0j
 
     def test_budget(self):
-        instance = PhaseSumInstance(Partition((1, 2)), ((1,), (-1,)), 97, 1)
+        # 448 * 447 ordered label pairs, refused before the first is listed
+        assert 448 * 447 > TUPLE_BUDGET
         with pytest.raises(BudgetError):
-            distinct_label_sum(instance, tuple_budget=100)
+            distinct_label_sum(PhaseSumInstance(Partition((1, 2)), ((1,), (-1,)), 448, 1))
+        five = PhaseSumInstance(Partition((1, 2, 3, 4, 5)), ((0,),) * 5, 6, 1)
+        assert five.omega.k > BLOCK_CAP
         with pytest.raises(BudgetError):
-            distinct_label_sum(
-                PhaseSumInstance(Partition((1, 2, 3, 4, 5)), ((0,),) * 5, 6, 1),
-                block_cap=4,
-            )
+            distinct_label_sum(five)
 
 
 class TestPartitionDeltaSum:
@@ -142,9 +141,9 @@ class TestResidualScan:
     def test_mixed_instance_decays(self):
         # alias-free offsets: nonzero subset sums avoid every scanned r
         instance_vectors = ((-1,), (1,), (0,))
-        rows = residual_scan(Partition((1, 2, 1, 3)), instance_vectors, [5, 7, 9, 11])
-        ratios = [row.residual / row.r ** 2 for row in rows]
-        assert ratios[-1] <= ratios[0] + 1e-12
+        scan = residual_scan(Partition((1, 2, 1, 3)), instance_vectors, [5, 7, 9, 11])
+        assert scan.h_max == 2
+        assert scan.decays
 
     def test_rejects_non_power_counts(self):
         with pytest.raises(ValueError):
@@ -165,12 +164,7 @@ class TestBruteTrace:
         assert err < 1e-10
 
     def test_matrix_powers_match_eigensolver(self):
-        config = EnsembleConfig(d=1, M=8, rho=20, dist=uniform01())
-        sample = simulate(config, 5, 13)
-        for p in (2, 3):
-            brute, _ = brute_trace_moment(config, p, 5, 13)
-            eig = empirical_moment(sample, p)
-            assert brute == pytest.approx(eig, rel=1e-8)
+        assert verify.matrix_power_matches_eigensolver(13)
 
     def test_matches_analytic_moment(self):
         config = EnsembleConfig(d=1, M=25, rho=102, dist=uniform01())
