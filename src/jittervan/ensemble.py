@@ -271,13 +271,17 @@ def resolve_shape(
         raise ValueError(f"target aspect ratio must be in (0, 1], got {beta_target}")
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    M = 1
-    while (2 * (M + 1) + 1) ** d <= size_budget:
-        M += 1
-    if (2 * M + 1) ** d > size_budget:
+    if 3**d > size_budget:
         raise ValueError(
             f"size budget {size_budget} cannot fit the minimal grid at d={d}"
         )
+    # the widest odd width 2M + 1 within the integer d-th root of the budget,
+    # which Newton's iteration in integers reaches from a power of two above
+    budget = int(size_budget)
+    root = 1 << -(-budget.bit_length() // d)
+    while (below := ((d - 1) * root + budget // root ** (d - 1)) // d) < root:
+        root = below
+    M = (root - 1) // 2
     width = 2 * M + 1
     # the error is unimodal in rho with its minimum next to width / beta^(1/d),
     # so the integers around that point, scanned upward, hold the best rho

@@ -65,13 +65,20 @@ class JitterDistribution:
 
     @property
     def identity(self) -> tuple:
-        """(kind, characteristic function): what cached values are keyed on.
+        """(kind, characteristic function): what laws compare and hash by,
+        and so what cached values are keyed on.
 
         The kind alone is a label that unrelated laws may share; the
         function object tells them apart, and laws built by one factory
         share it.
         """
         return (self.kind, self._cf)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, JitterDistribution) and self.identity == other.identity
+
+    def __hash__(self) -> int:
+        return hash(self.identity)
 
     def cf(self, t) -> np.ndarray:
         """Characteristic value E[exp(-2*pi*i*t*x)] for scalar or array t."""

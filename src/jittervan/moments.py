@@ -28,8 +28,11 @@ each is reduced by the first two moves and keyed by the least labelling
 under the third, and one pair per class, of the lowest order, is
 integrated; every member term carries its value.  Rotations and
 reversals of the trace indices, the dihedral symmetry of the trace, are
-among these moves.  Fully pinned pairs are exact volumes, evaluated per
-pair through their own cache.
+among these moves.
+
+Each value is memoised by what it depends on.  A fully pinned pair's
+exact volume depends on the pair alone and sits in the per-order table of
+pairs; a class integral also depends on beta, d and the law.
 
 Each integral's error is the deterministic difference between two
 cubature orders.  It exceeds the actual error, by 25 times or more on
@@ -41,7 +44,6 @@ error.
 from __future__ import annotations
 
 import math
-import threading
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -49,6 +51,7 @@ from itertools import groupby, permutations, product
 
 import numpy as np
 
+from . import integrate
 from ._parallel import ordered_map
 from .integrate import IntegralValue, QmcOptions, term_integral
 from .jitter import JitterDistribution
@@ -61,9 +64,6 @@ from .partitions import (
 
 #: Highest moment order evaluated.
 MOMENT_CAP = 5
-
-_term_cache: dict[tuple, IntegralValue] = {}
-_term_cache_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -117,11 +117,7 @@ class MomentResult:
         }
 
 
-def clear_term_cache() -> None:
-    with _term_cache_lock:
-        _term_cache.clear()
-
-
+@lru_cache(maxsize=None)
 def _evaluate_pair(
     omega: Partition,
     omega_prime: Partition,
@@ -129,17 +125,11 @@ def _evaluate_pair(
     d: int,
     dist: JitterDistribution,
 ) -> IntegralValue:
-    # a NumPy scalar keys and integrates as the Python float it equals
-    beta = float(beta)
-    key = (omega.omega, omega_prime.omega, beta, d, dist.identity)
-    with _term_cache_lock:
-        hit = _term_cache.get(key)
-    if hit is not None:
-        return hit
-    value = term_integral(omega, omega_prime, beta, d, dist)
-    with _term_cache_lock:
-        _term_cache[key] = value
-    return value
+    """A class integral, memoised; laws compare by their ``identity``."""
+    return term_integral(omega, omega_prime, beta, d, dist)
+
+
+clear_term_cache = _evaluate_pair.cache_clear
 
 
 def _class_representative(
@@ -212,16 +202,14 @@ def _least_labelling(
 
 
 @lru_cache(maxsize=None)
-def _pair_classes(p: int) -> tuple[tuple[tuple[Partition, Partition, int], ...], tuple]:
-    """Every (fine, coarse) pair of order p, tagged with the pair to integrate.
-
-    A characteristic-function pair takes its class representative and a
-    fully pinned pair itself.  Returns the pairs in enumeration order, each
-    tagged with the index of its integrated pair, and those pairs in order
-    of first member.  Memoised on p, as rebuilding it costs more than a
-    cache-warm replay of the moments.
-    """
-    pairs = []
+def _pair_classes(p: int) -> tuple[tuple, tuple]:
+    """Every (fine, coarse) pair of order p with its signed weight and factor:
+    a fully pinned pair's exact volume, or the index of a characteristic-
+    function pair's class representative.  Returns the rows in enumeration
+    order and the representatives in order of first member.  Memoised on p,
+    as rebuilding costs more than a warm replay; ``delta_volume`` is read
+    through its module, so a wrapper installed there sees each call."""
+    rows = []
     integrated: dict[tuple[Partition, Partition], int] = {}
     for k in range(1, p + 1):
         for omega in enumerate_partitions_k(p, k):
@@ -229,11 +217,12 @@ def _pair_classes(p: int) -> tuple[tuple[tuple[Partition, Partition, int], ...],
                 for omega_prime in enumerate_partitions_k(k, h):
                     if h < k:
                         rep = _class_representative(omega, omega_prime)
+                        factor = integrated.setdefault(rep, len(integrated))
                     else:
-                        rep = (omega, omega_prime)
-                    index = integrated.setdefault(rep, len(integrated))
-                    pairs.append((omega, omega_prime, index))
-    return tuple(pairs), tuple(integrated)
+                        factor = integrate.delta_volume(omega)
+                    u = mobius_coefficient(omega_prime)
+                    rows.append((omega, omega_prime, u, factor))
+    return tuple(rows), tuple(integrated)
 
 
 def moment(
@@ -247,13 +236,13 @@ def moment(
     """p-th asymptotic eigenvalue moment of the jittered-grid ensemble.
 
     Dispatches one partition pair per class to its integral regime, and
-    each fully pinned pair to its exact volume; every pair of a class then
-    takes that value, weighted by its signed block coefficient and the
-    aspect-ratio power.  The cubature
-    error estimates are propagated linearly through the d-th power and
-    summed over the terms, a bound on the moment's error.  The terms keep
-    the enumeration order.  The first moment is exactly 1 by construction:
-    its only pair is the one-block partition, whose pinned volume is 1.
+    every pair of a class takes that value; each fully pinned pair takes
+    its exact volume from the per-order table.  Each value is weighted by
+    the pair's signed block coefficient and the aspect-ratio power.  The
+    cubature error estimates are propagated linearly through the d-th
+    power and summed over the terms, a bound on the moment's error.  The
+    terms keep the enumeration order.  The first moment is exactly 1 by
+    construction: its only pair is the one-block partition, of volume 1.
 
     ``p`` runs from 1 to ``MOMENT_CAP``.  ``opts`` is accepted for the
     benchmark scripts, which build it, and ignored: the integrals are
@@ -267,21 +256,21 @@ def moment(
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
 
-    pairs, integrated = _pair_classes(p)
+    rows, integrated = _pair_classes(p)
+    # a NumPy scalar keys and integrates as the Python float it equals
+    key = float(beta)
     values = ordered_map(
-        lambda rep: _evaluate_pair(*rep, beta, d, dist), integrated, threads
+        lambda rep: _evaluate_pair(*rep, key, d, dist), integrated, threads
     )
 
-    def build(omega: Partition, omega_prime: Partition, index: int) -> MomentTerm:
+    terms = []
+    for omega, omega_prime, u, factor in rows:
         k, h = omega.k, omega_prime.k
-        u = mobius_coefficient(omega_prime)
-        v = values[index]
+        v = factor if isinstance(factor, IntegralValue) else values[factor]
         weight = beta ** (p - h)
         contribution = weight * u * v.value**d
         err = weight * abs(u) * d * abs(v.value) ** (d - 1) * v.std_error
-        return MomentTerm(k, h, omega, omega_prime, u, v, contribution, err)
-
-    terms = [build(*pair) for pair in pairs]
+        terms.append(MomentTerm(k, h, omega, omega_prime, u, v, contribution, err))
     value = sum(term.contribution for term in terms)
     std_error = sum(term.std_error for term in terms)
     return MomentResult(p, beta, d, dist.kind, value, std_error, tuple(terms))
@@ -317,13 +306,15 @@ def mp_support(beta: float) -> tuple[float, float]:
 
 
 def mp_density(beta: float, z):
-    """Marchenko-Pastur density at z (scalar or array); zero off support."""
+    """Marchenko-Pastur density at z (scalar or array); zero off support.
+    At beta = 1 it is +inf at z = 0, its limit there."""
     low, high = mp_support(beta)
     arr = np.asarray(z, dtype=float)
     inside = (arr >= low) & (arr <= high)
-    safe = np.where(inside, arr, 1.0)
+    safe = np.where(inside & (arr != 0), arr, 1.0)
     radicand = np.clip((high - safe) * (safe - low), 0.0, None)
     out = np.where(inside, np.sqrt(radicand) / (2 * np.pi * safe * beta), 0.0)
+    out = np.where(inside & (arr == 0), np.inf, out)
     if np.isscalar(z) or arr.ndim == 0:
         return float(out)
     return out

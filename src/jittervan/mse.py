@@ -213,39 +213,22 @@ def mse_curve(
     for d in sorted(set(d_list)):
         M, rho, beta_actual = resolve_shape(beta_target, d, size_budget)
         config = EnsembleConfig(d=d, M=M, rho=rho, dist=dist)
-        sample = simulate(config, trials, [seed, d], threads)
-        for db, snr in zip(snr_db_values, snrs):
-            per_trial = [
-                mse_from_spectrum(sample.eigenvalues[t], beta_actual, snr)
-                for t in range(sample.trials)
-            ]
-            points.append(
-                MsePoint(
-                    snr_db=db,
-                    source="empirical",
-                    beta=beta_actual,
-                    d=d,
-                    mse=float(np.mean(per_trial)),
-                    std_err=float(
-                        np.std(per_trial, ddof=1) / np.sqrt(len(per_trial))
-                        if len(per_trial) > 1
-                        else 0.0
-                    ),
-                )
-            )
-    for db, snr in zip(snr_db_values, snrs):
-        points.append(
-            MsePoint(db, "mp", beta_target, None, mse_mp(beta_target, snr), 0.0)
+        eigs = simulate(config, trials, [seed, d], threads).eigenvalues
+        # the spectral average of every (trial, SNR) at once
+        per_trial = np.mean(
+            beta_actual / (eigs[:, None, :] * np.array(snrs)[:, None] + beta_actual),
+            axis=2,
         )
-    for db, snr in zip(snr_db_values, snrs):
-        points.append(
-            MsePoint(
-                db,
-                "equally_spaced",
-                beta_target,
-                None,
-                mse_equally_spaced(beta_target, snr),
-                0.0,
-            )
+        mse = per_trial.mean(axis=0)
+        spread = per_trial.std(axis=0, ddof=1) if trials > 1 else np.zeros(len(snrs))
+        std_err = spread / np.sqrt(trials)
+        points.extend(
+            MsePoint(db, "empirical", beta_actual, d, float(value), float(err))
+            for db, value, err in zip(snr_db_values, mse, std_err)
+        )
+    for source, reference in (("mp", mse_mp), ("equally_spaced", mse_equally_spaced)):
+        points.extend(
+            MsePoint(db, source, beta_target, None, reference(beta_target, snr), 0.0)
+            for db, snr in zip(snr_db_values, snrs)
         )
     return MseCurve(beta_target, dist.kind, tuple(points))

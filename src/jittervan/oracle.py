@@ -157,9 +157,10 @@ class ResidualScan(list):
     @property
     def decays(self) -> bool:
         """Whether residual / r^h_max does not grow along the scan, so the
-        residual stays one order below the leading power (exact scans pass)."""
+        residual stays one order below the leading power (exact scans, every
+        residual at most 1e-9, pass)."""
         ratios = [row.residual / row.r ** max(self.h_max, 1) for row in self]
-        return max(ratios) <= 1e-9 or ratios[-1] <= ratios[0] * 1.0000001
+        return all(row.residual <= 1e-9 for row in self) or ratios[-1] <= ratios[0]
 
 
 def residual_scan(

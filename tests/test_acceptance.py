@@ -9,12 +9,10 @@ before asserting, so a red criterion still reports its measured numbers.
 """
 
 import itertools
-import math
 import time
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from jittervan.ensemble import (
     EnsembleConfig,
@@ -27,9 +25,7 @@ from jittervan.jitter import point_mass_half, triangular01, uniform01
 from jittervan.moments import (
     convergence_report,
     moment,
-    mp_density,
     mp_moment,
-    mp_support,
 )
 from jittervan.mse import lmmse_demo, mse_curve, snr_grid_db
 from jittervan.oracle import (
@@ -39,7 +35,6 @@ from jittervan.oracle import (
     instance_from_labels,
     partition_delta_sum,
     residual_scan,
-    surviving_groupings,
 )
 from jittervan.partitions import (
     Partition,
@@ -51,6 +46,7 @@ from jittervan.partitions import (
     partition_of,
     stirling2,
 )
+from jittervan.verify import bracket_integral, mp_average
 
 
 def report(number: int, name: str, ok: bool, detail: str, started: float) -> None:
@@ -156,12 +152,7 @@ def test_criterion_3_second_moment_regression():
     for beta in (0.3, 0.7):
         for d in (1, 2):
             result = moment(2, beta, d, uniform01())
-            scale = beta ** (1.0 / d)
-            inner, _ = quad(
-                lambda u: (1 - abs(u)) * np.sinc(scale * u) ** 2,
-                -1, 1, epsabs=1e-12, limit=200,
-            )
-            target = 1 + beta - beta * inner**d
+            target = 1 + beta - beta * bracket_integral(beta, d, uniform01()) ** d
             gap = abs(result.value - target)
             tolerance = max(3 * result.std_error, 1e-4)
             worst = max(worst, gap / tolerance)
@@ -261,18 +252,8 @@ def test_criterion_7_limit_density_self_consistency():
     started = time.time()
     worst = 0.0
     for beta in (0.2, 0.55, 0.729):
-        low, high = mp_support(beta)
-        span = high - low
-
         def against_density(power: int) -> float:
-            def integrand(theta: float) -> float:
-                s = math.sin(theta)
-                z = low + span * s * s
-                jacobian = 2 * span * s * math.cos(theta)
-                return z**power * mp_density(beta, z) * jacobian
-
-            value, _ = quad(integrand, 0, math.pi / 2, epsabs=1e-13, epsrel=1e-13)
-            return value
+            return mp_average(beta, lambda z: z**power)[0]
 
         worst = max(worst, abs(against_density(0) - 1.0))
         worst = max(worst, abs(against_density(1) - 1.0))
@@ -309,14 +290,10 @@ def test_criterion_8_phase_sum_oracle():
     }
     for name, (omega, vectors) in scans.items():
         rows = residual_scan(omega, vectors, [4, 6, 8, 10])
-        survivors = surviving_groupings(
-            PhaseSumInstance(omega, vectors, rows[0].r, 1)
-        )
-        h_max = max((g.k for g in survivors), default=0)
-        decay = [row.residual / row.r ** max(h_max, 1) for row in rows]
-        if any(r.residual > 1e-9 for r in rows) and not decay[-1] <= decay[0]:
+        if not rows.decays:
+            decay = [row.residual / row.r ** max(rows.h_max, 1) for row in rows]
             failures.append(f"{name} scan does not decay: {decay}")
-        bound = max(row.residual / row.r ** max(h_max - 1, 0) for row in rows)
+        bound = max(row.residual / row.r ** max(rows.h_max - 1, 0) for row in rows)
         if bound > 8:
             failures.append(f"{name} residual above order r^(h-1): {bound:.2f}")
 

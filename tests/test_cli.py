@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import time
 
 import numpy as np
 import pytest
@@ -174,6 +175,13 @@ class TestSimulate:
             ["simulate", "--beta", "0.5", "--d", "2", "--budget", "4"], capsys
         )
         assert code == 2
+
+    def test_huge_budget_exits_3_at_once(self, capsys):
+        # a 1e9-row grid resolves in integers and is refused by the cell budget
+        start = time.perf_counter()
+        code, _, stderr = run(["simulate", "--beta", "0.5", "--budget", "1000000000"], capsys)
+        assert code == 3 and "cell budget" in stderr
+        assert time.perf_counter() - start < 2
 
     def test_bit_identical_reruns(self, tmp_path, capsys):
         digests = []

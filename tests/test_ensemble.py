@@ -28,13 +28,19 @@ from jittervan.mse import lmmse_demo
 from test_moments import two_point
 
 
+def looped_half_bandwidth(d, size_budget):
+    """Reference half-bandwidth: M grown one step at a time to the budget."""
+    M = 1
+    while (2 * (M + 1) + 1) ** d <= size_budget:
+        M += 1
+    return M
+
+
 def scanned_shape(beta_target, d, size_budget):
     """Brute-force reference for ``resolve_shape``: every vertex count from
     the grid width to just past width / beta^(1/d), fewest vertices winning
     unless another is better by 1e-15."""
-    M = 1
-    while (2 * (M + 1) + 1) ** d <= size_budget:
-        M += 1
+    M = looped_half_bandwidth(d, size_budget)
     width = 2 * M + 1
     best = None
     rho_hi = max(width, int(np.ceil(width / beta_target ** (1.0 / d))) + 2)
@@ -305,6 +311,22 @@ class TestResolveShape:
         targets = np.concatenate([np.geomspace(1e-3, 1, 25), [0.2, 0.6, 0.729, 0.55, 1 / 3]])
         for target in targets:
             assert resolve_shape(target, d, budget) == scanned_shape(target, d, budget)
+
+    def test_half_bandwidth_matches_the_loop(self):
+        for d in (1, 2, 3, 4):
+            for budget in range(1, 2000):
+                if budget < 3**d:
+                    with pytest.raises(ValueError, match="minimal grid"):
+                        resolve_shape(0.5, d, budget)
+                else:
+                    assert resolve_shape(0.5, d, budget)[0] == looped_half_bandwidth(d, budget)
+
+    def test_huge_budget_returns_at_once(self):
+        # the loop over half-bandwidths would run 5e11 steps at d = 1
+        start = time.perf_counter()
+        shapes = [resolve_shape(0.5, d, 10**12) for d in (1, 2, 3)]
+        assert time.perf_counter() - start < 0.5
+        assert [M for M, _, _ in shapes] == [499999999999, 499999, 4999]
 
     def test_tiny_target_returns_at_once(self):
         # the scan over vertex counts would run 1e12 steps here

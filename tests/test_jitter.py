@@ -143,6 +143,18 @@ class TestConstruction:
         assert abs(draws.mean() - 0.5) < 0.01
         assert abs(np.exp(-2j * np.pi * 0.7 * draws).mean() - complex(dist.cf(0.7))) < 0.01
 
+    def test_equality_follows_identity(self):
+        assert uniform01() == uniform01()
+        assert hash(uniform01()) == hash(uniform01())
+        assert uniform01() != triangular01()
+
+        def custom(cf):
+            return JitterDistribution("custom", cf, lambda rng, s: rng.random(s), True)
+
+        flat = custom(lambda t: np.exp(-1j * np.pi * t) * np.sinc(t))
+        peaked = custom(lambda t: (np.exp(-0.5j * np.pi * t) * np.sinc(0.5 * t)) ** 2)
+        assert flat != peaked and flat == flat
+
     def test_names(self):
         assert from_name("uniform").kind == "uniform01"
         assert from_name("point").kind == "point_mass_half"

@@ -235,6 +235,48 @@ class TestMoment:
                 [value] = calls[_class_representative(term.omega, term.omega_prime)]
                 assert term.v is value
 
+    def test_classes_are_shared_across_orders(self, monkeypatch):
+        calls = []
+        cf_integral = integrate_module.cf_integral
+
+        def counted(*args):
+            calls.append(args[:2])
+            return cf_integral(*args)
+
+        clear_term_cache()
+        monkeypatch.setattr(integrate_module, "cf_integral", counted)
+        new = []
+        for p in (3, 4, 5):
+            before = len(calls)
+            moment(p, 0.55, 2, uniform01())
+            new.append(len(calls) - before)
+        assert new == [2, 6, 9]
+
+    def test_warm_replay_evaluates_nothing(self, monkeypatch):
+        cold = [moment(p, 0.55, 2, uniform01()) for p in range(1, 6)]
+
+        def forbidden(*args):
+            raise AssertionError("a warm replay evaluated an integral")
+
+        monkeypatch.setattr(integrate_module, "cf_integral", forbidden)
+        monkeypatch.setattr(integrate_module, "delta_volume", forbidden)
+        assert [moment(p, 0.55, 2, uniform01()) for p in range(1, 6)] == cold
+
+    def test_forms_fold_once_per_pair(self, monkeypatch):
+        # the benchmark's analytic sweep: its 8 classes at 4 dimensions each
+        folds, integrals = [], []
+        fold, cf_integral = integrate_module._fold, integrate_module.cf_integral
+        monkeypatch.setattr(integrate_module, "_fold", lambda f: folds.append(1) or fold(f))
+        monkeypatch.setattr(
+            integrate_module, "cf_integral", lambda *a: integrals.append(1) or cf_integral(*a)
+        )
+        clear_term_cache()
+        integrate_module._pair_setup.cache_clear()
+        for p in range(2, 5):
+            for d in range(1, 5):
+                moment(p, 0.55, d, triangular01())
+        assert (len(folds), len(integrals)) == (8, 32)
+
     def test_member_reports_its_representatives_rule(self):
         # block 3 is met once and alone in its group: the pair contracts to
         # the two-block walk with one group, the 2-cube
@@ -424,6 +466,14 @@ class TestMarchenkoPastur:
         assert mp_density(0.55, 1.0) > 0
         inside = np.linspace(low, high, 64)
         assert np.all(mp_density(0.55, inside) >= 0)
+
+    def test_density_diverges_at_the_origin_for_unit_ratio(self):
+        # at beta = 1 the support starts at z = 0; no 0/0 there
+        assert mp_density(1.0, 0.0) == np.inf
+        values = mp_density(1.0, np.array([0.0, 1.0, 4.0, 5.0]))
+        assert values[0] == np.inf
+        assert values[1] == pytest.approx(np.sqrt(3) / (2 * np.pi), rel=1e-15)
+        assert list(values[2:]) == [0.0, 0.0]
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from jittervan.ensemble import EnsembleConfig, simulate
+from jittervan.ensemble import EnsembleConfig, resolve_shape, simulate
 from jittervan.jitter import point_mass_half, uniform01
 from jittervan.moments import mp_density, mp_support
 from jittervan.mse import (
@@ -220,6 +220,21 @@ class TestCurve:
         for parsed, point in zip(rows, small_curve.points):
             assert float(parsed["mse"]) == point.mse
             assert parsed["source"] == point.source
+
+    @pytest.mark.parametrize("trials", [1, 6])
+    def test_equals_per_trial_loop(self, trials):
+        # the reference is the per-trial, per-SNR loop the broadcast replaced
+        curve = mse_curve(0.729, [1, 2], snr_grid_db(-10, 30, 10), uniform01(), 500, trials, 3)
+        for d in (1, 2):
+            M, rho, beta = resolve_shape(0.729, d, 500)
+            sample = simulate(EnsembleConfig(d, M, rho, uniform01()), trials, [3, d])
+            for row in curve.rows("empirical", d):
+                snr = 10 ** (row.snr_db / 10.0)
+                per_trial = [mse_from_spectrum(e, beta, snr) for e in sample.eigenvalues]
+                loop_err = np.std(per_trial, ddof=1) / np.sqrt(trials) if trials > 1 else 0.0
+                assert row.beta == beta
+                assert row.mse == pytest.approx(np.mean(per_trial), rel=1e-14, abs=0)
+                assert row.std_err == pytest.approx(loop_err, rel=1e-14, abs=0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
