@@ -26,7 +26,7 @@ import numpy as np
 import numpy.random  # numpy loads it lazily; every realization draws from it
 
 from ._parallel import ordered_map
-from .errors import BudgetError, NumericalError
+from .errors import BudgetError, NumericalError, _check_dimension
 from .jitter import JitterDistribution
 
 #: Refuse sampling-matrix builds, complex or real, larger than this many
@@ -48,8 +48,7 @@ class EnsembleConfig:
     dist: JitterDistribution
 
     def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.d}")
+        _check_dimension(self.d)
         if self.M < 1:
             raise ValueError(f"half-bandwidth must be >= 1, got {self.M}")
         if 2 * self.M + 1 > self.rho:
@@ -269,8 +268,7 @@ def resolve_shape(
     """
     if not 0 < beta_target <= 1:
         raise ValueError(f"target aspect ratio must be in (0, 1], got {beta_target}")
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    _check_dimension(d)
     if 3**d > size_budget:
         raise ValueError(
             f"size budget {size_budget} cannot fit the minimal grid at d={d}"

@@ -35,10 +35,11 @@ exact volume depends on the pair alone and sits in the per-order table of
 pairs; a class integral also depends on beta, d and the law.
 
 Each integral's error is the deterministic difference between two
-cubature orders.  It exceeds the actual error, by 25 times or more on
+cubature orders.  It exceeded the actual error, by 25 times or more, on
 every orbit of order at most 5 checked against a higher order, so the
-linear sum of the term errors through the d-th power bounds the moment's
-error.
+linear sum of the term errors through the d-th power estimates the
+moment's error.  It is an estimate, not a bound: on the cones the
+difference follows the triangulation, not the error.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ import numpy as np
 
 from . import integrate
 from ._parallel import ordered_map
+from .errors import _check_dimension
 from .integrate import IntegralValue, QmcOptions, term_integral
 from .jitter import JitterDistribution
 from .partitions import (
@@ -240,7 +242,7 @@ def moment(
     its exact volume from the per-order table.  Each value is weighted by
     the pair's signed block coefficient and the aspect-ratio power.  The
     cubature error estimates are propagated linearly through the d-th
-    power and summed over the terms, a bound on the moment's error.  The
+    power and summed over the terms, an estimate of the moment's error.  The
     terms keep the enumeration order.  The first moment is exactly 1 by
     construction: its only pair is the one-block partition, of volume 1.
 
@@ -253,8 +255,7 @@ def moment(
         raise ValueError(f"moment order must satisfy 1 <= p <= {MOMENT_CAP}, got {p}")
     if not 0 < beta <= 1:
         raise ValueError(f"aspect ratio must be in (0, 1], got {beta}")
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    _check_dimension(d)
 
     rows, integrated = _pair_classes(p)
     # a NumPy scalar keys and integrates as the Python float it equals

@@ -18,6 +18,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .ensemble import (
+    CELL_BUDGET,
     EnsembleConfig,
     check_cell_budget,
     gram_matrix,
@@ -31,20 +32,23 @@ from .errors import NumericalError
 from .jitter import JitterDistribution
 
 
+def _check_snr(snr: float) -> None:
+    if not 0 < snr < math.inf:
+        raise ValueError(f"signal-to-noise ratio must be finite and > 0, got {snr}")
+
+
 def mse_from_spectrum(eigenvalues, beta: float, snr: float) -> float:
     """Mean of beta / (lambda * snr + beta) over a nonnegative spectrum."""
     eigs = np.asarray(eigenvalues, dtype=float)
     if eigs.size == 0:
         raise ValueError("cannot average over an empty spectrum")
-    if snr <= 0:
-        raise ValueError(f"signal-to-noise ratio must be > 0, got {snr}")
+    _check_snr(snr)
     return float(np.mean(beta / (eigs * snr + beta)))
 
 
 def mse_equally_spaced(beta: float, snr: float) -> float:
     """Error for the degenerate unit spectrum: beta / (snr + beta)."""
-    if snr <= 0:
-        raise ValueError(f"signal-to-noise ratio must be > 0, got {snr}")
+    _check_snr(snr)
     return beta / (snr + beta)
 
 
@@ -60,8 +64,7 @@ def mse_mp(beta: float, snr: float) -> float:
     """
     if not 0 < beta <= 1:
         raise ValueError(f"aspect ratio must be in (0, 1], got {beta}")
-    if snr <= 0:
-        raise ValueError(f"signal-to-noise ratio must be > 0, got {snr}")
+    _check_snr(snr)
     s = beta / snr
     b = s + (1.0 - beta)
     return 2.0 * s / (b + math.sqrt(b * b + 4.0 * beta * s))
@@ -89,8 +92,7 @@ def lmmse_demo(
     error, so the empirical average converges to it as the draw count
     grows.
     """
-    if snr <= 0:
-        raise ValueError(f"signal-to-noise ratio must be > 0, got {snr}")
+    _check_snr(snr)
     if draws < 2:
         raise ValueError(f"need at least 2 draws, got {draws}")
     check_cell_budget(config)
@@ -180,11 +182,18 @@ class MseCurve:
 
 
 def snr_grid_db(start: float = -10.0, stop: float = 30.0, step: float = 1.0) -> list[float]:
-    """Inclusive dB grid matching the start:stop:step CLI syntax."""
+    """Inclusive dB grid matching the start:stop:step CLI syntax, of at most
+    CELL_BUDGET points."""
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError(f"dB grid parts must be finite, got {start}:{stop}:{step}")
     if step <= 0:
         raise ValueError(f"step must be > 0, got {step}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + i * step for i in range(count)]
+    span = (stop - start) / step + 1e-9
+    if span >= CELL_BUDGET:
+        raise ValueError(
+            f"dB grid {start}:{stop}:{step} has more than {CELL_BUDGET} points"
+        )
+    return [start + i * step for i in range(math.floor(span) + 1)]
 
 
 def mse_curve(
@@ -202,23 +211,36 @@ def mse_curve(
     Each dimension gets its own realizable shape from the budget; the
     per-SNR empirical value averages the trace formula over trials at that
     shape's achieved aspect ratio.  The limiting and equally spaced rows
-    use the target ratio.
+    use the target ratio.  Every SNR is checked before any trial is drawn,
+    and the average runs trial by trial over chunks of SNRs, so that no
+    temporary exceeds CELL_BUDGET entries.
     """
     if not d_list:
         raise ValueError("need at least one dimension")
     if not snr_db_values:
         raise ValueError("need at least one SNR value")
-    snrs = [10 ** (db / 10.0) for db in snr_db_values]
+    snrs = []
+    for db in snr_db_values:
+        try:
+            snrs.append(10 ** (db / 10.0))
+        except OverflowError:
+            snrs.append(math.inf)
+        if not 0 < snrs[-1] < math.inf:
+            raise ValueError(f"{db} dB is no finite signal-to-noise ratio > 0")
+    column = np.array(snrs)[:, None]
     points: list[MsePoint] = []
     for d in sorted(set(d_list)):
         M, rho, beta_actual = resolve_shape(beta_target, d, size_budget)
         config = EnsembleConfig(d=d, M=M, rho=rho, dist=dist)
         eigs = simulate(config, trials, [seed, d], threads).eigenvalues
-        # the spectral average of every (trial, SNR) at once
-        per_trial = np.mean(
-            beta_actual / (eigs[:, None, :] * np.array(snrs)[:, None] + beta_actual),
-            axis=2,
-        )
+        chunk = max(1, CELL_BUDGET // eigs.shape[1])
+        per_trial = np.empty((trials, len(snrs)))
+        for trial, row in enumerate(eigs):
+            for start in range(0, len(snrs), chunk):
+                part = column[start : start + chunk]
+                per_trial[trial, start : start + chunk] = np.mean(
+                    beta_actual / (row * part + beta_actual), axis=1
+                )
         mse = per_trial.mean(axis=0)
         spread = per_trial.std(axis=0, ddof=1) if trials > 1 else np.zeros(len(snrs))
         std_err = spread / np.sqrt(trials)

@@ -239,6 +239,16 @@ class TestMse:
         sources = {point["source"] for point in payload["points"]}
         assert sources == {"empirical", "mp", "equally_spaced"}
 
+    @pytest.mark.parametrize("grid", ["0:inf:1", "0:4000:1000", "-10:30:1e-300"])
+    def test_unusable_snr_grid_exits_2_at_once(self, grid, capsys):
+        start = time.perf_counter()
+        try:
+            code = cli.main(["mse", "--beta", "0.5", f"--snr-db={grid}", "--trials", "2"])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2 and "error" in capsys.readouterr().err
+        assert time.perf_counter() - start < 2
+
 
 class TestVerify:
     def test_all_suites_pass(self, capsys):

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ from scipy.special import roots_jacobi, roots_legendre
 import jittervan.integrate as integrate_module
 from jittervan import verify
 from jittervan.constraints import constraint_system, difference_matrix
+from jittervan.ensemble import EnsembleConfig, resolve_shape
 from jittervan.errors import BudgetError, NumericalError
 from jittervan.integrate import (
     cf_integral,
@@ -579,6 +582,71 @@ class TestHalfCones:
         assert integrate_module._half_cones(basis.tobytes(), basis.shape) is cones
         with pytest.raises(ValueError):
             cones[0, 0, 0] = 0.0
+
+
+def materialised_half_sum(rule, cells, folded, dist):
+    """The base rule mapped onto every cell at once, then summed in _BATCH
+    slices."""
+    lam, weights = rule
+    nodes = (lam @ cells).reshape(-1, cells.shape[1])
+    scaled = np.multiply.outer(np.abs(np.linalg.det(cells)), weights).ravel()
+    total, batch = 0j, integrate_module._BATCH
+    for start in range(0, len(nodes), batch):
+        values = integrate_module._product(nodes[start : start + batch], folded, dist)
+        total += scaled[start : start + batch] @ values
+    return 2.0 * total.real
+
+
+class TestCellLoop:
+    @pytest.mark.parametrize("batch", [integrate_module._BATCH, 1 << 6])
+    def test_equals_materialised_sum_on_every_class(self, monkeypatch, batch):
+        # a small batch splits every cell over many groups and slices
+        monkeypatch.setattr(integrate_module, "_BATCH", batch)
+        classes = dict.fromkeys(rep for p in range(2, 6) for rep in _pair_classes(p)[1])
+        assert len(classes) == 17
+        orders = (integrate_module.VALUE_ORDER, integrate_module.CHECK_ORDER)
+        for pair in classes:
+            (distinct, index, flip), cells, rule = integrate_module._pair_setup(*pair)
+            folded = (0.55**0.5 * distinct, index, flip)
+            for order, law in itertools.product(orders, LAWS.values()):
+                base, dist = rule(cells.shape[1], order), law()
+                looped = integrate_module._evaluate(base, cells, folded, dist)
+                whole = materialised_half_sum(base, cells, folded, dist)
+                assert abs(looped - whole) <= 1e-15, (pair, order, dist.kind)
+
+    def test_order_six_class_stays_small(self):
+        # its two mapped rules alone would hold 237 MB
+        pair = (Partition((1, 2, 3, 4, 5, 6)), Partition((1, 1, 2, 2, 2, 2)))
+        integrate_module._pair_setup(*pair)
+        tracemalloc.start()
+        try:
+            value = cf_integral(*pair, 0.55, 2, uniform01())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        assert value.value == pytest.approx(0.443269203388462, rel=1e-14, abs=0)
+        assert value.std_error == pytest.approx(5.6195e-10, rel=1e-4)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d: moment(2, 0.55, d, uniform01()),
+        lambda d: cf_integral(Partition((1, 2)), Partition((1, 1)), 0.55, d, uniform01()),
+        lambda d: finite_grid_term(
+            Partition((1, 2)), Partition((1, 1)), 2, 0.55, d, uniform01()
+        ),
+        lambda d: EnsembleConfig(d=d, M=1, rho=4, dist=uniform01()),
+        lambda d: resolve_shape(0.5, d, 1000),
+    ],
+    ids=["moment", "cf_integral", "finite_grid_term", "EnsembleConfig", "resolve_shape"],
+)
+def test_grid_dimension_must_be_an_integer(call):
+    for d in (2.5, 2.0):
+        with pytest.raises(ValueError, match="integer"):
+            call(d)
+    assert call(np.int64(2)) == call(2)
 
 
 class TestDispatch:

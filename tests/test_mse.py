@@ -1,9 +1,12 @@
 import csv
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from jittervan.ensemble import EnsembleConfig, resolve_shape, simulate
+import jittervan.mse as mse_module
+from jittervan.ensemble import CELL_BUDGET, EnsembleConfig, resolve_shape, simulate
 from jittervan.jitter import point_mass_half, uniform01
 from jittervan.moments import mp_density, mp_support
 from jittervan.mse import (
@@ -25,6 +28,22 @@ def mp_sample(beta: float, n: int, seed: int) -> np.ndarray:
     cdf = np.cumsum(pdf)
     cdf /= cdf[-1]
     return np.interp(np.random.default_rng(seed).random(n), cdf, grid)
+
+
+@pytest.mark.parametrize("snr", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda snr: mse_from_spectrum([0.0, 2.0], 0.5, snr),
+        lambda snr: mse_equally_spaced(0.5, snr),
+        lambda snr: mse_mp(1.0, snr),
+        lambda snr: lmmse_demo(EnsembleConfig(1, 3, 10, uniform01()), snr, 0, draws=4),
+    ],
+    ids=["mse_from_spectrum", "mse_equally_spaced", "mse_mp", "lmmse_demo"],
+)
+def test_snr_must_be_finite_and_positive(call, snr):
+    with pytest.raises(ValueError, match="signal-to-noise"):
+        call(snr)
 
 
 class TestSpectralAverage:
@@ -180,6 +199,25 @@ class TestCurve:
         with pytest.raises(ValueError):
             snr_grid_db(0, 1, 0)
 
+    @pytest.mark.parametrize(
+        "parts", [(0, math.inf, 1), (-math.inf, 0, 1), (math.nan, 1, 1), (0, 1, math.inf)]
+    )
+    def test_grid_refuses_non_finite_parts(self, parts):
+        with pytest.raises(ValueError, match="finite"):
+            snr_grid_db(*parts)
+
+    @pytest.mark.parametrize("step", [1e-300, 5e-324, 40 / CELL_BUDGET])
+    def test_grid_refuses_more_points_than_the_cell_budget(self, step):
+        # refused before the list is built, however small the step
+        with pytest.raises(ValueError, match="points"):
+            snr_grid_db(-10, 30, step)
+
+    def test_grid_takes_the_cell_budget_in_points(self, monkeypatch):
+        monkeypatch.setattr(mse_module, "CELL_BUDGET", 10)
+        assert snr_grid_db(0, 9, 1) == list(range(10))
+        with pytest.raises(ValueError, match="points"):
+            snr_grid_db(0, 10, 1)
+
     def test_sources_present(self, small_curve):
         assert len(small_curve.rows("mp")) == 5
         assert len(small_curve.rows("equally_spaced")) == 5
@@ -241,3 +279,23 @@ class TestCurve:
             mse_curve(0.5, [], [0.0], uniform01())
         with pytest.raises(ValueError):
             mse_curve(0.5, [1], [], uniform01())
+
+    @pytest.mark.parametrize("db", [4000.0, -4000.0, math.nan, math.inf])
+    def test_refuses_an_snr_before_any_trial(self, monkeypatch, db):
+        monkeypatch.setattr(
+            mse_module, "simulate", lambda *_, **__: pytest.fail("simulate called")
+        )
+        with pytest.raises(ValueError, match="dB"):
+            mse_curve(0.729, [1], [0.0, db], uniform01(), 100, 2)
+
+    def test_temporaries_stay_within_the_cell_budget(self, monkeypatch):
+        # one (trials x SNRs x rows) broadcast peaks at 6.4 MB here
+        monkeypatch.setattr(mse_module, "CELL_BUDGET", 1 << 12)
+        grid = snr_grid_db(-10, 30, 0.1)
+        tracemalloc.start()
+        try:
+            mse_curve(0.729, [1], grid, uniform01(), 100, 10, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
