@@ -7,18 +7,21 @@ grid cell, each cell holding a single position jittered around its center.
 The scaled Gram matrix T = beta G G^H has unit diagonal by construction, so
 its spectrum averages to one in every realization.
 
-T[l, l'] depends on l - l' only, and storage row n-1-j holds the frequency
--l of row j, so reversing the rows conjugates T: it is centro-Hermitian.
-Pairing each row with its mirror is a fixed unitary change of basis Q that
-turns G into the real matrix R = Q^H G of cosine, sine and constant rows.
-``simulate`` solves beta R R^T, which has the spectrum of T at a real Gram
-product and a real symmetric eigensolve; the complex ``sampling_matrix``
-stays for the estimator demo and the matrix-power oracle.
+T[l, l'] = (beta / n_rows) conj c(l - l') depends on l - l' only, through
+the lag sums c(m) = sum_q exp(2 pi i m.x_q) over m in [-2M, 2M]^d.  Storage
+row n-1-j holds the frequency -l of row j, so pairing each row with its
+mirror is a fixed unitary change of basis Q that turns G into the real
+matrix R = Q^H G of cosine, sine and constant rows.  ``simulate`` gathers
+beta R R^T, which has the spectrum of T, from the real and imaginary parts
+of the lag sums and solves it with a real symmetric eigensolve; no trial
+forms an n_rows x n_cols matrix.  The complex ``sampling_matrix`` and
+``gram_matrix`` stay for the estimator demo and the matrix-power oracle.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,12 +29,15 @@ import numpy as np
 import numpy.random  # numpy loads it lazily; every realization draws from it
 
 from ._parallel import ordered_map
-from .errors import BudgetError, NumericalError, _check_dimension
+from .errors import BudgetError, NumericalError, _check_integer
 from .jitter import JitterDistribution
 
-#: Refuse sampling-matrix builds, complex or real, larger than this many
-#: entries.
+#: Refuse configurations whose sampling matrix has more entries than this,
+#: whether or not it is formed.
 CELL_BUDGET = 1 << 23
+
+#: Cells per block of the lag sums, which bounds their exponential tables.
+LAG_BLOCK = 256
 
 #: Eigenvalues of the positive semidefinite Gram matrix may round below
 #: zero by at most this much; anything lower is a solver failure.
@@ -48,9 +54,9 @@ class EnsembleConfig:
     dist: JitterDistribution
 
     def __post_init__(self) -> None:
-        _check_dimension(self.d)
-        if self.M < 1:
-            raise ValueError(f"half-bandwidth must be >= 1, got {self.M}")
+        _check_integer(self.d, "dimension")
+        _check_integer(self.M, "half-bandwidth")
+        _check_integer(self.rho, "vertex count")
         if 2 * self.M + 1 > self.rho:
             raise ValueError(
                 f"need 2M+1 <= rho so the aspect ratio stays in (0, 1]; "
@@ -123,37 +129,92 @@ def sampling_matrix(config: EnsembleConfig, positions: np.ndarray) -> np.ndarray
     return np.exp(-2j * np.pi * phases) / np.sqrt(config.n_rows)
 
 
-def real_sampling_matrix(
-    config: EnsembleConfig, positions: np.ndarray
-) -> np.ndarray:
-    """Real form R = Q^H G of the sampling matrix, same shape, unit columns.
+def lag_sums(M: int, positions: np.ndarray) -> np.ndarray:
+    """c(m) = sum_q exp(2 pi i m.x_q) for every lag m in [-2M, 2M]^d.
 
-    With h = (n_rows - 1) / 2 and l running over the frequencies of the
-    storage rows after the middle one, rows 0..h-1 hold
-    sqrt(2/n) cos(2 pi l.x), rows h..2h-1 hold sqrt(2/n) sin(2 pi l.x) and
-    the last row is the zero frequency 1/sqrt(n).  Q is unitary, so
-    R R^T = Q^H G G^H Q has the eigenvalues of G G^H.
+    Flat, in row-major order over the lag components, so the zero lag sits
+    in the middle.  The exponential factors over the axes: each axis gets a
+    table of its L = 4M+1 phases, the tables of all but the last axis are
+    multiplied row by row (their Khatri-Rao product) and a complex GEMM
+    against the last table sums over the cells.  At d = 1 the lag is split
+    as m + 2M = a B + b with B about sqrt(L), so two tables of about
+    sqrt(L) columns each replace one of L.  The cells are taken LAG_BLOCK
+    at a time, so the tables never grow with the cell count.
+    """
+    L = 4 * M + 1
+    d = positions.shape[1]
+    if d == 1:
+        B = math.isqrt(L - 1) + 1
+        factors = [(0, np.arange(0, L + B - 1, B) - 2 * M), (0, np.arange(B))]
+    else:
+        factors = [(k, np.arange(-2 * M, 2 * M + 1)) for k in range(d)]
+    c = 0
+    for start in range(0, len(positions), LAG_BLOCK):
+        block = positions[start : start + LAG_BLOCK]
+        tables = [
+            np.exp(np.multiply.outer(block[:, k], 2j * np.pi * m)) for k, m in factors
+        ]
+        rows = tables[0]
+        for table in tables[1:-1]:
+            rows = (rows[:, :, None] * table[:, None, :]).reshape(len(block), -1)
+        c = c + rows.T @ tables[-1]
+    return c.ravel()[: L**d]
+
+
+def lag_indices(M: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat ``lag_sums`` indices of f_i - f_j, f_i + f_j and f_i.
+
+    f runs over the frequencies of the storage rows after the middle one.
+    The flat index is affine in the lag, s(f) plus the zero lag's index, so
+    every table is one broadcast add.
+    """
+    L = 4 * M + 1
+    freq = frequency_vectors(M, d)
+    s = freq[len(freq) // 2 + 1 :] @ L ** np.arange(d - 1, -1, -1)
+    zero = (L**d - 1) // 2
+    return s[:, None] - s + zero, s[:, None] + s + zero, s + zero
+
+
+def real_gram_matrix(
+    config: EnsembleConfig,
+    positions: np.ndarray,
+    lags: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """beta R R^T, the real form of T = beta G G^H, gathered from lag sums.
+
+    With h = n_rows // 2 and f_i the frequency of storage row h + 1 + i, R
+    holds sqrt(2/n) cos(2 pi f_i.x) in rows 0..h-1, sqrt(2/n) sin(2 pi f_i.x)
+    in rows h..2h-1 and 1/sqrt(n) in the last row.  With C and S the real
+    and imaginary parts of ``lag_sums``, the blocks of beta R R^T are, times
+    beta / n, C(f_i - f_j) +- C(f_i + f_j) (cos-cos, sin-sin),
+    S(f_i + f_j) - S(f_i - f_j) (cos-sin), sqrt(2) C(f_i) and sqrt(2) S(f_i)
+    (against the constant row) and r (the corner).  C is made exactly even
+    and S exactly odd, so the result is exactly symmetric.  ``lags``
+    defaults to ``lag_indices(M, d)``; ``simulate`` builds it once.
     """
     _check_build(config, positions)
-    n = config.n_rows
-    half = n // 2
-    freq = frequency_vectors(config.M, config.d)[half + 1 :]
-    R = np.empty((n, config.n_cols))
-    angles = R[:half]
-    np.matmul(freq, positions.T, out=angles)
-    angles *= 2 * np.pi
-    np.sin(angles, out=R[half:-1])
-    np.cos(angles, out=angles)
-    R[:-1] *= np.sqrt(2.0 / n)
-    R[-1] = 1.0 / np.sqrt(n)
-    return R
+    diff, total, single = lags or lag_indices(config.M, config.d)
+    c = lag_sums(config.M, positions)
+    C = (c.real + c.real[::-1]) / 2
+    S = (c.imag - c.imag[::-1]) / 2
+    h = config.n_rows // 2
+    T = np.empty((config.n_rows, config.n_rows))
+    C_diff, C_total = C[diff], C[total]
+    np.add(C_diff, C_total, out=T[:h, :h])
+    np.subtract(C_diff, C_total, out=T[h:-1, h:-1])
+    np.subtract(S[total], S[diff], out=T[:h, h:-1])
+    T[h:-1, :h] = T[:h, h:-1].T
+    T[:h, -1] = T[-1, :h] = np.sqrt(2) * C[single]
+    T[h:-1, -1] = T[-1, h:-1] = np.sqrt(2) * S[single]
+    T[-1, -1] = config.n_cols
+    T *= config.beta / config.n_rows
+    return T
 
 
 def gram_matrix(G: np.ndarray, beta: float) -> np.ndarray:
     """Scaled Gram matrix beta * G G^H; real symmetric for a real G.
 
-    The complex sampling matrix gives unit diagonal; ``real_sampling_matrix``
-    gives the same trace and spectrum.
+    The complex sampling matrix gives unit diagonal.
     """
     return beta * (G @ G.conj().T)
 
@@ -194,7 +255,7 @@ def simulate(
     seed: int | Sequence[int],
     threads: int = 1,
 ) -> SpectrumSample:
-    """Draw positions, build the real Gram matrix and solve, trial by trial.
+    """Draw positions, gather the real Gram matrix and solve, trial by trial.
 
     Trial t draws from child t of ``np.random.SeedSequence(seed)``, so runs
     are reproducible, runs with different seeds share no trial, and trials
@@ -203,11 +264,11 @@ def simulate(
     if trials < 1:
         raise ValueError(f"trial count must be >= 1, got {trials}")
     check_cell_budget(config)
+    lags = lag_indices(config.M, config.d)
 
     def one(stream: np.random.SeedSequence) -> np.ndarray:
         positions = sample_positions(config, stream)
-        R = real_sampling_matrix(config, positions)
-        return spectrum(gram_matrix(R, config.beta))
+        return spectrum(real_gram_matrix(config, positions, lags))
 
     streams = np.random.SeedSequence(seed).spawn(trials)
     eigs = np.stack(ordered_map(one, streams, threads))
@@ -268,7 +329,7 @@ def resolve_shape(
     """
     if not 0 < beta_target <= 1:
         raise ValueError(f"target aspect ratio must be in (0, 1], got {beta_target}")
-    _check_dimension(d)
+    _check_integer(d, "dimension")
     if 3**d > size_budget:
         raise ValueError(
             f"size budget {size_budget} cannot fit the minimal grid at d={d}"

@@ -1,17 +1,17 @@
 """Exception types shared across the package.
 
-Argument validation raises the builtin ``ValueError``, the grid dimension's
-through ``_check_dimension``; the classes here cover failures of the
-numerical machinery itself.
+Argument validation raises the builtin ``ValueError``, that of integer
+shape parameters through ``_check_integer``; the classes here cover
+failures of the numerical machinery itself.
 """
 
 import numbers
 
 
-def _check_dimension(d) -> None:
-    """Refuse a grid dimension that is not an integer >= 1."""
-    if not isinstance(d, numbers.Integral) or d < 1:
-        raise ValueError(f"dimension must be an integer >= 1, got {d}")
+def _check_integer(value, name: str) -> None:
+    """Refuse a shape parameter that is not an integer >= 1."""
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value}")
 
 
 class NumericalError(RuntimeError):

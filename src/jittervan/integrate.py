@@ -58,7 +58,7 @@ from .constraints import (
     spanning_tree,
     tree_flows,
 )
-from .errors import BudgetError, NumericalError, _check_dimension
+from .errors import BudgetError, NumericalError, _check_integer
 from .jitter import JitterDistribution
 from .partitions import Partition
 
@@ -453,7 +453,7 @@ def cf_integral(
         raise ValueError("fully pinned pairs are handled by delta_volume")
     if not 0 < beta <= 1:
         raise ValueError(f"aspect ratio must be in (0, 1], got {beta}")
-    _check_dimension(d)
+    _check_integer(d, "dimension")
 
     (distinct, index, flip), cells, rule = _pair_setup(partition, grouping)
     folded = (beta ** (1.0 / d) * distinct, index, flip)
@@ -505,11 +505,10 @@ def finite_grid_term(
     once.  B is checked against the merged rows in integers, and the node
     count against GRID_BUDGET, before any node is enumerated.
     """
-    if box < 1:
-        raise ValueError(f"half-bandwidth must be >= 1, got {box}")
+    _check_integer(box, "half-bandwidth")
     if not 0 < beta <= 1:
         raise ValueError(f"aspect ratio must be in (0, 1], got {beta}")
-    _check_dimension(d)
+    _check_integer(d, "dimension")
     basis = constraint_system(partition, grouping)
     if (merged_difference_rows(partition, grouping) @ basis).any():
         raise NumericalError(f"basis of ({partition}, {grouping}) leaves the kernel")

@@ -54,7 +54,7 @@ import numpy as np
 
 from . import integrate
 from ._parallel import ordered_map
-from .errors import _check_dimension
+from .errors import _check_integer
 from .integrate import IntegralValue, QmcOptions, term_integral
 from .jitter import JitterDistribution
 from .partitions import (
@@ -255,7 +255,7 @@ def moment(
         raise ValueError(f"moment order must satisfy 1 <= p <= {MOMENT_CAP}, got {p}")
     if not 0 < beta <= 1:
         raise ValueError(f"aspect ratio must be in (0, 1], got {beta}")
-    _check_dimension(d)
+    _check_integer(d, "dimension")
 
     rows, integrated = _pair_classes(p)
     # a NumPy scalar keys and integrates as the Python float it equals

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from jittervan.ensemble import (
     frequency_vectors,
     gram_matrix,
     histogram,
-    real_sampling_matrix,
+    lag_sums,
+    real_gram_matrix,
     resolve_shape,
     sample_positions,
     sampling_matrix,
@@ -26,6 +28,25 @@ from jittervan.jitter import point_mass_half, triangular01, uniform01
 from jittervan.moments import moment
 from jittervan.mse import lmmse_demo
 from test_moments import two_point
+
+#: (d, M, rho) of criterion 9: aspect ratio 0.729 under a budget of 1225 rows
+CRITERION_9_SHAPES = [(d, *resolve_shape(0.729, d, 1225)[:2]) for d in (1, 2, 3)]
+
+
+def real_sampling_matrix(config, positions):
+    """Oracle for ``real_gram_matrix``: the real form R = Q^H G itself.
+
+    With h = (n_rows - 1) / 2 and l running over the frequencies of the
+    storage rows after the middle one, rows 0..h-1 hold
+    sqrt(2/n) cos(2 pi l.x), rows h..2h-1 hold sqrt(2/n) sin(2 pi l.x) and
+    the last row is the zero frequency 1/sqrt(n).
+    """
+    n = config.n_rows
+    half = n // 2
+    freq = frequency_vectors(config.M, config.d)[half + 1 :]
+    angles = 2 * np.pi * (freq @ positions.T)
+    trig = np.sqrt(2 / n) * np.vstack([np.cos(angles), np.sin(angles)])
+    return np.vstack([trig, np.full((1, config.n_cols), 1 / np.sqrt(n))])
 
 
 def looped_half_bandwidth(d, size_budget):
@@ -74,10 +95,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             EnsembleConfig(d=1, M=2, rho=4, dist=uniform01())  # beta > 1
 
+    @pytest.mark.parametrize("M, rho", [(1.5, 5), (1, 4.5), (1.5, 4.5), (2.0, 7)])
+    def test_non_integer_shape_refused(self, M, rho):
+        # M = 1.5 and rho = 4.5 once gave n_rows 4.0 and failed in simulate
+        with pytest.raises(ValueError, match="integer"):
+            EnsembleConfig(d=1, M=M, rho=rho, dist=uniform01())
+
     def test_cell_budget(self):
         # 4097 x 4097 entries, twice CELL_BUDGET
         config = EnsembleConfig(d=1, M=2048, rho=4097, dist=uniform01())
-        for build in (sampling_matrix, real_sampling_matrix):
+        for build in (sampling_matrix, real_gram_matrix):
             with pytest.raises(BudgetError):
                 build(config, sample_positions(config, 0))
         with pytest.raises(BudgetError):
@@ -164,7 +191,7 @@ class TestMatrices:
 
     def test_positions_shape_checked(self):
         config = EnsembleConfig(d=1, M=2, rho=8, dist=uniform01())
-        for build in (sampling_matrix, real_sampling_matrix):
+        for build in (sampling_matrix, real_gram_matrix):
             with pytest.raises(ValueError):
                 build(config, np.zeros((3, 1)))
 
@@ -239,11 +266,26 @@ class TestRealForm:
 
     def test_simulate_builds_no_complex_matrix(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("simulate built the complex sampling matrix")
+            raise AssertionError("simulate built a sampling matrix or its product")
 
         monkeypatch.setattr(ensemble_module, "sampling_matrix", refuse)
+        monkeypatch.setattr(ensemble_module, "gram_matrix", refuse)
+        assert not hasattr(ensemble_module, "real_sampling_matrix")
         config = EnsembleConfig(d=2, M=2, rho=7, dist=uniform01())
         assert simulate(config, 2, 0).eigenvalues.shape == (2, config.n_rows)
+
+    @pytest.mark.parametrize("d,M,rho", [(1, 40, 4000), (2, 4, 80), (3, 2, 16)])
+    def test_simulate_allocates_less_than_a_sampling_matrix(self, d, M, rho):
+        # numpy reports its buffers to tracemalloc; a real n_rows x n_cols
+        # matrix alone would take n_rows * n_cols * 8 bytes
+        config = EnsembleConfig(d=d, M=M, rho=rho, dist=uniform01())
+        tracemalloc.start()
+        try:
+            simulate(config, 1, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < config.n_rows * config.n_cols * 8
 
     def test_equals_unitary_change_of_basis(self):
         config = EnsembleConfig(d=2, M=1, rho=4, dist=uniform01())
@@ -270,6 +312,49 @@ class TestRealForm:
         assert R.shape == (config.n_rows, config.n_cols)
         assert np.allclose(np.sum(R**2, axis=0), 1.0, atol=1e-12)
         assert np.all(R[-1] == 1 / np.sqrt(config.n_rows))
+
+
+class TestLagSums:
+    @pytest.mark.parametrize(
+        "d,M,rho", [(1, 1, 3), (1, 7, 20), (1, 12, 30), (2, 2, 6), (3, 1, 4)]
+    )
+    def test_matches_the_direct_sum(self, d, M, rho):
+        # at d = 1, M = 7 has 29 lags, so the last block of the split is
+        # ragged; M = 12 has 49, a perfect square
+        config = EnsembleConfig(d=d, M=M, rho=rho, dist=two_point())
+        positions = sample_positions(config, 8)
+        axis = np.arange(-2 * M, 2 * M + 1)
+        lags = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), -1).reshape(-1, d)
+        direct = np.exp(2j * np.pi * lags @ positions.T).sum(axis=1)
+        assert np.abs(lag_sums(M, positions) - direct).max() < 1e-12 * config.n_cols
+
+    @pytest.mark.parametrize(
+        "d,M,rho",
+        CRITERION_9_SHAPES
+        + [(1, 1, 3), (1, 7, 20), (2, 1, 3), (2, 2, 6), (3, 1, 4), (4, 1, 3)]
+        + [(4, 1, 4)],
+    )
+    @pytest.mark.parametrize(
+        "factory", [uniform01, triangular01, point_mass_half, two_point]
+    )
+    def test_gram_equals_the_real_product(self, d, M, rho, factory):
+        # point_mass_half zeroes every lag sum but c(0); two_point's cf is not
+        # real, so its sine sums S keep a nonzero mean
+        config = EnsembleConfig(d=d, M=M, rho=rho, dist=factory())
+        positions = sample_positions(config, 21)
+        T = real_gram_matrix(config, positions)
+        R = real_sampling_matrix(config, positions)
+        assert np.abs(T - config.beta * (R @ R.T)).max() < 1e-12
+        assert np.array_equal(T, T.T)
+
+    @pytest.mark.parametrize("d,M,rho", CRITERION_9_SHAPES)
+    def test_spectra_match_the_real_product(self, d, M, rho):
+        config = EnsembleConfig(d=d, M=M, rho=rho, dist=uniform01())
+        sample = simulate(config, 1, 9)
+        (stream,) = np.random.SeedSequence(9).spawn(1)
+        R = real_sampling_matrix(config, sample_positions(config, stream))
+        expected = spectrum(config.beta * (R @ R.T))
+        assert np.abs(sample.eigenvalues[0] - expected).max() < 1e-12
 
 
 class TestResolveShape:

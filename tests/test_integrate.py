@@ -710,6 +710,13 @@ def order_five_members():
 
 
 class TestFiniteGridTerm:
+    def test_non_integer_box_refused(self):
+        # box = 2.5 once passed the range check and raised TypeError later
+        with pytest.raises(ValueError, match="integer"):
+            finite_grid_term(
+                Partition((1, 2)), Partition((1, 1)), 2.5, 0.5, 1, uniform01()
+            )
+
     def test_single_block_counts_to_one(self):
         for m in (3, 9):
             assert finite_grid_term(
