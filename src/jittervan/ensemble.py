@@ -36,8 +36,9 @@ from .jitter import JitterDistribution
 #: whether or not it is formed.
 CELL_BUDGET = 1 << 23
 
-#: Cells per block of the lag sums, which bounds their exponential tables.
-LAG_BLOCK = 256
+#: Complex entries per block of the lag sums' Khatri-Rao table; the cells
+#: per block follow from the table's width, so no table grows with d or r.
+LAG_ENTRIES = 1 << 14
 
 #: Eigenvalues of the positive semidefinite Gram matrix may round below
 #: zero by at most this much; anything lower is a solver failure.
@@ -138,19 +139,21 @@ def lag_sums(M: int, positions: np.ndarray) -> np.ndarray:
     multiplied row by row (their Khatri-Rao product) and a complex GEMM
     against the last table sums over the cells.  At d = 1 the lag is split
     as m + 2M = a B + b with B about sqrt(L), so two tables of about
-    sqrt(L) columns each replace one of L.  The cells are taken LAG_BLOCK
-    at a time, so the tables never grow with the cell count.
+    sqrt(L) columns each replace one of L.  The cells go through in blocks
+    whose Khatri-Rao table holds about LAG_ENTRIES entries.
     """
     L = 4 * M + 1
     d = positions.shape[1]
     if d == 1:
         B = math.isqrt(L - 1) + 1
-        factors = [(0, np.arange(0, L + B - 1, B) - 2 * M), (0, np.arange(B))]
+        factors = [(0, np.arange(0, L, B) - 2 * M), (0, np.arange(B))]
     else:
         factors = [(k, np.arange(-2 * M, 2 * M + 1)) for k in range(d)]
+    width = math.prod(len(m) for _, m in factors[:-1])
+    cells = max(1, LAG_ENTRIES // width)
     c = 0
-    for start in range(0, len(positions), LAG_BLOCK):
-        block = positions[start : start + LAG_BLOCK]
+    for start in range(0, len(positions), cells):
+        block = positions[start : start + cells]
         tables = [
             np.exp(np.multiply.outer(block[:, k], 2j * np.pi * m)) for k, m in factors
         ]
@@ -161,25 +164,7 @@ def lag_sums(M: int, positions: np.ndarray) -> np.ndarray:
     return c.ravel()[: L**d]
 
 
-def lag_indices(M: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat ``lag_sums`` indices of f_i - f_j, f_i + f_j and f_i.
-
-    f runs over the frequencies of the storage rows after the middle one.
-    The flat index is affine in the lag, s(f) plus the zero lag's index, so
-    every table is one broadcast add.
-    """
-    L = 4 * M + 1
-    freq = frequency_vectors(M, d)
-    s = freq[len(freq) // 2 + 1 :] @ L ** np.arange(d - 1, -1, -1)
-    zero = (L**d - 1) // 2
-    return s[:, None] - s + zero, s[:, None] + s + zero, s + zero
-
-
-def real_gram_matrix(
-    config: EnsembleConfig,
-    positions: np.ndarray,
-    lags: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
+def real_gram_matrix(config: EnsembleConfig, positions: np.ndarray) -> np.ndarray:
     """beta R R^T, the real form of T = beta G G^H, gathered from lag sums.
 
     With h = n_rows // 2 and f_i the frequency of storage row h + 1 + i, R
@@ -189,20 +174,32 @@ def real_gram_matrix(
     beta / n, C(f_i - f_j) +- C(f_i + f_j) (cos-cos, sin-sin),
     S(f_i + f_j) - S(f_i - f_j) (cos-sin), sqrt(2) C(f_i) and sqrt(2) S(f_i)
     (against the constant row) and r (the corner).  C is made exactly even
-    and S exactly odd, so the result is exactly symmetric.  ``lags``
-    defaults to ``lag_indices(M, d)``; ``simulate`` builds it once.
+    and S exactly odd, so the result is exactly symmetric.  The flat lag
+    index is affine in the lag, so the index of f_i +- f_j is s_i +- s_j
+    plus that of the zero lag.
     """
     _check_build(config, positions)
-    diff, total, single = lags or lag_indices(config.M, config.d)
-    c = lag_sums(config.M, positions)
+    M, d = config.M, config.d
+    L = 4 * M + 1
+    zero = (L**d - 1) // 2
+    freq = frequency_vectors(M, d)[config.n_rows // 2 + 1 :]
+    s = freq @ L ** np.arange(d - 1, -1, -1)
+    diff, total, single = s[:, None] - s + zero, s[:, None] + s + zero, s + zero
+    c = lag_sums(M, positions)
     C = (c.real + c.real[::-1]) / 2
     S = (c.imag - c.imag[::-1]) / 2
     h = config.n_rows // 2
     T = np.empty((config.n_rows, config.n_rows))
-    C_diff, C_total = C[diff], C[total]
+    # the indices lie in range by construction; mode="clip" skips the bounds
+    # check and the copy of ``out`` that it makes.  The sine gathers reuse
+    # the cosine buffers.
+    C_diff = C.take(diff, mode="clip")
+    C_total = C.take(total, mode="clip")
     np.add(C_diff, C_total, out=T[:h, :h])
     np.subtract(C_diff, C_total, out=T[h:-1, h:-1])
-    np.subtract(S[total], S[diff], out=T[:h, h:-1])
+    S_total = S.take(total, out=C_total, mode="clip")
+    S_diff = S.take(diff, out=C_diff, mode="clip")
+    np.subtract(S_total, S_diff, out=T[:h, h:-1])
     T[h:-1, :h] = T[:h, h:-1].T
     T[:h, -1] = T[-1, :h] = np.sqrt(2) * C[single]
     T[h:-1, -1] = T[-1, h:-1] = np.sqrt(2) * S[single]
@@ -264,11 +261,10 @@ def simulate(
     if trials < 1:
         raise ValueError(f"trial count must be >= 1, got {trials}")
     check_cell_budget(config)
-    lags = lag_indices(config.M, config.d)
 
     def one(stream: np.random.SeedSequence) -> np.ndarray:
         positions = sample_positions(config, stream)
-        return spectrum(real_gram_matrix(config, positions, lags))
+        return spectrum(real_gram_matrix(config, positions))
 
     streams = np.random.SeedSequence(seed).spawn(trials)
     eigs = np.stack(ordered_map(one, streams, threads))

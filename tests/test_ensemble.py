@@ -274,10 +274,13 @@ class TestRealForm:
         config = EnsembleConfig(d=2, M=2, rho=7, dist=uniform01())
         assert simulate(config, 2, 0).eigenvalues.shape == (2, config.n_rows)
 
-    @pytest.mark.parametrize("d,M,rho", [(1, 40, 4000), (2, 4, 80), (3, 2, 16)])
+    @pytest.mark.parametrize(
+        "d,M,rho", [(1, 40, 4000), (2, 4, 80), (3, 2, 16), (5, 1, 4)]
+    )
     def test_simulate_allocates_less_than_a_sampling_matrix(self, d, M, rho):
         # numpy reports its buffers to tracemalloc; a real n_rows x n_cols
-        # matrix alone would take n_rows * n_cols * 8 bytes
+        # matrix alone would take n_rows * n_cols * 8 bytes.  At d = 5, M = 1
+        # a block of 256 cells would give a Khatri-Rao table larger than that
         config = EnsembleConfig(d=d, M=M, rho=rho, dist=uniform01())
         tracemalloc.start()
         try:
@@ -346,15 +349,6 @@ class TestLagSums:
         R = real_sampling_matrix(config, positions)
         assert np.abs(T - config.beta * (R @ R.T)).max() < 1e-12
         assert np.array_equal(T, T.T)
-
-    @pytest.mark.parametrize("d,M,rho", CRITERION_9_SHAPES)
-    def test_spectra_match_the_real_product(self, d, M, rho):
-        config = EnsembleConfig(d=d, M=M, rho=rho, dist=uniform01())
-        sample = simulate(config, 1, 9)
-        (stream,) = np.random.SeedSequence(9).spawn(1)
-        R = real_sampling_matrix(config, sample_positions(config, stream))
-        expected = spectrum(config.beta * (R @ R.T))
-        assert np.abs(sample.eigenvalues[0] - expected).max() < 1e-12
 
 
 class TestResolveShape:
