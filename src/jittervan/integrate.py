@@ -28,9 +28,13 @@ symmetric and the integrand takes conjugate values at x and -x, for any
 law, so half the nodes suffice and the integral is twice the real part of
 their sum: real by construction.  The same two identities, cf(0) = 1 and
 cf(-t) = conj cf(t), fold the forms: zero rows drop out and rows that repeat
-another up to sign share one cf evaluation.  The error is the deterministic
-difference between the value at VALUE_ORDER nodes per axis and the rule
-at CHECK_ORDER.
+another up to sign share one cf evaluation.  The forms' columns sum to
+zero, so the phase of cf(t) = e^{-i pi t} phi(t) cancels from the product.
+A built-in law is symmetric about 1/2 and carries its real, even centred
+cf phi, so its integrand is the real product of phi, which a negated row
+leaves alone; every other law takes the complex product.  The error is the
+deterministic difference between the value at VALUE_ORDER nodes per axis
+and the rule at CHECK_ORDER.
 
 Each set-up is memoised by what it depends on: the folded forms and cells
 (the half cones, or the half cube's identity cell) by the pair, the cones
@@ -67,7 +71,8 @@ from .partitions import Partition
 VALUE_ORDER = 8
 CHECK_ORDER = 6
 #: Nodes evaluated per batch, which bounds the temporary arrays: the moments
-#: p = 1..5 at (0.55, 2) peak at about 42 MB resident this way, 66 MB unbatched.
+#: p = 1..5 at (0.55, 2), uniform law, peak at about 41 MB resident this way,
+#: 56 MB unbatched.
 _BATCH = 1 << 12
 #: Lattice nodes the finite-grid cross-check may enumerate.
 GRID_BUDGET = 10**8
@@ -381,10 +386,15 @@ def _product(
     """prod_j cf((forms @ x)_j) at each row of x, from the folded forms.
 
     ``folded`` is ``_fold`` of the forms with the distinct rows scaled.
-    The law's cf is evaluated once per distinct row: a dropped zero row
-    contributes cf(0) = 1, and a negated row cf(-t) = conj cf(t).
+    Each distinct row is evaluated once, and a dropped zero row contributes
+    cf(0) = 1.  For a built-in law the product is the real one of its
+    centred cf phi, as the phases cancel, and phi is even, so a negated
+    row needs nothing.  Any other law's complex cf is evaluated, and a
+    negated row takes cf(-t) = conj cf(t).
     """
     distinct, index, flip = folded
+    if dist._centred is not None:
+        return np.prod(dist._centred(x @ distinct.T)[:, index], axis=1)
     values = dist.cf(x @ distinct.T)[:, index]
     np.conjugate(values, out=values, where=flip)
     return np.prod(values, axis=1)
@@ -400,12 +410,15 @@ def _evaluate(
 
     The base rule (l, w) maps onto each cell of vertex rows as x = l @ cell,
     weights |det cell| * w, a group of cells of about 8 * _BATCH nodes at a
-    time, summed in _BATCH slices.  ``_product`` relies on cf(0) = 1 and
-    cf(-t) = conj cf(t), so the mirror half, at -x, adds the conjugate.
+    time, summed in _BATCH slices.  The integrand takes conjugate values at
+    x and -x, so the mirror half adds the conjugate of this half's sum.  For
+    a built-in law ``_product`` is real, the sum is real and 2 * sum is
+    returned as it is; otherwise the sum is complex and its real part is
+    doubled.
     """
     base, weights = rule
     per_group = max(1, 8 * _BATCH // len(base))
-    total = 0.0 + 0.0j
+    total = 0.0
     for start in range(0, len(cells), per_group):
         group = cells[start : start + per_group]
         # the half cube's identity cell keeps l: a copy slows a fresh process

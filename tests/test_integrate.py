@@ -22,7 +22,7 @@ from jittervan.integrate import (
     term_integral,
 )
 from jittervan.jitter import JitterDistribution, point_mass_half, triangular01, uniform01
-from jittervan.moments import _class_representative, _pair_classes, moment
+from jittervan.moments import _class_representative, _pair_classes, clear_term_cache, moment
 from jittervan.partitions import (
     Partition,
     enumerate_partitions,
@@ -460,6 +460,69 @@ class TestFold:
             folded = integrate_module._product(x, (scale * distinct, index, flip), dist)
             plain = np.prod(dist.cf(x @ (scale * forms).T), axis=1)
             assert np.abs(folded - plain).max() <= 1e-14, pair
+
+
+BUILT_IN = {
+    "uniform01": uniform01,
+    "triangular01": triangular01,
+    "point_mass_half": point_mass_half,
+}
+
+
+@pytest.fixture
+def cf_calls(monkeypatch):
+    """The kind of the law at each call of a complex cf, from then on."""
+    calls = []
+    cf = JitterDistribution.cf
+
+    def counted(self, t):
+        calls.append(self.kind)
+        return cf(self, t)
+
+    monkeypatch.setattr(JitterDistribution, "cf", counted)
+    return calls
+
+
+class TestRealProduct:
+    def test_built_in_laws_make_no_complex_cf_call(self, cf_calls):
+        laws = [factory() for factory in BUILT_IN.values()] + [two_point()]
+        cf_calls.clear()
+        clear_term_cache()
+        for law, p in itertools.product(laws, range(1, 6)):
+            moment(p, 0.55, 2, law)
+        assert set(cf_calls) == {"two_point"}
+
+    def test_finite_grid_oracle_keeps_the_complex_cf(self, cf_calls):
+        law = uniform01()
+        cf_calls.clear()
+        finite_grid_term(Partition((1, 2, 3)), Partition((1, 1, 2)), 3, 0.55, 2, law)
+        assert cf_calls and set(cf_calls) == {"uniform01"}
+
+    @pytest.mark.parametrize("beta,d", [(0.55, 2), (0.6, 1)])
+    @pytest.mark.parametrize("law", sorted(BUILT_IN))
+    def test_equals_the_complex_product_on_every_class(self, law, beta, d):
+        # every class of p <= 5, and a six-dimensional cube class, a 4-D
+        # and a 5-D cone class of p = 6
+        classes = dict.fromkeys(rep for p in range(2, 6) for rep in _pair_classes(p)[1])
+        assert len(classes) == 17
+        classes.update(
+            dict.fromkeys(
+                (Partition(fine), Partition(coarse))
+                for fine, coarse in [
+                    ((1, 2, 3, 4, 5, 6), (1, 1, 1, 1, 1, 1)),
+                    ((1, 2, 3, 4, 5, 6), (1, 2, 1, 3, 2, 3)),
+                    ((1, 2, 1, 3, 1, 3), (1, 2, 2)),
+                ]
+            )
+        )
+        real = BUILT_IN[law]()
+        # a law rebuilt around a wrapper of the cf takes the complex product
+        complex_ = JitterDistribution(real.kind, lambda t: real.cf(t), real.draw, True)
+        for pair in classes:
+            a = cf_integral(*pair, beta, d, real)
+            b = cf_integral(*pair, beta, d, complex_)
+            assert abs(a.value - b.value) <= 1e-13, pair
+            assert abs(a.std_error - b.std_error) <= 1e-13, pair
 
 
 def jacobi_moment(alpha: int, k: int) -> Fraction:

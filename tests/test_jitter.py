@@ -143,6 +143,17 @@ class TestConstruction:
         assert abs(draws.mean() - 0.5) < 0.01
         assert abs(np.exp(-2j * np.pi * 0.7 * draws).mean() - complex(dist.cf(0.7))) < 0.01
 
+    def test_symmetry_is_checked(self):
+        # the two-point law's centred cf is not real, so it is not
+        # symmetric about 1/2
+        with pytest.raises(ValueError, match="declared symmetric about 1/2"):
+            JitterDistribution(
+                "two_point",
+                lambda t: (1 + 2 * np.exp(-2j * np.pi * t * 0.75)) / 3,
+                lambda rng, shape: np.where(rng.random(shape) < 2 / 3, 0.75, 0.0),
+                symmetric_about_half=True,
+            )
+
     def test_equality_follows_identity(self):
         assert uniform01() == uniform01()
         assert hash(uniform01()) == hash(uniform01())
