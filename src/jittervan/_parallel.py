@@ -20,9 +20,18 @@ def default_threads() -> int:
         return 1
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def ordered_map(fn: Callable[[T], R], items: Sequence[T], threads: int = 1) -> list[R]:
-    """Map preserving input order; results are reduced deterministically."""
-    if threads <= 1 or len(items) <= 1:
+    """Map preserving input order on at most min(threads, len(items),
+    usable CPUs) workers; results are reduced deterministically."""
+    workers = min(threads, len(items), _usable_cpus())
+    if workers <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

@@ -29,7 +29,7 @@ import numpy as np
 import numpy.random  # numpy loads it lazily; every realization draws from it
 
 from ._parallel import ordered_map
-from .errors import BudgetError, NumericalError, _check_integer
+from .errors import BudgetError, NumericalError, _check_aspect_ratio, _check_integer
 from .jitter import JitterDistribution
 
 #: Refuse configurations whose sampling matrix has more entries than this,
@@ -257,9 +257,12 @@ def simulate(
     Trial t draws from child t of ``np.random.SeedSequence(seed)``, so runs
     are reproducible, runs with different seeds share no trial, and trials
     can be distributed across workers without sharing generator state.
+    Before any draw it refuses, with ``ValueError``, a ``trials`` or
+    ``threads`` that is no integer >= 1, and with ``BudgetError`` a
+    sampling matrix of more than CELL_BUDGET entries.
     """
-    if trials < 1:
-        raise ValueError(f"trial count must be >= 1, got {trials}")
+    _check_integer(trials, "trial count")
+    _check_integer(threads, "thread count")
     check_cell_budget(config)
 
     def one(stream: np.random.SeedSequence) -> np.ndarray:
@@ -273,15 +276,13 @@ def simulate(
 
 def empirical_moment(sample: SpectrumSample, p: int) -> float:
     """Average over trials of the p-th power mean of the spectrum."""
-    if p < 1:
-        raise ValueError(f"moment order must be >= 1, got {p}")
+    _check_integer(p, "moment order")
     return float(np.mean(sample.eigenvalues**p))
 
 
 def empirical_moment_std_error(sample: SpectrumSample, p: int) -> float:
     """Standard error over trials of the per-trial p-th moment."""
-    if p < 1:
-        raise ValueError(f"moment order must be >= 1, got {p}")
+    _check_integer(p, "moment order")
     per_trial = np.mean(sample.eigenvalues**p, axis=1)
     if len(per_trial) < 2:
         return 0.0
@@ -290,8 +291,7 @@ def empirical_moment_std_error(sample: SpectrumSample, p: int) -> float:
 
 def histogram(sample: SpectrumSample, bins: int) -> tuple[np.ndarray, np.ndarray]:
     """Pooled eigenvalue histogram normalized to unit mass; (edges, density)."""
-    if bins < 1:
-        raise ValueError(f"bin count must be >= 1, got {bins}")
+    _check_integer(bins, "bin count")
     density, edges = np.histogram(sample.eigenvalues.ravel(), bins=bins, density=True)
     return edges, density
 
@@ -323,8 +323,7 @@ def resolve_shape(
     the achieved ratio is returned and is what Monte-Carlo comparisons
     should be run against.
     """
-    if not 0 < beta_target <= 1:
-        raise ValueError(f"target aspect ratio must be in (0, 1], got {beta_target}")
+    _check_aspect_ratio(beta_target, "target aspect ratio")
     _check_integer(d, "dimension")
     if 3**d > size_budget:
         raise ValueError(

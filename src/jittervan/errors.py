@@ -1,17 +1,26 @@
 """Exception types shared across the package.
 
-Argument validation raises the builtin ``ValueError``, that of integer
-shape parameters through ``_check_integer``; the classes here cover
+Argument validation raises the builtin ``ValueError`` through one helper
+per kind of argument: ``_check_integer`` for counts and orders, and
+``_check_aspect_ratio`` for aspect ratios.  The classes here cover
 failures of the numerical machinery itself.
 """
 
+import math
 import numbers
 
 
-def _check_integer(value, name: str) -> None:
-    """Refuse a shape parameter that is not an integer >= 1."""
-    if not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value}")
+def _check_integer(value, name: str, low: int = 1, high: float = math.inf) -> None:
+    """Refuse a count that is not an integer in [low, high]."""
+    if not isinstance(value, numbers.Integral) or not low <= value <= high:
+        bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value}")
+
+
+def _check_aspect_ratio(beta, name: str = "aspect ratio") -> None:
+    """Refuse an aspect ratio outside (0, 1]; NaN is refused too."""
+    if not 0 < beta <= 1:
+        raise ValueError(f"{name} must be in (0, 1], got {beta}")
 
 
 class NumericalError(RuntimeError):

@@ -56,13 +56,14 @@ from functools import lru_cache
 import numpy as np
 
 from .constraints import (
+    _check_grouping,
     constraint_system,
     difference_matrix,
     merged_difference_rows,
     spanning_tree,
     tree_flows,
 )
-from .errors import BudgetError, NumericalError, _check_integer
+from .errors import BudgetError, NumericalError, _check_aspect_ratio, _check_integer
 from .jitter import JitterDistribution
 from .partitions import Partition
 
@@ -460,12 +461,10 @@ def cf_integral(
     pair's cells by one loop.  The value is the rule at VALUE_ORDER nodes
     per axis and the error its difference from the rule at CHECK_ORDER.
     """
-    if grouping.p != partition.k:
-        raise ValueError(f"grouping must partition {{1,...,{partition.k}}}")
+    _check_grouping(partition, grouping)
     if grouping.k >= partition.k:
         raise ValueError("fully pinned pairs are handled by delta_volume")
-    if not 0 < beta <= 1:
-        raise ValueError(f"aspect ratio must be in (0, 1], got {beta}")
+    _check_aspect_ratio(beta)
     _check_integer(d, "dimension")
 
     (distinct, index, flip), cells, rule = _pair_setup(partition, grouping)
@@ -487,9 +486,10 @@ def term_integral(
 ) -> IntegralValue:
     """Dispatch a pair: fully pinned (one-block fine partitions included)
     to the exact volume, every other pair to the cf cubature."""
-    if grouping.p != partition.k:
-        raise ValueError(f"grouping must partition {{1,...,{partition.k}}}")
+    _check_grouping(partition, grouping)
     if grouping.k == partition.k:
+        _check_aspect_ratio(beta)
+        _check_integer(d, "dimension")
         return delta_volume(partition)
     return cf_integral(partition, grouping, beta, d, dist)
 
@@ -519,8 +519,7 @@ def finite_grid_term(
     count against GRID_BUDGET, before any node is enumerated.
     """
     _check_integer(box, "half-bandwidth")
-    if not 0 < beta <= 1:
-        raise ValueError(f"aspect ratio must be in (0, 1], got {beta}")
+    _check_aspect_ratio(beta)
     _check_integer(d, "dimension")
     basis = constraint_system(partition, grouping)
     if (merged_difference_rows(partition, grouping) @ basis).any():

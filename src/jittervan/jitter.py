@@ -22,6 +22,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import _check_integer
+
 #: Arguments at which a characteristic function is checked to be Hermitian.
 _PROBES = np.array([0.25, 0.7, 1.3, 3.1])
 
@@ -108,8 +110,7 @@ class JitterDistribution:
 
     def sample(self, n: int, seed) -> np.ndarray:
         """Draw n i.i.d. variates; deterministic for a fixed seed."""
-        if n < 1:
-            raise ValueError(f"sample count must be >= 1, got {n}")
+        _check_integer(n, "sample count")
         return self._draw(np.random.default_rng(seed), (n,))
 
     def __repr__(self) -> str:

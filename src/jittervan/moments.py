@@ -54,7 +54,7 @@ import numpy as np
 
 from . import integrate
 from ._parallel import ordered_map
-from .errors import _check_integer
+from .errors import _check_aspect_ratio, _check_integer
 from .integrate import IntegralValue, QmcOptions, term_integral
 from .jitter import JitterDistribution
 from .partitions import (
@@ -246,16 +246,18 @@ def moment(
     terms keep the enumeration order.  The first moment is exactly 1 by
     construction: its only pair is the one-block partition, of volume 1.
 
-    ``p`` runs from 1 to ``MOMENT_CAP``.  ``opts`` is accepted for the
-    benchmark scripts, which build it, and ignored: the integrals are
-    deterministic and take no sampling options.  ``threads`` spreads the
-    class integrals over worker threads.
+    ``opts`` is accepted for the benchmark scripts, which build it, and
+    ignored: the integrals are deterministic and take no sampling options.
+    ``threads`` spreads the class integrals over worker threads.
+
+    Before any enumeration or integral it refuses, with ``ValueError``, a
+    ``p`` that is no integer in [1, MOMENT_CAP], a ``beta`` outside (0, 1]
+    and a ``d`` or ``threads`` that is no integer >= 1.
     """
-    if not 1 <= p <= MOMENT_CAP:
-        raise ValueError(f"moment order must satisfy 1 <= p <= {MOMENT_CAP}, got {p}")
-    if not 0 < beta <= 1:
-        raise ValueError(f"aspect ratio must be in (0, 1], got {beta}")
+    _check_integer(p, "moment order", high=MOMENT_CAP)
+    _check_aspect_ratio(beta)
     _check_integer(d, "dimension")
+    _check_integer(threads, "thread count")
 
     rows, integrated = _pair_classes(p)
     # a NumPy scalar keys and integrates as the Python float it equals
@@ -284,24 +286,21 @@ def moment(
 
 def narayana(p: int, k: int) -> int:
     """Narayana number: binom(p,k) * binom(p,k-1) / p, exact."""
-    if p < 1 or not 1 <= k <= p:
-        raise ValueError(f"need 1 <= k <= p with p >= 1, got p={p}, k={k}")
+    _check_integer(p, "order")
+    _check_integer(k, "block count", high=p)
     return math.comb(p, k) * math.comb(p, k - 1) // p
 
 
 def mp_moment(p: int, beta: float) -> float:
     """p-th Marchenko-Pastur moment: the Narayana polynomial in beta."""
-    if p < 1:
-        raise ValueError(f"moment order must be >= 1, got {p}")
-    if not 0 < beta <= 1:
-        raise ValueError(f"aspect ratio must be in (0, 1], got {beta}")
+    _check_integer(p, "moment order")
+    _check_aspect_ratio(beta)
     return float(sum(beta ** (p - k) * narayana(p, k) for k in range(1, p + 1)))
 
 
 def mp_support(beta: float) -> tuple[float, float]:
     """Support edges ((1-sqrt(beta))^2, (1+sqrt(beta))^2)."""
-    if not 0 < beta <= 1:
-        raise ValueError(f"aspect ratio must be in (0, 1], got {beta}")
+    _check_aspect_ratio(beta)
     root = math.sqrt(beta)
     return ((1 - root) ** 2, (1 + root) ** 2)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -28,7 +28,7 @@ from .ensemble import (
     simulate,
     spectrum,
 )
-from .errors import NumericalError
+from .errors import NumericalError, _check_aspect_ratio, _check_integer
 from .jitter import JitterDistribution
 
 
@@ -42,12 +42,14 @@ def mse_from_spectrum(eigenvalues, beta: float, snr: float) -> float:
     eigs = np.asarray(eigenvalues, dtype=float)
     if eigs.size == 0:
         raise ValueError("cannot average over an empty spectrum")
+    _check_aspect_ratio(beta)
     _check_snr(snr)
     return float(np.mean(beta / (eigs * snr + beta)))
 
 
 def mse_equally_spaced(beta: float, snr: float) -> float:
     """Error for the degenerate unit spectrum: beta / (snr + beta)."""
+    _check_aspect_ratio(beta)
     _check_snr(snr)
     return beta / (snr + beta)
 
@@ -62,8 +64,7 @@ def mse_mp(beta: float, snr: float) -> float:
     its Vieta form 2 / (b + sqrt(b^2 + 4 beta s)), b = s + (1 - beta) > 0,
     which sums positive terms only, so no digits cancel.
     """
-    if not 0 < beta <= 1:
-        raise ValueError(f"aspect ratio must be in (0, 1], got {beta}")
+    _check_aspect_ratio(beta)
     _check_snr(snr)
     s = beta / snr
     b = s + (1.0 - beta)
@@ -93,8 +94,7 @@ def lmmse_demo(
     grows.
     """
     _check_snr(snr)
-    if draws < 2:
-        raise ValueError(f"need at least 2 draws, got {draws}")
+    _check_integer(draws, "draw count", low=2)
     check_cell_budget(config)
     signal_seed, positions_seed = np.random.SeedSequence(seed).spawn(2)
     rng = np.random.default_rng(signal_seed)
@@ -152,33 +152,14 @@ class MseCurve:
         ]
 
     def to_dicts(self) -> list[dict]:
-        return [
-            {
-                "snr_db": pt.snr_db,
-                "source": pt.source,
-                "beta": pt.beta,
-                "d": pt.d,
-                "mse": pt.mse,
-                "std_err": pt.std_err,
-            }
-            for pt in self.points
-        ]
+        return [asdict(pt) for pt in self.points]
 
     def write_csv(self, path) -> None:
+        """One row per point; csv writes a float as its repr and None as ""."""
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
-            writer.writerow(["snr_db", "source", "beta", "d", "mse", "std_err"])
-            for pt in self.points:
-                writer.writerow(
-                    [
-                        f"{pt.snr_db!r}",
-                        pt.source,
-                        f"{pt.beta!r}",
-                        "" if pt.d is None else pt.d,
-                        f"{pt.mse!r}",
-                        f"{pt.std_err!r}",
-                    ]
-                )
+            writer.writerow(field.name for field in fields(MsePoint))
+            writer.writerows(map(astuple, self.points))
 
 
 def snr_grid_db(start: float = -10.0, stop: float = 30.0, step: float = 1.0) -> list[float]:
@@ -211,14 +192,20 @@ def mse_curve(
     Each dimension gets its own realizable shape from the budget; the
     per-SNR empirical value averages the trace formula over trials at that
     shape's achieved aspect ratio.  The limiting and equally spaced rows
-    use the target ratio.  Every SNR is checked before any trial is drawn,
-    and the average runs trial by trial over chunks of SNRs, so that no
-    temporary exceeds CELL_BUDGET entries.
+    use the target ratio.  The average runs trial by trial over chunks of
+    SNRs, so that no temporary exceeds CELL_BUDGET entries.  Before any
+    draw it refuses, with ``ValueError``, an empty ``d_list`` or
+    ``snr_db_values``, a dimension, ``trials`` or ``threads`` that is no
+    integer >= 1, a target ratio outside (0, 1] and a dB value that gives
+    no finite SNR > 0.
     """
-    if not d_list:
+    if len(d_list) == 0:
         raise ValueError("need at least one dimension")
-    if not snr_db_values:
+    if len(snr_db_values) == 0:
         raise ValueError("need at least one SNR value")
+    for d in d_list:
+        _check_integer(d, "dimension")
+    _check_aspect_ratio(beta_target, "target aspect ratio")
     snrs = []
     for db in snr_db_values:
         try:
@@ -229,7 +216,7 @@ def mse_curve(
             raise ValueError(f"{db} dB is no finite signal-to-noise ratio > 0")
     column = np.array(snrs)[:, None]
     points: list[MsePoint] = []
-    for d in sorted(set(d_list)):
+    for d in sorted({int(d) for d in d_list}):
         M, rho, beta_actual = resolve_shape(beta_target, d, size_budget)
         config = EnsembleConfig(d=d, M=M, rho=rho, dist=dist)
         eigs = simulate(config, trials, [seed, d], threads).eigenvalues

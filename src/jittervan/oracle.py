@@ -25,7 +25,7 @@ from .ensemble import (
     sampling_matrix,
     vertex_vectors,
 )
-from .errors import BudgetError
+from .errors import BudgetError, _check_integer
 from .partitions import Partition, enumerate_partitions_k, mobius_coefficient
 
 #: The exact enumeration visits r!/(r-k)! ordered tuples of distinct
@@ -50,13 +50,13 @@ class PhaseSumInstance:
     enforce_zero_sum: bool = True
 
     def __post_init__(self) -> None:
+        _check_integer(self.rho, "vertex count")
+        _check_integer(self.d, "dimension")
         k = self.omega.k
         if len(self.block_vectors) != k:
             raise ValueError(f"need {k} block vectors, got {len(self.block_vectors)}")
         if any(len(vec) != self.d for vec in self.block_vectors):
             raise ValueError(f"block vectors must have length {self.d}")
-        if self.rho < 1:
-            raise ValueError(f"vertex count must be >= 1, got {self.rho}")
         if self.enforce_zero_sum:
             totals = [sum(vec[m] for vec in self.block_vectors) for m in range(self.d)]
             if any(totals):
@@ -198,10 +198,8 @@ def brute_trace_moment(
     an independent path against the eigenvalue-based estimate.  Trial t
     draws the positions ``simulate`` draws for trial t at the same seed.
     """
-    if p < 1:
-        raise ValueError(f"moment order must be >= 1, got {p}")
-    if trials < 1:
-        raise ValueError(f"trial count must be >= 1, got {trials}")
+    _check_integer(p, "moment order")
+    _check_integer(trials, "trial count")
     if config.n_rows > 512:
         raise BudgetError(
             f"matrix-power oracle is capped at 512 rows, got {config.n_rows}"

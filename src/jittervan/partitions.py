@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
+from .errors import _check_integer
+
 #: Enumeration above this order is refused: the partition count grows
 #: super-exponentially in p.
 ORDER_CAP = 7
@@ -109,29 +111,22 @@ def _growth_strings(p: int, k_exact: int | None) -> Iterator[tuple[int, ...]]:
 
 def enumerate_partitions(p: int) -> list[Partition]:
     """All partitions of {1,...,p} in lexicographic restricted-growth order."""
-    if p < 1:
-        raise ValueError(f"order must be >= 1, got {p}")
-    if p > ORDER_CAP:
-        raise ValueError(f"order {p} exceeds the enumeration cap {ORDER_CAP}")
+    _check_integer(p, "order", high=ORDER_CAP)
     return [Partition(s) for s in _growth_strings(p, None)]
 
 
 def enumerate_partitions_k(p: int, k: int) -> list[Partition]:
     """All partitions of {1,...,p} into exactly k blocks, lexicographic."""
-    if p < 1:
-        raise ValueError(f"order must be >= 1, got {p}")
-    if p > ORDER_CAP:
-        raise ValueError(f"order {p} exceeds the enumeration cap {ORDER_CAP}")
-    if not 1 <= k <= p:
-        raise ValueError(f"block count must satisfy 1 <= k <= {p}, got {k}")
+    _check_integer(p, "order", high=ORDER_CAP)
+    _check_integer(k, "block count", high=p)
     return [Partition(s) for s in _growth_strings(p, k)]
 
 
 @lru_cache(maxsize=None)
 def stirling2(p: int, k: int) -> int:
     """Stirling number of the second kind, exact."""
-    if p < 1 or not 1 <= k <= p:
-        raise ValueError(f"need 1 <= k <= p with p >= 1, got p={p}, k={k}")
+    _check_integer(p, "order")
+    _check_integer(k, "block count", high=p)
     if k == 1 or k == p:
         return 1
     return k * stirling2(p - 1, k) + stirling2(p - 1, k - 1)
@@ -139,8 +134,7 @@ def stirling2(p: int, k: int) -> int:
 
 def bell(p: int) -> int:
     """Bell number: count of all partitions of a p element set, exact."""
-    if p < 1:
-        raise ValueError(f"order must be >= 1, got {p}")
+    _check_integer(p, "order")
     return sum(stirling2(p, k) for k in range(1, p + 1))
 
 

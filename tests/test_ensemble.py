@@ -1,9 +1,11 @@
+import os
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import jittervan._parallel as parallel_module
 import jittervan.ensemble as ensemble_module
 import jittervan.mse as mse_module
 from jittervan import verify
@@ -219,6 +221,57 @@ class TestSimulate:
         serial = simulate(config, 4, 2, threads=1)
         parallel = simulate(config, 4, 2, threads=3)
         assert np.array_equal(serial.eigenvalues, parallel.eigenvalues)
+
+
+class TestThreadCap:
+    """The worker count is min(threads, items, usable CPUs); a stub pool
+    records it and maps serially, so no test starts a thread."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        created = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(parallel_module, "ThreadPoolExecutor", SerialPool)
+        return created
+
+    @pytest.mark.parametrize(
+        "threads, items, cpus, workers",
+        [(100_000, 10, 3, 3), (2, 10, 3, 2), (100_000, 2, 8, 2), (8, 1, 8, None), (1, 5, 8, None)],
+    )
+    def test_workers_capped(self, pools, monkeypatch, threads, items, cpus, workers):
+        monkeypatch.setattr(parallel_module, "_usable_cpus", lambda: cpus)
+        out = parallel_module.ordered_map(lambda x: x * x, range(items), threads)
+        assert out == [x * x for x in range(items)]
+        assert pools == ([] if workers is None else [workers])
+
+    def test_simulate_capped_at_usable_cpus(self, pools):
+        config = EnsembleConfig(d=1, M=4, rho=12, dist=uniform01())
+        capped = simulate(config, 4, 2, threads=100_000)
+        cpus = parallel_module._usable_cpus()
+        assert pools == ([] if cpus == 1 else [min(4, cpus)])
+        assert np.array_equal(capped.eigenvalues, simulate(config, 4, 2).eigenvalues)
+
+    def test_usable_cpus(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert parallel_module._usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert parallel_module._usable_cpus() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert parallel_module._usable_cpus() == 1
 
     def test_histogram_normalized(self):
         config = EnsembleConfig(d=1, M=10, rho=25, dist=uniform01())

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import tracemalloc
 
@@ -258,6 +259,34 @@ class TestCurve:
         for parsed, point in zip(rows, small_curve.points):
             assert float(parsed["mse"]) == point.mse
             assert parsed["source"] == point.source
+
+    def test_record_keeps_its_format(self, small_curve, tmp_path):
+        # the explicit row and dict builders the dataclass record replaced
+        path = tmp_path / "curve.csv"
+        small_curve.write_csv(path)
+        lines = ["snr_db,source,beta,d,mse,std_err"] + [
+            f"{pt.snr_db!r},{pt.source},{pt.beta!r},{'' if pt.d is None else pt.d},"
+            f"{pt.mse!r},{pt.std_err!r}"
+            for pt in small_curve.points
+        ]
+        assert path.read_bytes() == "".join(line + "\r\n" for line in lines).encode()
+        keys = ("snr_db", "source", "beta", "d", "mse", "std_err")
+        dicts = [{key: getattr(pt, key) for key in keys} for pt in small_curve.points]
+        assert json.dumps(small_curve.to_dicts()) == json.dumps(dicts)
+
+    def test_numpy_inputs_write_the_same_bytes(self, tmp_path):
+        grid = [-10.0, 0.0, 12.5]
+        plain = mse_curve(0.729, [2, 1], grid, uniform01(), 100, 2, 3)
+        scalars = mse_curve(
+            np.float64(0.729), [np.int64(2), np.int64(1)], list(map(np.float64, grid)),
+            uniform01(), 100, 2, 3,
+        )
+        arrays = mse_curve(np.float64(0.729), np.array([2, 1]), np.array(grid), uniform01(), 100, 2, 3)
+        plain.write_csv(tmp_path / "plain.csv")
+        for name, curve in (("scalars", scalars), ("arrays", arrays)):
+            curve.write_csv(tmp_path / f"{name}.csv")
+            assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+            assert json.dumps(curve.to_dicts()) == json.dumps(plain.to_dicts())
 
     @pytest.mark.parametrize("trials", [1, 6])
     def test_equals_per_trial_loop(self, trials):
