@@ -222,6 +222,36 @@ class TestSimulate:
         parallel = simulate(config, 4, 2, threads=3)
         assert np.array_equal(serial.eigenvalues, parallel.eigenvalues)
 
+    def test_histogram_normalized(self):
+        config = EnsembleConfig(d=1, M=10, rho=25, dist=uniform01())
+        sample = simulate(config, 4, 3)
+        edges, density = histogram(sample, 40)
+        widths = np.diff(edges)
+        assert (density * widths).sum() == pytest.approx(1.0)
+
+    def test_half_cell_histogram_concentrates_at_one(self):
+        config = EnsembleConfig(d=1, M=5, rho=15, dist=point_mass_half())
+        sample = simulate(config, 2, 0)
+        edges, density = histogram(sample, 11)
+        widths = np.diff(edges)
+        mass = density * widths
+        centers = (edges[:-1] + edges[1:]) / 2
+        near_one = np.abs(centers - 1.0) < 1e-6
+        assert mass[near_one].sum() == pytest.approx(1.0)
+
+    def test_validation(self):
+        config = EnsembleConfig(d=1, M=2, rho=8, dist=uniform01())
+        with pytest.raises(ValueError):
+            simulate(config, 0, 1)
+        sample = simulate(config, 2, 1)
+        for p in (0, -1):
+            with pytest.raises(ValueError):
+                empirical_moment(sample, p)
+            with pytest.raises(ValueError):
+                empirical_moment_std_error(sample, p)
+        with pytest.raises(ValueError):
+            histogram(sample, 0)
+
 
 class TestThreadCap:
     """The worker count is min(threads, items, usable CPUs); a stub pool
@@ -272,36 +302,6 @@ class TestThreadCap:
         assert parallel_module._usable_cpus() == 5
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert parallel_module._usable_cpus() == 1
-
-    def test_histogram_normalized(self):
-        config = EnsembleConfig(d=1, M=10, rho=25, dist=uniform01())
-        sample = simulate(config, 4, 3)
-        edges, density = histogram(sample, 40)
-        widths = np.diff(edges)
-        assert (density * widths).sum() == pytest.approx(1.0)
-
-    def test_half_cell_histogram_concentrates_at_one(self):
-        config = EnsembleConfig(d=1, M=5, rho=15, dist=point_mass_half())
-        sample = simulate(config, 2, 0)
-        edges, density = histogram(sample, 11)
-        widths = np.diff(edges)
-        mass = density * widths
-        centers = (edges[:-1] + edges[1:]) / 2
-        near_one = np.abs(centers - 1.0) < 1e-6
-        assert mass[near_one].sum() == pytest.approx(1.0)
-
-    def test_validation(self):
-        config = EnsembleConfig(d=1, M=2, rho=8, dist=uniform01())
-        with pytest.raises(ValueError):
-            simulate(config, 0, 1)
-        sample = simulate(config, 2, 1)
-        for p in (0, -1):
-            with pytest.raises(ValueError):
-                empirical_moment(sample, p)
-            with pytest.raises(ValueError):
-                empirical_moment_std_error(sample, p)
-        with pytest.raises(ValueError):
-            histogram(sample, 0)
 
 
 class TestRealForm:
