@@ -19,8 +19,7 @@ from .ensemble import (
     histogram,
     resolve_shape,
     simulate,
-    write_eigenvalue_csv,
-    write_histogram_csv,
+    write_csv,
 )
 from .errors import BudgetError, NumericalError
 from .jitter import JITTER_NAMES, from_name
@@ -195,10 +194,13 @@ def _cmd_simulate(args) -> int:
     )
     if args.out:
         edges, density = histogram(sample, args.bins)
-        write_histogram_csv(args.out, edges, density)
+        rows = zip(edges[:-1].tolist(), edges[1:].tolist(), density.tolist())
+        write_csv(args.out, ["bin_left", "bin_right", "density"], rows)
         print(f"wrote {args.out}")
     if args.eigs_out:
-        write_eigenvalue_csv(args.eigs_out, sample)
+        trials = enumerate(sample.eigenvalues.tolist())
+        rows = ((trial, value) for trial, eigs in trials for value in eigs)
+        write_csv(args.eigs_out, ["trial", "eigenvalue"], rows)
         print(f"wrote {args.eigs_out}")
     return 0
 

@@ -296,21 +296,12 @@ def histogram(sample: SpectrumSample, bins: int) -> tuple[np.ndarray, np.ndarray
     return edges, density
 
 
-def write_histogram_csv(path, edges: np.ndarray, density: np.ndarray) -> None:
+def write_csv(path, header, rows) -> None:
+    """A header line, then a line per row: a float as its repr, None as ""."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["bin_left", "bin_right", "density"])
-        for left, right, value in zip(edges[:-1], edges[1:], density):
-            writer.writerow([repr(float(left)), repr(float(right)), repr(float(value))])
-
-
-def write_eigenvalue_csv(path, sample: SpectrumSample) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["trial", "eigenvalue"])
-        for trial in range(sample.trials):
-            for value in sample.eigenvalues[trial]:
-                writer.writerow([trial, repr(float(value))])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def resolve_shape(
@@ -323,6 +314,7 @@ def resolve_shape(
     the achieved ratio is returned and is what Monte-Carlo comparisons
     should be run against.
     """
+    _check_integer(size_budget, "size budget")
     _check_aspect_ratio(beta_target, "target aspect ratio")
     _check_integer(d, "dimension")
     if 3**d > size_budget:

@@ -23,18 +23,17 @@ of them are pinned to zero.  Three regimes are evaluated here.
   rule, whose roots come from the Golub-Welsch eigenproblem.
 
 The integrand is entire (every law has compact support), so both rules
-converge geometrically in the nodes per axis.  The domain is centrally
-symmetric and the integrand takes conjugate values at x and -x, for any
-law, so half the nodes suffice and the integral is twice the real part of
-their sum: real by construction.  The same two identities, cf(0) = 1 and
-cf(-t) = conj cf(t), fold the forms: zero rows drop out and rows that repeat
-another up to sign share one cf evaluation.  The forms' columns sum to
-zero, so the phase of cf(t) = e^{-i pi t} phi(t) cancels from the product.
-A built-in law is symmetric about 1/2 and carries its real, even centred
-cf phi, so its integrand is the real product of phi, which a negated row
-leaves alone; every other law takes the complex product.  The error is the
-deterministic difference between the value at VALUE_ORDER nodes per axis
-and the rule at CHECK_ORDER.
+converge geometrically in the nodes per axis.  The forms' columns sum to
+zero, so the phase of cf(t) = e^{-i pi t} phi(t) cancels and the
+integrand is the product of the law's centred cf phi.  The domain is
+centrally symmetric and the integrand takes conjugate values at x and -x,
+for any law, so half the nodes suffice and the integral is twice the real
+part of their sum: real by construction.  The same two identities,
+phi(0) = 1 and phi(-t) = conj phi(t), fold the forms: zero rows drop out
+and rows that repeat another up to sign share one evaluation.  One path
+serves every law; a built-in law is symmetric about 1/2, so its phi and
+integrand are real.  The error is the deterministic difference between
+the value at VALUE_ORDER nodes per axis and the rule at CHECK_ORDER.
 
 Each set-up is memoised by what it depends on: the folded forms and cells
 (the half cones, or the half cube's identity cell) by the pair, the cones
@@ -387,17 +386,16 @@ def _product(
     """prod_j cf((forms @ x)_j) at each row of x, from the folded forms.
 
     ``folded`` is ``_fold`` of the forms with the distinct rows scaled.
-    Each distinct row is evaluated once, and a dropped zero row contributes
-    cf(0) = 1.  For a built-in law the product is the real one of its
-    centred cf phi, as the phases cancel, and phi is even, so a negated
-    row needs nothing.  Any other law's complex cf is evaluated, and a
-    negated row takes cf(-t) = conj cf(t).
+    The phases of cf(t) = e^{-i pi t} phi(t) cancel, so the product is that
+    of the law's centred cf phi.  Each distinct row is evaluated once, a
+    dropped zero row contributes phi(0) = 1, and a negated row takes
+    phi(-t) = conj phi(t).  A real phi skips that masked pass, which would
+    add about a fifth to the cost of its product.
     """
     distinct, index, flip = folded
-    if dist._centred is not None:
-        return np.prod(dist._centred(x @ distinct.T)[:, index], axis=1)
-    values = dist.cf(x @ distinct.T)[:, index]
-    np.conjugate(values, out=values, where=flip)
+    values = dist._centred(x @ distinct.T)[:, index]
+    if np.iscomplexobj(values):
+        np.conjugate(values, out=values, where=flip)
     return np.prod(values, axis=1)
 
 
@@ -412,10 +410,7 @@ def _evaluate(
     The base rule (l, w) maps onto each cell of vertex rows as x = l @ cell,
     weights |det cell| * w, a group of cells of about 8 * _BATCH nodes at a
     time, summed in _BATCH slices.  The integrand takes conjugate values at
-    x and -x, so the mirror half adds the conjugate of this half's sum.  For
-    a built-in law ``_product`` is real, the sum is real and 2 * sum is
-    returned as it is; otherwise the sum is complex and its real part is
-    doubled.
+    x and -x, so the mirror half adds the conjugate of this half's sum.
     """
     base, weights = rule
     per_group = max(1, 8 * _BATCH // len(base))

@@ -11,9 +11,9 @@ grid vertices, and the engine factors that offset out exactly.  The mean is
 read off the characteristic function, so a law cannot declare one it does
 not have.
 
-A law symmetric about 1/2 has a real, even centred cf phi(t) = e^{i pi t} cf(t).
-Each built-in law defines phi once and takes its cf from it; the engine
-integrates with phi, in real arithmetic.
+Each law fixes once the centred cf phi(t) = e^{i pi t} cf(t) that the engine
+integrates.  The built-in laws are symmetric about 1/2: each defines a real,
+even phi and takes its cf from it.  Any other law's phi comes from its cf.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ class JitterDistribution:
     to within 1e-6, read as E[x] = -Im cf(t) / (2 pi t) + O(t^2) at
     t = 1e-4.  A law declared ``symmetric_about_half`` must have a real
     centred cf: |Im(e^{i pi t} cf(t))| at most 1e-12 at the probes.  The
-    declaration selects no path; the engine integrates the built-in laws
-    with their centred cf and every other law with ``cf``.
+    declaration selects no path.  The engine integrates every law's centred
+    cf: the real one a built-in law defines, or e^{i pi t} cf(t).
     """
 
     def __init__(
@@ -54,8 +54,8 @@ class JitterDistribution:
         self.symmetric_about_half = bool(symmetric_about_half)
         self._cf = cf
         self._draw = draw
-        #: the real centred cf of a built-in law, which ``integrate`` reads
-        self._centred = cf.phi if isinstance(cf, _Centred) else None
+        #: the centred cf, which ``integrate`` reads: real for a built-in law
+        self._centred = cf.phi if isinstance(cf, _Centred) else self._centred_from_cf
         at_zero = complex(np.asarray(cf(np.array(0.0))).item())
         if abs(at_zero - 1.0) > 1e-12:
             raise ValueError(f"characteristic function must be 1 at t=0, got {at_zero}")
@@ -103,6 +103,10 @@ class JitterDistribution:
     def cf(self, t) -> np.ndarray:
         """Characteristic value E[exp(-2*pi*i*t*x)] for scalar or array t."""
         return self._cf(np.asarray(t, dtype=float))
+
+    def _centred_from_cf(self, t: np.ndarray) -> np.ndarray:
+        """Complex centred cf e^{i pi t} cf(t) of a law that defines no real one."""
+        return np.exp(1j * np.pi * t) * self.cf(t)
 
     def draw(self, rng: np.random.Generator, shape) -> np.ndarray:
         """Draw i.i.d. variates into ``shape`` using an existing generator."""

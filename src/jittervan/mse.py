@@ -10,7 +10,6 @@ simulation.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import asdict, astuple, dataclass, fields
 from typing import NamedTuple, Sequence
@@ -27,24 +26,41 @@ from .ensemble import (
     sampling_matrix,
     simulate,
     spectrum,
+    write_csv,
 )
 from .errors import NumericalError, _check_aspect_ratio, _check_integer
 from .jitter import JitterDistribution
 
 
-def _check_snr(snr: float) -> None:
-    if not 0 < snr < math.inf:
-        raise ValueError(f"signal-to-noise ratio must be finite and > 0, got {snr}")
+def _check_snr(snr) -> None:
+    """Refuse an SNR, or an array holding one, that is not finite and > 0."""
+    values = np.asarray(snr, dtype=float)
+    bad = values[~((values > 0) & (values < math.inf))]
+    if bad.size:
+        raise ValueError(f"signal-to-noise ratio must be finite and > 0, got {bad[0]}")
 
 
-def mse_from_spectrum(eigenvalues, beta: float, snr: float) -> float:
-    """Mean of beta / (lambda * snr + beta) over a nonnegative spectrum."""
-    eigs = np.asarray(eigenvalues, dtype=float)
+def mse_from_spectrum(eigenvalues, beta: float, snr):
+    """Mean of beta / (lambda * snr + beta) over a nonnegative spectrum.
+
+    ``snr`` is one SNR, which gives a float, or a 1-D array of them, which
+    gives an array.  The SNRs go through in chunks whose temporaries hold
+    at most CELL_BUDGET entries.
+    """
+    eigs = np.asarray(eigenvalues, dtype=float).ravel()
     if eigs.size == 0:
         raise ValueError("cannot average over an empty spectrum")
     _check_aspect_ratio(beta)
-    _check_snr(snr)
-    return float(np.mean(beta / (eigs * snr + beta)))
+    snrs = np.atleast_1d(np.asarray(snr, dtype=float))
+    if snrs.ndim > 1:
+        raise ValueError(f"need one SNR or a 1-D array of them, got shape {snrs.shape}")
+    _check_snr(snrs)
+    chunk = max(1, CELL_BUDGET // eigs.size)
+    mse = np.empty(len(snrs))
+    for start in range(0, len(snrs), chunk):
+        part = snrs[start : start + chunk, None]
+        mse[start : start + chunk] = np.mean(beta / (eigs * part + beta), axis=1)
+    return float(mse[0]) if np.ndim(snr) == 0 else mse
 
 
 def mse_equally_spaced(beta: float, snr: float) -> float:
@@ -155,11 +171,8 @@ class MseCurve:
         return [asdict(pt) for pt in self.points]
 
     def write_csv(self, path) -> None:
-        """One row per point; csv writes a float as its repr and None as ""."""
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(field.name for field in fields(MsePoint))
-            writer.writerows(map(astuple, self.points))
+        """One row per point."""
+        write_csv(path, (f.name for f in fields(MsePoint)), map(astuple, self.points))
 
 
 def snr_grid_db(start: float = -10.0, stop: float = 30.0, step: float = 1.0) -> list[float]:
@@ -192,10 +205,10 @@ def mse_curve(
     Each dimension gets its own realizable shape from the budget; the
     per-SNR empirical value averages the trace formula over trials at that
     shape's achieved aspect ratio.  The limiting and equally spaced rows
-    use the target ratio.  The average runs trial by trial over chunks of
-    SNRs, so that no temporary exceeds CELL_BUDGET entries.  Before any
-    draw it refuses, with ``ValueError``, an empty ``d_list`` or
-    ``snr_db_values``, a dimension, ``trials`` or ``threads`` that is no
+    use the target ratio.  Each trial's spectrum goes through
+    ``mse_from_spectrum`` once, for every SNR.  Before any draw it refuses,
+    with ``ValueError``, an empty ``d_list`` or ``snr_db_values``, a
+    dimension, ``size_budget``, ``trials`` or ``threads`` that is no
     integer >= 1, a target ratio outside (0, 1] and a dB value that gives
     no finite SNR > 0.
     """
@@ -208,26 +221,19 @@ def mse_curve(
     _check_aspect_ratio(beta_target, "target aspect ratio")
     snrs = []
     for db in snr_db_values:
+        # a float overflows with an error where a NumPy scalar warns
         try:
-            snrs.append(10 ** (db / 10.0))
+            snrs.append(10.0 ** (float(db) / 10.0))
         except OverflowError:
             snrs.append(math.inf)
         if not 0 < snrs[-1] < math.inf:
             raise ValueError(f"{db} dB is no finite signal-to-noise ratio > 0")
-    column = np.array(snrs)[:, None]
     points: list[MsePoint] = []
     for d in sorted({int(d) for d in d_list}):
         M, rho, beta_actual = resolve_shape(beta_target, d, size_budget)
         config = EnsembleConfig(d=d, M=M, rho=rho, dist=dist)
         eigs = simulate(config, trials, [seed, d], threads).eigenvalues
-        chunk = max(1, CELL_BUDGET // eigs.shape[1])
-        per_trial = np.empty((trials, len(snrs)))
-        for trial, row in enumerate(eigs):
-            for start in range(0, len(snrs), chunk):
-                part = column[start : start + chunk]
-                per_trial[trial, start : start + chunk] = np.mean(
-                    beta_actual / (row * part + beta_actual), axis=1
-                )
+        per_trial = np.array([mse_from_spectrum(e, beta_actual, snrs) for e in eigs])
         mse = per_trial.mean(axis=0)
         spread = per_trial.std(axis=0, ddof=1) if trials > 1 else np.zeros(len(snrs))
         std_err = spread / np.sqrt(trials)

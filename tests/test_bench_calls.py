@@ -50,6 +50,19 @@ def test_law_rebuilt_through_the_constructor():
         assert abs(gap) <= 1e-13, p
 
 
+def test_mse_curve_averages_each_trial_through_the_traced_layer(monkeypatch):
+    calls = []
+    average = jv.mse.mse_from_spectrum
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return average(*args, **kwargs)
+
+    monkeypatch.setattr(jv.mse, "mse_from_spectrum", counted)
+    jv.mse.mse_curve(0.729, [1, 2], [0.0, 10.0], jv.uniform01(), size_budget=49, trials=3)
+    assert len(calls) == 3 * 2
+
+
 def test_simulate_and_mse_curve():
     config = jv.EnsembleConfig(d=1, M=3, rho=10, dist=jv.uniform01())
     sample = jv.mse.simulate(config, 2, 5, 1)

@@ -131,6 +131,14 @@ REFUSALS = [
         lambda: mse_curve(0.5, np.array([], dtype=int), [0.0], tripped_law()),
         "dimension",
     ),
+    ("resolve_shape_fraction", lambda: resolve_shape(0.5, 1, 100.7), "size budget"),
+    ("resolve_shape_inf", lambda: resolve_shape(0.5, 1, math.inf), "size budget"),
+    ("resolve_shape_nan", lambda: resolve_shape(0.5, 1, math.nan), "size budget"),
+    (
+        "mse_curve_size_budget",
+        lambda: mse_curve(0.5, [1], [0.0], tripped_law(), size_budget=100.7, trials=2),
+        "size budget",
+    ),
     (
         "mse_curve_empty_snr_array",
         lambda: mse_curve(0.5, np.array([1]), np.array([]), tripped_law()),

@@ -36,11 +36,18 @@ def mp_sample(beta: float, n: int, seed: int) -> np.ndarray:
     "call",
     [
         lambda snr: mse_from_spectrum([0.0, 2.0], 0.5, snr),
+        lambda snr: mse_from_spectrum([0.0, 2.0], 0.5, np.array([1.0, snr, 2.0])),
         lambda snr: mse_equally_spaced(0.5, snr),
         lambda snr: mse_mp(1.0, snr),
         lambda snr: lmmse_demo(EnsembleConfig(1, 3, 10, uniform01()), snr, 0, draws=4),
     ],
-    ids=["mse_from_spectrum", "mse_equally_spaced", "mse_mp", "lmmse_demo"],
+    ids=[
+        "mse_from_spectrum",
+        "mse_from_spectrum_vector",
+        "mse_equally_spaced",
+        "mse_mp",
+        "lmmse_demo",
+    ],
 )
 def test_snr_must_be_finite_and_positive(call, snr):
     with pytest.raises(ValueError, match="signal-to-noise"):
@@ -63,6 +70,25 @@ class TestSpectralAverage:
             mse_from_spectrum([], 0.5, 1.0)
         with pytest.raises(ValueError):
             mse_from_spectrum([1.0], 0.5, 0.0)
+
+    @pytest.mark.parametrize("budget", [CELL_BUDGET, 100, 1])
+    def test_vector_equals_scalar_calls(self, monkeypatch, budget):
+        # a budget of 100 entries takes 3 SNRs per chunk of 33 eigenvalues
+        # and 1 per chunk of 200; the reference is the plain 1-D mean
+        monkeypatch.setattr(mse_module, "CELL_BUDGET", budget)
+        rng = np.random.default_rng(5)
+        snrs = 10 ** rng.uniform(-2, 3, 10)
+        for size in (1, 33, 200):
+            eigs = rng.exponential(size=size)
+            vector = mse_from_spectrum(eigs, 0.6, snrs)
+            scalars = [mse_from_spectrum(eigs, 0.6, snr) for snr in snrs]
+            assert isinstance(vector, np.ndarray) and isinstance(scalars[0], float)
+            assert vector.tolist() == scalars
+            assert scalars == [float(np.mean(0.6 / (eigs * snr + 0.6))) for snr in snrs]
+
+    def test_refuses_an_array_of_snr_arrays(self):
+        with pytest.raises(ValueError, match="1-D"):
+            mse_from_spectrum([1.0, 1.0], 0.5, np.ones((2, 2)))
 
     def test_jensen_bound_on_generated_spectra(self):
         # any unit-mean spectrum does worse than the degenerate one
@@ -309,7 +335,11 @@ class TestCurve:
         with pytest.raises(ValueError):
             mse_curve(0.5, [1], [], uniform01())
 
-    @pytest.mark.parametrize("db", [4000.0, -4000.0, math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "db",
+        [4000.0, -4000.0, math.nan, math.inf]
+        + [pytest.param(np.float64(db), id=f"float64({db})") for db in (4000.0, -4000.0)],
+    )
     def test_refuses_an_snr_before_any_trial(self, monkeypatch, db):
         monkeypatch.setattr(
             mse_module, "simulate", lambda *_, **__: pytest.fail("simulate called")
