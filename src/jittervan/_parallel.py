@@ -9,17 +9,6 @@ from typing import Callable, Sequence, TypeVar
 T = TypeVar("T")
 R = TypeVar("R")
 
-THREADS_ENV = "JITTERVAN_THREADS"
-
-
-def default_threads() -> int:
-    value = os.environ.get(THREADS_ENV, "")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity set where the OS has one."""
     if hasattr(os, "sched_getaffinity"):

@@ -12,7 +12,6 @@ import json
 import sys
 
 from . import __version__
-from ._parallel import default_threads
 from .ensemble import (
     EnsembleConfig,
     empirical_moment,
@@ -64,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common_threads = dict(type=int, default=default_threads(), metavar="N")
+    common_threads = dict(type=int, default=1, metavar="N")
 
     p_mom = sub.add_parser("moments", help="analytic moments for p = 1..p-max")
     p_mom.add_argument("--p-max", type=int, default=3)

@@ -209,10 +209,7 @@ def real_gram_matrix(config: EnsembleConfig, positions: np.ndarray) -> np.ndarra
 
 
 def gram_matrix(G: np.ndarray, beta: float) -> np.ndarray:
-    """Scaled Gram matrix beta * G G^H; real symmetric for a real G.
-
-    The complex sampling matrix gives unit diagonal.
-    """
+    """Scaled Gram matrix beta * G G^H; the sampling matrix gives unit diagonal."""
     return beta * (G @ G.conj().T)
 
 

@@ -11,8 +11,13 @@ import numbers
 
 
 def _check_integer(value, name: str, low: int = 1, high: float = math.inf) -> None:
-    """Refuse a count that is not an integer in [low, high]."""
-    if not isinstance(value, numbers.Integral) or not low <= value <= high:
+    """Refuse a count that is not an integer in [low, high]; a bool is not a
+    count."""
+    if (
+        not isinstance(value, numbers.Integral)
+        or isinstance(value, bool)
+        or not low <= value <= high
+    ):
         bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
         raise ValueError(f"{name} must be an integer {bound}, got {value}")
 

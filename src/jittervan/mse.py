@@ -176,13 +176,15 @@ class MseCurve:
 
 
 def snr_grid_db(start: float = -10.0, stop: float = 30.0, step: float = 1.0) -> list[float]:
-    """Inclusive dB grid matching the start:stop:step CLI syntax, of at most
+    """Inclusive dB grid matching the start:stop:step CLI syntax, of one to
     CELL_BUDGET points."""
     if not all(map(math.isfinite, (start, stop, step))):
         raise ValueError(f"dB grid parts must be finite, got {start}:{stop}:{step}")
     if step <= 0:
         raise ValueError(f"step must be > 0, got {step}")
     span = (stop - start) / step + 1e-9
+    if span < 0:
+        raise ValueError(f"dB grid {start}:{stop}:{step} has no points")
     if span >= CELL_BUDGET:
         raise ValueError(
             f"dB grid {start}:{stop}:{step} has more than {CELL_BUDGET} points"

@@ -83,43 +83,27 @@ def partition_of(labels: Sequence[int]) -> Partition:
     return Partition(tuple(seen.setdefault(value, len(seen) + 1) for value in labels))
 
 
-def _growth_strings(p: int, k_exact: int | None) -> Iterator[tuple[int, ...]]:
-    """Yield restricted-growth strings of length p in lexicographic order.
-
-    If ``k_exact`` is given, only strings whose final label count equals it
-    are produced; the search is pruned so unreachable prefixes are skipped.
-    """
-    prefix = [1]
-
-    def rec(top: int) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == p:
-            if k_exact is None or top == k_exact:
-                yield tuple(prefix)
-            return
-        remaining = p - len(prefix)
-        hi = top + 1 if k_exact is None else min(top + 1, k_exact)
-        for label in range(1, hi + 1):
-            new_top = max(top, label)
-            if k_exact is not None and new_top + remaining - 1 < k_exact:
-                continue
-            prefix.append(label)
-            yield from rec(new_top)
-            prefix.pop()
-
-    yield from rec(1)
+@lru_cache(maxsize=None)
+def _partitions(p: int) -> tuple[Partition, ...]:
+    """All restricted-growth strings of length p, lexicographic: each string
+    is extended by every label from 1 to its maximum plus one."""
+    strings = [(1,)]
+    for _ in range(p - 1):
+        strings = [s + (label,) for s in strings for label in range(1, max(s) + 2)]
+    return tuple(map(Partition, strings))
 
 
 def enumerate_partitions(p: int) -> list[Partition]:
     """All partitions of {1,...,p} in lexicographic restricted-growth order."""
     _check_integer(p, "order", high=ORDER_CAP)
-    return [Partition(s) for s in _growth_strings(p, None)]
+    return list(_partitions(p))
 
 
 def enumerate_partitions_k(p: int, k: int) -> list[Partition]:
     """All partitions of {1,...,p} into exactly k blocks, lexicographic."""
     _check_integer(p, "order", high=ORDER_CAP)
     _check_integer(k, "block count", high=p)
-    return [Partition(s) for s in _growth_strings(p, k)]
+    return [w for w in _partitions(p) if w.k == k]
 
 
 @lru_cache(maxsize=None)
@@ -153,8 +137,6 @@ def mobius_coefficient(partition: Partition) -> int:
 
 def label_vector_count(k: int, r: int) -> int:
     """Number of label vectors on r symbols inducing a k-block partition."""
-    if r < k:
-        return 0
     return math.perm(r, k)
 
 

@@ -57,7 +57,7 @@ def config() -> EnsembleConfig:
 def tripwires(monkeypatch):
     """Make every enumeration, integral and draw fail if it starts."""
     for module, name in [
-        (partitions_module, "_growth_strings"),
+        (partitions_module, "_partitions"),
         (moments_module, "_pair_classes"),
         (integrate_module, "_pair_setup"),
         (integrate_module, "_evaluate"),
@@ -84,11 +84,18 @@ REFUSALS = [
     ("bell", lambda: bell(2.5), "order"),
     ("moment", lambda: moment(2.5, 0.5, 1, tripped_law()), "moment order"),
     ("moment_threads", lambda: moment(2, 0.5, 1, tripped_law(), threads=0), "thread count"),
+    ("moment_bool_d", lambda: moment(2, 0.55, True, tripped_law()), "dimension"),
     ("mp_moment", lambda: mp_moment(2.5, 0.5), "moment order"),
     ("narayana", lambda: narayana(2.5, 1), "order"),
     ("narayana_k", lambda: narayana(3, 4), "block count"),
     ("simulate", lambda: simulate(config(), 2.5, 0), "trial count"),
     ("simulate_threads", lambda: simulate(config(), 2, 0, threads=0), "thread count"),
+    ("simulate_bool_trials", lambda: simulate(config(), True, 0), "trial count"),
+    (
+        "EnsembleConfig_bool",
+        lambda: EnsembleConfig(d=True, M=True, rho=3, dist=tripped_law()),
+        "dimension",
+    ),
     ("lmmse_demo", lambda: lmmse_demo(config(), 1.0, 0, draws=2.5), "draw count"),
     ("lmmse_demo_one_draw", lambda: lmmse_demo(config(), 1.0, 0, draws=1), "draw count"),
     ("brute_trace_moment", lambda: brute_trace_moment(config(), 2, 2.5, 0), "trial count"),
@@ -188,7 +195,7 @@ def test_aspect_ratio_refused(tripwires, call, name, beta):
 
 
 class TestHelpers:
-    @pytest.mark.parametrize("value", [0, 6, 2.5, np.float64(2.0), "3", None])
+    @pytest.mark.parametrize("value", [0, 6, 2.5, np.float64(2.0), "3", None, True])
     def test_integer_refused(self, value):
         with pytest.raises(ValueError, match=r"count must be an integer in \[1, 5\], got"):
             _check_integer(value, "count", high=5)

@@ -225,6 +225,8 @@ class TestCurve:
         assert snr_grid_db(0, 1, 0.5) == [0, 0.5, 1.0]
         with pytest.raises(ValueError):
             snr_grid_db(0, 1, 0)
+        with pytest.raises(ValueError, match="has no points"):
+            snr_grid_db(30, -10, 1)
 
     @pytest.mark.parametrize(
         "parts", [(0, math.inf, 1), (-math.inf, 0, 1), (math.nan, 1, 1), (0, 1, math.inf)]

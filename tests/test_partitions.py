@@ -83,6 +83,17 @@ class TestEnumeration:
         strings = [w.omega for w in enumerate_partitions(4)]
         assert strings == sorted(strings)
 
+    @pytest.mark.parametrize(
+        "enumerate_", [lambda: enumerate_partitions(4), lambda: enumerate_partitions_k(4, 2)]
+    )
+    def test_changing_a_returned_list_leaves_the_next_call_alone(self, enumerate_):
+        expected = enumerate_()
+        changed = enumerate_()
+        changed.reverse()
+        changed.append(Partition((1,)))
+        changed[0] = Partition((1, 2))
+        assert enumerate_() == expected
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             enumerate_partitions_k(3, 0)
