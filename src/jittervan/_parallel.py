@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -22,5 +21,7 @@ def ordered_map(fn: Callable[[T], R], items: Sequence[T], threads: int = 1) -> l
     workers = min(threads, len(items), _usable_cpus())
     if workers <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

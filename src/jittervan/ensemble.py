@@ -20,16 +20,20 @@ forms an n_rows x n_cols matrix.  The complex ``sampling_matrix`` and
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import numpy.random  # numpy loads it lazily; every realization draws from it
 
 from ._parallel import ordered_map
-from .errors import BudgetError, NumericalError, _check_aspect_ratio, _check_integer
+from .errors import (
+    BudgetError,
+    NumericalError,
+    _check_aspect_ratio,
+    _check_integer,
+    _check_law,
+)
 from .jitter import JitterDistribution
 
 #: Refuse configurations whose sampling matrix has more entries than this,
@@ -58,6 +62,7 @@ class EnsembleConfig:
         _check_integer(self.d, "dimension")
         _check_integer(self.M, "half-bandwidth")
         _check_integer(self.rho, "vertex count")
+        _check_law(self.dist)
         if 2 * self.M + 1 > self.rho:
             raise ValueError(
                 f"need 2M+1 <= rho so the aspect ratio stays in (0, 1]; "
@@ -295,6 +300,8 @@ def histogram(sample: SpectrumSample, bins: int) -> tuple[np.ndarray, np.ndarray
 
 def write_csv(path, header, rows) -> None:
     """A header line, then a line per row: a float as its repr, None as ""."""
+    import csv
+
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)

@@ -1,9 +1,9 @@
 """Exception types shared across the package.
 
 Argument validation raises the builtin ``ValueError`` through one helper
-per kind of argument: ``_check_integer`` for counts and orders, and
-``_check_aspect_ratio`` for aspect ratios.  The classes here cover
-failures of the numerical machinery itself.
+per kind of argument: ``_check_integer`` for counts and orders,
+``_check_aspect_ratio`` for aspect ratios and ``_check_law`` for jitter
+laws.  The classes here cover failures of the numerical machinery itself.
 """
 
 import math
@@ -26,6 +26,14 @@ def _check_aspect_ratio(beta, name: str = "aspect ratio") -> None:
     """Refuse an aspect ratio outside (0, 1]; NaN is refused too."""
     if not 0 < beta <= 1:
         raise ValueError(f"{name} must be in (0, 1], got {beta}")
+
+
+def _check_law(dist) -> None:
+    """Refuse a jitter law that is not a ``JitterDistribution``."""
+    from .jitter import JitterDistribution  # jitter imports this module
+
+    if not isinstance(dist, JitterDistribution):
+        raise ValueError(f"jitter law must be a JitterDistribution, got {dist!r}")
 
 
 class NumericalError(RuntimeError):

@@ -71,8 +71,8 @@ from .partitions import Partition
 VALUE_ORDER = 8
 CHECK_ORDER = 6
 #: Nodes evaluated per batch, which bounds the temporary arrays: the moments
-#: p = 1..5 at (0.55, 2), uniform law, peak at about 41 MB resident this way,
-#: 56 MB unbatched.
+#: p = 1..5 at (0.55, 2), uniform law, peak at about 34 MB resident this way,
+#: 49 MB unbatched.
 _BATCH = 1 << 12
 #: Lattice nodes the finite-grid cross-check may enumerate.
 GRID_BUDGET = 10**8

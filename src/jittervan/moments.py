@@ -47,6 +47,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby, permutations, product
 
@@ -54,7 +55,7 @@ import numpy as np
 
 from . import integrate
 from ._parallel import ordered_map
-from .errors import _check_aspect_ratio, _check_integer
+from .errors import _check_aspect_ratio, _check_integer, _check_law
 from .integrate import IntegralValue, QmcOptions, term_integral
 from .jitter import JitterDistribution
 from .partitions import (
@@ -251,13 +252,15 @@ def moment(
     ``threads`` spreads the class integrals over worker threads.
 
     Before any enumeration or integral it refuses, with ``ValueError``, a
-    ``p`` that is no integer in [1, MOMENT_CAP], a ``beta`` outside (0, 1]
-    and a ``d`` or ``threads`` that is no integer >= 1.
+    ``p`` that is no integer in [1, MOMENT_CAP], a ``beta`` outside (0, 1],
+    a ``d`` or ``threads`` that is no integer >= 1 and a ``dist`` that is
+    no ``JitterDistribution``.
     """
     _check_integer(p, "moment order", high=MOMENT_CAP)
     _check_aspect_ratio(beta)
     _check_integer(d, "dimension")
     _check_integer(threads, "thread count")
+    _check_law(dist)
 
     rows, integrated = _pair_classes(p)
     # a NumPy scalar keys and integrates as the Python float it equals
@@ -292,10 +295,20 @@ def narayana(p: int, k: int) -> int:
 
 
 def mp_moment(p: int, beta: float) -> float:
-    """p-th Marchenko-Pastur moment: the Narayana polynomial in beta."""
+    """p-th Marchenko-Pastur moment: the Narayana polynomial in beta, summed
+    exactly by Horner's rule and rounded once.  A moment beyond the float
+    range is refused with ``ValueError``."""
     _check_integer(p, "moment order")
     _check_aspect_ratio(beta)
-    return float(sum(beta ** (p - k) * narayana(p, k) for k in range(1, p + 1)))
+    exact, ratio = Fraction(0), Fraction(float(beta))
+    for k in range(1, p + 1):
+        exact = exact * ratio + narayana(p, k)
+    try:
+        return float(exact)
+    except OverflowError:
+        raise ValueError(
+            f"Marchenko-Pastur moment of order {p} at beta {beta} exceeds the float range"
+        ) from None
 
 
 def mp_support(beta: float) -> tuple[float, float]:

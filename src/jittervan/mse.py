@@ -28,7 +28,7 @@ from .ensemble import (
     spectrum,
     write_csv,
 )
-from .errors import NumericalError, _check_aspect_ratio, _check_integer
+from .errors import NumericalError, _check_aspect_ratio, _check_integer, _check_law
 from .jitter import JitterDistribution
 
 
@@ -77,14 +77,14 @@ def mse_mp(beta: float, snr: float) -> float:
     transform of the limit, the root of beta z m^2 + (z - 1 + beta) m + 1 = 0
     (the eta-transform of Tulino and Verdu, Random Matrix Theory and
     Wireless Communications, 2004).  At z = -s the positive root is taken in
-    its Vieta form 2 / (b + sqrt(b^2 + 4 beta s)), b = s + (1 - beta) > 0,
-    which sums positive terms only, so no digits cancel.
+    its Vieta form, divided through by s: 2 / (c + hypot(c, 2 sqrt(snr))),
+    c = 1 + (1 - beta) snr / beta.  It sums positive terms only, so no digits
+    cancel, and no square overflows at any SNR.
     """
     _check_aspect_ratio(beta)
     _check_snr(snr)
-    s = beta / snr
-    b = s + (1.0 - beta)
-    return 2.0 * s / (b + math.sqrt(b * b + 4.0 * beta * s))
+    c = 1.0 + (1.0 - beta) * snr / beta
+    return 2.0 / (c + math.hypot(c, 2.0 * math.sqrt(snr)))
 
 
 class LmmseResult(NamedTuple):
@@ -211,8 +211,8 @@ def mse_curve(
     ``mse_from_spectrum`` once, for every SNR.  Before any draw it refuses,
     with ``ValueError``, an empty ``d_list`` or ``snr_db_values``, a
     dimension, ``size_budget``, ``trials`` or ``threads`` that is no
-    integer >= 1, a target ratio outside (0, 1] and a dB value that gives
-    no finite SNR > 0.
+    integer >= 1, a target ratio outside (0, 1], a ``dist`` that is no
+    ``JitterDistribution`` and a dB value that gives no finite SNR > 0.
     """
     if len(d_list) == 0:
         raise ValueError("need at least one dimension")
@@ -221,6 +221,7 @@ def mse_curve(
     for d in d_list:
         _check_integer(d, "dimension")
     _check_aspect_ratio(beta_target, "target aspect ratio")
+    _check_law(dist)
     snrs = []
     for db in snr_db_values:
         # a float overflows with an error where a NumPy scalar warns

@@ -107,6 +107,14 @@ class TestMp:
         assert code == 2 and "--p-max" in stderr
         assert stdout == "" and not out.exists()
 
+    def test_moment_beyond_the_float_range_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "mp.json"
+        code, stdout, stderr = run(
+            ["mp", "--p-max", "600", "--beta", "1", "--out", str(out)], capsys
+        )
+        assert code == 2 and stderr.startswith("error:") and "order 520" in stderr
+        assert "p=519  mp_moment=1" in stdout and not out.exists()
+
 
 class TestSimulate:
     def test_histogram_csv(self, tmp_path, capsys):

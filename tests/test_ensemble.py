@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import time
 import tracemalloc
@@ -274,7 +275,7 @@ class TestThreadCap:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(parallel_module, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
         return created
 
     @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
-"""Argument refusals: every public entry point refuses a bad count or aspect
-ratio with a ValueError that names the argument, before it does any work."""
+"""Argument refusals: every public entry point refuses a bad count, aspect
+ratio or jitter law with a ValueError that names the argument, before it
+does any work."""
 
 import math
 
@@ -85,6 +86,7 @@ REFUSALS = [
     ("moment", lambda: moment(2.5, 0.5, 1, tripped_law()), "moment order"),
     ("moment_threads", lambda: moment(2, 0.5, 1, tripped_law(), threads=0), "thread count"),
     ("moment_bool_d", lambda: moment(2, 0.55, True, tripped_law()), "dimension"),
+    ("moment_law", lambda: moment(2, 0.5, 1, "uniform"), "jitter law"),
     ("mp_moment", lambda: mp_moment(2.5, 0.5), "moment order"),
     ("narayana", lambda: narayana(2.5, 1), "order"),
     ("narayana_k", lambda: narayana(3, 4), "block count"),
@@ -96,6 +98,7 @@ REFUSALS = [
         lambda: EnsembleConfig(d=True, M=True, rho=3, dist=tripped_law()),
         "dimension",
     ),
+    ("EnsembleConfig_law", lambda: EnsembleConfig(1, 1, 3, "uniform"), "jitter law"),
     ("lmmse_demo", lambda: lmmse_demo(config(), 1.0, 0, draws=2.5), "draw count"),
     ("lmmse_demo_one_draw", lambda: lmmse_demo(config(), 1.0, 0, draws=1), "draw count"),
     ("brute_trace_moment", lambda: brute_trace_moment(config(), 2, 2.5, 0), "trial count"),
@@ -137,6 +140,11 @@ REFUSALS = [
         "mse_curve_empty_array",
         lambda: mse_curve(0.5, np.array([], dtype=int), [0.0], tripped_law()),
         "dimension",
+    ),
+    (
+        "mse_curve_law",
+        lambda: mse_curve(0.5, [1], [0.0], uniform01().cf, trials=2),
+        "jitter law",
     ),
     ("resolve_shape_fraction", lambda: resolve_shape(0.5, 1, 100.7), "size budget"),
     ("resolve_shape_inf", lambda: resolve_shape(0.5, 1, math.inf), "size budget"),

@@ -1,5 +1,7 @@
 """The library and its CLI start on numpy alone, and a cold analytic pass
-and a Monte-Carlo curve import nothing more.
+imports nothing more.  ``numpy.random`` loads with the first draw, the
+thread pool only above one worker and ``csv`` only to write a table, so a
+Monte-Carlo curve adds only ``numpy.random``.
 
 Each check runs in a fresh interpreter, since this one has loaded scipy
 for the tests' own oracles.
@@ -41,7 +43,7 @@ def test_import_loads_no_scipy_and_no_masked_arrays(module):
 
 
 def test_cold_pass_adds_no_module():
-    added = fresh_python(
+    analytic, monte_carlo = fresh_python(
         """
 import json, sys
 import jittervan
@@ -49,8 +51,34 @@ before = set(sys.modules)
 law = jittervan.uniform01()
 for p in range(1, 6):
     jittervan.moment(p, 0.55, 2, law)
+analytic = sorted(set(sys.modules) - before)
+import numpy.random
+before = set(sys.modules)
 jittervan.mse_curve(0.55, [1, 2], [0.0, 10.0], law, size_budget=49, trials=2)
-print(json.dumps(sorted(set(sys.modules) - before)))
+print(json.dumps([analytic, sorted(set(sys.modules) - before)]))
 """
     )
-    assert added == []
+    assert analytic == []
+    assert monte_carlo == []
+
+
+def test_analytic_runs_load_no_random_pool_or_csv():
+    preloaded, loaded = fresh_python(
+        """
+import contextlib, io, json, sys
+import numpy
+preloaded = "numpy.random" in sys.modules
+import jittervan
+law = jittervan.uniform01()
+for p in range(1, 6):
+    jittervan.moment(p, 0.55, 2, law)
+import jittervan.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert jittervan.cli.main(["moments", "--p-max", "5", "--beta", "0.55", "--d", "2"]) == 0
+heavy = ["numpy.random", "concurrent.futures", "csv"]
+print(json.dumps([preloaded, [name for name in heavy if name in sys.modules]]))
+"""
+    )
+    if preloaded:  # numpy 1.x loads numpy.random with numpy itself
+        loaded.remove("numpy.random")
+    assert loaded == []

@@ -449,6 +449,27 @@ class TestMarchenkoPastur:
     def test_reference_values(self, p, beta, expected):
         assert mp_moment(p, beta) == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "orders, beta", [(range(1, 30), 0.55), ((100, 350, 699, 700), 0.01)]
+    )
+    def test_matches_three_term_recurrence(self, orders, beta):
+        # (p+1) m_p = (2p-1)(1+beta) m_{p-1} - (p-2)(1-beta)^2 m_{p-2}
+        m = [1.0, 1.0]
+        for p in range(2, max(orders) + 1):
+            m.append(
+                ((2 * p - 1) * (1 + beta) * m[p - 1] - (p - 2) * (1 - beta) ** 2 * m[p - 2])
+                / (p + 1)
+            )
+        for p in orders:
+            assert mp_moment(p, beta) == pytest.approx(m[p], rel=1e-12), p
+
+    def test_rounded_once_up_to_the_float_range(self):
+        # at beta = 1 the moment is the Catalan number, 1.4e308 at p = 519
+        catalan = math.comb(2 * 519, 519) // 520
+        assert mp_moment(519, 1.0) == float(catalan)
+        with pytest.raises(ValueError, match="order 520 at beta 1.0 exceeds the float range"):
+            mp_moment(520, 1.0)
+
     @pytest.mark.parametrize("beta", [0.2, 0.55, 0.729])
     @pytest.mark.parametrize("p", range(1, 7))
     def test_matches_density_quadrature(self, p, beta):

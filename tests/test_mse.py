@@ -104,6 +104,28 @@ class TestLimitingAverage:
     def test_vanishing_snr(self):
         assert mse_mp(0.5, 1e-9) == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("snr", [5e-324, 1e-300, 1e-160, 1e300])
+    @pytest.mark.parametrize("beta", [1e-6, 0.5, 1.0])
+    def test_finite_in_unit_interval_at_extreme_snr(self, beta, snr):
+        assert 0.0 <= mse_mp(beta, snr) <= 1.0
+
+    def test_tiny_snr_leaves_no_information(self):
+        assert mse_mp(0.5, 1e-160) == 1.0
+
+    def test_matches_high_precision_closed_form(self):
+        mpmath = pytest.importorskip("mpmath")
+        worst = 0.0
+        with mpmath.workdps(30):
+            for beta in [*np.geomspace(1e-6, 1, 61), 0.2, 0.55, 0.6, 0.729, 1 - 1e-9]:
+                for db in range(-30, 61):
+                    snr = 10.0 ** (db / 10.0)
+                    exact_beta = mpmath.mpf(float(beta))
+                    s = exact_beta / snr
+                    b = s + 1 - exact_beta
+                    exact = 2 * s / (b + mpmath.sqrt(b * b + 4 * exact_beta * s))
+                    worst = max(worst, abs(mse_mp(float(beta), snr) / exact - 1))
+        assert worst < 4e-16
+
     def test_support_bounds(self):
         beta, snr = 0.729, 10.0
         low, high = mp_support(beta)
@@ -276,6 +298,10 @@ class TestCurve:
         values = [r.mse for r in small_curve.points if r.snr_db == lowest]
         assert max(values) - min(values) < 1e-2
         assert min(values) > 0.85
+
+    def test_sources_agree_at_vanishing_snr(self):
+        curve = mse_curve(0.5, [1], [-1600.0], uniform01(), size_budget=49, trials=2)
+        assert [r.mse for r in curve.points] == [1.0, 1.0, 1.0]
 
     def test_csv_round_trip(self, small_curve, tmp_path):
         path = tmp_path / "curve.csv"
