@@ -268,21 +268,12 @@ def _cmd_verify(args) -> int:
 
 def _merge_negative_grid(argv: list[str]) -> list[str]:
     # argparse reads "-10:30:1" as a flag; fold it into --snr-db=... instead
-    out = []
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        if (
-            token == "--snr-db"
-            and i + 1 < len(argv)
-            and argv[i + 1].startswith("-")
-            and ":" in argv[i + 1]
-        ):
-            out.append(f"--snr-db={argv[i + 1]}")
-            i += 2
-            continue
-        out.append(token)
-        i += 1
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--snr-db" and token.startswith("-") and ":" in token:
+            out[-1] = f"--snr-db={token}"
+        else:
+            out.append(token)
     return out
 
 

@@ -27,13 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from ._parallel import ordered_map
-from .errors import (
-    BudgetError,
-    NumericalError,
-    _check_aspect_ratio,
-    _check_integer,
-    _check_law,
-)
+from .errors import BudgetError, NumericalError
+from .errors import _check_aspect_ratio, _check_integer, _check_law
 from .jitter import JitterDistribution
 
 #: Refuse configurations whose sampling matrix has more entries than this,
@@ -59,9 +54,9 @@ class EnsembleConfig:
     dist: JitterDistribution
 
     def __post_init__(self) -> None:
-        _check_integer(self.d, "dimension")
-        _check_integer(self.M, "half-bandwidth")
-        _check_integer(self.rho, "vertex count")
+        object.__setattr__(self, "d", _check_integer(self.d, "dimension"))
+        object.__setattr__(self, "M", _check_integer(self.M, "half-bandwidth"))
+        object.__setattr__(self, "rho", _check_integer(self.rho, "vertex count"))
         _check_law(self.dist)
         if 2 * self.M + 1 > self.rho:
             raise ValueError(
@@ -263,8 +258,8 @@ def simulate(
     ``threads`` that is no integer >= 1, and with ``BudgetError`` a
     sampling matrix of more than CELL_BUDGET entries.
     """
-    _check_integer(trials, "trial count")
-    _check_integer(threads, "thread count")
+    trials = _check_integer(trials, "trial count")
+    threads = _check_integer(threads, "thread count")
     check_cell_budget(config)
 
     def one(stream: np.random.SeedSequence) -> np.ndarray:
@@ -278,13 +273,13 @@ def simulate(
 
 def empirical_moment(sample: SpectrumSample, p: int) -> float:
     """Average over trials of the p-th power mean of the spectrum."""
-    _check_integer(p, "moment order")
+    p = _check_integer(p, "moment order")
     return float(np.mean(sample.eigenvalues**p))
 
 
 def empirical_moment_std_error(sample: SpectrumSample, p: int) -> float:
     """Standard error over trials of the per-trial p-th moment."""
-    _check_integer(p, "moment order")
+    p = _check_integer(p, "moment order")
     per_trial = np.mean(sample.eigenvalues**p, axis=1)
     if len(per_trial) < 2:
         return 0.0
@@ -293,7 +288,7 @@ def empirical_moment_std_error(sample: SpectrumSample, p: int) -> float:
 
 def histogram(sample: SpectrumSample, bins: int) -> tuple[np.ndarray, np.ndarray]:
     """Pooled eigenvalue histogram normalized to unit mass; (edges, density)."""
-    _check_integer(bins, "bin count")
+    bins = _check_integer(bins, "bin count")
     density, edges = np.histogram(sample.eigenvalues.ravel(), bins=bins, density=True)
     return edges, density
 
@@ -318,18 +313,17 @@ def resolve_shape(
     the achieved ratio is returned and is what Monte-Carlo comparisons
     should be run against.
     """
-    _check_integer(size_budget, "size budget")
-    _check_aspect_ratio(beta_target, "target aspect ratio")
-    _check_integer(d, "dimension")
+    size_budget = _check_integer(size_budget, "size budget")
+    beta_target = _check_aspect_ratio(beta_target, "target aspect ratio")
+    d = _check_integer(d, "dimension")
     if 3**d > size_budget:
         raise ValueError(
             f"size budget {size_budget} cannot fit the minimal grid at d={d}"
         )
     # the widest odd width 2M + 1 within the integer d-th root of the budget,
     # which Newton's iteration in integers reaches from a power of two above
-    budget = int(size_budget)
-    root = 1 << -(-budget.bit_length() // d)
-    while (below := ((d - 1) * root + budget // root ** (d - 1)) // d) < root:
+    root = 1 << -(-size_budget.bit_length() // d)
+    while (below := ((d - 1) * root + size_budget // root ** (d - 1)) // d) < root:
         root = below
     M = (root - 1) // 2
     width = 2 * M + 1

@@ -3,16 +3,18 @@
 Argument validation raises the builtin ``ValueError`` through one helper
 per kind of argument: ``_check_integer`` for counts and orders,
 ``_check_aspect_ratio`` for aspect ratios and ``_check_law`` for jitter
-laws.  The classes here cover failures of the numerical machinery itself.
+laws; a number helper returns the ``int`` or ``float`` it accepted, which
+callers compute with.  The classes here cover failures of the numerical
+machinery itself.
 """
 
 import math
 import numbers
 
 
-def _check_integer(value, name: str, low: int = 1, high: float = math.inf) -> None:
-    """Refuse a count that is not an integer in [low, high]; a bool is not a
-    count."""
+def _check_integer(value, name: str, low: int = 1, high: float = math.inf) -> int:
+    """Return a count in [low, high] as an ``int``; refuse one that is not an
+    integer in that range, and a bool, which is not a count."""
     if (
         not isinstance(value, numbers.Integral)
         or isinstance(value, bool)
@@ -20,12 +22,14 @@ def _check_integer(value, name: str, low: int = 1, high: float = math.inf) -> No
     ):
         bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
         raise ValueError(f"{name} must be an integer {bound}, got {value}")
+    return int(value)
 
 
-def _check_aspect_ratio(beta, name: str = "aspect ratio") -> None:
-    """Refuse an aspect ratio outside (0, 1]; NaN is refused too."""
-    if not 0 < beta <= 1:
+def _check_aspect_ratio(beta, name: str = "aspect ratio") -> float:
+    """Return a ratio in (0, 1] as a float; refuse NaN and what rounds to 0."""
+    if not 0 < beta <= 1 or not float(beta) > 0:
         raise ValueError(f"{name} must be in (0, 1], got {beta}")
+    return float(beta)
 
 
 def _check_law(dist) -> None:

@@ -62,7 +62,8 @@ from .constraints import (
     spanning_tree,
     tree_flows,
 )
-from .errors import BudgetError, NumericalError, _check_aspect_ratio, _check_integer
+from .errors import BudgetError, NumericalError
+from .errors import _check_aspect_ratio, _check_integer, _check_law
 from .jitter import JitterDistribution
 from .partitions import Partition
 
@@ -459,8 +460,9 @@ def cf_integral(
     _check_grouping(partition, grouping)
     if grouping.k >= partition.k:
         raise ValueError("fully pinned pairs are handled by delta_volume")
-    _check_aspect_ratio(beta)
-    _check_integer(d, "dimension")
+    beta = _check_aspect_ratio(beta)
+    d = _check_integer(d, "dimension")
+    _check_law(dist)
 
     (distinct, index, flip), cells, rule = _pair_setup(partition, grouping)
     folded = (beta ** (1.0 / d) * distinct, index, flip)
@@ -482,9 +484,10 @@ def term_integral(
     """Dispatch a pair: fully pinned (one-block fine partitions included)
     to the exact volume, every other pair to the cf cubature."""
     _check_grouping(partition, grouping)
+    _check_law(dist)
     if grouping.k == partition.k:
-        _check_aspect_ratio(beta)
-        _check_integer(d, "dimension")
+        beta = _check_aspect_ratio(beta)
+        d = _check_integer(d, "dimension")
         return delta_volume(partition)
     return cf_integral(partition, grouping, beta, d, dist)
 
@@ -513,9 +516,10 @@ def finite_grid_term(
     once.  B is checked against the merged rows in integers, and the node
     count against GRID_BUDGET, before any node is enumerated.
     """
-    _check_integer(box, "half-bandwidth")
-    _check_aspect_ratio(beta)
-    _check_integer(d, "dimension")
+    box = _check_integer(box, "half-bandwidth")
+    beta = _check_aspect_ratio(beta)
+    d = _check_integer(d, "dimension")
+    _check_law(dist)
     basis = constraint_system(partition, grouping)
     if (merged_difference_rows(partition, grouping) @ basis).any():
         raise NumericalError(f"basis of ({partition}, {grouping}) leaves the kernel")

@@ -114,7 +114,7 @@ class JitterDistribution:
 
     def sample(self, n: int, seed) -> np.ndarray:
         """Draw n i.i.d. variates; deterministic for a fixed seed."""
-        _check_integer(n, "sample count")
+        n = _check_integer(n, "sample count")
         return self._draw(np.random.default_rng(seed), (n,))
 
     def __repr__(self) -> str:

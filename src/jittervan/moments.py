@@ -256,17 +256,15 @@ def moment(
     a ``d`` or ``threads`` that is no integer >= 1 and a ``dist`` that is
     no ``JitterDistribution``.
     """
-    _check_integer(p, "moment order", high=MOMENT_CAP)
-    _check_aspect_ratio(beta)
-    _check_integer(d, "dimension")
-    _check_integer(threads, "thread count")
+    p = _check_integer(p, "moment order", high=MOMENT_CAP)
+    beta = _check_aspect_ratio(beta)
+    d = _check_integer(d, "dimension")
+    threads = _check_integer(threads, "thread count")
     _check_law(dist)
 
     rows, integrated = _pair_classes(p)
-    # a NumPy scalar keys and integrates as the Python float it equals
-    key = float(beta)
     values = ordered_map(
-        lambda rep: _evaluate_pair(*rep, key, d, dist), integrated, threads
+        lambda rep: _evaluate_pair(*rep, beta, d, dist), integrated, threads
     )
 
     terms = []
@@ -289,20 +287,29 @@ def moment(
 
 def narayana(p: int, k: int) -> int:
     """Narayana number: binom(p,k) * binom(p,k-1) / p, exact."""
-    _check_integer(p, "order")
-    _check_integer(k, "block count", high=p)
+    p = _check_integer(p, "order")
+    k = _check_integer(k, "block count", high=p)
     return math.comb(p, k) * math.comb(p, k - 1) // p
+
+
+def _narayana_row(p: int) -> list[int]:
+    """N(p, 1), ..., N(p, p), each from the one before in exact integers:
+    N(p, k + 1) = N(p, k) (p - k)(p - k + 1) / (k (k + 1))."""
+    row = [1]
+    for k in range(1, p):
+        row.append(row[-1] * (p - k) * (p - k + 1) // (k * (k + 1)))
+    return row
 
 
 def mp_moment(p: int, beta: float) -> float:
     """p-th Marchenko-Pastur moment: the Narayana polynomial in beta, summed
     exactly by Horner's rule and rounded once.  A moment beyond the float
     range is refused with ``ValueError``."""
-    _check_integer(p, "moment order")
-    _check_aspect_ratio(beta)
-    exact, ratio = Fraction(0), Fraction(float(beta))
-    for k in range(1, p + 1):
-        exact = exact * ratio + narayana(p, k)
+    p = _check_integer(p, "moment order")
+    beta = _check_aspect_ratio(beta)
+    exact, ratio = Fraction(0), Fraction(beta)
+    for entry in _narayana_row(p):
+        exact = exact * ratio + entry
     try:
         return float(exact)
     except OverflowError:
@@ -313,7 +320,7 @@ def mp_moment(p: int, beta: float) -> float:
 
 def mp_support(beta: float) -> tuple[float, float]:
     """Support edges ((1-sqrt(beta))^2, (1+sqrt(beta))^2)."""
-    _check_aspect_ratio(beta)
+    beta = _check_aspect_ratio(beta)
     root = math.sqrt(beta)
     return ((1 - root) ** 2, (1 + root) ** 2)
 
@@ -352,5 +359,5 @@ def convergence_report(
     rows = []
     for d in d_list:
         result = moment(p, beta, d, dist)
-        rows.append(ConvergenceRow(d, result, limit, abs(result.value - limit)))
+        rows.append(ConvergenceRow(result.d, result, limit, abs(result.value - limit)))
     return rows

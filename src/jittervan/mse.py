@@ -32,12 +32,13 @@ from .errors import NumericalError, _check_aspect_ratio, _check_integer, _check_
 from .jitter import JitterDistribution
 
 
-def _check_snr(snr) -> None:
-    """Refuse an SNR, or an array holding one, that is not finite and > 0."""
+def _check_snr(snr):
+    """Return an SNR as a float, or SNRs as a float64 array, all finite and > 0."""
     values = np.asarray(snr, dtype=float)
     bad = values[~((values > 0) & (values < math.inf))]
     if bad.size:
         raise ValueError(f"signal-to-noise ratio must be finite and > 0, got {bad[0]}")
+    return float(values) if values.ndim == 0 else values
 
 
 def mse_from_spectrum(eigenvalues, beta: float, snr):
@@ -50,11 +51,10 @@ def mse_from_spectrum(eigenvalues, beta: float, snr):
     eigs = np.asarray(eigenvalues, dtype=float).ravel()
     if eigs.size == 0:
         raise ValueError("cannot average over an empty spectrum")
-    _check_aspect_ratio(beta)
-    snrs = np.atleast_1d(np.asarray(snr, dtype=float))
+    beta = _check_aspect_ratio(beta)
+    snrs = np.atleast_1d(_check_snr(snr))
     if snrs.ndim > 1:
         raise ValueError(f"need one SNR or a 1-D array of them, got shape {snrs.shape}")
-    _check_snr(snrs)
     chunk = max(1, CELL_BUDGET // eigs.size)
     mse = np.empty(len(snrs))
     for start in range(0, len(snrs), chunk):
@@ -65,8 +65,8 @@ def mse_from_spectrum(eigenvalues, beta: float, snr):
 
 def mse_equally_spaced(beta: float, snr: float) -> float:
     """Error for the degenerate unit spectrum: beta / (snr + beta)."""
-    _check_aspect_ratio(beta)
-    _check_snr(snr)
+    beta = _check_aspect_ratio(beta)
+    snr = _check_snr(snr)
     return beta / (snr + beta)
 
 
@@ -81,8 +81,8 @@ def mse_mp(beta: float, snr: float) -> float:
     c = 1 + (1 - beta) snr / beta.  It sums positive terms only, so no digits
     cancel, and no square overflows at any SNR.
     """
-    _check_aspect_ratio(beta)
-    _check_snr(snr)
+    beta = _check_aspect_ratio(beta)
+    snr = _check_snr(snr)
     c = 1.0 + (1.0 - beta) * snr / beta
     return 2.0 / (c + math.hypot(c, 2.0 * math.sqrt(snr)))
 
@@ -109,8 +109,8 @@ def lmmse_demo(
     error, so the empirical average converges to it as the draw count
     grows.
     """
-    _check_snr(snr)
-    _check_integer(draws, "draw count", low=2)
+    snr = _check_snr(snr)
+    draws = _check_integer(draws, "draw count", low=2)
     check_cell_budget(config)
     signal_seed, positions_seed = np.random.SeedSequence(seed).spawn(2)
     rng = np.random.default_rng(signal_seed)
@@ -218,21 +218,20 @@ def mse_curve(
         raise ValueError("need at least one dimension")
     if len(snr_db_values) == 0:
         raise ValueError("need at least one SNR value")
-    for d in d_list:
-        _check_integer(d, "dimension")
-    _check_aspect_ratio(beta_target, "target aspect ratio")
+    dims = sorted({_check_integer(d, "dimension") for d in d_list})
+    beta_target = _check_aspect_ratio(beta_target, "target aspect ratio")
     _check_law(dist)
-    snrs = []
-    for db in snr_db_values:
+    dbs, snrs = [float(db) for db in snr_db_values], []
+    for db in dbs:
         # a float overflows with an error where a NumPy scalar warns
         try:
-            snrs.append(10.0 ** (float(db) / 10.0))
+            snrs.append(10.0 ** (db / 10.0))
         except OverflowError:
             snrs.append(math.inf)
         if not 0 < snrs[-1] < math.inf:
             raise ValueError(f"{db} dB is no finite signal-to-noise ratio > 0")
     points: list[MsePoint] = []
-    for d in sorted({int(d) for d in d_list}):
+    for d in dims:
         M, rho, beta_actual = resolve_shape(beta_target, d, size_budget)
         config = EnsembleConfig(d=d, M=M, rho=rho, dist=dist)
         eigs = simulate(config, trials, [seed, d], threads).eigenvalues
@@ -242,11 +241,11 @@ def mse_curve(
         std_err = spread / np.sqrt(trials)
         points.extend(
             MsePoint(db, "empirical", beta_actual, d, float(value), float(err))
-            for db, value, err in zip(snr_db_values, mse, std_err)
+            for db, value, err in zip(dbs, mse, std_err)
         )
     for source, reference in (("mp", mse_mp), ("equally_spaced", mse_equally_spaced)):
         points.extend(
             MsePoint(db, source, beta_target, None, reference(beta_target, snr), 0.0)
-            for db, snr in zip(snr_db_values, snrs)
+            for db, snr in zip(dbs, snrs)
         )
     return MseCurve(beta_target, dist.kind, tuple(points))

@@ -29,8 +29,7 @@ from .errors import BudgetError, _check_integer
 from .partitions import Partition, enumerate_partitions_k, mobius_coefficient
 
 #: The exact enumeration visits r!/(r-k)! ordered tuples of distinct
-#: labels for k blocks; it refuses more blocks or tuples than these.
-BLOCK_CAP = 4
+#: labels for k blocks; it refuses more tuples than this.
 TUPLE_BUDGET = 200_000
 
 
@@ -50,8 +49,8 @@ class PhaseSumInstance:
     enforce_zero_sum: bool = True
 
     def __post_init__(self) -> None:
-        _check_integer(self.rho, "vertex count")
-        _check_integer(self.d, "dimension")
+        object.__setattr__(self, "rho", _check_integer(self.rho, "vertex count"))
+        object.__setattr__(self, "d", _check_integer(self.d, "dimension"))
         k = self.omega.k
         if len(self.block_vectors) != k:
             raise ValueError(f"need {k} block vectors, got {len(self.block_vectors)}")
@@ -91,17 +90,15 @@ def distinct_label_sum(instance: PhaseSumInstance) -> complex:
 
     Phase exponents are accumulated as integers modulo rho and combined
     with the roots of unity only at the end, so the enumeration itself is
-    exact; BLOCK_CAP and TUPLE_BUDGET keep it affordable.
+    exact; TUPLE_BUDGET keeps it affordable.  With fewer labels than
+    blocks there is no tuple, and the sum is 0.
     """
     k = instance.omega.k
     r = instance.r
-    if r < k:
-        return 0j
-    if k > BLOCK_CAP or math.perm(r, k) > TUPLE_BUDGET:
+    if math.perm(r, k) > TUPLE_BUDGET:
         raise BudgetError(
             f"distinct-label enumeration with r={r}, k={k} needs "
-            f"{math.perm(r, k)} tuples, over the budget {TUPLE_BUDGET} "
-            f"or the cap of {BLOCK_CAP} blocks"
+            f"{math.perm(r, k)} tuples, over the budget {TUPLE_BUDGET}"
         )
     # integer phase exponent per (label, block), reduced modulo rho
     vectors = np.array(instance.block_vectors, dtype=np.int64)
@@ -198,8 +195,8 @@ def brute_trace_moment(
     an independent path against the eigenvalue-based estimate.  Trial t
     draws the positions ``simulate`` draws for trial t at the same seed.
     """
-    _check_integer(p, "moment order")
-    _check_integer(trials, "trial count")
+    p = _check_integer(p, "moment order")
+    trials = _check_integer(trials, "trial count")
     if config.n_rows > 512:
         raise BudgetError(
             f"matrix-power oracle is capped at 512 rows, got {config.n_rows}"

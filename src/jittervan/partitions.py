@@ -95,22 +95,22 @@ def _partitions(p: int) -> tuple[Partition, ...]:
 
 def enumerate_partitions(p: int) -> list[Partition]:
     """All partitions of {1,...,p} in lexicographic restricted-growth order."""
-    _check_integer(p, "order", high=ORDER_CAP)
+    p = _check_integer(p, "order", high=ORDER_CAP)
     return list(_partitions(p))
 
 
 def enumerate_partitions_k(p: int, k: int) -> list[Partition]:
     """All partitions of {1,...,p} into exactly k blocks, lexicographic."""
-    _check_integer(p, "order", high=ORDER_CAP)
-    _check_integer(k, "block count", high=p)
+    p = _check_integer(p, "order", high=ORDER_CAP)
+    k = _check_integer(k, "block count", high=p)
     return [w for w in _partitions(p) if w.k == k]
 
 
 @lru_cache(maxsize=None)
 def stirling2(p: int, k: int) -> int:
     """Stirling number of the second kind, exact."""
-    _check_integer(p, "order")
-    _check_integer(k, "block count", high=p)
+    p = _check_integer(p, "order")
+    k = _check_integer(k, "block count", high=p)
     if k == 1 or k == p:
         return 1
     return k * stirling2(p - 1, k) + stirling2(p - 1, k - 1)
@@ -118,7 +118,7 @@ def stirling2(p: int, k: int) -> int:
 
 def bell(p: int) -> int:
     """Bell number: count of all partitions of a p element set, exact."""
-    _check_integer(p, "order")
+    p = _check_integer(p, "order")
     return sum(stirling2(p, k) for k in range(1, p + 1))
 
 

@@ -56,6 +56,7 @@ def report(number: int, name: str, ok: bool, detail: str, started: float) -> Non
     assert ok, f"criterion {number} ({name}): {detail}"
 
 
+@pytest.mark.slow
 def test_criterion_1_combinatorics():
     started = time.time()
     failures = []

@@ -1,8 +1,13 @@
 """Argument refusals: every public entry point refuses a bad count, aspect
 ratio or jitter law with a ValueError that names the argument, before it
-does any work."""
+does any work.  An accepted NumPy scalar or Fraction is computed with as the
+Python int or float it equals."""
 
+import dataclasses
+import json
 import math
+import numbers
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,14 +21,22 @@ import jittervan.partitions as partitions_module
 from jittervan.ensemble import (
     EnsembleConfig,
     SpectrumSample,
+    check_cell_budget,
     histogram,
     resolve_shape,
     simulate,
 )
-from jittervan.errors import _check_integer
+from jittervan.errors import BudgetError, _check_integer
 from jittervan.integrate import cf_integral, finite_grid_term, term_integral
 from jittervan.jitter import JitterDistribution, uniform01
-from jittervan.moments import moment, mp_moment, mp_support, narayana
+from jittervan.moments import (
+    clear_term_cache,
+    convergence_report,
+    moment,
+    mp_moment,
+    mp_support,
+    narayana,
+)
 from jittervan.mse import (
     lmmse_demo,
     mse_curve,
@@ -31,7 +44,7 @@ from jittervan.mse import (
     mse_from_spectrum,
     mse_mp,
 )
-from jittervan.oracle import PhaseSumInstance, brute_trace_moment
+from jittervan.oracle import PhaseSumInstance, brute_trace_moment, distinct_label_sum
 from jittervan.partitions import (
     Partition,
     bell,
@@ -63,6 +76,7 @@ def tripwires(monkeypatch):
         (integrate_module, "_pair_setup"),
         (integrate_module, "_evaluate"),
         (integrate_module, "delta_volume"),
+        (integrate_module, "constraint_system"),
         (ensemble_module, "sample_positions"),
         (mse_module, "sample_positions"),
         (mse_module, "simulate"),
@@ -87,6 +101,18 @@ REFUSALS = [
     ("moment_threads", lambda: moment(2, 0.5, 1, tripped_law(), threads=0), "thread count"),
     ("moment_bool_d", lambda: moment(2, 0.55, True, tripped_law()), "dimension"),
     ("moment_law", lambda: moment(2, 0.5, 1, "uniform"), "jitter law"),
+    ("cf_integral_law", lambda: cf_integral(*CF_PAIR, 0.5, 1, "uniform"), "jitter law"),
+    ("term_integral_law", lambda: term_integral(*CF_PAIR, 0.5, 1, "uniform"), "jitter law"),
+    (
+        "term_integral_pinned_law",
+        lambda: term_integral(*PAIR, 0.5, 1, "uniform"),
+        "jitter law",
+    ),
+    (
+        "finite_grid_term_law",
+        lambda: finite_grid_term(*CF_PAIR, 2, 0.5, 1, "uniform"),
+        "jitter law",
+    ),
     ("mp_moment", lambda: mp_moment(2.5, 0.5), "moment order"),
     ("narayana", lambda: narayana(2.5, 1), "order"),
     ("narayana_k", lambda: narayana(3, 4), "block count"),
@@ -168,6 +194,152 @@ def test_count_refused(tripwires, call, name):
         call()
 
 
+#: (id, function, arguments) with every count a Python int and every aspect
+#: ratio, SNR or dB value a Python float, lists included
+PYTHON_NUMBER_CALLS = [
+    ("moment", moment, (3, 0.55, 2, uniform01())),
+    ("cf_integral", cf_integral, (*CF_PAIR, 0.55, 2, uniform01())),
+    ("term_integral", term_integral, (*CF_PAIR, 0.55, 2, uniform01())),
+    ("term_integral_pinned", term_integral, (*PAIR, 0.55, 2, uniform01())),
+    ("finite_grid_term", finite_grid_term, (*CF_PAIR, 3, 0.55, 2, uniform01())),
+    ("mp_moment", mp_moment, (70, 0.55)),
+    ("narayana", narayana, (70, 35)),
+    ("stirling2", stirling2, (40, 20)),
+    ("bell", bell, (30,)),
+    ("enumerate_partitions", enumerate_partitions, (4,)),
+    ("enumerate_partitions_k", enumerate_partitions_k, (4, 2)),
+    ("resolve_shape", resolve_shape, (0.55, 2, 100)),
+    ("mse_mp", mse_mp, (0.55, 10.0)),
+    ("mse_equally_spaced", mse_equally_spaced, (0.55, 10.0)),
+    ("mse_from_spectrum", mse_from_spectrum, ([0.5, 1.5], 0.55, 10.0)),
+    ("mse_from_spectrum_vector", mse_from_spectrum, ([0.5, 1.5], 0.55, [1.0, 10.0])),
+    # beta_target, d_list, dB values, law, size_budget, trials, seed, threads
+    ("mse_curve", mse_curve, (0.5, [1, 2], [0.0, 10.0], uniform01(), 9, 2, 0, 1)),
+]
+
+#: (id, type of every count, type of every ratio, SNR and dB value)
+NUMBER_TYPES = [
+    ("int64", np.int64, float),
+    ("int32", np.int32, float),
+    ("float32", int, np.float32),
+    ("float64", int, np.float64),
+    ("Fraction", int, Fraction),
+]
+
+
+def converted(value, count, ratio):
+    """``value`` with each int passed through ``count`` and each float
+    through ``ratio``, list items included."""
+    if isinstance(value, list):
+        return [converted(item, count, ratio) for item in value]
+    if isinstance(value, int):
+        return count(value)
+    if isinstance(value, float):
+        return ratio(value)
+    return value
+
+
+def plain(value):
+    """The Python int or float that a number equals, list items included."""
+    if isinstance(value, list):
+        return [plain(item) for item in value]
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    if isinstance(value, numbers.Real):
+        return float(value)
+    return value
+
+
+def assert_same(got, want, where):
+    """Equal in value and in type, through records, tuples, lists and arrays."""
+    assert type(got) is type(want), (where, got, want)
+    if dataclasses.is_dataclass(got):
+        got, want = ([getattr(r, f.name) for f in dataclasses.fields(r)] for r in (got, want))
+    if isinstance(got, np.ndarray):
+        assert got.dtype == want.dtype and np.array_equal(got, want), where
+    elif isinstance(got, (tuple, list)):
+        assert len(got) == len(want), where
+        for a, b in zip(got, want):
+            assert_same(a, b, where)
+    else:
+        assert got == want, (where, got, want)
+
+
+def clear_memos():
+    """Empty the memos keyed by argument values."""
+    stirling2.cache_clear()
+    clear_term_cache()
+
+
+@pytest.fixture
+def fresh_memos():
+    """Clear the memos before and after, so that a value computed from a
+    wrapped NumPy integer cannot outlive its test."""
+    clear_memos()
+    yield
+    clear_memos()
+
+
+@pytest.mark.parametrize(
+    "count, ratio", [t[1:] for t in NUMBER_TYPES], ids=[t[0] for t in NUMBER_TYPES]
+)
+def test_numbers_compute_as_the_python_number_they_equal(fresh_memos, count, ratio):
+    for where, function, args in PYTHON_NUMBER_CALLS:
+        given = converted(list(args), count, ratio)
+        clear_memos()
+        want = function(*plain(given))
+        clear_memos()
+        assert_same(function(*given), want, where)
+
+
+def test_records_of_numpy_arguments_serialise(fresh_memos):
+    law = uniform01()
+    result = moment(np.int64(2), np.float32(0.55), np.int64(2), law)
+    json.dumps(result.to_dict())
+    curve = mse_curve(
+        np.float32(0.5), [np.int64(1)], [np.float32(3.0)], law, np.int64(9), np.int64(2)
+    )
+    json.dumps(curve.to_dicts())
+    rows = convergence_report(2, np.float32(0.55), np.arange(1, 3), law)
+    json.dumps([(row.d, row.mp, row.gap, row.moment.to_dict()) for row in rows])
+
+
+class TestWrappedBudgets:
+    """Budgets that a product of NumPy integers would wrap around."""
+
+    def test_finite_grid_nodes(self):
+        five, one = Partition((1, 2, 3, 4, 5)), Partition((1, 1, 1, 1, 1))
+        with pytest.raises(BudgetError, match="nodes"):
+            finite_grid_term(five, one, np.int64(10000), 0.5, 1, uniform01())
+
+    def test_cell_budget(self):
+        # 7^5 x 8192^5 entries: only the budget check may ever see this shape
+        config = EnsembleConfig(
+            d=np.int64(5), M=np.int64(3), rho=np.int64(8192), dist=uniform01()
+        )
+        with pytest.raises(BudgetError, match="cell budget"):
+            check_cell_budget(config)
+        assert (config.n_rows, config.n_cols) == (7**5, 8192**5)
+
+    def test_phase_sum_tuples(self):
+        vectors = ((1, 0, 0, 0, 0), (-1, 0, 0, 0, 0))
+        instance = PhaseSumInstance(Partition((1, 2)), vectors, np.int64(8192), np.int64(5))
+        assert instance.r == 8192**5
+        with pytest.raises(BudgetError, match="tuples"):
+            distinct_label_sum(instance)
+
+
+def test_stirling_memo_stays_exact(fresh_memos):
+    def explicit(p, k):
+        terms = ((-1) ** j * math.comb(k, j) * (k - j) ** p for j in range(k + 1))
+        return sum(terms) // math.factorial(k)
+
+    assert stirling2(np.int64(40), np.int64(20)) == explicit(40, 20)
+    assert stirling2(40, 20) == explicit(40, 20)
+    stirling2(np.int64(30), np.int64(12))
+    assert bell(30) == 846_749_014_511_809_332_450_147
+
+
 #: (id, call taking beta, the argument's name in the message)
 ASPECT_RATIO_CALLS = [
     ("moment", lambda b: moment(2, b, 1, tripped_law()), "aspect ratio"),
@@ -193,7 +365,8 @@ ASPECT_RATIO_CALLS = [
 ]
 
 
-@pytest.mark.parametrize("beta", [0.0, 1.5, math.nan])
+# the last is in (0, 1] but rounds to 0.0 as a float
+@pytest.mark.parametrize("beta", [0.0, 1.5, math.nan, Fraction(1, 10**400)])
 @pytest.mark.parametrize(
     "call, name", [r[1:] for r in ASPECT_RATIO_CALLS], ids=[r[0] for r in ASPECT_RATIO_CALLS]
 )

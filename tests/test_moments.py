@@ -12,6 +12,7 @@ from jittervan.integrate import QmcOptions, term_integral
 from jittervan.jitter import JitterDistribution, point_mass_half, triangular01, uniform01
 from jittervan.moments import (
     _class_representative,
+    _narayana_row,
     clear_term_cache,
     convergence_report,
     moment,
@@ -421,6 +422,7 @@ class TestClassKey:
 
 
 class TestClassAgreement:
+    @pytest.mark.slow
     @pytest.mark.parametrize("factory", [uniform01, triangular01, two_point])
     def test_members_agree_within_reported_errors(self, factory):
         # every member integrated directly at its own order, over its own
@@ -441,6 +443,10 @@ class TestMarchenkoPastur:
         assert [narayana(4, k) for k in range(1, 5)] == [1, 6, 6, 1]
         assert narayana(1, 1) == 1
         assert sum(narayana(6, k) for k in range(1, 7)) == 132  # Catalan
+
+    def test_stepped_row_equals_the_entries(self):
+        for p in range(1, 61):
+            assert _narayana_row(p) == [narayana(p, k) for k in range(1, p + 1)], p
 
     @pytest.mark.parametrize(
         "p,beta,expected",

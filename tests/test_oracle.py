@@ -9,7 +9,6 @@ from jittervan.errors import BudgetError
 from jittervan.jitter import point_mass_half, uniform01
 from jittervan.moments import moment
 from jittervan.oracle import (
-    BLOCK_CAP,
     TUPLE_BUDGET,
     PhaseSumInstance,
     brute_trace_moment,
@@ -97,10 +96,12 @@ class TestDistinctLabelSum:
         assert 448 * 447 > TUPLE_BUDGET
         with pytest.raises(BudgetError):
             distinct_label_sum(PhaseSumInstance(Partition((1, 2)), ((1,), (-1,)), 448, 1))
+
+    def test_five_blocks_within_the_tuple_budget(self):
+        # 6 * 5 * 4 * 3 * 2 ordered label tuples, each of phase one
         five = PhaseSumInstance(Partition((1, 2, 3, 4, 5)), ((0,),) * 5, 6, 1)
-        assert five.omega.k > BLOCK_CAP
-        with pytest.raises(BudgetError):
-            distinct_label_sum(five)
+        assert distinct_label_sum(five) == pytest.approx(720, abs=1e-9)
+        assert partition_delta_sum(five) == 720
 
 
 class TestPartitionDeltaSum:

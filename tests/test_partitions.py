@@ -132,6 +132,7 @@ class TestCounting:
         assert bell(1) == 1
         assert bell(7) == 877
 
+    @pytest.mark.slow
     def test_bell_seven_by_brute_force(self):
         assert bell(7) == len(brute_force_partitions(7))
 
