@@ -1,11 +1,12 @@
 """Exception types shared across the package.
 
 Argument validation raises the builtin ``ValueError`` through one helper
-per kind of argument: ``_check_integer`` for counts and orders,
-``_check_aspect_ratio`` for aspect ratios and ``_check_law`` for jitter
-laws; a number helper returns the ``int`` or ``float`` it accepted, which
-callers compute with.  The classes here cover failures of the numerical
-machinery itself.
+per kind of argument: ``_check_integer`` for counts, orders and offsets,
+``_check_real`` for real numbers, ``_check_aspect_ratio`` for aspect ratios
+and ``_check_law`` for jitter laws; a number helper returns the ``int`` or
+``float`` it accepted, which callers compute with.  None of them takes a
+bool or a string for a number.  The classes here cover failures of the
+numerical machinery itself.
 """
 
 import math
@@ -20,16 +21,29 @@ def _check_integer(value, name: str, low: int = 1, high: float = math.inf) -> in
         or isinstance(value, bool)
         or not low <= value <= high
     ):
-        bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
-        raise ValueError(f"{name} must be an integer {bound}, got {value}")
+        if high < math.inf:
+            bound = f" in [{low}, {high}]"
+        else:
+            bound = f" >= {low}" if low > -math.inf else ""
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
     return int(value)
 
 
+def _check_real(value, name: str) -> float:
+    """Return a real number as a float; refuse a bool, a string or a
+    complex number, which are not real numbers here."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _check_aspect_ratio(beta, name: str = "aspect ratio") -> float:
-    """Return a ratio in (0, 1] as a float; refuse NaN and what rounds to 0."""
-    if not 0 < beta <= 1 or not float(beta) > 0:
-        raise ValueError(f"{name} must be in (0, 1], got {beta}")
-    return float(beta)
+    """Return a ratio in (0, 1] as a float; refuse what is no real number,
+    NaN and what rounds to 0."""
+    value = _check_real(beta, name)
+    if not 0 < beta <= 1 or not value > 0:
+        raise ValueError(f"{name} must be in (0, 1], got {beta!r}")
+    return value
 
 
 def _check_law(dist) -> None:

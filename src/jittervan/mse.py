@@ -28,12 +28,22 @@ from .ensemble import (
     spectrum,
     write_csv,
 )
-from .errors import NumericalError, _check_aspect_ratio, _check_integer, _check_law
+from .errors import (
+    NumericalError,
+    _check_aspect_ratio,
+    _check_integer,
+    _check_law,
+    _check_real,
+)
 from .jitter import JitterDistribution
 
 
 def _check_snr(snr):
-    """Return an SNR as a float, or SNRs as a float64 array, all finite and > 0."""
+    """Return an SNR as a float, or SNRs as a float64 array, all finite and > 0;
+    refuse a bool or a string, alone or among the SNRs."""
+    if not (isinstance(snr, np.ndarray) and snr.dtype.kind in "iuf"):
+        for value in np.asarray(snr, dtype=object).flat:
+            _check_real(value, "signal-to-noise ratio")
     values = np.asarray(snr, dtype=float)
     bad = values[~((values > 0) & (values < math.inf))]
     if bad.size:
@@ -178,6 +188,9 @@ class MseCurve:
 def snr_grid_db(start: float = -10.0, stop: float = 30.0, step: float = 1.0) -> list[float]:
     """Inclusive dB grid matching the start:stop:step CLI syntax, of one to
     CELL_BUDGET points."""
+    start = _check_real(start, "dB grid start")
+    stop = _check_real(stop, "dB grid stop")
+    step = _check_real(step, "dB grid step")
     if not all(map(math.isfinite, (start, stop, step))):
         raise ValueError(f"dB grid parts must be finite, got {start}:{stop}:{step}")
     if step <= 0:
@@ -212,7 +225,8 @@ def mse_curve(
     with ``ValueError``, an empty ``d_list`` or ``snr_db_values``, a
     dimension, ``size_budget``, ``trials`` or ``threads`` that is no
     integer >= 1, a target ratio outside (0, 1], a ``dist`` that is no
-    ``JitterDistribution`` and a dB value that gives no finite SNR > 0.
+    ``JitterDistribution`` and a dB value that is no real number or gives
+    no finite SNR > 0.
     """
     if len(d_list) == 0:
         raise ValueError("need at least one dimension")
@@ -221,7 +235,7 @@ def mse_curve(
     dims = sorted({_check_integer(d, "dimension") for d in d_list})
     beta_target = _check_aspect_ratio(beta_target, "target aspect ratio")
     _check_law(dist)
-    dbs, snrs = [float(db) for db in snr_db_values], []
+    dbs, snrs = [_check_real(db, "dB value") for db in snr_db_values], []
     for db in dbs:
         # a float overflows with an error where a NumPy scalar warns
         try:
@@ -230,12 +244,14 @@ def mse_curve(
             snrs.append(math.inf)
         if not 0 < snrs[-1] < math.inf:
             raise ValueError(f"{db} dB is no finite signal-to-noise ratio > 0")
+    # an array of floats, which each trial's average takes without a type check
+    column = np.array(snrs)
     points: list[MsePoint] = []
     for d in dims:
         M, rho, beta_actual = resolve_shape(beta_target, d, size_budget)
         config = EnsembleConfig(d=d, M=M, rho=rho, dist=dist)
         eigs = simulate(config, trials, [seed, d], threads).eigenvalues
-        per_trial = np.array([mse_from_spectrum(e, beta_actual, snrs) for e in eigs])
+        per_trial = np.array([mse_from_spectrum(e, beta_actual, column) for e in eigs])
         mse = per_trial.mean(axis=0)
         spread = per_trial.std(axis=0, ddof=1) if trials > 1 else np.zeros(len(snrs))
         std_err = spread / np.sqrt(trials)

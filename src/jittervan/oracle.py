@@ -3,9 +3,9 @@
 Two independent evaluation paths are provided for the distinct-label phase
 sum attached to a partition: a literal enumeration over ordered tuples of
 distinct grid labels, and the partition expansion with signed weights and
-integer zero-sum indicators whose leading powers the engine relies on.
-Their difference is a lower-order polynomial in the label count, which the
-scan checks empirically.  A matrix-power trace estimator is included as an
+indicators that each group's summed vector vanishes mod rho.  Moebius
+inversion on the partition lattice makes the two equal exactly, whatever
+the block vectors sum to.  A matrix-power trace estimator is included as an
 eigenvalue-free route to the empirical moments.
 """
 
@@ -37,16 +37,15 @@ TUPLE_BUDGET = 200_000
 class PhaseSumInstance:
     """A partition with one integer offset vector per block.
 
-    The block vectors must sum to zero, as every vector built from cyclic
-    differences does; ``rho`` and ``d`` fix the label grid, so the label
-    count is rho^d.  Diagnostic instances may disable the zero-sum check.
+    ``rho`` and ``d`` fix the label grid, so the label count is rho^d.  The
+    block vectors may sum to anything; every entry must be an integer, and
+    is stored as an ``int``.
     """
 
     omega: Partition
     block_vectors: tuple[tuple[int, ...], ...]
     rho: int
     d: int
-    enforce_zero_sum: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rho", _check_integer(self.rho, "vertex count"))
@@ -56,33 +55,30 @@ class PhaseSumInstance:
             raise ValueError(f"need {k} block vectors, got {len(self.block_vectors)}")
         if any(len(vec) != self.d for vec in self.block_vectors):
             raise ValueError(f"block vectors must have length {self.d}")
-        if self.enforce_zero_sum:
-            totals = [sum(vec[m] for vec in self.block_vectors) for m in range(self.d)]
-            if any(totals):
-                raise ValueError(
-                    f"block vectors must sum to zero componentwise, got {totals}"
-                )
+        object.__setattr__(self, "block_vectors", _integer_rows(self.block_vectors))
 
     @property
     def r(self) -> int:
         return self.rho**self.d
 
 
+def _integer_rows(rows) -> tuple[tuple[int, ...], ...]:
+    """Each offset as an ``int``; refuse one that is no integer, or a bool."""
+    return tuple(
+        tuple(_check_integer(v, "offset", low=-math.inf) for v in row) for row in rows
+    )
+
+
 def instance_from_labels(
     omega: Partition, offsets: np.ndarray, rho: int
 ) -> PhaseSumInstance:
     """Build the per-block vectors from a p x d integer offset matrix."""
-    offsets = np.asarray(offsets, dtype=np.int64)
-    if offsets.ndim != 2 or offsets.shape[0] != omega.p:
-        raise ValueError(f"offsets must be {omega.p} x d, got {offsets.shape}")
-    forms = difference_matrix(omega)
-    vectors = forms @ offsets
-    return PhaseSumInstance(
-        omega,
-        tuple(tuple(int(v) for v in row) for row in vectors),
-        rho,
-        offsets.shape[1],
-    )
+    shape = np.shape(offsets)
+    if len(shape) != 2 or shape[0] != omega.p:
+        raise ValueError(f"offsets must be {omega.p} x d, got {shape}")
+    offsets = np.array(_integer_rows(offsets), dtype=np.int64)
+    vectors = difference_matrix(omega) @ offsets
+    return PhaseSumInstance(omega, vectors.tolist(), rho, shape[1])
 
 
 def distinct_label_sum(instance: PhaseSumInstance) -> complex:
@@ -114,7 +110,7 @@ def distinct_label_sum(instance: PhaseSumInstance) -> complex:
 
 
 def surviving_groupings(instance: PhaseSumInstance) -> list[Partition]:
-    """Block groupings whose merged vectors all vanish exactly."""
+    """Block groupings whose merged vectors all vanish mod rho."""
     k = instance.omega.k
     vectors = np.array(instance.block_vectors, dtype=np.int64)
     out = []
@@ -124,66 +120,19 @@ def surviving_groupings(instance: PhaseSumInstance) -> list[Partition]:
                 vectors[[i - 1 for i in sorted(block)]].sum(axis=0)
                 for block in grouping.blocks
             ]
-            if all(not s.any() for s in sums):
+            if all(not (s % instance.rho).any() for s in sums):
                 out.append(grouping)
     return out
 
 
 def partition_delta_sum(instance: PhaseSumInstance) -> int:
-    """Leading-power partition expansion of the phase sum (an integer)."""
+    """The phase sum by its partition expansion over the surviving groupings,
+    an integer equal to ``distinct_label_sum`` exactly."""
     r = instance.r
     total = 0
     for grouping in surviving_groupings(instance):
         total += r**grouping.k * mobius_coefficient(grouping)
     return total
-
-
-@dataclass(frozen=True)
-class ScanRow:
-    r: int
-    residual: float
-
-
-class ResidualScan(list):
-    """The rows of a residual scan, with the leading surviving power h_max."""
-
-    def __init__(self, rows: list[ScanRow], h_max: int) -> None:
-        super().__init__(rows)
-        self.h_max = h_max
-
-    @property
-    def decays(self) -> bool:
-        """Whether residual / r^h_max does not grow along the scan, so the
-        residual stays one order below the leading power (exact scans, every
-        residual at most 1e-9, pass)."""
-        ratios = [row.residual / row.r ** max(self.h_max, 1) for row in self]
-        return all(row.residual <= 1e-9 for row in self) or ratios[-1] <= ratios[0]
-
-
-def residual_scan(
-    omega: Partition,
-    block_vectors: tuple[tuple[int, ...], ...],
-    r_list,
-    d: int = 1,
-) -> ResidualScan:
-    """Compare both phase-sum paths along growing label counts.
-
-    Each row holds the residual |distinct - partition| at one label count;
-    ``decays`` gives the verdict on the whole scan.
-    """
-    rows: list[ScanRow] = []
-    h_max = 0
-    for r in sorted(r_list):
-        rho = round(r ** (1.0 / d))
-        if rho**d != r:
-            raise ValueError(f"label count {r} is not a perfect {d}-th power")
-        instance = PhaseSumInstance(omega, block_vectors, rho, d)
-        if not h_max:
-            survivors = surviving_groupings(instance)
-            h_max = max((g.k for g in survivors), default=0)
-        residual = abs(distinct_label_sum(instance) - partition_delta_sum(instance))
-        rows.append(ScanRow(r, residual))
-    return ResidualScan(rows, h_max)
 
 
 def brute_trace_moment(

@@ -34,7 +34,6 @@ from .oracle import (
     distinct_label_sum,
     instance_from_labels,
     partition_delta_sum,
-    residual_scan,
 )
 from .partitions import (
     Partition,
@@ -199,14 +198,10 @@ def two_block_closed_form() -> bool:
     return abs(distinct_label_sum(inst) + 5) < 1e-9 and partition_delta_sum(inst) == -5
 
 
-def zero_offsets_residual_order() -> bool:
-    return residual_scan(Partition((1, 2, 3)), ((0,),) * 3, [4, 6, 8, 10]).decays
-
-
-def mixed_instance_leading_order() -> bool:
-    offsets = np.array([[1], [0], [-1], [1]])
-    inst = instance_from_labels(Partition((1, 2, 1, 3)), offsets, 7)
-    return abs(distinct_label_sum(inst) - partition_delta_sum(inst)) <= 3 * inst.r
+def expansion_matches_enumeration(omega: Partition, offsets, rho: int) -> bool:
+    """The partition expansion equals the distinct-label enumeration exactly."""
+    inst = instance_from_labels(omega, offsets, rho)
+    return abs(distinct_label_sum(inst) - partition_delta_sum(inst)) <= 1e-9
 
 
 def half_cell_jitter_is_identity(seed: int) -> bool:
@@ -310,11 +305,22 @@ def _suite_integrals(seed: int) -> list[Check]:
 
 
 def _suite_phase_sums(seed: int) -> list[Check]:
+    rng = np.random.default_rng(seed)
+    instances = [
+        (w, rng.integers(-2 * rho, 2 * rho + 1, size=(p, 1)), rho)
+        for p in range(2, 5)
+        for w in enumerate_partitions(p)
+        for rho in (3, 4, 5)
+    ]
+    # block vectors (-3, -1, 4) and (3, -3): a group sums to a nonzero multiple of rho
+    instances += [
+        (Partition((1, 2, 1, 3)), [[-2], [-2], [-1], [2]], 4),
+        (Partition((1, 2, 1)), [[-2], [-2], [1]], 3),
+    ]
     return _run("phase_sums", [
         (single_block_counts_labels, [()], "r = 5"),
         (two_block_closed_form, [()], "r = 5"),
-        (zero_offsets_residual_order, [()], "r in 4..10"),
-        (mixed_instance_leading_order, [()], "r = 7"),
+        (expansion_matches_enumeration, instances, "p <= 4, rho in 3..5, exact"),
     ])
 
 

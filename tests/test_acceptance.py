@@ -34,7 +34,6 @@ from jittervan.oracle import (
     distinct_label_sum,
     instance_from_labels,
     partition_delta_sum,
-    residual_scan,
 )
 from jittervan.partitions import (
     Partition,
@@ -267,12 +266,19 @@ def test_criterion_8_phase_sum_oracle():
     started = time.time()
     failures = []
 
+    def gap(instance: PhaseSumInstance) -> float:
+        return abs(distinct_label_sum(instance) - partition_delta_sum(instance))
+
     single = PhaseSumInstance(Partition((1, 1, 1)), ((0,),), 6, 1)
-    if abs(distinct_label_sum(single) - partition_delta_sum(single)) > 1e-9:
+    if gap(single) > 1e-9:
         failures.append("single-block instance")
     pair = PhaseSumInstance(Partition((1, 2)), ((1,), (-1,)), 5, 1)
     if abs(distinct_label_sum(pair) - (-5)) > 1e-9 or partition_delta_sum(pair) != -5:
         failures.append("two-block instance")
+    # vectors (-3, -1, 4): the group {1, 2} sums to -4, a multiple of rho = 4
+    aliased = instance_from_labels(Partition((1, 2, 1, 3)), [[-2], [-2], [-1], [2]], 4)
+    if gap(aliased) > 1e-9 or partition_delta_sum(aliased) != -8:
+        failures.append("aliased instance")
 
     scans = {
         "all-zero": (Partition((1, 2, 3)), ((0,), (0,), (0,))),
@@ -290,13 +296,10 @@ def test_criterion_8_phase_sum_oracle():
         ),
     }
     for name, (omega, vectors) in scans.items():
-        rows = residual_scan(omega, vectors, [4, 6, 8, 10])
-        if not rows.decays:
-            decay = [row.residual / row.r ** max(rows.h_max, 1) for row in rows]
-            failures.append(f"{name} scan does not decay: {decay}")
-        bound = max(row.residual / row.r ** max(rows.h_max - 1, 0) for row in rows)
-        if bound > 8:
-            failures.append(f"{name} residual above order r^(h-1): {bound:.2f}")
+        for r in (4, 6, 8, 10):
+            off = gap(PhaseSumInstance(omega, vectors, r, 1))
+            if off > 1e-9:
+                failures.append(f"{name} at r = {r}: off by {off:.3g}")
 
     report(8, "phase-sum oracle", not failures, f"failures={failures or 'none'}", started)
 

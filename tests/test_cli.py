@@ -286,17 +286,28 @@ class TestVerify:
         assert "FAIL" in stdout
 
     def test_growing_residual_reads_fail(self, capsys, monkeypatch):
-        # a distinct-label sum off by r^4 breaks the residual order: the
-        # scan reports it as a failed check, not as an escaping exception
-        from jittervan import oracle
+        # a distinct-label sum off by r^4 breaks the exact expansion: the
+        # suite reports it as a failed check, not as an escaping exception
+        from jittervan import verify as verify_mod
 
-        exact = oracle.distinct_label_sum
+        exact = verify_mod.distinct_label_sum
         monkeypatch.setattr(
-            oracle, "distinct_label_sum", lambda inst: exact(inst) + inst.r**4
+            verify_mod, "distinct_label_sum", lambda inst: exact(inst) + inst.r**4
         )
         code, stdout, _ = run(["verify", "--suite", "phase_sums"], capsys)
         assert code == 3
-        [line] = [row for row in stdout.splitlines() if "residual_order" in row]
+        [line] = [row for row in stdout.splitlines() if "expansion_matches" in row]
+        assert "FAIL" in line
+
+    def test_off_by_one_reads_fail(self, capsys, monkeypatch):
+        # the expansion is exact, so a distinct-label sum off by one fails
+        from jittervan import verify as verify_mod
+
+        exact = verify_mod.distinct_label_sum
+        monkeypatch.setattr(verify_mod, "distinct_label_sum", lambda inst: exact(inst) + 1)
+        code, stdout, _ = run(["verify", "--suite", "phase_sums"], capsys)
+        assert code == 3
+        [line] = [row for row in stdout.splitlines() if "expansion_matches" in row]
         assert "FAIL" in line
 
 

@@ -43,8 +43,14 @@ from jittervan.mse import (
     mse_equally_spaced,
     mse_from_spectrum,
     mse_mp,
+    snr_grid_db,
 )
-from jittervan.oracle import PhaseSumInstance, brute_trace_moment, distinct_label_sum
+from jittervan.oracle import (
+    PhaseSumInstance,
+    brute_trace_moment,
+    distinct_label_sum,
+    instance_from_labels,
+)
 from jittervan.partitions import (
     Partition,
     bell,
@@ -185,6 +191,60 @@ REFUSALS = [
         lambda: mse_curve(0.5, np.array([1]), np.array([]), tripped_law()),
         "SNR",
     ),
+    ("mse_mp_bool_snr", lambda: mse_mp(0.5, True), "signal-to-noise ratio"),
+    (
+        "mse_equally_spaced_bool_snr",
+        lambda: mse_equally_spaced(0.5, True),
+        "signal-to-noise ratio",
+    ),
+    (
+        "mse_from_spectrum_string_snr",
+        lambda: mse_from_spectrum([1.0], 0.5, "2"),
+        "signal-to-noise ratio",
+    ),
+    (
+        "mse_from_spectrum_bool_among_snrs",
+        lambda: mse_from_spectrum([1.0], 0.5, [1.0, True]),
+        "signal-to-noise ratio",
+    ),
+    (
+        "lmmse_demo_bool_snr",
+        lambda: lmmse_demo(config(), True, 0, draws=2),
+        "signal-to-noise ratio",
+    ),
+    (
+        "mse_curve_string_db",
+        lambda: mse_curve(0.5, [1], ["3", 0.0], tripped_law(), 9, 2),
+        "dB value",
+    ),
+    (
+        "mse_curve_bool_db",
+        lambda: mse_curve(0.5, [1], [3.0, True], tripped_law(), 9, 2),
+        "dB value",
+    ),
+    ("snr_grid_db_start", lambda: snr_grid_db(True, 2.0, 1.0), "dB grid start"),
+    ("snr_grid_db_stop", lambda: snr_grid_db(0.0, "2", 1.0), "dB grid stop"),
+    ("snr_grid_db_step", lambda: snr_grid_db(0.0, 2.0, True), "dB grid step"),
+    (
+        "phase_sum_offset",
+        lambda: PhaseSumInstance(Partition((1, 2)), ((0.5,), (-0.5,)), 5, 1),
+        "offset",
+    ),
+    (
+        "phase_sum_bool_offset",
+        lambda: PhaseSumInstance(Partition((1, 2)), ((True,), (-1,)), 5, 1),
+        "offset",
+    ),
+    (
+        "instance_from_labels_offset",
+        lambda: instance_from_labels(Partition((1, 2)), [[0.5], [1.7]], 5),
+        "offset",
+    ),
+    (
+        "instance_from_labels_bool_offset",
+        lambda: instance_from_labels(Partition((1, 2)), np.array([[True], [False]]), 5),
+        "offset",
+    ),
 ]
 
 
@@ -213,6 +273,8 @@ PYTHON_NUMBER_CALLS = [
     ("mse_equally_spaced", mse_equally_spaced, (0.55, 10.0)),
     ("mse_from_spectrum", mse_from_spectrum, ([0.5, 1.5], 0.55, 10.0)),
     ("mse_from_spectrum_vector", mse_from_spectrum, ([0.5, 1.5], 0.55, [1.0, 10.0])),
+    ("snr_grid_db", snr_grid_db, (-10.0, 30.0, 5.0)),
+    ("PhaseSumInstance", PhaseSumInstance, (Partition((1, 2, 3)), [[2], [-1], [4]], 5, 1)),
     # beta_target, d_list, dB values, law, size_budget, trials, seed, threads
     ("mse_curve", mse_curve, (0.5, [1, 2], [0.0, 10.0], uniform01(), 9, 2, 0, 1)),
 ]
@@ -365,8 +427,9 @@ ASPECT_RATIO_CALLS = [
 ]
 
 
-# the last is in (0, 1] but rounds to 0.0 as a float
-@pytest.mark.parametrize("beta", [0.0, 1.5, math.nan, Fraction(1, 10**400)])
+# Fraction(1, 10**400) is in (0, 1] but rounds to 0.0 as a float; a bool
+# and a string are no ratio
+@pytest.mark.parametrize("beta", [0.0, 1.5, math.nan, Fraction(1, 10**400), True, "0.5"])
 @pytest.mark.parametrize(
     "call, name", [r[1:] for r in ASPECT_RATIO_CALLS], ids=[r[0] for r in ASPECT_RATIO_CALLS]
 )

@@ -1,7 +1,10 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from jittervan import verify
 from jittervan.ensemble import EnsembleConfig
@@ -15,7 +18,6 @@ from jittervan.oracle import (
     distinct_label_sum,
     instance_from_labels,
     partition_delta_sum,
-    residual_scan,
     surviving_groupings,
 )
 from jittervan.partitions import Partition
@@ -40,8 +42,6 @@ def reference_phase_sum(instance: PhaseSumInstance) -> complex:
 class TestInstances:
     def test_zero_sum_enforced(self):
         with pytest.raises(ValueError):
-            PhaseSumInstance(Partition((1, 2)), ((1,), (1,)), 5, 1)
-        with pytest.raises(ValueError):
             PhaseSumInstance(Partition((1, 2)), ((1,),), 5, 1)
         with pytest.raises(ValueError):
             PhaseSumInstance(Partition((1, 2)), ((1, 0), (-1, 0)), 5, 1)
@@ -63,9 +63,7 @@ class TestDistinctLabelSum:
 
     def test_single_block_full_root_sum(self):
         # nonzero offset on a single block: a full sum of unit roots
-        instance = PhaseSumInstance(
-            Partition((1, 1)), ((1,),), 5, 1, enforce_zero_sum=False
-        )
+        instance = PhaseSumInstance(Partition((1, 1)), ((1,),), 5, 1)
         assert abs(distinct_label_sum(instance)) < 1e-12
         assert partition_delta_sum(instance) == 0
 
@@ -112,9 +110,7 @@ class TestPartitionDeltaSum:
         assert partition_delta_sum(instance) == 2 * 5
 
     def test_vanishes_when_no_grouping_survives(self):
-        instance = PhaseSumInstance(
-            Partition((1, 2, 3)), ((1,), (2,), (4,)), 5, 1, enforce_zero_sum=False
-        )
+        instance = PhaseSumInstance(Partition((1, 2, 3)), ((1,), (2,), (4,)), 5, 1)
         assert partition_delta_sum(instance) == 0
         assert surviving_groupings(instance) == []
 
@@ -125,30 +121,42 @@ class TestPartitionDeltaSum:
         # r^1 * u([1,1,1]) + r^2 * u([1,1,2]) = 2*5 - 25
         assert partition_delta_sum(instance) == 2 * 5 - 25
 
+    def test_aliased_groups_count_mod_rho(self):
+        # vectors (-3, -1, 4) at rho = 4: the grouping {1, 2}{3} sums to
+        # (-4, 4), which vanishes mod 4 but not exactly; 2 * 4 - 4^2 = -8
+        offsets = [[-2], [-2], [-1], [2]]
+        instance = instance_from_labels(Partition((1, 2, 1, 3)), offsets, 4)
+        assert instance.block_vectors == ((-3,), (-1,), (4,))
+        assert distinct_label_sum(instance) == pytest.approx(-8, abs=1e-9)
+        assert partition_delta_sum(instance) == -8
 
-class TestResidualScan:
-    def test_all_zero_offsets_exact(self):
-        rows = residual_scan(Partition((1, 2, 3)), ((0,), (0,), (0,)), [4, 6, 8, 10])
-        assert all(row.residual < 1e-9 for row in rows)
+    def test_aliased_pair_counts_mod_rho(self):
+        # vectors (3, -3) at rho = 3: each block alone vanishes mod 3, so
+        # {1, 2} and {1}{2} both survive; -3 + 3^2 = 6
+        instance = instance_from_labels(Partition((1, 2, 1)), [[-2], [-2], [1]], 3)
+        assert instance.block_vectors == ((3,), (-3,))
+        assert distinct_label_sum(instance) == pytest.approx(6, abs=1e-9)
+        assert partition_delta_sum(instance) == 6
 
-    def test_single_block_exact(self):
-        rows = residual_scan(Partition((1, 1, 1)), ((0,),), [4, 6, 8, 10])
-        assert all(row.residual == pytest.approx(0.0, abs=1e-9) for row in rows)
-
-    def test_opposite_pair_exact(self):
-        rows = residual_scan(Partition((1, 2)), ((1,), (-1,)), [4, 6, 8, 10])
-        assert all(row.residual < 1e-9 for row in rows)
-
-    def test_mixed_instance_decays(self):
-        # alias-free offsets: nonzero subset sums avoid every scanned r
-        instance_vectors = ((-1,), (1,), (0,))
-        scan = residual_scan(Partition((1, 2, 1, 3)), instance_vectors, [5, 7, 9, 11])
-        assert scan.h_max == 2
-        assert scan.decays
-
-    def test_rejects_non_power_counts(self):
-        with pytest.raises(ValueError):
-            residual_scan(Partition((1, 1)), ((0, 0),), [5], d=2)
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_expansion_equals_enumeration(self, data):
+        # any total, so the vectors need not come from label differences
+        p = data.draw(st.integers(1, 5))
+        labels = [1]
+        for _ in range(p - 1):
+            labels.append(data.draw(st.integers(1, max(labels) + 1)))
+        omega = Partition(tuple(labels))
+        rho = data.draw(st.integers(2, 7))
+        d = data.draw(st.sampled_from([1, 2]))
+        assume(math.perm(rho**d, omega.k) <= TUPLE_BUDGET)
+        entry = st.integers(-2 * rho, 2 * rho)
+        vectors = data.draw(
+            st.lists(st.tuples(*[entry] * d), min_size=omega.k, max_size=omega.k)
+        )
+        instance = PhaseSumInstance(omega, tuple(vectors), rho, d)
+        gap = abs(distinct_label_sum(instance) - partition_delta_sum(instance))
+        assert gap <= 1e-9
 
 
 class TestBruteTrace:
