@@ -14,8 +14,11 @@ mirror is a fixed unitary change of basis Q that turns G into the real
 matrix R = Q^H G of cosine, sine and constant rows.  ``simulate`` gathers
 beta R R^T, which has the spectrum of T, from the real and imaginary parts
 of the lag sums and solves it with a real symmetric eigensolve; no trial
-forms an n_rows x n_cols matrix.  The complex ``sampling_matrix`` and
-``gram_matrix`` stay for the estimator demo and the matrix-power oracle.
+forms an n_rows x n_cols matrix.  The gather writes beta R R^T in blocks
+of rows, so a trial holds that matrix and the eigensolver's copy of it,
+about 2 n_rows^2 doubles, and no other n_rows x n_rows array.  The
+complex ``sampling_matrix`` and ``gram_matrix`` stay for the estimator
+demo and the matrix-power oracle.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ CELL_BUDGET = 1 << 23
 
 #: Complex entries per block of the lag sums' Khatri-Rao table; the cells
 #: per block follow from the table's width, so no table grows with d or r.
+#: The Gram gather takes rows in blocks of about as many entries.
 LAG_ENTRIES = 1 << 14
 
 #: Eigenvalues of the positive semidefinite Gram matrix may round below
@@ -176,31 +180,36 @@ def real_gram_matrix(config: EnsembleConfig, positions: np.ndarray) -> np.ndarra
     (against the constant row) and r (the corner).  C is made exactly even
     and S exactly odd, so the result is exactly symmetric.  The flat lag
     index is affine in the lag, so the index of f_i +- f_j is s_i +- s_j
-    plus that of the zero lag.
+    plus that of the zero lag.  The cosine and sine rows are gathered
+    straight into T in blocks of about LAG_ENTRIES entries.
     """
     _check_build(config, positions)
     M, d = config.M, config.d
     L = 4 * M + 1
     zero = (L**d - 1) // 2
-    freq = frequency_vectors(M, d)[config.n_rows // 2 + 1 :]
+    h = config.n_rows // 2
+    freq = frequency_vectors(M, d)[h + 1 :]
     s = freq @ L ** np.arange(d - 1, -1, -1)
-    diff, total, single = s[:, None] - s + zero, s[:, None] + s + zero, s + zero
     c = lag_sums(M, positions)
     C = (c.real + c.real[::-1]) / 2
     S = (c.imag - c.imag[::-1]) / 2
-    h = config.n_rows // 2
     T = np.empty((config.n_rows, config.n_rows))
-    # the indices lie in range by construction; mode="clip" skips the bounds
-    # check and the copy of ``out`` that it makes.  The sine gathers reuse
-    # the cosine buffers.
-    C_diff = C.take(diff, mode="clip")
-    C_total = C.take(total, mode="clip")
-    np.add(C_diff, C_total, out=T[:h, :h])
-    np.subtract(C_diff, C_total, out=T[h:-1, h:-1])
-    S_total = S.take(total, out=C_total, mode="clip")
-    S_diff = S.take(diff, out=C_diff, mode="clip")
-    np.subtract(S_total, S_diff, out=T[:h, h:-1])
+    rows = max(1, LAG_ENTRIES // h)
+    for a in range(0, h, rows):
+        b = min(a + rows, h)
+        diff, total = s[a:b, None] - s + zero, s[a:b, None] + s + zero
+        # the indices lie in range by construction; mode="clip" skips the
+        # bounds check and the copy of ``out`` that it makes.  The sine
+        # gathers reuse the cosine buffers.
+        C_diff = C.take(diff, mode="clip")
+        C_total = C.take(total, mode="clip")
+        np.add(C_diff, C_total, out=T[a:b, :h])
+        np.subtract(C_diff, C_total, out=T[h + a : h + b, h:-1])
+        S_total = S.take(total, out=C_total, mode="clip")
+        S_diff = S.take(diff, out=C_diff, mode="clip")
+        np.subtract(S_total, S_diff, out=T[a:b, h:-1])
     T[h:-1, :h] = T[:h, h:-1].T
+    single = s + zero
     T[:h, -1] = T[-1, :h] = np.sqrt(2) * C[single]
     T[h:-1, -1] = T[-1, h:-1] = np.sqrt(2) * S[single]
     T[-1, -1] = config.n_cols
@@ -255,11 +264,16 @@ def simulate(
     are reproducible, runs with different seeds share no trial, and trials
     can be distributed across workers without sharing generator state.
     Before any draw it refuses, with ``ValueError``, a ``trials`` or
-    ``threads`` that is no integer >= 1, and with ``BudgetError`` a
-    sampling matrix of more than CELL_BUDGET entries.
+    ``threads`` that is no integer >= 1, a ``seed`` that is no integer >= 0
+    or sequence of them, and with ``BudgetError`` a sampling matrix of more
+    than CELL_BUDGET entries.
     """
     trials = _check_integer(trials, "trial count")
     threads = _check_integer(threads, "thread count")
+    if isinstance(seed, Sequence) and not isinstance(seed, str):
+        seed = [_check_integer(entry, "seed", low=0) for entry in seed]
+    else:
+        seed = _check_integer(seed, "seed", low=0)
     check_cell_budget(config)
 
     def one(stream: np.random.SeedSequence) -> np.ndarray:

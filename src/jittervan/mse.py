@@ -120,6 +120,7 @@ def lmmse_demo(
     grows.
     """
     snr = _check_snr(snr)
+    seed = _check_integer(seed, "seed", low=0)
     draws = _check_integer(draws, "draw count", low=2)
     check_cell_budget(config)
     signal_seed, positions_seed = np.random.SeedSequence(seed).spawn(2)
@@ -224,15 +225,16 @@ def mse_curve(
     ``mse_from_spectrum`` once, for every SNR.  Before any draw it refuses,
     with ``ValueError``, an empty ``d_list`` or ``snr_db_values``, a
     dimension, ``size_budget``, ``trials`` or ``threads`` that is no
-    integer >= 1, a target ratio outside (0, 1], a ``dist`` that is no
-    ``JitterDistribution`` and a dB value that is no real number or gives
-    no finite SNR > 0.
+    integer >= 1, a ``seed`` that is no integer >= 0, a target ratio
+    outside (0, 1], a ``dist`` that is no ``JitterDistribution`` and a dB
+    value that is no real number or gives no finite SNR > 0.
     """
     if len(d_list) == 0:
         raise ValueError("need at least one dimension")
     if len(snr_db_values) == 0:
         raise ValueError("need at least one SNR value")
     dims = sorted({_check_integer(d, "dimension") for d in d_list})
+    seed = _check_integer(seed, "seed", low=0)
     beta_target = _check_aspect_ratio(beta_target, "target aspect ratio")
     _check_law(dist)
     dbs, snrs = [_check_real(db, "dB value") for db in snr_db_values], []

@@ -146,6 +146,7 @@ def brute_trace_moment(
     """
     p = _check_integer(p, "moment order")
     trials = _check_integer(trials, "trial count")
+    seed = _check_integer(seed, "seed", low=0)
     if config.n_rows > 512:
         raise BudgetError(
             f"matrix-power oracle is capped at 512 rows, got {config.n_rows}"

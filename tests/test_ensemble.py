@@ -35,6 +35,11 @@ from test_moments import two_point
 #: (d, M, rho) of criterion 9: aspect ratio 0.729 under a budget of 1225 rows
 CRITERION_9_SHAPES = [(d, *resolve_shape(0.729, d, 1225)[:2]) for d in (1, 2, 3)]
 
+#: (d, M, rho) at which the gathered Gram matrix is checked
+GRAM_SHAPES = CRITERION_9_SHAPES + [
+    (1, 1, 3), (1, 7, 20), (2, 1, 3), (2, 2, 6), (3, 1, 4), (4, 1, 3), (4, 1, 4)
+]
+
 
 def real_sampling_matrix(config, positions):
     """Oracle for ``real_gram_matrix``: the real form R = Q^H G itself.
@@ -50,6 +55,31 @@ def real_sampling_matrix(config, positions):
     angles = 2 * np.pi * (freq @ positions.T)
     trig = np.sqrt(2 / n) * np.vstack([np.cos(angles), np.sin(angles)])
     return np.vstack([trig, np.full((1, config.n_cols), 1 / np.sqrt(n))])
+
+
+def whole_matrix_gram(config, positions):
+    """Oracle for ``real_gram_matrix``: the same gather over whole h x h
+    index arrays at once.  It makes the same elementwise operations on the
+    same values, so the row-block gather must equal it bit for bit."""
+    M, d = config.M, config.d
+    L = 4 * M + 1
+    zero = (L**d - 1) // 2
+    h = config.n_rows // 2
+    s = frequency_vectors(M, d)[h + 1 :] @ L ** np.arange(d - 1, -1, -1)
+    diff, total, single = s[:, None] - s + zero, s[:, None] + s + zero, s + zero
+    c = lag_sums(M, positions)
+    C = (c.real + c.real[::-1]) / 2
+    S = (c.imag - c.imag[::-1]) / 2
+    T = np.empty((config.n_rows, config.n_rows))
+    T[:h, :h] = C[diff] + C[total]
+    T[h:-1, h:-1] = C[diff] - C[total]
+    T[:h, h:-1] = S[total] - S[diff]
+    T[h:-1, :h] = T[:h, h:-1].T
+    T[:h, -1] = T[-1, :h] = np.sqrt(2) * C[single]
+    T[h:-1, -1] = T[-1, h:-1] = np.sqrt(2) * S[single]
+    T[-1, -1] = config.n_cols
+    T *= config.beta / config.n_rows
+    return T
 
 
 def looped_half_bandwidth(d, size_budget):
@@ -385,12 +415,7 @@ class TestLagSums:
         direct = np.exp(2j * np.pi * lags @ positions.T).sum(axis=1)
         assert np.abs(lag_sums(M, positions) - direct).max() < 1e-12 * config.n_cols
 
-    @pytest.mark.parametrize(
-        "d,M,rho",
-        CRITERION_9_SHAPES
-        + [(1, 1, 3), (1, 7, 20), (2, 1, 3), (2, 2, 6), (3, 1, 4), (4, 1, 3)]
-        + [(4, 1, 4)],
-    )
+    @pytest.mark.parametrize("d,M,rho", GRAM_SHAPES)
     @pytest.mark.parametrize(
         "factory", [uniform01, triangular01, point_mass_half, two_point]
     )
@@ -403,6 +428,32 @@ class TestLagSums:
         R = real_sampling_matrix(config, positions)
         assert np.abs(T - config.beta * (R @ R.T)).max() < 1e-12
         assert np.array_equal(T, T.T)
+
+    @pytest.mark.parametrize("d,M,rho", GRAM_SHAPES)
+    @pytest.mark.parametrize(
+        "factory", [uniform01, triangular01, point_mass_half, two_point]
+    )
+    def test_gram_equals_the_whole_matrix_gather(self, d, M, rho, factory):
+        # at M = 1 a block holds more rows than the h rows there are; at the
+        # criterion-9 shape d = 1, h = 612 leaves a ragged last block
+        config = EnsembleConfig(d=d, M=M, rho=rho, dist=factory())
+        positions = sample_positions(config, 21)
+        T = real_gram_matrix(config, positions)
+        assert np.array_equal(T, whole_matrix_gram(config, positions))
+
+    @pytest.mark.parametrize("d,M,rho", CRITERION_9_SHAPES)
+    def test_gather_holds_no_second_matrix(self, d, M, rho):
+        # the whole-matrix gather peaks at about 2 T.nbytes: its two index
+        # and two value arrays of h x h entries hold as many as T
+        config = EnsembleConfig(d=d, M=M, rho=rho, dist=uniform01())
+        positions = sample_positions(config, 21)
+        tracemalloc.start()
+        try:
+            T = real_gram_matrix(config, positions)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * T.nbytes
 
 
 class TestResolveShape:

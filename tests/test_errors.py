@@ -125,6 +125,9 @@ REFUSALS = [
     ("simulate", lambda: simulate(config(), 2.5, 0), "trial count"),
     ("simulate_threads", lambda: simulate(config(), 2, 0, threads=0), "thread count"),
     ("simulate_bool_trials", lambda: simulate(config(), True, 0), "trial count"),
+    ("simulate_bool_seed", lambda: simulate(config(), 1, True), "seed"),
+    ("simulate_string_seed", lambda: simulate(config(), 1, "a"), "seed"),
+    ("simulate_negative_seed_entry", lambda: simulate(config(), 1, [1, -2]), "seed"),
     (
         "EnsembleConfig_bool",
         lambda: EnsembleConfig(d=True, M=True, rho=3, dist=tripped_law()),
@@ -133,7 +136,9 @@ REFUSALS = [
     ("EnsembleConfig_law", lambda: EnsembleConfig(1, 1, 3, "uniform"), "jitter law"),
     ("lmmse_demo", lambda: lmmse_demo(config(), 1.0, 0, draws=2.5), "draw count"),
     ("lmmse_demo_one_draw", lambda: lmmse_demo(config(), 1.0, 0, draws=1), "draw count"),
+    ("lmmse_demo_string_seed", lambda: lmmse_demo(config(), 1.0, "x", draws=2), "seed"),
     ("brute_trace_moment", lambda: brute_trace_moment(config(), 2, 2.5, 0), "trial count"),
+    ("brute_trace_moment_seed", lambda: brute_trace_moment(config(), 2, 2, -1), "seed"),
     ("sample", lambda: uniform01().sample(2.5, 0), "sample count"),
     (
         "histogram",
@@ -172,6 +177,21 @@ REFUSALS = [
         "mse_curve_empty_array",
         lambda: mse_curve(0.5, np.array([], dtype=int), [0.0], tripped_law()),
         "dimension",
+    ),
+    (
+        "mse_curve_bool_seed",
+        lambda: mse_curve(0.5, [1], [0.0], tripped_law(), 9, 2, seed=True),
+        "seed",
+    ),
+    (
+        "mse_curve_list_seed",
+        lambda: mse_curve(0.5, [1], [0.0], tripped_law(), 9, 2, seed=[1, 2]),
+        "seed",
+    ),
+    (
+        "mse_curve_negative_seed",
+        lambda: mse_curve(0.5, [1], [0.0], tripped_law(), 9, 2, seed=-3),
+        "seed",
     ),
     (
         "mse_curve_law",
