@@ -35,10 +35,13 @@ serves every law; a built-in law is symmetric about 1/2, so its phi and
 integrand are real.  The error is the deterministic difference between
 the value at VALUE_ORDER nodes per axis and the rule at CHECK_ORDER.
 
-Each set-up is memoised by what it depends on: the folded forms and cells
-(the half cones, or the half cube's identity cell) by the pair, the cones
-by B, the base rules by dimension and order.  One loop maps a base rule
-onto a group of cells at a time, so no call holds a whole mapped rule.
+Each set-up is memoised by what it depends on: the folded forms and the
+cells with their volumes (the half cones, or the half cube's identity
+cell) by the pair, the cones by B, the base rules by dimension, order and
+batch size.  A base rule is held as its leading axes and one batch of its
+trailing axes and is generated a batch at a time in row order; one loop
+maps each batch onto a group of cells of at most _BATCH nodes, so a call
+holds about one batch of nodes, never a whole rule.
 
 A finite-grid evaluator of the same quantity at finite half-bandwidth M is
 provided as an independent cross-check; it converges to the integral as M
@@ -48,6 +51,7 @@ grows.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -71,9 +75,9 @@ from .partitions import Partition
 #: whose difference from it is the reported error.
 VALUE_ORDER = 8
 CHECK_ORDER = 6
-#: Nodes evaluated per batch, which bounds the temporary arrays: the moments
-#: p = 1..5 at (0.55, 2), uniform law, peak at about 34 MB resident this way,
-#: 49 MB unbatched.
+#: Nodes evaluated and held per batch, which bounds the temporary arrays and
+#: the base rules: the moments p = 1..5 at (0.55, 2), uniform law, peak at
+#: about 33 MB resident in a fresh process this way, 49 MB unbatched.
 _BATCH = 1 << 12
 #: Lattice nodes the finite-grid cross-check may enumerate.
 GRID_BUDGET = 10**8
@@ -257,46 +261,79 @@ def _gauss_jacobi(order: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(*_golub_welsch(order, alpha))
 
 
-def _tensor(axes) -> tuple[np.ndarray, np.ndarray]:
-    """Product rule of one (nodes, weights) pair per axis."""
-    nodes = np.stack(np.meshgrid(*[x for x, _ in axes], indexing="ij"), axis=-1)
-    weights = np.ones(())
-    for _, w in axes:
-        weights = np.multiply.outer(weights, w)
-    return nodes.reshape(-1, len(axes)), weights.ravel()
+def _prepend(
+    axis, nodes: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The product rule of one axis followed by the rule (nodes, weights).
+
+    ``axis`` holds the axis's nodes u, its weights and, per node, the scale
+    that the later coordinates take: 1 on the cube, 1 - u under Stroud's
+    collapsed map.  Rows run over the axis's nodes first, so prepending
+    the axes from the last to the first builds the tensor rule in row
+    order, and every row takes the same products whichever axes were
+    prepended before.
+    """
+    u, w, scale = axis
+    out = np.empty((len(u), len(nodes), nodes.shape[1] + 1))
+    out[:, :, 0] = u[:, None]
+    np.multiply(scale[:, None, None], nodes, out=out[:, :, 1:])
+    return out.reshape(-1, nodes.shape[1] + 1), np.multiply.outer(w, weights).ravel()
+
+
+def _split_rule(axes: list, batch: int) -> tuple:
+    """A tensor rule held as its leading axes and the product of its
+    trailing axes, the most of them whose product has at most ``batch``
+    nodes.  Read-only."""
+    lead, nodes, weights = list(axes), np.ones((1, 0)), np.ones(1)
+    while lead and len(lead[-1][0]) * len(nodes) <= batch:
+        nodes, weights = _prepend(lead.pop(), nodes, weights)
+    return (tuple(_read_only(*axis) for axis in lead), *_read_only(nodes, weights))
+
+
+def _batches(rule: tuple):
+    """The rule's (nodes, weights), one batch per node of its leading axes,
+    in row order; a rule with no leading axes is its one batch."""
+    lead, nodes, weights = rule
+    for point in itertools.product(*(range(len(axis[0])) for axis in lead)):
+        batch = nodes, weights
+        for axis, i in zip(lead[::-1], point[::-1]):
+            batch = _prepend([a[i : i + 1] for a in axis], *batch)
+        yield batch
 
 
 @lru_cache(maxsize=None)
-def _cube_half_rule(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+def _cube_half_rule(n: int, order: int, batch: int) -> tuple:
     """Tensor Gauss-Legendre on [-1/2, 1/2]^n, nodes with x_1 > 0 only.
 
     ``order`` is even, so no node lies on x_1 = 0 and the rule is the
-    disjoint union of this half and its mirror image.  A read-only memo.
+    disjoint union of this half and its mirror image.  A read-only memo
+    of ``_split_rule``.
     """
     x, w = _gauss_jacobi(order, 0)
-    axes = [(x / 2, w / 2)] * n
-    axes[0] = (x[x > 0] / 2, w[x > 0] / 2)
-    return _read_only(*_tensor(axes))
+    half, ones = x > 0, np.ones(order)
+    axes = [(x / 2, w / 2, ones)] * n
+    axes[0] = (x[half] / 2, w[half] / 2, ones[half])
+    return _split_rule(axes, batch)
 
 
 @lru_cache(maxsize=None)
-def _simplex_rule(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+def _simplex_rule(n: int, order: int, batch: int) -> tuple:
     """Collapsed Gauss-Jacobi rule on the simplex {l >= 0, sum l <= 1}.
 
     Stroud's conical product: l_j = u_j * prod_{i<j} (1 - u_i) maps the
     unit cube onto the simplex with Jacobian prod_i (1 - u_i)^(n-i), and
     axis i takes the Gauss-Jacobi rule of that weight.  Exact for
     polynomials of total degree 2 * order - 1; the weights sum to 1/n!.
-    A read-only memo.
+    Each l_j is taken as (1 - u_1)((1 - u_2)(... u_j)), so once the
+    leading u are fixed the map only scales the trailing coordinates.  A
+    read-only memo of ``_split_rule``.
     """
     axes = []
     for i in range(1, n + 1):
         x, w = _gauss_jacobi(order, n - i)
-        axes.append(((1 + x) / 2, w / 2 ** (n - i + 1)))
-    u, weights = _tensor(axes)
-    lam = u.copy()
-    lam[:, 1:] *= np.cumprod(1 - u[:, :-1], axis=1)
-    return _read_only(lam, weights)
+        u = (1 + x) / 2
+        axes.append((u, w / 2 ** (n - i + 1), 1 - u))
+    return _split_rule(axes, batch)
 
 
 def _maximal(faces: list[int]) -> list[int]:
@@ -401,44 +438,54 @@ def _product(
 
 
 def _evaluate(
-    rule: tuple[np.ndarray, np.ndarray],
-    cells: np.ndarray,
+    rule: tuple,
+    cells: tuple[np.ndarray, np.ndarray, bool],
     folded: tuple[np.ndarray, np.ndarray, np.ndarray],
     dist: JitterDistribution,
 ) -> float:
     """2 Re sum of w * prod_j cf((forms @ x)_j) over a half rule.
 
-    The base rule (l, w) maps onto each cell of vertex rows as x = l @ cell,
-    weights |det cell| * w, a group of cells of about 8 * _BATCH nodes at a
-    time, summed in _BATCH slices.  The integrand takes conjugate values at
-    x and -x, so the mirror half adds the conjugate of this half's sum.
+    Each batch (l, w) of the base rule maps onto each cell of vertex rows
+    as x = l @ cell, weights |det cell| * w, a group of cells of at most
+    _BATCH nodes at a time; the identity cell takes the batch unmapped.
+    The group sums are added exactly, so splitting the nodes finer adds
+    no rounding.  The integrand takes conjugate values at x and -x,
+    so the mirror half adds the conjugate of this half's sum.
     """
-    base, weights = rule
-    per_group = max(1, 8 * _BATCH // len(base))
-    total = 0.0
-    for start in range(0, len(cells), per_group):
-        group = cells[start : start + per_group]
-        # the half cube's identity cell keeps l: a copy slows a fresh process
-        nodes, scaled = base, weights
-        if not (group == np.eye(group.shape[1])).all():
-            nodes = (base @ group).reshape(-1, group.shape[1])
-            scaled = np.multiply.outer(np.abs(np.linalg.det(group)), weights).ravel()
-        for first in range(0, len(nodes), _BATCH):
-            batch = slice(first, first + _BATCH)
-            total += scaled[batch] @ _product(nodes[batch], folded, dist)
-    return 2.0 * float(total.real)
+    vertices, volumes, identity = cells
+    # glibc hands the free top of its heap back to the system once it
+    # exceeds twice the largest block freed by unmapping.  In a fresh
+    # process a batch's temporaries exceed that, and every batch would
+    # fault its pages in anew; freeing one untouched block of 32 doubles
+    # per node of a batch raises the mark above them and costs no page.
+    np.empty((_BATCH, 32))
+    sums = []
+    for nodes, weights in _batches(rule):
+        per_group = max(1, _BATCH // len(nodes))
+        for start in range(0, len(vertices), per_group):
+            group = slice(start, start + per_group)
+            mapped, scaled = nodes, weights
+            if not identity:
+                mapped = (nodes @ vertices[group]).reshape(-1, nodes.shape[1])
+                scaled = np.multiply.outer(volumes[group], weights).ravel()
+            sums.append((scaled @ _product(mapped, folded, dist)).real)
+    return 2.0 * math.fsum(sums)
 
 
 @lru_cache(maxsize=None)
 def _pair_setup(partition: Partition, grouping: Partition) -> tuple:
     """Read-only memo of a pair's folded forms ``difference_matrix @ B``, its
-    cells and its base rule's memo: the half cones and the simplex rule, or
-    for one coarse block the half cube's identity cell and tensor rule."""
+    cells with their volumes |det| and whether the cell is the identity,
+    and its base rule's memo: the half cones and the simplex rule, or for
+    one coarse block the half cube's identity cell and tensor rule."""
     basis = constraint_system(partition, grouping)
     folded = _read_only(*_fold(difference_matrix(partition) @ basis))
     if grouping.k == 1:
-        return folded, _read_only(np.eye(partition.p)[None])[0], _cube_half_rule
-    return folded, _half_cones(basis.tobytes(), basis.shape), _simplex_rule
+        cells = *_read_only(np.eye(partition.p)[None], np.ones(1)), True
+        return folded, cells, _cube_half_rule
+    vertices = _half_cones(basis.tobytes(), basis.shape)
+    cells = vertices, *_read_only(np.abs(np.linalg.det(vertices))), False
+    return folded, cells, _simplex_rule
 
 
 def cf_integral(
@@ -468,7 +515,7 @@ def cf_integral(
     folded = (beta ** (1.0 / d) * distinct, index, flip)
     method = "gauss_cube" if grouping.k == 1 else "gauss_cones"
     value, check = (
-        _evaluate(rule(cells.shape[1], order), cells, folded, dist)
+        _evaluate(rule(cells[0].shape[1], order, _BATCH), cells, folded, dist)
         for order in (VALUE_ORDER, CHECK_ORDER)
     )
     return IntegralValue(value, abs(value - check), method)

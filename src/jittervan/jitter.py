@@ -113,8 +113,9 @@ class JitterDistribution:
         return self._draw(rng, shape)
 
     def sample(self, n: int, seed) -> np.ndarray:
-        """Draw n i.i.d. variates; deterministic for a fixed seed."""
+        """Draw n i.i.d. variates; deterministic for a fixed seed >= 0."""
         n = _check_integer(n, "sample count")
+        seed = _check_integer(seed, "seed", low=0)
         return self._draw(np.random.default_rng(seed), (n,))
 
     def __repr__(self) -> str:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .constraints import constraint_system, difference_matrix, merged_difference_rows
 from .ensemble import EnsembleConfig, empirical_moment, simulate
+from .errors import _check_integer
 from .integrate import cf_integral, delta_volume, finite_grid_term
 from .jitter import (
     JitterDistribution,
@@ -369,6 +370,9 @@ SUITES: dict[str, Callable[[int], list[Check]]] = {
 
 
 def run_suites(names, seed: int = 0) -> list[Check]:
+    """Run the named suites in turn; ``seed`` (an integer >= 0) seeds every
+    drawing check."""
+    seed = _check_integer(seed, "seed", low=0)
     checks: list[Check] = []
     for name in names:
         try:

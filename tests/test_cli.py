@@ -275,6 +275,13 @@ class TestVerify:
         assert payload["kind"] == "verify"
         assert all(check["passed"] for check in payload["checks"])
 
+    @pytest.mark.parametrize("suite", ["jitter", "ensemble"])
+    def test_negative_seed_exits_2_before_any_check(self, suite, capsys, monkeypatch):
+        monkeypatch.setitem(cli.SUITES, suite, lambda seed: pytest.fail("suite ran"))
+        code, stdout, stderr = run(["verify", "--suite", suite, "--seed", "-1"], capsys)
+        assert code == 2 and "seed must be an integer >= 0, got -1" in stderr
+        assert stdout == ""
+
     def test_failures_exit_3(self, capsys, monkeypatch):
         from jittervan import verify as verify_mod
 

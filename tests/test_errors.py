@@ -58,6 +58,7 @@ from jittervan.partitions import (
     enumerate_partitions_k,
     stirling2,
 )
+from jittervan.verify import run_suites
 
 
 def _trip(*args, **kwargs):
@@ -140,6 +141,10 @@ REFUSALS = [
     ("brute_trace_moment", lambda: brute_trace_moment(config(), 2, 2.5, 0), "trial count"),
     ("brute_trace_moment_seed", lambda: brute_trace_moment(config(), 2, 2, -1), "seed"),
     ("sample", lambda: uniform01().sample(2.5, 0), "sample count"),
+    ("sample_bool_seed", lambda: tripped_law().sample(3, True), "seed"),
+    ("sample_negative_seed", lambda: tripped_law().sample(3, -1), "seed"),
+    ("run_suites_negative_seed", lambda: run_suites(["jitter"], seed=-1), "seed"),
+    ("run_suites_bool_seed", lambda: run_suites(["jitter"], seed=True), "seed"),
     (
         "histogram",
         lambda: histogram(SpectrumSample(np.ones((2, 3)), config(), 0), 2.5),

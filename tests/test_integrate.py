@@ -3,6 +3,7 @@ import math
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -557,20 +558,52 @@ class TestGaussRoots:
             for array in (x, w):
                 with pytest.raises(ValueError):
                     array[0] = 0.0
-        # the cube and simplex rules are memoised per (n, order) the same way
+        # the cube and simplex rules are memoised per (n, order, batch): each
+        # holds at most one batch of nodes, and its batches, read in turn,
+        # are the whole tensor product bit for bit
         for memo in rules:
             assert memo.cache_info().currsize > 0
-            for n in (2, 3):
-                for order in orders:
-                    arrays = memo(n, order)
-                    assert memo(n, order) is arrays
-                    fresh = memo.__wrapped__(n, order)
-                    assert all(np.array_equal(a, b) for a, b in zip(arrays, fresh))
-                    for array in arrays:
+            for n, order in itertools.product(range(1, 6), orders):
+                whole = full_rule(memo, n, order)
+                for batch in BATCHES:
+                    rule = memo(n, order, batch)
+                    assert memo(n, order, batch) is rule
+                    lead, nodes, weights = rule
+                    assert len(nodes) <= batch
+                    batches = list(integrate_module._batches(rule))
+                    assert all(len(b) <= batch for b, _ in batches)
+                    for got, want in zip(map(np.concatenate, zip(*batches)), whole):
+                        assert np.array_equal(got, want), (memo, n, order, batch)
+                    for array in (*itertools.chain(*lead), nodes, weights):
                         with pytest.raises(ValueError):
                             array[0] = 0.0
         for memo in memos:
             memo.cache_clear()
+
+    def test_rule_memos_hold_at_most_one_batch(self, monkeypatch):
+        # a cold p = 1..5 pass builds the five-dimensional half cube, whose
+        # 16,384 nodes at VALUE_ORDER are held as four leading nodes and one
+        # batch of the trailing axes
+        held, split = [], integrate_module._split_rule
+
+        def recording(axes, batch):
+            whole = math.prod(len(axis[0]) for axis in axes)
+            rule = split(axes, batch)
+            held.append((whole, len(rule[1])))
+            return rule
+
+        rules = (integrate_module._cube_half_rule, integrate_module._simplex_rule)
+        monkeypatch.setattr(integrate_module, "_split_rule", recording)
+        for memo in rules:
+            memo.cache_clear()
+        clear_term_cache()
+        for p in range(1, 6):
+            moment(p, 0.55, 2, uniform01())
+        assert max(nodes for _, nodes in held) <= integrate_module._BATCH
+        assert max(whole for whole, _ in held) == 16384
+        for memo in rules:
+            memo.cache_clear()
+        clear_term_cache()
 
     @pytest.mark.parametrize("alpha", range(6))
     def test_matches_scipy_roots(self, alpha):
@@ -647,38 +680,89 @@ class TestHalfCones:
             cones[0, 0, 0] = 0.0
 
 
+#: batch sizes under test: the default, one that splits every rule of
+#: three or more axes, and a ragged one that no rule size divides
+BATCHES = (integrate_module._BATCH, 1 << 6, 1000)
+
+
+@lru_cache(maxsize=None)
+def full_rule(memo, n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The whole tensor rule of ``_cube_half_rule`` or ``_simplex_rule``,
+    built row by row in Python floats.
+
+    Each row takes one node per axis; its coordinates and weight are the
+    products taken from the last axis inwards: l_j = s_1 (s_2 (... (s_j u_j)))
+    with s_i = 1 on the cube and 1 - u_i under Stroud's collapsed map.
+    """
+    axes = []
+    for i in range(n):
+        if memo is integrate_module._cube_half_rule:
+            x, w = integrate_module._gauss_jacobi(order, 0)
+            keep = x > 0 if i == 0 else np.full(order, True)
+            axes.append([(u, wu, 1.0) for u, wu in zip(x[keep] / 2, w[keep] / 2)])
+        else:
+            x, w = integrate_module._gauss_jacobi(order, n - 1 - i)
+            u = (1 + x) / 2
+            axes.append(list(zip(u, w / 2 ** (n - i), 1 - u)))
+    rows, weights = [], []
+    for point in itertools.product(*axes):
+        row, weight = [], 1.0
+        for u, wu, scale in reversed(point):
+            row, weight = [u] + [scale * c for c in row], wu * weight
+        rows.append(row)
+        weights.append(weight)
+    return np.array(rows), np.array(weights)
+
+
 def materialised_half_sum(rule, cells, folded, dist):
     """The base rule mapped onto every cell at once, then summed in _BATCH
-    slices."""
+    slices whose sums are added exactly: added in turn, a thousand slice
+    sums at a batch of 64 err by 1e-15 on their own."""
     lam, weights = rule
     nodes = (lam @ cells).reshape(-1, cells.shape[1])
     scaled = np.multiply.outer(np.abs(np.linalg.det(cells)), weights).ravel()
-    total, batch = 0j, integrate_module._BATCH
+    sums, batch = [], integrate_module._BATCH
     for start in range(0, len(nodes), batch):
         values = integrate_module._product(nodes[start : start + batch], folded, dist)
-        total += scaled[start : start + batch] @ values
-    return 2.0 * total.real
+        sums.append((scaled[start : start + batch] @ values).real)
+    return 2.0 * math.fsum(sums)
 
 
 class TestCellLoop:
-    @pytest.mark.parametrize("batch", [integrate_module._BATCH, 1 << 6])
+    @pytest.mark.parametrize("batch", BATCHES)
     def test_equals_materialised_sum_on_every_class(self, monkeypatch, batch):
-        # a small batch splits every cell over many groups and slices
+        # a small batch splits every cell over many groups and batches, and
+        # a ragged one leaves the last group of cells short
         monkeypatch.setattr(integrate_module, "_BATCH", batch)
         classes = dict.fromkeys(rep for p in range(2, 6) for rep in _pair_classes(p)[1])
         assert len(classes) == 17
         orders = (integrate_module.VALUE_ORDER, integrate_module.CHECK_ORDER)
         for pair in classes:
             (distinct, index, flip), cells, rule = integrate_module._pair_setup(*pair)
+            vertices, n = cells[0], cells[0].shape[1]
             folded = (0.55**0.5 * distinct, index, flip)
             for order, law in itertools.product(orders, LAWS.values()):
-                base, dist = rule(cells.shape[1], order), law()
+                base, dist = rule(n, order, batch), law()
                 looped = integrate_module._evaluate(base, cells, folded, dist)
-                whole = materialised_half_sum(base, cells, folded, dist)
+                whole = materialised_half_sum(full_rule(rule, n, order), vertices, folded, dist)
                 assert abs(looped - whole) <= 1e-15, (pair, order, dist.kind)
 
+    def test_simplex_rule_is_the_collapsed_map(self):
+        # products taken from the last axis inwards agree with the running
+        # products l_j = u_j prod_{i<j} (1 - u_i) to rounding, and the
+        # weights sum to the simplex volume 1/n!
+        for n, order in itertools.product(range(1, 6), (6, 8)):
+            lam, weights = full_rule(integrate_module._simplex_rule, n, order)
+            axes = [(1 + integrate_module._gauss_jacobi(order, n - 1 - i)[0]) / 2 for i in range(n)]
+            u = np.array(list(itertools.product(*axes)))
+            running = u.copy()
+            running[:, 1:] *= np.cumprod(1 - u[:, :-1], axis=1)
+            assert np.allclose(lam, running, rtol=1e-15, atol=0), (n, order)
+            assert weights.sum() == pytest.approx(1 / math.factorial(n), rel=1e-14)
+
     def test_order_six_class_stays_small(self):
-        # its two mapped rules alone would hold 237 MB
+        # its two mapped rules alone would hold 237 MB; a call holds about one
+        # batch of nodes
         pair = (Partition((1, 2, 3, 4, 5, 6)), Partition((1, 1, 2, 2, 2, 2)))
         integrate_module._pair_setup(*pair)
         tracemalloc.start()
@@ -687,7 +771,7 @@ class TestCellLoop:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16e6
+        assert peak < 2e6
         assert value.value == pytest.approx(0.443269203388462, rel=1e-14, abs=0)
         assert value.std_error == pytest.approx(5.6195e-10, rel=1e-4)
 
