@@ -15,16 +15,18 @@ matrix R = Q^H G of cosine, sine and constant rows.  ``simulate`` gathers
 beta R R^T, which has the spectrum of T, from the real and imaginary parts
 of the lag sums and solves it with a real symmetric eigensolve; no trial
 forms an n_rows x n_cols matrix.  The gather writes beta R R^T in blocks
-of rows, so a trial holds that matrix and the eigensolver's copy of it,
-about 2 n_rows^2 doubles, and no other n_rows x n_rows array.  The
-complex ``sampling_matrix`` and ``gram_matrix`` stay for the estimator
-demo and the matrix-power oracle.
+of rows and LAPACK's dsyevd overwrites that matrix in place, so a trial
+holds about n_rows^2 doubles (12 MB at n_rows = 1225) and no other
+n_rows x n_rows array.  The complex ``sampling_matrix`` and
+``gram_matrix`` stay for the estimator demo and the matrix-power oracle.
 """
 
 from __future__ import annotations
 
 import math
+from ctypes import CDLL, c_char, c_int, c_int64, c_void_p
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -225,18 +227,67 @@ def gram_matrix(G: np.ndarray, beta: float) -> np.ndarray:
 def spectrum(T: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a real symmetric or Hermitian matrix.
 
-    Eigenvalues below the roundoff floor raise; tiny negatives are clipped
-    to zero so downstream averages stay on [0, inf).
+    ``T`` is left untouched.  A non-finite eigenvalue or one below the
+    roundoff floor raises; tiny negatives are clipped to zero so
+    downstream averages stay on [0, inf).
     """
     try:
         eigs = np.linalg.eigvalsh(T)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Hermitian eigensolver failed: {exc}") from exc
+    return _checked_spectrum(eigs)
+
+
+def _checked_spectrum(eigs: np.ndarray) -> np.ndarray:
+    if not np.isfinite(eigs).all():
+        raise NumericalError("eigensolver returned a non-finite eigenvalue")
     if eigs.min() < EIG_FLOOR:
         raise NumericalError(
             f"eigenvalue {eigs.min():.3e} below the PSD roundoff floor {EIG_FLOOR}"
         )
     return np.clip(eigs, 0.0, None)
+
+
+@lru_cache(maxsize=None)
+def _lapacke_dsyevd():
+    """LAPACKE's dsyevd from the LAPACK ``numpy.linalg`` links, or None.
+
+    NumPy's wheels link an ILP64 scipy-openblas, whose symbol carries its
+    integer width in its name; no other name is tried, since a guessed
+    width would corrupt the call.  ``CDLL`` releases the GIL during it.
+    """
+    try:
+        routine = CDLL(np.linalg._umath_linalg.__file__).scipy_LAPACKE_dsyevd64_
+    except (AttributeError, OSError):
+        return None
+    # layout, jobz, uplo, n, a, lda, w
+    routine.argtypes = (c_int, c_char, c_char, c_int64, c_void_p, c_int64, c_void_p)
+    routine.restype = c_int64
+    return routine
+
+
+def _spectrum_in_place(T: np.ndarray) -> np.ndarray:
+    """``spectrum`` of a real symmetric matrix that it may overwrite.
+
+    LAPACK reads T column-major; T is exactly symmetric, so that reading
+    is T itself.  Without the LAPACKE routine this is ``spectrum(T)``.
+    """
+    dsyevd = _lapacke_dsyevd()
+    if dsyevd is None:
+        return spectrum(T)
+    n = len(T)
+    # carray: C-contiguous, aligned and writeable
+    if T.dtype != np.float64 or T.shape != (n, n) or not T.flags.carray:
+        raise ValueError(
+            "in-place eigensolve needs an aligned, writeable, C-contiguous, square "
+            f"float64 matrix, got {T.dtype} of shape {T.shape}"
+        )
+    eigs = np.empty(n)
+    # LAPACK_COL_MAJOR, eigenvalues only, lower triangle
+    info = dsyevd(102, b"N", b"L", n, T.ctypes.data, n, eigs.ctypes.data)
+    if info != 0:
+        raise NumericalError(f"LAPACKE dsyevd failed with info {info}")
+    return _checked_spectrum(eigs)
 
 
 @dataclass(frozen=True)
@@ -260,6 +311,9 @@ def simulate(
 ) -> SpectrumSample:
     """Draw positions, gather the real Gram matrix and solve, trial by trial.
 
+    Each trial's eigensolve overwrites its Gram matrix, so a trial holds
+    about n_rows^2 doubles (12 MB at n_rows = 1225).
+
     Trial t draws from child t of ``np.random.SeedSequence(seed)``, so runs
     are reproducible, runs with different seeds share no trial, and trials
     can be distributed across workers without sharing generator state.
@@ -278,7 +332,7 @@ def simulate(
 
     def one(stream: np.random.SeedSequence) -> np.ndarray:
         positions = sample_positions(config, stream)
-        return spectrum(real_gram_matrix(config, positions))
+        return _spectrum_in_place(real_gram_matrix(config, positions))
 
     streams = np.random.SeedSequence(seed).spawn(trials)
     eigs = np.stack(ordered_map(one, streams, threads))

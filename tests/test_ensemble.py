@@ -26,10 +26,11 @@ from jittervan.ensemble import (
     spectrum,
     vertex_vectors,
 )
-from jittervan.errors import BudgetError
+from jittervan.errors import BudgetError, NumericalError
 from jittervan.jitter import point_mass_half, triangular01, uniform01
 from jittervan.moments import moment
 from jittervan.mse import lmmse_demo
+from test_imports import fresh_python
 from test_moments import two_point
 
 #: (d, M, rho) of criterion 9: aspect ratio 0.729 under a budget of 1225 rows
@@ -454,6 +455,99 @@ class TestLagSums:
         finally:
             tracemalloc.stop()
         assert peak <= 1.3 * T.nbytes
+
+
+class TestInPlaceSolve:
+    """``simulate`` solves each Gram matrix in place with LAPACKE's dsyevd
+    and falls back to ``spectrum`` on a NumPy build without that routine."""
+
+    # the criterion-9 shapes are compared through simulate below
+    @pytest.mark.parametrize("d,M,rho", GRAM_SHAPES[len(CRITERION_9_SHAPES) :])
+    @pytest.mark.parametrize("factory", [uniform01, triangular01])
+    def test_equals_spectrum_of_a_copy(self, d, M, rho, factory):
+        config = EnsembleConfig(d=d, M=M, rho=rho, dist=factory())
+        T = real_gram_matrix(config, sample_positions(config, 33))
+        copy = T.copy()
+        expected = spectrum(copy)
+        assert np.array_equal(copy, T)  # spectrum leaves its argument untouched
+        assert np.array_equal(ensemble_module._spectrum_in_place(T), expected)
+
+    @pytest.mark.parametrize("d,M,rho", GRAM_SHAPES)
+    @pytest.mark.parametrize("factory", [uniform01, triangular01])
+    def test_fallback_matches_the_in_place_path(self, monkeypatch, d, M, rho, factory):
+        config = EnsembleConfig(d=d, M=M, rho=rho, dist=factory())
+        in_place = simulate(config, 1, 34)
+        monkeypatch.setattr(ensemble_module, "_lapacke_dsyevd", lambda: None)
+        fallback = simulate(config, 1, 34)
+        assert np.array_equal(in_place.eigenvalues, fallback.eigenvalues)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("lookup", ["lapacke", "fallback"])
+    def test_refuses_a_non_finite_spectrum(self, monkeypatch, value, lookup):
+        # eigvalsh and LAPACKE return NaN eigenvalues on the inf matrix;
+        # LAPACKE refuses the NaN matrix with info -5
+        if lookup == "fallback":
+            monkeypatch.setattr(ensemble_module, "_lapacke_dsyevd", lambda: None)
+        T = np.array([[1.0, value], [value, 1.0]])
+        with pytest.raises(NumericalError):
+            spectrum(T)
+        with pytest.raises(NumericalError):
+            ensemble_module._spectrum_in_place(T)
+
+    @pytest.mark.parametrize(
+        "T",
+        [
+            np.eye(3, dtype=np.float32),
+            np.eye(3, dtype=complex),
+            np.zeros((2, 3)),
+            np.zeros((2, 2, 2)),
+            np.asfortranarray(np.arange(9.0).reshape(3, 3)),
+            np.eye(4)[::2, ::2],
+            np.broadcast_to(np.eye(3), (3, 3)),
+            np.frombuffer(bytearray(8 * 9 + 1), offset=1).reshape(3, 3),
+        ],
+        ids=[
+            "float32", "complex", "wide", "stacked", "fortran", "strided", "read-only",
+            "unaligned",
+        ],
+    )
+    def test_refuses_a_matrix_it_cannot_overwrite(self, T):
+        if ensemble_module._lapacke_dsyevd() is None:
+            pytest.skip("this NumPy links no LAPACKE dsyevd")
+        before = T.copy()
+        with pytest.raises(ValueError, match="in-place eigensolve"):
+            ensemble_module._spectrum_in_place(T)
+        assert np.array_equal(T, before)
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM"
+    )
+    def test_trial_holds_one_gram_matrix(self):
+        # at the criterion-9 shape d = 1, n = 1225: with eigvalsh, which
+        # copies T, the peak grew by about 2 T.nbytes.  The child reads its
+        # own VmHWM, since ru_maxrss keeps this process's larger peak
+        # through the exec.
+        grown, nbytes = fresh_python(
+            """
+import json
+import numpy.random
+from jittervan.ensemble import EnsembleConfig, resolve_shape, simulate
+from jittervan.jitter import uniform01
+
+def peak():
+    with open("/proc/self/status") as status:
+        line = next(line for line in status if line.startswith("VmHWM:"))
+    return int(line.split()[1]) * 1024
+
+simulate(EnsembleConfig(d=1, M=3, rho=10, dist=uniform01()), 1, 0)
+M, rho, _ = resolve_shape(0.729, 1, 1225)
+config = EnsembleConfig(d=1, M=M, rho=rho, dist=uniform01())
+before = peak()
+simulate(config, 1, 0)
+print(json.dumps([peak() - before, config.n_rows**2 * 8]))
+"""
+        )
+        assert grown <= 1.5 * nbytes, (grown, nbytes)
 
 
 class TestResolveShape:
