@@ -103,7 +103,13 @@ def vertex_vectors(rho: int, d: int) -> np.ndarray:
 
 
 def sample_positions(config: EnsembleConfig, seed) -> np.ndarray:
-    """One jittered position per cell, shape n_cols x d, entries in [0, 1)."""
+    """One jittered position per cell, shape n_cols x d, entries in [0, 1).
+
+    ``seed`` is a ``np.random.SeedSequence`` or an integer >= 0; anything
+    else, None included, is refused with ``ValueError``.
+    """
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = _check_integer(seed, "seed", low=0)
     rng = np.random.default_rng(seed)
     vertices = vertex_vectors(config.rho, config.d)
     jitter = config.dist.draw(rng, vertices.shape)
@@ -315,16 +321,20 @@ def simulate(
     about n_rows^2 doubles (12 MB at n_rows = 1225).
 
     Trial t draws from child t of ``np.random.SeedSequence(seed)``, so runs
-    are reproducible, runs with different seeds share no trial, and trials
-    can be distributed across workers without sharing generator state.
-    Before any draw it refuses, with ``ValueError``, a ``trials`` or
-    ``threads`` that is no integer >= 1, a ``seed`` that is no integer >= 0
-    or sequence of them, and with ``BudgetError`` a sampling matrix of more
+    are reproducible and trials can be distributed across workers without
+    sharing generator state.  Runs share no trial unless their seeds differ
+    only by trailing zero words, which ``SeedSequence`` ignores: 7, [7] and
+    [7, 0] give the same trials, and so do 2**32 + 3 and [3, 1].  Before any
+    draw it refuses, with ``ValueError``, a ``trials`` or ``threads`` that
+    is no integer >= 1, a ``seed`` that is no integer >= 0 or non-empty
+    sequence of them, and with ``BudgetError`` a sampling matrix of more
     than CELL_BUDGET entries.
     """
     trials = _check_integer(trials, "trial count")
     threads = _check_integer(threads, "thread count")
     if isinstance(seed, Sequence) and not isinstance(seed, str):
+        if not seed:
+            raise ValueError("seed sequence must not be empty")
         seed = [_check_integer(entry, "seed", low=0) for entry in seed]
     else:
         seed = _check_integer(seed, "seed", low=0)

@@ -35,13 +35,12 @@ serves every law; a built-in law is symmetric about 1/2, so its phi and
 integrand are real.  The error is the deterministic difference between
 the value at VALUE_ORDER nodes per axis and the rule at CHECK_ORDER.
 
-Each set-up is memoised by what it depends on: the folded forms and the
-cells with their volumes (the half cones, or the half cube's identity
-cell) by the pair, the cones by B, the base rules by dimension, order and
-batch size.  A base rule is held as its leading axes and one batch of its
-trailing axes and is generated a batch at a time in row order; one loop
-maps each batch onto a group of cells of at most _BATCH nodes, so a call
-holds about one batch of nodes, never a whole rule.
+Each set-up is memoised by what it depends on: the cells, each carrying
+its forms and volume, by the pair, the cones by B, the base rules by
+dimension, order and batch size.  A base rule is held as its leading axes
+and one batch of its trailing axes and is generated a batch at a time in
+row order; one loop evaluates each batch on a group of cells of at most
+_BATCH nodes, so a call holds about one batch of nodes, never a whole rule.
 
 A finite-grid evaluator of the same quantity at finite half-bandwidth M is
 provided as an independent cross-check; it converges to the integral as M
@@ -417,42 +416,38 @@ def _fold(forms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _product(
-    x: np.ndarray,
-    folded: tuple[np.ndarray, np.ndarray, np.ndarray],
-    dist: JitterDistribution,
+    t: np.ndarray, index: np.ndarray, flip: np.ndarray, dist: JitterDistribution
 ) -> np.ndarray:
-    """prod_j cf((forms @ x)_j) at each row of x, from the folded forms.
+    """prod_j cf((forms @ x)_j) over the last axis of t, the values at x of
+    the distinct forms of ``_fold``, through its index and flip.
 
-    ``folded`` is ``_fold`` of the forms with the distinct rows scaled.
     The phases of cf(t) = e^{-i pi t} phi(t) cancel, so the product is that
-    of the law's centred cf phi.  Each distinct row is evaluated once, a
-    dropped zero row contributes phi(0) = 1, and a negated row takes
-    phi(-t) = conj phi(t).  A real phi skips that masked pass, which would
-    add about a fifth to the cost of its product.
+    of the law's centred cf phi.  A dropped zero row contributes
+    phi(0) = 1, and a negated row takes phi(-t) = conj phi(t).  A real phi
+    skips that masked pass, which would add about a fifth to its cost.
     """
-    distinct, index, flip = folded
-    values = dist._centred(x @ distinct.T)[:, index]
+    values = dist._centred(t)[..., index]
     if np.iscomplexobj(values):
         np.conjugate(values, out=values, where=flip)
-    return np.prod(values, axis=1)
+    return np.prod(values, axis=-1)
 
 
 def _evaluate(
     rule: tuple,
-    cells: tuple[np.ndarray, np.ndarray, bool],
-    folded: tuple[np.ndarray, np.ndarray, np.ndarray],
+    cells: tuple[np.ndarray, np.ndarray],
+    fold: tuple[np.ndarray, np.ndarray],
     dist: JitterDistribution,
 ) -> float:
     """2 Re sum of w * prod_j cf((forms @ x)_j) over a half rule.
 
-    Each batch (l, w) of the base rule maps onto each cell of vertex rows
-    as x = l @ cell, weights |det cell| * w, a group of cells of at most
-    _BATCH nodes at a time; the identity cell takes the batch unmapped.
+    A cell of vertex rows V maps a node l to x = l @ V, so each batch (l, w)
+    of the base rule takes the values l @ (V @ distinct.T) of the forms,
+    weights |det V| * w, a group of cells of at most _BATCH nodes at a time.
     The group sums are added exactly, so splitting the nodes finer adds
     no rounding.  The integrand takes conjugate values at x and -x,
     so the mirror half adds the conjugate of this half's sum.
     """
-    vertices, volumes, identity = cells
+    forms, volumes = cells
     # glibc hands the free top of its heap back to the system once it
     # exceeds twice the largest block freed by unmapping.  In a fresh
     # process a batch's temporaries exceed that, and every batch would
@@ -462,30 +457,29 @@ def _evaluate(
     sums = []
     for nodes, weights in _batches(rule):
         per_group = max(1, _BATCH // len(nodes))
-        for start in range(0, len(vertices), per_group):
+        for start in range(0, len(forms), per_group):
             group = slice(start, start + per_group)
-            mapped, scaled = nodes, weights
-            if not identity:
-                mapped = (nodes @ vertices[group]).reshape(-1, nodes.shape[1])
-                scaled = np.multiply.outer(volumes[group], weights).ravel()
-            sums.append((scaled @ _product(mapped, folded, dist)).real)
+            values = _product(nodes @ forms[group], *fold, dist).ravel()
+            scaled = np.multiply.outer(volumes[group], weights).ravel()
+            sums.append((scaled @ values).real)
     return 2.0 * math.fsum(sums)
 
 
 @lru_cache(maxsize=None)
 def _pair_setup(partition: Partition, grouping: Partition) -> tuple:
-    """Read-only memo of a pair's folded forms ``difference_matrix @ B``, its
-    cells with their volumes |det| and whether the cell is the identity,
-    and its base rule's memo: the half cones and the simplex rule, or for
-    one coarse block the half cube's identity cell and tensor rule."""
+    """Read-only memo of a pair's cells, held as their forms V @ distinct.T
+    (exact: 2V and the forms are integers) and volumes |det V|, the index
+    and flip of ``_fold`` of its forms ``difference_matrix @ B``, and its
+    base rule's memo: the half cones and the simplex rule, or for one coarse
+    block the half cube's identity cell and the tensor rule."""
     basis = constraint_system(partition, grouping)
-    folded = _read_only(*_fold(difference_matrix(partition) @ basis))
+    distinct, index, flip = _fold(difference_matrix(partition) @ basis)
     if grouping.k == 1:
-        cells = *_read_only(np.eye(partition.p)[None], np.ones(1)), True
-        return folded, cells, _cube_half_rule
-    vertices = _half_cones(basis.tobytes(), basis.shape)
-    cells = vertices, *_read_only(np.abs(np.linalg.det(vertices))), False
-    return folded, cells, _simplex_rule
+        vertices, rule = np.eye(partition.p)[None], _cube_half_rule
+    else:
+        vertices, rule = _half_cones(basis.tobytes(), basis.shape), _simplex_rule
+    cells = _read_only(vertices @ distinct.T, np.abs(np.linalg.det(vertices)))
+    return cells, _read_only(index, flip), rule
 
 
 def cf_integral(
@@ -500,8 +494,8 @@ def cf_integral(
     The forms are taken on the zero set y = B @ x, B the integer basis of
     ``constraint_system``.  For a single coarse block B is the identity and
     the rule is tensor Gauss-Legendre on the whole cube; otherwise it is
-    the conical product over P = {x : |B @ x| <= 1/2}, both mapped onto the
-    pair's cells by one loop.  The value is the rule at VALUE_ORDER nodes
+    the conical product over P = {x : |B @ x| <= 1/2}, both evaluated on
+    the pair's cells by one loop.  The value is the rule at VALUE_ORDER nodes
     per axis and the error its difference from the rule at CHECK_ORDER.
     """
     _check_grouping(partition, grouping)
@@ -511,11 +505,11 @@ def cf_integral(
     d = _check_integer(d, "dimension")
     _check_law(dist)
 
-    (distinct, index, flip), cells, rule = _pair_setup(partition, grouping)
-    folded = (beta ** (1.0 / d) * distinct, index, flip)
+    (forms, volumes), fold, rule = _pair_setup(partition, grouping)
+    cells = beta ** (1.0 / d) * forms, volumes
     method = "gauss_cube" if grouping.k == 1 else "gauss_cones"
     value, check = (
-        _evaluate(rule(cells[0].shape[1], order, _BATCH), cells, folded, dist)
+        _evaluate(rule(forms.shape[1], order, _BATCH), cells, fold, dist)
         for order in (VALUE_ORDER, CHECK_ORDER)
     )
     return IntegralValue(value, abs(value - check), method)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .ensemble import (
     CELL_BUDGET,
+    EIG_FLOOR,
     EnsembleConfig,
     check_cell_budget,
     gram_matrix,
@@ -38,13 +39,19 @@ from .errors import (
 from .jitter import JitterDistribution
 
 
+def _as_reals(values, name: str) -> np.ndarray:
+    """``values`` as a float64 array; refuse a bool or a string among them.
+    A NumPy array of integers or floats skips the entry-by-entry check."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+        for value in np.asarray(values, dtype=object).flat:
+            _check_real(value, name)
+    return np.asarray(values, dtype=float)
+
+
 def _check_snr(snr):
     """Return an SNR as a float, or SNRs as a float64 array, all finite and > 0;
     refuse a bool or a string, alone or among the SNRs."""
-    if not (isinstance(snr, np.ndarray) and snr.dtype.kind in "iuf"):
-        for value in np.asarray(snr, dtype=object).flat:
-            _check_real(value, "signal-to-noise ratio")
-    values = np.asarray(snr, dtype=float)
+    values = _as_reals(snr, "signal-to-noise ratio")
     bad = values[~((values > 0) & (values < math.inf))]
     if bad.size:
         raise ValueError(f"signal-to-noise ratio must be finite and > 0, got {bad[0]}")
@@ -56,11 +63,16 @@ def mse_from_spectrum(eigenvalues, beta: float, snr):
 
     ``snr`` is one SNR, which gives a float, or a 1-D array of them, which
     gives an array.  The SNRs go through in chunks whose temporaries hold
-    at most CELL_BUDGET entries.
+    at most CELL_BUDGET entries.  An eigenvalue that is no real number, is
+    not finite or lies below the roundoff floor EIG_FLOOR is refused with
+    ``ValueError``, as is an empty spectrum.
     """
-    eigs = np.asarray(eigenvalues, dtype=float).ravel()
+    eigs = _as_reals(eigenvalues, "eigenvalue").ravel()
     if eigs.size == 0:
         raise ValueError("cannot average over an empty spectrum")
+    bad = eigs[~((eigs >= EIG_FLOOR) & (eigs < math.inf))]
+    if bad.size:
+        raise ValueError(f"eigenvalue must be finite and >= {EIG_FLOOR}, got {bad[0]}")
     beta = _check_aspect_ratio(beta)
     snrs = np.atleast_1d(_check_snr(snr))
     if snrs.ndim > 1:

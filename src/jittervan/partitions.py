@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -27,7 +28,8 @@ ORDER_CAP = 7
 
 @dataclass(frozen=True)
 class Partition:
-    """A set partition of {1,...,p} in canonical restricted-growth form."""
+    """A set partition of {1,...,p} in canonical restricted-growth form,
+    its labels integers (no bools) stored as ``int``."""
 
     omega: tuple[int, ...]
 
@@ -36,11 +38,18 @@ class Partition:
             raise ValueError("partition of the empty set is not supported")
         top = 0
         for i, label in enumerate(self.omega):
-            if label < 1 or label > top + 1:
+            integral = type(label) is int or (
+                isinstance(label, numbers.Integral) and not isinstance(label, bool)
+            )
+            if not integral or not 1 <= label <= top + 1:
                 raise ValueError(
-                    f"not a restricted-growth string at position {i}: {self.omega}"
+                    f"not a restricted-growth string of integers at position "
+                    f"{i}: {self.omega!r}"
                 )
             top = max(top, label)
+        # a tuple of ints is kept as given, so memoised strings share it
+        if any(type(label) is not int for label in self.omega):
+            object.__setattr__(self, "omega", tuple(map(int, self.omega)))
 
     @property
     def p(self) -> int:

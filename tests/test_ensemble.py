@@ -248,6 +248,13 @@ class TestSimulate:
         for left in a.eigenvalues:
             assert not any(np.allclose(left, right) for right in c.eigenvalues)
 
+    def test_trailing_zero_words_name_one_stream(self):
+        # SeedSequence ignores trailing zero words of its entropy
+        config = EnsembleConfig(d=1, M=2, rho=7, dist=uniform01())
+        for same in ([7, [7], [7, 0]], [2**32 + 3, [3, 1]]):
+            runs = [simulate(config, 2, seed).eigenvalues for seed in same]
+            assert all(np.array_equal(runs[0], run) for run in runs[1:]), same
+
     def test_threads_match_serial(self):
         config = EnsembleConfig(d=1, M=4, rho=12, dist=uniform01())
         serial = simulate(config, 4, 2, threads=1)

@@ -24,6 +24,7 @@ from jittervan.ensemble import (
     check_cell_budget,
     histogram,
     resolve_shape,
+    sample_positions,
     simulate,
 )
 from jittervan.errors import BudgetError, _check_integer
@@ -270,6 +271,28 @@ REFUSALS = [
         lambda: instance_from_labels(Partition((1, 2)), np.array([[True], [False]]), 5),
         "offset",
     ),
+    ("Partition_fraction_label", lambda: Partition((1, 1.5)), "position 1"),
+    ("Partition_float_label", lambda: Partition((1, 2.0)), "position 1"),
+    ("Partition_bool_label", lambda: Partition((1, True)), "position 1"),
+    ("sample_positions_none_seed", lambda: sample_positions(config(), None), "seed"),
+    ("sample_positions_bool_seed", lambda: sample_positions(config(), True), "seed"),
+    ("sample_positions_float_seed", lambda: sample_positions(config(), 1.5), "seed"),
+    ("sample_positions_string_seed", lambda: sample_positions(config(), "3"), "seed"),
+    ("simulate_empty_list_seed", lambda: simulate(config(), 1, []), "seed"),
+    ("simulate_empty_tuple_seed", lambda: simulate(config(), 1, ()), "seed"),
+    (
+        "mse_from_spectrum_negative",
+        lambda: mse_from_spectrum([-0.5], 0.5, 1.0),
+        "eigenvalue",
+    ),
+    (
+        "mse_from_spectrum_inf",
+        lambda: mse_from_spectrum([1.0, math.inf], 0.5, 1.0),
+        "eigenvalue",
+    ),
+    ("mse_from_spectrum_nan", lambda: mse_from_spectrum([math.nan], 0.5, 1.0), "eigenvalue"),
+    ("mse_from_spectrum_string", lambda: mse_from_spectrum(["1"], 0.5, 1.0), "eigenvalue"),
+    ("mse_from_spectrum_bool", lambda: mse_from_spectrum([True], 0.5, 1.0), "eigenvalue"),
 ]
 
 

@@ -458,7 +458,8 @@ class TestFold:
             forms = integer_forms(*pair)
             distinct, index, flip = integrate_module._fold(forms)
             x = rng.uniform(-0.5, 0.5, (64, forms.shape[1]))
-            folded = integrate_module._product(x, (scale * distinct, index, flip), dist)
+            t = x @ (scale * distinct).T
+            folded = integrate_module._product(t, index, flip, dist)
             plain = np.prod(dist.cf(x @ (scale * forms).T), axis=1)
             assert np.abs(folded - plain).max() <= 1e-14, pair
 
@@ -714,16 +715,27 @@ def full_rule(memo, n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(rows), np.array(weights)
 
 
+def pair_vertices(partition, grouping):
+    """The vertex rows of a pair's cells: the half cones, or for one coarse
+    block the identity cell of the half cube."""
+    if grouping.k == 1:
+        return np.eye(partition.p)[None]
+    basis = constraint_system(partition, grouping)
+    return integrate_module._half_cones(basis.tobytes(), basis.shape)
+
+
 def materialised_half_sum(rule, cells, folded, dist):
-    """The base rule mapped onto every cell at once, then summed in _BATCH
-    slices whose sums are added exactly: added in turn, a thousand slice
-    sums at a batch of 64 err by 1e-15 on their own."""
+    """The base rule mapped onto every cell of vertex rows at once, x = l @ V,
+    then summed in _BATCH slices whose sums are added exactly: added in
+    turn, a thousand slice sums at a batch of 64 err by 1e-15 on their own."""
     lam, weights = rule
+    distinct, index, flip = folded
     nodes = (lam @ cells).reshape(-1, cells.shape[1])
     scaled = np.multiply.outer(np.abs(np.linalg.det(cells)), weights).ravel()
     sums, batch = [], integrate_module._BATCH
     for start in range(0, len(nodes), batch):
-        values = integrate_module._product(nodes[start : start + batch], folded, dist)
+        t = nodes[start : start + batch] @ distinct.T
+        values = integrate_module._product(t, index, flip, dist)
         sums.append((scaled[start : start + batch] @ values).real)
     return 2.0 * math.fsum(sums)
 
@@ -738,14 +750,38 @@ class TestCellLoop:
         assert len(classes) == 17
         orders = (integrate_module.VALUE_ORDER, integrate_module.CHECK_ORDER)
         for pair in classes:
-            (distinct, index, flip), cells, rule = integrate_module._pair_setup(*pair)
-            vertices, n = cells[0], cells[0].shape[1]
-            folded = (0.55**0.5 * distinct, index, flip)
+            (forms, volumes), fold, rule = integrate_module._pair_setup(*pair)
+            cells, n = (0.55**0.5 * forms, volumes), forms.shape[1]
+            distinct = integrate_module._fold(integer_forms(*pair))[0]
+            folded = (0.55**0.5 * distinct, *fold)
+            vertices = pair_vertices(*pair)
             for order, law in itertools.product(orders, LAWS.values()):
                 base, dist = rule(n, order, batch), law()
-                looped = integrate_module._evaluate(base, cells, folded, dist)
+                looped = integrate_module._evaluate(base, cells, fold, dist)
                 whole = materialised_half_sum(full_rule(rule, n, order), vertices, folded, dist)
                 assert abs(looped - whole) <= 1e-15, (pair, order, dist.kind)
+
+    def test_cells_carry_their_exact_forms(self):
+        # every class of p <= 5 and the order-six cone class below
+        classes = dict.fromkeys(rep for p in range(2, 6) for rep in _pair_classes(p)[1])
+        classes[Partition((1, 2, 3, 4, 5, 6)), Partition((1, 1, 2, 2, 2, 2))] = None
+        for pair in classes:
+            (forms, volumes), (index, flip), _ = integrate_module._pair_setup(*pair)
+            distinct, expected_index, expected_flip = integrate_module._fold(
+                integer_forms(*pair)
+            )
+            assert np.array_equal(index, expected_index), pair
+            assert np.array_equal(flip, expected_flip), pair
+            assert np.array_equal(2 * forms, np.round(2 * forms)), pair
+            vertices = pair_vertices(*pair)
+            assert forms.shape == (len(vertices), vertices.shape[1], len(distinct))
+            for cell, vertex_rows in zip(forms, vertices):
+                assert np.array_equal(cell, vertex_rows @ distinct.T), pair
+            if pair[1].k == 1:
+                assert np.array_equal(forms[0], distinct.T), pair
+                assert volumes.tolist() == [1.0], pair
+            else:
+                assert np.array_equal(volumes, np.abs(np.linalg.det(vertices))), pair
 
     def test_simplex_rule_is_the_collapsed_map(self):
         # products taken from the last axis inwards agree with the running

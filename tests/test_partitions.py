@@ -230,6 +230,12 @@ class TestPartitionType:
         with pytest.raises(ValueError):
             Partition(())
 
+    def test_numpy_labels_are_stored_as_int(self):
+        w = Partition((np.int64(1), np.int32(2), np.uint8(1)))
+        assert w == Partition((1, 2, 1)) and hash(w) == hash(Partition((1, 2, 1)))
+        assert all(type(label) is int for label in w.omega)
+        assert w.blocks == (frozenset({1, 3}), frozenset({2}))
+
     def test_block_structure(self):
         w = Partition((1, 2, 1, 3))
         assert w.p == 4 and w.k == 3
