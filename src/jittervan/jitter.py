@@ -14,6 +14,7 @@ not have.
 Each law fixes once the centred cf phi(t) = e^{i pi t} cf(t) that the engine
 integrates.  The built-in laws are symmetric about 1/2: each defines a real,
 even phi and takes its cf from it.  Any other law's phi comes from its cf.
+A built-in phi may overwrite its argument; the cf hands it a copy.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class JitterDistribution:
         self.symmetric_about_half = bool(symmetric_about_half)
         self._cf = cf
         self._draw = draw
-        #: the centred cf, which ``integrate`` reads: real for a built-in law
+        #: the centred cf, which ``integrate`` reads; it may overwrite its argument
         self._centred = cf.phi if isinstance(cf, _Centred) else self._centred_from_cf
         at_zero = complex(np.asarray(cf(np.array(0.0))).item())
         if abs(at_zero - 1.0) > 1e-12:
@@ -124,20 +125,38 @@ class JitterDistribution:
 
 class _Centred:
     """cf(t) = e^{-i pi t} phi(t) of a law symmetric about 1/2, from its real,
-    even centred cf phi."""
+    even centred cf phi.  phi may overwrite its float64 argument, so the cf
+    hands it a copy and leaves its caller's array as it was."""
 
     def __init__(self, phi: Callable[[np.ndarray], np.ndarray]) -> None:
         self.phi = phi
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
-        return np.exp(-1j * np.pi * t) * self.phi(t)
+        return np.exp(-1j * np.pi * t) * self.phi(np.array(t, dtype=float))
+
+
+def _sinc(t: np.ndarray) -> np.ndarray:
+    """np.sinc(t) bit for bit, with t overwritten by pi t: sin(pi t)/(pi t),
+    and 1 at t = 0 without dividing there."""
+    t *= np.pi
+    out = np.sin(t, out=np.empty_like(t))
+    np.divide(out, t, out=out, where=t != 0)
+    out[t == 0] = 1.0
+    return out
+
+
+def _half_sinc_squared(t: np.ndarray) -> np.ndarray:
+    """np.sinc(0.5 * t) ** 2 bit for bit, with t overwritten."""
+    t *= 0.5
+    out = _sinc(t)
+    return np.square(out, out=out)
 
 
 # U ~ [0,1) centred: sin(pi t)/(pi t)
-_uniform_cf = _Centred(np.sinc)
+_uniform_cf = _Centred(_sinc)
 _point_mass_cf = _Centred(np.ones_like)
 # sum of two independent uniforms on [0,1/2): the squared half-width factor
-_triangular_cf = _Centred(lambda t: np.sinc(0.5 * t) ** 2)
+_triangular_cf = _Centred(_half_sinc_squared)
 
 
 def uniform01() -> JitterDistribution:

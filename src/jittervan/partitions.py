@@ -29,7 +29,7 @@ ORDER_CAP = 7
 @dataclass(frozen=True)
 class Partition:
     """A set partition of {1,...,p} in canonical restricted-growth form,
-    its labels integers (no bools) stored as ``int``."""
+    its labels integers (no bools) stored as a tuple of ``int``."""
 
     omega: tuple[int, ...]
 
@@ -47,8 +47,9 @@ class Partition:
                     f"{i}: {self.omega!r}"
                 )
             top = max(top, label)
-        # a tuple of ints is kept as given, so memoised strings share it
-        if any(type(label) is not int for label in self.omega):
+        # a tuple of ints is kept as given, so memoised strings share it;
+        # any other sequence is stored as a tuple of ints, so it hashes
+        if type(self.omega) is not tuple or any(type(v) is not int for v in self.omega):
             object.__setattr__(self, "omega", tuple(map(int, self.omega)))
 
     @property

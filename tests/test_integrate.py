@@ -527,6 +527,54 @@ class TestRealProduct:
             assert abs(a.std_error - b.std_error) <= 1e-13, pair
 
 
+def gathered_product(t, index, flip, dist):
+    """The folded product as a gather: phi of every row in one array, the
+    flipped rows of a complex phi conjugated, then ``np.prod`` over the rows."""
+    values = dist._centred(t)[..., index]
+    if np.iscomplexobj(values):
+        np.conjugate(values, out=values, where=flip)
+    return np.prod(values, axis=-1)
+
+
+class TestProduct:
+    @pytest.mark.parametrize(
+        "law", [*BUILT_IN.values(), two_point], ids=[*BUILT_IN, "two_point"]
+    )
+    def test_equals_the_gathered_product_bit_for_bit(self, law):
+        dist = law()
+        # every class of p <= 5 and the order-six cone class
+        classes = dict.fromkeys(rep for p in range(2, 6) for rep in _pair_classes(p)[1])
+        classes[Partition((1, 2, 3, 4, 5, 6)), Partition((1, 1, 2, 2, 2, 2))] = None
+        rng = np.random.default_rng(28)
+        for pair in classes:
+            (forms, _), (index, flip), _ = integrate_module._pair_setup(*pair)
+            # a group of three cells at 64 nodes, as the cell loop takes them
+            nodes = rng.uniform(0.0, 0.5, (64, forms.shape[1]))
+            t = nodes @ (0.55**0.5 * forms[:3])
+            expected = gathered_product(t.copy(), index, flip, dist)
+            got = integrate_module._product(t, index, flip, dist)
+            assert got.shape == expected.shape == t.shape[:-1], pair
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64)), pair
+
+    @pytest.mark.parametrize("law", [uniform01, triangular01])
+    def test_holds_little_beyond_its_batch(self, law):
+        # a batch of the p = 4 cube class, whose four forms are distinct; the
+        # gather and np.sinc's temporaries held 4 to 5 times its bytes
+        pair = Partition((1, 2, 3, 4)), Partition((1, 1, 1, 1))
+        (forms, _), fold, _ = integrate_module._pair_setup(*pair)
+        nodes = np.random.default_rng(5).uniform(0.0, 0.5, (integrate_module._BATCH, 4))
+        t, dist = nodes @ forms[0], law()
+        assert t.shape == (integrate_module._BATCH, 4)
+        budget = 1.5 * t.nbytes
+        tracemalloc.start()
+        try:
+            integrate_module._product(t, *fold, dist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < budget
+
+
 def jacobi_moment(alpha: int, k: int) -> Fraction:
     """Exact integral of x^k (1 - x)^alpha over [-1, 1]."""
     terms = range(k % 2, alpha + 1, 2)  # odd powers integrate to zero

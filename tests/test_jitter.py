@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -5,6 +7,8 @@ from scipy.integrate import quad
 from jittervan import verify
 from jittervan.jitter import (
     JitterDistribution,
+    _triangular_cf,
+    _uniform_cf,
     from_name,
     point_mass_half,
     triangular01,
@@ -73,6 +77,57 @@ class TestCharacteristicFunction:
         t = np.array([-1e-12, -1e-300, 0.0, 1e-300, 1e-12])
         for factory in ALL_KINDS:
             assert np.abs(factory().cf(t) - 1.0).max() < 1e-9
+
+
+#: arguments of the centred cf tests: zeros of both signs, integers, the
+#: extremes of the doubles and the non-finite values
+SPECIAL = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 1e-300, 1e300, np.inf, -np.inf, np.nan]
+
+
+def bits(values) -> np.ndarray:
+    """The bit patterns of float64 values, so that -0.0 differs from 0.0 and
+    nan equals itself."""
+    return np.ascontiguousarray(values, dtype=float).view(np.int64)
+
+
+class TestCentredCf:
+    """A built-in phi overwrites its argument and must still give the numbers
+    of ``np.sinc``."""
+
+    REFERENCES = [
+        (_uniform_cf.phi, np.sinc),
+        (_triangular_cf.phi, lambda t: np.sinc(0.5 * t) ** 2),
+    ]
+
+    @pytest.mark.parametrize(
+        "t",
+        [np.array(SPECIAL), np.array(SPECIAL[:10]).reshape(2, 5)]
+        + [np.array(value) for value in SPECIAL],
+        ids=["1-D", "2-D"] + [f"0-d {value}" for value in SPECIAL],
+    )
+    @pytest.mark.parametrize("phi,reference", REFERENCES, ids=["uniform", "triangular"])
+    def test_phi_equals_numpy_sinc_bit_for_bit(self, phi, reference, t):
+        # sin(inf) is invalid, and np.sinc warns there too
+        with np.errstate(invalid="ignore"):
+            expected = reference(t.copy())
+            got = phi(t.copy())
+        assert got.shape == t.shape
+        assert np.array_equal(bits(got), bits(expected))
+
+    @pytest.mark.parametrize("phi,reference", REFERENCES, ids=["uniform", "triangular"])
+    def test_phi_emits_no_warning_on_finite_arguments(self, phi, reference):
+        t = np.concatenate([SPECIAL[:8], np.linspace(-7, 7, 1401)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = phi(t.copy())
+        assert np.array_equal(bits(values), bits(reference(t)))
+
+    @pytest.mark.parametrize("factory", ALL_KINDS)
+    def test_cf_leaves_its_argument_unchanged(self, factory):
+        t = np.array(SPECIAL[:8] + [0.25, -3.5])
+        before = bits(t).copy()
+        factory().cf(t)
+        assert np.array_equal(bits(t), before)
 
 
 class TestSampler:

@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from jittervan import verify
 from jittervan.constraints import constraint_system
+from jittervan.integrate import term_integral
+from jittervan.jitter import uniform01
+from jittervan.moments import _evaluate_pair, clear_term_cache
 from jittervan.partitions import (
     Partition,
     bell,
@@ -235,6 +238,23 @@ class TestPartitionType:
         assert w == Partition((1, 2, 1)) and hash(w) == hash(Partition((1, 2, 1)))
         assert all(type(label) is int for label in w.omega)
         assert w.blocks == (frozenset({1, 3}), frozenset({2}))
+
+    def test_label_sequences_are_stored_as_tuples(self):
+        # a list or an array once stayed as given: the partition did not
+        # hash and differed from its tuple, so no memo could take it
+        spellings = [[1, 2, 1], (1, 2, 1), np.array([1, 2, 1])]
+        partitions = [Partition(labels) for labels in spellings]
+        assert all(type(w.omega) is tuple for w in partitions)
+        assert all(type(label) is int for w in partitions for label in w.omega)
+        assert partitions[0] == partitions[1] == partitions[2]
+        assert len({hash(w) for w in partitions}) == 1
+        grouping, law = Partition([1, 1]), uniform01()
+        clear_term_cache()
+        values = [term_integral(w, grouping, 0.5, 1, law) for w in partitions]
+        assert values[0] == values[1] == values[2]
+        assert [_evaluate_pair(w, grouping, 0.5, 1, law) for w in partitions] == values
+        info = _evaluate_pair.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
     def test_block_structure(self):
         w = Partition((1, 2, 1, 3))
