@@ -42,8 +42,9 @@ CELL_BUDGET = 1 << 23
 
 #: Complex entries per block of the lag sums' Khatri-Rao table; the cells
 #: per block follow from the table's width, so no table grows with d or r.
-#: The Gram gather takes rows in blocks of about as many entries.
-LAG_ENTRIES = 1 << 14
+#: The Gram gather takes rows in blocks of about as many entries.  At 2^11
+#: (32 KB a table) the lag sums of the criterion-9 shapes peak below 0.3 MB.
+LAG_ENTRIES = 1 << 11
 
 #: Eigenvalues of the positive semidefinite Gram matrix may round below
 #: zero by at most this much; anything lower is a solver failure.

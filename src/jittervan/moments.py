@@ -23,16 +23,17 @@ three moves keep its value:
   every edge: the reversal negates every form, which y -> -y on the
   centred cube undoes, for asymmetric laws too.
 
-The characteristic-function pairs are therefore grouped into classes:
-each is reduced by the first two moves and keyed by the least labelling
-under the third, and one pair per class, of the lowest order, is
-integrated; every member term carries its value.  Rotations and
-reversals of the trace indices, the dihedral symmetry of the trace, are
-among these moves.
+Every pair is therefore grouped into a class: it is reduced by the first
+two moves and keyed by the least labelling under the third, and one pair
+per class, of the lowest order, is integrated; every member term carries
+its value.  A fully pinned pair has every block alone in its group, so
+the reduction leaves the blocks its walk meets twice or more, and a walk
+whose blocks all contract away is the one-block pair, of volume 1.
+Rotations and reversals of the trace indices, the dihedral symmetry of
+the trace, are among these moves.
 
-Each value is memoised by what it depends on.  A fully pinned pair's
-exact volume depends on the pair alone and sits in the per-order table of
-pairs; a class integral also depends on beta, d and the law.
+Each class value, exact pinned volumes included, is memoised on (class,
+beta, d, law); the per-order table of pairs holds each pair's class.
 
 Each integral's error is the deterministic difference between two
 cubature orders.  It exceeded the actual error, by 25 times or more, on
@@ -53,7 +54,6 @@ from itertools import groupby, permutations, product
 
 import numpy as np
 
-from . import integrate
 from ._parallel import ordered_map
 from .errors import _check_aspect_ratio, _check_integer, _check_law
 from .integrate import IntegralValue, QmcOptions, term_integral
@@ -128,7 +128,7 @@ def _evaluate_pair(
     d: int,
     dist: JitterDistribution,
 ) -> IntegralValue:
-    """A class integral, memoised; laws compare by their ``identity``."""
+    """A class value, memoised; laws compare by their ``identity``."""
     return term_integral(omega, omega_prime, beta, d, dist)
 
 
@@ -138,11 +138,12 @@ clear_term_cache = _evaluate_pair.cache_clear
 def _class_representative(
     partition: Partition, grouping: Partition
 ) -> tuple[Partition, Partition]:
-    """The pair integrated for a characteristic-function pair's class.
+    """The pair integrated for a pair's class.
 
     The walk drops its loops and contracts every block met once and alone
     in its group, until neither applies; a group of two or more blocks
-    loses none, so the reduced pair keeps fewer groups than blocks.
+    loses none, so a characteristic-function pair keeps fewer groups than
+    blocks.  A walk with no block left is the one-block pair.
     """
     group = grouping.omega
     members = Counter(group)
@@ -154,6 +155,8 @@ def _class_representative(
         if kept == walk:
             break
         walk = kept
+    if not walk:
+        return Partition((1,)), Partition((1,))
     coarse = partition_of([group[b - 1] for b in dict.fromkeys(walk)])
     return _least_labelling(partition_of(walk).omega, coarse.omega)
 
@@ -206,26 +209,21 @@ def _least_labelling(
 
 @lru_cache(maxsize=None)
 def _pair_classes(p: int) -> tuple[tuple, tuple]:
-    """Every (fine, coarse) pair of order p with its signed weight and factor:
-    a fully pinned pair's exact volume, or the index of a characteristic-
-    function pair's class representative.  Returns the rows in enumeration
+    """Every (fine, coarse) pair of order p with its signed weight and the
+    index of its class representative.  Returns the rows in enumeration
     order and the representatives in order of first member.  Memoised on p,
-    as rebuilding costs more than a warm replay; ``delta_volume`` is read
-    through its module, so a wrapper installed there sees each call."""
+    as rebuilding costs more than a warm replay."""
     rows = []
-    integrated: dict[tuple[Partition, Partition], int] = {}
+    classes: dict[tuple[Partition, Partition], int] = {}
     for k in range(1, p + 1):
         for omega in enumerate_partitions_k(p, k):
             for h in range(1, k + 1):
                 for omega_prime in enumerate_partitions_k(k, h):
-                    if h < k:
-                        rep = _class_representative(omega, omega_prime)
-                        factor = integrated.setdefault(rep, len(integrated))
-                    else:
-                        factor = integrate.delta_volume(omega)
+                    rep = _class_representative(omega, omega_prime)
+                    index = classes.setdefault(rep, len(classes))
                     u = mobius_coefficient(omega_prime)
-                    rows.append((omega, omega_prime, u, factor))
-    return tuple(rows), tuple(integrated)
+                    rows.append((omega, omega_prime, u, index))
+    return tuple(rows), tuple(classes)
 
 
 def moment(
@@ -238,18 +236,18 @@ def moment(
 ) -> MomentResult:
     """p-th asymptotic eigenvalue moment of the jittered-grid ensemble.
 
-    Dispatches one partition pair per class to its integral regime, and
-    every pair of a class takes that value; each fully pinned pair takes
-    its exact volume from the per-order table.  Each value is weighted by
-    the pair's signed block coefficient and the aspect-ratio power.  The
-    cubature error estimates are propagated linearly through the d-th
-    power and summed over the terms, an estimate of the moment's error.  The
-    terms keep the enumeration order.  The first moment is exactly 1 by
+    Dispatches one partition pair per class to its integral regime, the
+    exact volume for a fully pinned class, and every pair of a class takes
+    that value.  Each value is weighted by the pair's signed block
+    coefficient and the aspect-ratio power.  The cubature error estimates
+    are propagated linearly through the d-th power and summed over the
+    terms, an estimate of the moment's error.  The terms keep the
+    enumeration order.  The first moment is exactly 1 by
     construction: its only pair is the one-block partition, of volume 1.
 
     ``opts`` is accepted for the benchmark scripts, which build it, and
     ignored: the integrals are deterministic and take no sampling options.
-    ``threads`` spreads the class integrals over worker threads.
+    ``threads`` spreads the class values over worker threads.
 
     Before any enumeration or integral it refuses, with ``ValueError``, a
     ``p`` that is no integer in [1, MOMENT_CAP], a ``beta`` outside (0, 1],
@@ -262,15 +260,13 @@ def moment(
     threads = _check_integer(threads, "thread count")
     _check_law(dist)
 
-    rows, integrated = _pair_classes(p)
-    values = ordered_map(
-        lambda rep: _evaluate_pair(*rep, beta, d, dist), integrated, threads
-    )
+    rows, classes = _pair_classes(p)
+    values = ordered_map(lambda rep: _evaluate_pair(*rep, beta, d, dist), classes, threads)
 
     terms = []
-    for omega, omega_prime, u, factor in rows:
+    for omega, omega_prime, u, index in rows:
         k, h = omega.k, omega_prime.k
-        v = factor if isinstance(factor, IntegralValue) else values[factor]
+        v = values[index]
         weight = beta ** (p - h)
         contribution = weight * u * v.value**d
         err = weight * abs(u) * d * abs(v.value) ** (d - 1) * v.std_error

@@ -443,7 +443,7 @@ class TestLagSums:
     )
     def test_gram_equals_the_whole_matrix_gather(self, d, M, rho, factory):
         # at M = 1 a block holds more rows than the h rows there are; at the
-        # criterion-9 shape d = 1, h = 612 leaves a ragged last block
+        # criterion-9 shape d = 3, h = 364 leaves a ragged last block
         config = EnsembleConfig(d=d, M=M, rho=rho, dist=factory())
         positions = sample_positions(config, 21)
         T = real_gram_matrix(config, positions)
@@ -462,6 +462,20 @@ class TestLagSums:
         finally:
             tracemalloc.stop()
         assert peak <= 1.3 * T.nbytes
+
+    def test_lag_sums_hold_little_beyond_their_result(self):
+        # at the d = 2 criterion-9 shape the result holds 69^2 complex
+        # entries (76 KB); each block's tables hold about LAG_ENTRIES more
+        d, M, rho = CRITERION_9_SHAPES[1]
+        config = EnsembleConfig(d=d, M=M, rho=rho, dist=uniform01())
+        positions = sample_positions(config, 21)
+        tracemalloc.start()
+        try:
+            lag_sums(M, positions)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5e6
 
 
 class TestInPlaceSolve:

@@ -35,6 +35,18 @@ from test_partitions import dihedral_representative
 
 LAWS = {"uniform01": uniform01, "triangular01": triangular01, "two_point": two_point}
 
+
+def cf_class_representatives() -> dict:
+    """The 17 cf class representatives of p <= 5, in order of first member:
+    the classes with fewer coarse than fine blocks."""
+    return dict.fromkeys(
+        (fine, coarse)
+        for p in range(2, 6)
+        for fine, coarse in _pair_classes(p)[1]
+        if coarse.k < fine.k
+    )
+
+
 #: Exact volumes of every order <= 5 partition with two or more blocks, as
 #: certified by exact lattice-point counts in growing boxes (the counts are
 #: a polynomial in the box width whose leading coefficient is the volume).
@@ -505,7 +517,7 @@ class TestRealProduct:
     def test_equals_the_complex_product_on_every_class(self, law, beta, d):
         # every class of p <= 5, and a six-dimensional cube class, a 4-D
         # and a 5-D cone class of p = 6
-        classes = dict.fromkeys(rep for p in range(2, 6) for rep in _pair_classes(p)[1])
+        classes = cf_class_representatives()
         assert len(classes) == 17
         classes.update(
             dict.fromkeys(
@@ -543,7 +555,7 @@ class TestProduct:
     def test_equals_the_gathered_product_bit_for_bit(self, law):
         dist = law()
         # every class of p <= 5 and the order-six cone class
-        classes = dict.fromkeys(rep for p in range(2, 6) for rep in _pair_classes(p)[1])
+        classes = cf_class_representatives()
         classes[Partition((1, 2, 3, 4, 5, 6)), Partition((1, 1, 2, 2, 2, 2))] = None
         rng = np.random.default_rng(28)
         for pair in classes:
@@ -794,7 +806,7 @@ class TestCellLoop:
         # a small batch splits every cell over many groups and batches, and
         # a ragged one leaves the last group of cells short
         monkeypatch.setattr(integrate_module, "_BATCH", batch)
-        classes = dict.fromkeys(rep for p in range(2, 6) for rep in _pair_classes(p)[1])
+        classes = cf_class_representatives()
         assert len(classes) == 17
         orders = (integrate_module.VALUE_ORDER, integrate_module.CHECK_ORDER)
         for pair in classes:
@@ -811,7 +823,7 @@ class TestCellLoop:
 
     def test_cells_carry_their_exact_forms(self):
         # every class of p <= 5 and the order-six cone class below
-        classes = dict.fromkeys(rep for p in range(2, 6) for rep in _pair_classes(p)[1])
+        classes = cf_class_representatives()
         classes[Partition((1, 2, 3, 4, 5, 6)), Partition((1, 1, 2, 2, 2, 2))] = None
         for pair in classes:
             (forms, volumes), (index, flip), _ = integrate_module._pair_setup(*pair)

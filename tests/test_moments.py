@@ -13,6 +13,7 @@ from jittervan.jitter import JitterDistribution, point_mass_half, triangular01, 
 from jittervan.moments import (
     _class_representative,
     _narayana_row,
+    _pair_classes,
     clear_term_cache,
     convergence_report,
     moment,
@@ -263,6 +264,22 @@ class TestMoment:
         monkeypatch.setattr(integrate_module, "delta_volume", forbidden)
         assert [moment(p, 0.55, 2, uniform01()) for p in range(1, 6)] == cold
 
+    def test_pinned_pairs_take_one_volume_per_class(self, monkeypatch):
+        # the 75 pinned pairs of p <= 5 fold to the classes of volume 1 and 2/3
+        calls = []
+        delta_volume = integrate_module.delta_volume
+        monkeypatch.setattr(
+            integrate_module, "delta_volume", lambda w: calls.append(w) or delta_volume(w)
+        )
+        clear_term_cache()
+        _pair_classes.cache_clear()
+        integrate_module._box_spline.cache_clear()
+        cold = [moment(p, 0.55, 2, uniform01()) for p in range(1, 6)]
+        assert calls == [Partition((1,)), Partition((1, 2, 1, 2))]
+        assert integrate_module._box_spline.cache_info().misses == 11
+        assert [moment(p, 0.55, 2, uniform01()) for p in range(1, 6)] == cold
+        assert len(calls) == 2
+
     def test_forms_fold_once_per_pair(self, monkeypatch):
         # the benchmark's analytic sweep: its 8 classes at 4 dimensions each
         folds, integrals = [], []
@@ -419,6 +436,25 @@ class TestClassKey:
         assert len(pairs) == cf_pair_count
         assert len(reps) == classes
         assert sum(rep[0].p == p for rep in reps) == new
+
+    def test_pinned_pairs_fold_to_classes_of_their_volume(self):
+        # every block of a pinned pair is alone in its group, so its class
+        # keeps the blocks its walk meets twice or more; a walk that keeps
+        # none is the one-block pair, of volume 1
+        counts = []
+        for p in range(1, 8):
+            reps = set()
+            for k in range(1, p + 1):
+                [grouping] = enumerate_partitions_k(k, k)
+                for omega in enumerate_partitions_k(p, k):
+                    rep = _class_representative(omega, grouping)
+                    assert rep[1].k == rep[0].k and rep[0].p <= p
+                    assert _class_representative(*rep) == rep
+                    volume = integrate_module.delta_volume(rep[0]).exact
+                    assert volume == integrate_module.delta_volume(omega).exact, omega
+                    reps.add(rep)
+            counts.append(len(reps))
+        assert counts == [1, 1, 1, 2, 2, 5, 6]
 
 
 class TestClassAgreement:
