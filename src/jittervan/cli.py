@@ -127,14 +127,16 @@ def _cmd_moments(args) -> int:
     results = []
     for p in range(1, args.p_max + 1):
         res = moment(p, args.beta, args.d, dist, threads=args.threads)
-        results.append(res)
+        record = res.to_dict()
         line = (
             f"p={p}  moment={res.value:.8f}  error={res.std_error:.2e}  "
             f"terms={len(res.terms)}"
         )
         if args.mp:
             limit = mp_moment(p, args.beta)
-            line += f"  mp={limit:.8f}  gap={abs(res.value - limit):.3e}"
+            record.update(mp=limit, gap=abs(res.value - limit))
+            line += f"  mp={limit:.8f}  gap={record['gap']:.3e}"
+        results.append(record)
         print(line)
     if args.out:
         _write_json(
@@ -144,7 +146,7 @@ def _cmd_moments(args) -> int:
                 "beta": args.beta,
                 "d": args.d,
                 "jitter": args.jitter,
-                "results": [res.to_dict() for res in results],
+                "results": results,
             },
         )
         print(f"wrote {args.out}")

@@ -1,19 +1,18 @@
 """Integer linear forms attached to a partition and their zero-sum systems.
 
-For a partition of {1,...,p} the matrix built here evaluates, row by block,
-the sums of cyclic forward differences
+A partition of {1,...,p} is a closed walk through its blocks, its edge i
+(``walk_edges``) leading from the block of element i-1 (cyclically) to
+that of element i.  The matrix built here is the walk's incidence matrix,
+row by block the sums of cyclic forward differences
 
     row_j . y  =  sum over i in block j of (y_i - y_{i+1 cyclic}),
 
-so every column holds one +1 (the element's own block) and one -1 (the
-block of its cyclic predecessor), or zero when the two coincide.  Columns
-then sum to zero and so do the rows, which is why every derived constraint
-system loses exactly one rank.
+so columns sum to zero and so do the rows, which is why every derived
+constraint system loses exactly one rank.
 
-Merging rows along a coarser partition of the blocks gives the constraint
-system whose zero set carries the delta-constrained integrals.  Its matrix
-is the incidence matrix of the cyclic walk through the groups: column i is
-the edge from the group of element i-1 to the group of element i.  The
+Grouping the blocks gives the walk through the groups (``group_walk``),
+whose matrix is the block rows merged along the groups: the constraint
+system whose zero set carries the delta-constrained integrals.  The
 fundamental cycles of a spanning tree of that walk span the zero set: the
 integer basis B has one column per non-tree column, with a unit on that
 column and the cycle's tree flows, in {-1, 0, 1}, on the tree columns.
@@ -34,38 +33,37 @@ from .partitions import Partition
 Edge = tuple[int, int]
 
 
-def difference_matrix(partition: Partition) -> np.ndarray:
-    """k x p integer matrix of per-block cyclic-difference sums."""
-    p, k = partition.p, partition.k
-    omega = partition.omega
-    mat = np.zeros((k, p), dtype=np.int64)
-    for i in range(p):  # element i+1, cyclic predecessor at index i-1
-        mat[omega[i] - 1, i] += 1
-        mat[omega[i - 1] - 1, i] -= 1
-    return mat
+def walk_edges(walk: Partition) -> list[Edge]:
+    """Edge i of the closed walk, from the label at position i - 1 (cyclic,
+    so edge 0 leaves the last position) to the label at position i; labels
+    and positions counted from 0."""
+    omega = walk.omega
+    return [(omega[i - 1] - 1, omega[i] - 1) for i in range(walk.p)]
 
 
-def _check_grouping(partition: Partition, grouping: Partition) -> None:
+def group_walk(partition: Partition, grouping: Partition) -> Partition:
+    """The walk through the groups: element i carries the group of its block.
+
+    ``grouping`` must partition the k blocks of ``partition``.  Blocks are
+    numbered by first use along the walk and groups by first use along the
+    blocks, so the labels are already a restricted-growth string.
+    """
     if grouping.p != partition.k:
         raise ValueError(
             f"grouping must partition {{1,...,{partition.k}}}, got one of "
             f"{grouping.p} elements"
         )
+    return Partition(tuple(grouping.omega[b - 1] for b in partition.omega))
 
 
-def merged_difference_rows(partition: Partition, grouping: Partition) -> np.ndarray:
-    """Sum the difference-matrix rows along the blocks of ``grouping``.
-
-    ``grouping`` must partition {1,...,k} where k is the block count of
-    ``partition``; the result has one row per group.
-    """
-    _check_grouping(partition, grouping)
-    base = difference_matrix(partition)
-    rows = np.zeros((grouping.k, partition.p), dtype=np.int64)
-    for j, block in enumerate(grouping.blocks):
-        for i in sorted(block):
-            rows[j] += base[i - 1]
-    return rows
+def difference_matrix(walk: Partition) -> np.ndarray:
+    """k x p integer incidence matrix of the walk's edges, one row per label:
+    the per-block cyclic-difference sums."""
+    mat = np.zeros((walk.k, walk.p), dtype=np.int64)
+    for i, (a, b) in enumerate(walk_edges(walk)):
+        mat[b, i] += 1
+        mat[a, i] -= 1
+    return mat
 
 
 def spanning_tree(edges: Sequence[Edge], k: int) -> tuple[int, ...]:
@@ -123,22 +121,22 @@ def tree_flows(
     return tuple(flows)
 
 
-def constraint_system(partition: Partition, grouping: Partition) -> np.ndarray:
-    """Integer basis B of the zero set of the merged rows, y = B @ x.
+def constraint_system(walk: Partition) -> np.ndarray:
+    """Integer basis B of the zero set of ``difference_matrix(walk)``,
+    y = B @ x.
 
-    B is p x (p - h + 1) for h groups.  The tree is the first columns that
-    raise the rank, kept greedily; each other column gets a basis column
-    with a unit on itself and its fundamental cycle's tree flows.
+    B is p x (p - h + 1) for a walk through h labels.  The tree is the
+    first columns that raise the rank, kept greedily; each other column
+    gets a basis column with a unit on itself and its fundamental cycle's
+    tree flows.
     """
-    _check_grouping(partition, grouping)
-    group = [grouping.omega[b - 1] - 1 for b in partition.omega]
-    edges = [(group[i - 1], group[i]) for i in range(partition.p)]
-    tree = spanning_tree(edges, grouping.k)
-    free = [c for c in range(partition.p) if c not in tree]
-    basis = np.zeros((partition.p, len(free)), dtype=np.int64)
+    edges = walk_edges(walk)
+    tree = spanning_tree(edges, walk.k)
+    free = [c for c in range(walk.p) if c not in tree]
+    basis = np.zeros((walk.p, len(free)), dtype=np.int64)
     for j, c in enumerate(free):
         a, b = edges[c]
-        closing = [0] * grouping.k  # minus the free column e_b - e_a
+        closing = [0] * walk.k  # minus the free column e_b - e_a
         closing[a] += 1
         closing[b] -= 1
         basis[c, j] = 1

@@ -13,14 +13,15 @@ of them are pinned to zero.  Three regimes are evaluated here.
 * No pinning (single coarse block): the characteristic-function product
   integrated over the whole cube by tensor Gauss-Legendre.
 * Partial pinning: the zero set of the pinned sums is y = B @ x, with B
-  the integer basis of ``constraint_system``: the fundamental cycles of a
-  spanning tree of the walk through the groups.  B's rows at the free
-  coordinates are the identity, so x carries unit weight and the domain
-  is the polytope P = {x : |B @ x| <= 1/2}.  B is totally unimodular, so
-  the doubled vertices of P lie in {-1, 0, 1}^n and are found in integers;
-  its boundary is triangulated by pulling, each boundary simplex is coned
-  from the origin, and each cone takes Stroud's collapsed Gauss-Jacobi
-  rule, whose roots come from the Golub-Welsch eigenproblem.
+  the integer basis of ``constraint_system`` of the walk through the
+  groups: the fundamental cycles of a spanning tree of that walk.  B's
+  rows at the free coordinates are the identity, so x carries unit weight
+  and the domain is the polytope P = {x : |B @ x| <= 1/2}.  B is totally
+  unimodular, so the doubled vertices of P lie in {-1, 0, 1}^n and are
+  found in integers; its boundary is triangulated by pulling, each
+  boundary simplex is coned from the origin, and each cone takes Stroud's
+  collapsed Gauss-Jacobi rule, whose roots come from the Golub-Welsch
+  eigenproblem.
 
 The integrand is entire (every law has compact support), so both rules
 converge geometrically in the nodes per axis.  The forms' columns sum to
@@ -36,11 +37,11 @@ integrand are real.  The error is the deterministic difference between
 the value at VALUE_ORDER nodes per axis and the rule at CHECK_ORDER.
 
 Each set-up is memoised by what it depends on: the cells, each carrying
-its forms and volume, by the pair, the cones by B, the base rules by
-dimension, order and batch size.  A base rule is held as its leading axes
-and one batch of its trailing axes and is generated a batch at a time in
-row order; one loop evaluates each batch on a group of cells of at most
-_BATCH nodes, so a call holds about one batch of nodes, never a whole rule.
+its forms and volume, by the pair, the cones by the walk through the
+groups, the base rules by dimension, order and batch size.  A base rule
+is held as its leading axes and one batch of its trailing axes, generated
+a batch at a time in row order; one loop evaluates each batch on a group
+of cells of at most _BATCH nodes, so a call holds about one batch of nodes.
 
 A finite-grid evaluator of the same quantity at finite half-bandwidth M is
 provided as an independent cross-check; it converges to the integral as M
@@ -58,12 +59,12 @@ from functools import lru_cache
 import numpy as np
 
 from .constraints import (
-    _check_grouping,
     constraint_system,
     difference_matrix,
-    merged_difference_rows,
+    group_walk,
     spanning_tree,
     tree_flows,
+    walk_edges,
 )
 from .errors import BudgetError, NumericalError
 from .errors import _check_aspect_ratio, _check_integer, _check_law
@@ -166,28 +167,20 @@ def _box_spline(
 def delta_volume(partition: Partition) -> IntegralValue:
     """Normalized volume of the fully pinned zero set, computed exactly.
 
-    Element i contributes the difference-matrix column e_{block of i} -
-    e_{block of i-1}: an edge of the graph on the blocks, dropped when it
-    is a loop.  The columns form a totally unimodular incidence matrix, so
-    the volume is the density of sum_e v_e Y_e at zero for Y uniform on
-    the centred cube: the box spline of the edge vectors at their
-    half-sum (de Boor, Hoellig and Riemenschneider, Box Splines, 1993).
-    Edge orientation does not change that density, so each edge is stored
-    from its lower to its higher block.
+    The difference-matrix columns are the walk's edges, ``walk_edges``, on
+    the blocks; a loop is a zero column and is dropped.  They form a totally
+    unimodular incidence matrix, so the volume is the density of
+    sum_e v_e Y_e at zero for Y uniform on the centred cube: the box spline
+    of the edge vectors at their half-sum (de Boor, Hoellig and
+    Riemenschneider, Box Splines, 1993).  Edge orientation does not change
+    that density, so each edge is stored from its lower to its higher block.
     """
-    omega = partition.omega
-    edges = tuple(
-        sorted(
-            (min(a, b) - 1, max(a, b) - 1)
-            for a, b in zip(omega[-1:] + omega[:-1], omega)
-            if a != b
-        )
-    )
+    edges = [(min(a, b), max(a, b)) for a, b in walk_edges(partition) if a != b]
     doubled = [0] * partition.k
     for a, b in edges:
         doubled[a] -= 1
         doubled[b] += 1
-    volume = _box_spline(edges, tuple(doubled))
+    volume = _box_spline(tuple(sorted(edges)), tuple(doubled))
     if not 0 < volume <= 1:
         raise NumericalError(
             f"pinned volume {volume} for {partition} is outside (0, 1]"
@@ -343,12 +336,12 @@ def _maximal(faces: list[int]) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _half_cones(data: bytes, shape: tuple[int, int]) -> np.ndarray:
+def _half_cones(walk: Partition) -> np.ndarray:
     """Cones from the origin over half the boundary of P, as vertex rows.
 
-    The int64 basis B arrives as its bytes and shape, the memo key.
-    P = {x : |B @ x| <= 1/2} is centrally symmetric, so the facets whose
-    outward normal leads with a positive entry and their mirror images tile
+    P = {x : |B @ x| <= 1/2} for B = ``constraint_system(walk)``, memoised
+    by the walk through the groups, is centrally symmetric, so the facets
+    whose outward normal leads with a positive entry and their mirrors tile
     its boundary.  B is totally unimodular and holds the identity rows, so
     every doubled vertex 2x lies in {-1, 0, 1}^n.  The vertices are the
     feasible candidates there whose tight rows have rank n: the face those
@@ -362,8 +355,8 @@ def _half_cones(data: bytes, shape: tuple[int, int]) -> np.ndarray:
     triangulated once, and everything before the final halving is integer
     arithmetic.  Returns a read-only array of shape (cones, n, n).
     """
-    basis = np.frombuffer(data, dtype=np.int64).reshape(shape)
-    candidates = np.array(list(itertools.product((-1, 0, 1), repeat=shape[1])))
+    basis = constraint_system(walk)
+    candidates = np.array(list(itertools.product((-1, 0, 1), repeat=basis.shape[1])))
     values = candidates @ basis.T
     feasible = (np.abs(values) <= 1).all(axis=1)
     candidates, values = candidates[feasible], values[feasible]
@@ -477,13 +470,15 @@ def _pair_setup(partition: Partition, grouping: Partition) -> tuple:
     (exact: 2V and the forms are integers) and volumes |det V|, the index
     and flip of ``_fold`` of its forms ``difference_matrix @ B``, and its
     base rule's memo: the half cones and the simplex rule, or for one coarse
-    block the half cube's identity cell and the tensor rule."""
-    basis = constraint_system(partition, grouping)
+    block the half cube's identity cell and the tensor rule.  B and the
+    cones read the walk through the groups."""
+    walk = group_walk(partition, grouping)
+    basis = constraint_system(walk)
     distinct, index, flip = _fold(difference_matrix(partition) @ basis)
     if grouping.k == 1:
         vertices, rule = np.eye(partition.p)[None], _cube_half_rule
     else:
-        vertices, rule = _half_cones(basis.tobytes(), basis.shape), _simplex_rule
+        vertices, rule = _half_cones(walk), _simplex_rule
     cells = _read_only(vertices @ distinct.T, np.abs(np.linalg.det(vertices)))
     return cells, _read_only(index, flip), rule
 
@@ -498,14 +493,14 @@ def cf_integral(
     """Characteristic-function integral for a partially pinned pair.
 
     The forms are taken on the zero set y = B @ x, B the integer basis of
-    ``constraint_system``.  For a single coarse block B is the identity and
-    the rule is tensor Gauss-Legendre on the whole cube; otherwise it is
-    the conical product over P = {x : |B @ x| <= 1/2}, both evaluated on
-    the pair's cells by one loop.  The value is the rule at VALUE_ORDER nodes
-    per axis and the error its difference from the rule at CHECK_ORDER.
+    ``constraint_system`` of the walk through the groups.  For a single
+    coarse block B is the identity and the rule is tensor Gauss-Legendre on
+    the whole cube; otherwise it is the conical product over
+    P = {x : |B @ x| <= 1/2}, both evaluated on the pair's cells by one
+    loop.  The value is the rule at VALUE_ORDER nodes per axis and the
+    error its difference from the rule at CHECK_ORDER.
     """
-    _check_grouping(partition, grouping)
-    if grouping.k >= partition.k:
+    if group_walk(partition, grouping).k >= partition.k:
         raise ValueError("fully pinned pairs are handled by delta_volume")
     beta = _check_aspect_ratio(beta)
     d = _check_integer(d, "dimension")
@@ -530,9 +525,8 @@ def term_integral(
 ) -> IntegralValue:
     """Dispatch a pair: fully pinned (one-block fine partitions included)
     to the exact volume, every other pair to the cf cubature."""
-    _check_grouping(partition, grouping)
     _check_law(dist)
-    if grouping.k == partition.k:
+    if group_walk(partition, grouping).k == partition.k:
         beta = _check_aspect_ratio(beta)
         d = _check_integer(d, "dimension")
         return delta_volume(partition)
@@ -559,16 +553,18 @@ def finite_grid_term(
     (2*box+1)^(p-h+1); deterministic, and converges to the corresponding
     integral as the box grows.  The p-h+1 free labels x run over
     [-box, box] and the labels are y = B @ x, B the integer basis of
-    ``constraint_system``, so the enumeration meets every lattice point
-    once.  B is checked against the merged rows in integers, and the node
-    count against GRID_BUDGET, before any node is enumerated.
+    ``constraint_system`` of the walk through the groups, so the
+    enumeration meets every lattice point once.  B is checked against that
+    walk's difference matrix in integers, and the node count against
+    GRID_BUDGET, before any node is enumerated.
     """
     box = _check_integer(box, "half-bandwidth")
     beta = _check_aspect_ratio(beta)
     d = _check_integer(d, "dimension")
     _check_law(dist)
-    basis = constraint_system(partition, grouping)
-    if (merged_difference_rows(partition, grouping) @ basis).any():
+    walk = group_walk(partition, grouping)
+    basis = constraint_system(walk)
+    if (difference_matrix(walk) @ basis).any():
         raise NumericalError(f"basis of ({partition}, {grouping}) leaves the kernel")
     width = 2 * box + 1
     shape = (width,) * basis.shape[1]

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constraints import constraint_system, difference_matrix, merged_difference_rows
+from .constraints import constraint_system, difference_matrix, group_walk
 from .ensemble import EnsembleConfig, empirical_moment, simulate
 from .errors import _check_integer
 from .integrate import cf_integral, delta_volume, finite_grid_term
@@ -150,12 +150,13 @@ def rows_and_columns_sum_zero(p: int) -> bool:
 
 def rank_is_groups_minus_one(p: int) -> bool:
     """Every basis of order p is p x (p - h + 1), with unit entries, in the
-    kernel of the merged rows."""
+    kernel of the difference matrix of the walk through the groups."""
     for w in enumerate_partitions(p):
         for g in enumerate_partitions(w.k):
-            basis = constraint_system(w, g)
+            walk = group_walk(w, g)
+            basis = constraint_system(walk)
             unit = basis.shape == (p, p - g.k + 1) and np.abs(basis).max() <= 1
-            if not unit or (merged_difference_rows(w, g) @ basis).any():
+            if not unit or (difference_matrix(walk) @ basis).any():
                 return False
     return True
 
@@ -370,8 +371,10 @@ SUITES: dict[str, Callable[[int], list[Check]]] = {
 
 
 def run_suites(names, seed: int = 0) -> list[Check]:
-    """Run the named suites in turn; ``seed`` (an integer >= 0) seeds every
-    drawing check."""
+    """Run the named suites in turn; ``names`` is a sequence of suite names,
+    and ``seed`` (an integer >= 0) seeds every drawing check."""
+    if isinstance(names, str):
+        raise ValueError(f"suite names must be a sequence, got the string {names!r}")
     seed = _check_integer(seed, "seed", low=0)
     checks: list[Check] = []
     for name in names:

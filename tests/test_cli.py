@@ -10,7 +10,7 @@ from jittervan import cli
 from jittervan.ensemble import EnsembleConfig, resolve_shape, simulate
 from jittervan.errors import NumericalError
 from jittervan.jitter import from_name
-from jittervan.moments import MOMENT_CAP
+from jittervan.moments import MOMENT_CAP, mp_moment
 
 
 def run(args, capsys):
@@ -70,6 +70,23 @@ class TestMoments:
         )
         assert code == 2 and "--p-max" in stderr
         assert stdout == "" and not out.exists()
+
+    def test_mp_values_written_as_printed(self, tmp_path, capsys):
+        for flags in ([], ["--mp"]):
+            out = tmp_path / "m.json"
+            code, stdout, _ = run(
+                ["moments", "--p-max", "3", "--beta", "0.55", *flags, "--out", str(out)],
+                capsys,
+            )
+            assert code == 0
+            results = json.loads(out.read_text())["results"]
+            if not flags:
+                assert all("mp" not in row and "gap" not in row for row in results)
+                continue
+            for row, line in zip(results, stdout.splitlines()):
+                assert row["mp"] == mp_moment(row["p"], 0.55)
+                assert row["gap"] == abs(row["value"] - row["mp"])
+                assert f"mp={row['mp']:.8f}  gap={row['gap']:.3e}" in line
 
     def test_reproducible_output(self, tmp_path, capsys):
         digests = []
@@ -246,6 +263,22 @@ class TestMse:
         assert payload["kind"] == "mse" and payload["beta_target"] == 0.5
         sources = {point["source"] for point in payload["points"]}
         assert sources == {"empirical", "mp", "equally_spaced"}
+
+    @pytest.mark.parametrize(
+        "flag, text, message",
+        [
+            ("--d", "1,x", "not a comma-separated integer list: '1,x'"),
+            ("--snr-db", "1:2", "dB grid must be start:stop:step, got '1:2'"),
+            ("--snr-db", "a:b:c", "non-numeric dB grid: 'a:b:c'"),
+        ],
+        ids=["d_list", "snr_db_parts", "snr_db_numbers"],
+    )
+    def test_unparsable_argument_exits_2(self, flag, text, message, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "mse_curve", lambda *_, **__: pytest.fail("mse_curve called"))
+        with pytest.raises(SystemExit) as info:
+            cli.main(["mse", "--beta", "0.5", f"{flag}={text}"])
+        assert info.value.code == 2
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("grid", ["0:inf:1", "0:4000:1000", "-10:30:1e-300"])
     def test_unusable_snr_grid_exits_2_at_once(self, grid, capsys):

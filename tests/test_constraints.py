@@ -10,7 +10,8 @@ from jittervan import verify
 from jittervan.constraints import (
     constraint_system,
     difference_matrix,
-    merged_difference_rows,
+    group_walk,
+    walk_edges,
 )
 from jittervan.integrate import finite_grid_term
 from jittervan.jitter import point_mass_half
@@ -28,6 +29,17 @@ def all_pairs(p_max):
             for h in range(1, w.k + 1):
                 for g in enumerate_partitions_k(w.k, h):
                     yield w, g
+
+
+def merged_rows(w, g):
+    """R built in the test: the difference-matrix rows of ``w`` summed over
+    each group of ``g``, sharing nothing with ``group_walk``."""
+    base = difference_matrix(w)
+    return np.array([sum(base[b - 1] for b in sorted(block)) for block in g.blocks])
+
+
+def basis_of(w, g):
+    return constraint_system(group_walk(w, g))
 
 
 class TestDifferenceMatrix:
@@ -69,26 +81,47 @@ class TestDifferenceMatrix:
                 assert mat[j] @ y == direct
 
 
+class TestGroupWalk:
+    def test_edges_lead_from_the_previous_label(self):
+        # edge 0 closes the walk from the last position to the first
+        assert walk_edges(Partition((1, 2, 1, 3))) == [(2, 0), (0, 1), (1, 0), (0, 2)]
+
+    def test_labels_are_the_groups_of_the_blocks(self):
+        walk = group_walk(Partition((1, 2, 3, 1, 4)), Partition((1, 2, 1, 2)))
+        assert walk == Partition((1, 2, 1, 1, 2))
+        assert group_walk(Partition((1, 2, 3)), Partition((1, 1, 1))) == Partition((1,) * 3)
+
+    def test_fully_pinned_walk_is_the_partition(self):
+        for w in enumerate_partitions(5):
+            assert group_walk(w, Partition(tuple(range(1, w.k + 1)))) == w
+
+    def test_walk_matrix_is_the_merged_rows_to_order_six(self):
+        for w, g in all_pairs(6):
+            walk = group_walk(w, g)
+            assert walk.k == g.k
+            assert np.array_equal(difference_matrix(walk), merged_rows(w, g)), (w, g)
+
+
 class TestConstraintSystem:
     def test_fully_pinned_pair(self):
         w = Partition((1, 2))
-        assert merged_difference_rows(w, w).tolist() == [[1, -1], [-1, 1]]
-        basis = constraint_system(w, w)
+        assert merged_rows(w, w).tolist() == [[1, -1], [-1, 1]]
+        basis = basis_of(w, w)
         assert basis.dtype == np.int64
         # y1 = y2: the first column is the tree, the second closes the cycle
         assert basis.tolist() == [[1], [1]]
 
     def test_single_group_has_no_constraints(self):
         for omega in [Partition((1, 2)), Partition((1, 2, 3)), Partition((1, 2, 1, 3))]:
-            basis = constraint_system(omega, Partition((1,) * omega.k))
+            basis = basis_of(omega, Partition((1,) * omega.k))
             assert np.array_equal(basis, np.eye(omega.p, dtype=np.int64))
 
     def test_mixed_pair_by_hand(self):
         # merging the first two blocks leaves y1 - y3 = 0 and its negation
         w, g = Partition((1, 2, 3)), Partition((1, 1, 2))
-        assert merged_difference_rows(w, g).tolist() == [[1, 0, -1], [-1, 0, 1]]
+        assert merged_rows(w, g).tolist() == [[1, 0, -1], [-1, 0, 1]]
         # the middle column is a loop inside the merged group: free, no flow
-        assert constraint_system(w, g).tolist() == [[0, 1], [1, 0], [0, 1]]
+        assert basis_of(w, g).tolist() == [[0, 1], [1, 0], [0, 1]]
 
     @pytest.mark.parametrize("p", range(2, 5))
     def test_rank_is_group_count_minus_one(self, p):
@@ -97,7 +130,7 @@ class TestConstraintSystem:
     @pytest.mark.parametrize("p", [4, 5])
     def test_fully_pinned_rank(self, p):
         for w in enumerate_partitions(p):
-            basis = constraint_system(w, Partition(tuple(range(1, w.k + 1))))
+            basis = basis_of(w, Partition(tuple(range(1, w.k + 1))))
             assert basis.shape == (p, p - w.k + 1)
 
     def test_substitution_solves_exactly(self):
@@ -107,8 +140,8 @@ class TestConstraintSystem:
 
         rng = random.Random(0)
         for w, g in all_pairs(4):
-            rows = merged_difference_rows(w, g).tolist()
-            basis = constraint_system(w, g).tolist()
+            rows = merged_rows(w, g).tolist()
+            basis = basis_of(w, g).tolist()
             for _ in range(3):
                 x = [
                     Fraction(rng.randrange(-20, 21), rng.randrange(1, 9))
@@ -123,8 +156,8 @@ class TestConstraintSystem:
         """B is p x (p - h + 1) in {-1, 0, 1}, in the kernel, and its rows at
         the columns that do not raise the prefix rank are the identity: the
         unit Jacobian the cubature weights assume."""
-        rows = merged_difference_rows(w, g)
-        basis = constraint_system(w, g)
+        rows = merged_rows(w, g)
+        basis = basis_of(w, g)
         assert basis.dtype == np.int64
         assert basis.shape == (w.p, w.p - g.k + 1)
         assert set(np.unique(basis)) <= {-1, 0, 1}
@@ -146,10 +179,11 @@ class TestConstraintSystem:
             self.check_basis(w, g)
 
     def test_grouping_size_mismatch(self):
-        with pytest.raises(ValueError):
-            merged_difference_rows(Partition((1, 2)), Partition((1, 2, 3)))
-        with pytest.raises(ValueError):
-            constraint_system(Partition((1, 2)), Partition((1, 2, 3)))
+        with pytest.raises(ValueError, match="grouping must partition"):
+            group_walk(Partition((1, 2)), Partition((1, 2, 3)))
+        with pytest.raises(ValueError, match="grouping must partition"):
+            pair = Partition((1, 2)), Partition((1, 2, 2))
+            finite_grid_term(*pair, 2, 0.5, 1, point_mass_half())
 
 
 class TestIntegerKernel:
@@ -158,7 +192,7 @@ class TestIntegerKernel:
         for w in enumerate_partitions(p):
             mat = difference_matrix(w)
             pinned = Partition(tuple(range(1, w.k + 1)))
-            basis = constraint_system(w, pinned)
+            basis = basis_of(w, pinned)
             assert basis.shape == (p, p - w.k + 1)
             assert not (mat @ basis).any()
 
@@ -170,14 +204,14 @@ class TestIntegerKernel:
         width = 2 * box + 1
         for w, g in all_pairs(4):
             cube = np.array(list(itertools.product(range(-box, box + 1), repeat=w.p)))
-            rows = merged_difference_rows(w, g)
+            rows = merged_rows(w, g)
             brute = int((~(cube @ rows.T).any(axis=1)).sum())
             grid = finite_grid_term(w, g, box, 0.5, 1, point_mass_half())
             assert round(grid * width ** (w.p - g.k + 1)) == brute, (w.omega, g.omega)
 
     def test_merged_rows_kernel(self):
         for w, g in all_pairs(4):
-            rows = merged_difference_rows(w, g)
-            basis = constraint_system(w, g)
+            rows = merged_rows(w, g)
+            basis = basis_of(w, g)
             assert basis.shape[1] == w.p - (g.k - 1)
             assert not (rows @ basis).any()

@@ -291,6 +291,11 @@ class TestSimulate:
         with pytest.raises(ValueError):
             histogram(sample, 0)
 
+    def test_one_trial_has_no_standard_error(self):
+        sample = simulate(EnsembleConfig(d=1, M=2, rho=8, dist=uniform01()), 1, 1)
+        assert empirical_moment(sample, 2) > 0
+        assert empirical_moment_std_error(sample, 2) == 0.0
+
 
 class TestThreadCap:
     """The worker count is min(threads, items, usable CPUs); a stub pool

@@ -59,7 +59,7 @@ from jittervan.partitions import (
     enumerate_partitions_k,
     stirling2,
 )
-from jittervan.verify import run_suites
+from jittervan.verify import SUITES, run_suites
 
 
 def _trip(*args, **kwargs):
@@ -146,6 +146,7 @@ REFUSALS = [
     ("sample_negative_seed", lambda: tripped_law().sample(3, -1), "seed"),
     ("run_suites_negative_seed", lambda: run_suites(["jitter"], seed=-1), "seed"),
     ("run_suites_bool_seed", lambda: run_suites(["jitter"], seed=True), "seed"),
+    ("run_suites_string", lambda: run_suites("mp"), "suite names"),
     (
         "histogram",
         lambda: histogram(SpectrumSample(np.ones((2, 3)), config(), 0), 2.5),
@@ -271,6 +272,16 @@ REFUSALS = [
         lambda: instance_from_labels(Partition((1, 2)), np.array([[True], [False]]), 5),
         "offset",
     ),
+    (
+        "instance_from_labels_rows",
+        lambda: instance_from_labels(Partition((1, 2, 1)), [[0], [1]], 5),
+        r"offsets must be 3 x d, got \(2, 1\)",
+    ),
+    (
+        "instance_from_labels_vector",
+        lambda: instance_from_labels(Partition((1, 2, 1)), [0, 1, 2], 5),
+        r"offsets must be 3 x d, got \(3,\)",
+    ),
     ("Partition_fraction_label", lambda: Partition((1, 1.5)), "position 1"),
     ("Partition_float_label", lambda: Partition((1, 2.0)), "position 1"),
     ("Partition_bool_label", lambda: Partition((1, True)), "position 1"),
@@ -300,6 +311,12 @@ REFUSALS = [
 def test_count_refused(tripwires, call, name):
     with pytest.raises(ValueError, match=name):
         call()
+
+
+def test_unknown_suite_names_the_choices(tripwires):
+    with pytest.raises(ValueError, match="unknown suite 'nope'") as info:
+        run_suites(["nope"])
+    assert str(sorted(SUITES)) in str(info.value)
 
 
 #: (id, function, arguments) with every count a Python int and every aspect

@@ -13,7 +13,7 @@ from scipy.special import roots_jacobi, roots_legendre
 
 import jittervan.integrate as integrate_module
 from jittervan import verify
-from jittervan.constraints import constraint_system, difference_matrix
+from jittervan.constraints import constraint_system, difference_matrix, group_walk
 from jittervan.ensemble import EnsembleConfig, resolve_shape
 from jittervan.errors import BudgetError, NumericalError
 from jittervan.integrate import (
@@ -307,7 +307,7 @@ def plain_monte_carlo(partition, grouping, beta, d, dist, points, replicates, se
 
     Returns (mean, standard error) over the replicates.
     """
-    basis = constraint_system(partition, grouping)
+    basis = constraint_system(group_walk(partition, grouping))
     forms = difference_matrix(partition).astype(float)
     rng = np.random.default_rng(seed)
     estimates = []
@@ -437,7 +437,7 @@ class TestCfIntegral:
 
 
 def integer_forms(partition, grouping):
-    return difference_matrix(partition) @ constraint_system(partition, grouping)
+    return difference_matrix(partition) @ constraint_system(group_walk(partition, grouping))
 
 
 class TestFold:
@@ -712,16 +712,18 @@ class TestHalfCones:
         assert len(classes) == 74
         counts = Counter()
         for p, fine, coarse in classes:
-            basis = constraint_system(fine, coarse)
+            # the walk through the groups, composed here
+            walk = partition_of([coarse.omega[b - 1] for b in fine.omega])
+            assert walk == group_walk(fine, coarse)
+            basis = constraint_system(walk)
             n = basis.shape[1]
-            cones = integrate_module._half_cones(basis.tobytes(), basis.shape)
+            cones = integrate_module._half_cones(walk)
             counts[p] += len(cones)
             # the cones and their mirrors tile the boundary, so twice their
             # volume is the pinned volume of the walk through the groups
             dets = np.linalg.det(2 * cones)
             assert np.abs(dets - np.round(dets)).max() < 1e-9
             volume = 2 * Fraction(int(np.abs(np.round(dets)).sum()), 2**n * math.factorial(n))
-            walk = partition_of([coarse.omega[b - 1] for b in fine.omega])
             assert volume == delta_volume(walk).exact, (fine, coarse)
             # every vertex of P is a vertex of the triangulated boundary
             rows = np.unique(np.vstack([basis, -basis]), axis=0)
@@ -732,11 +734,11 @@ class TestHalfCones:
             assert np.array_equal(np.unique(doubled, axis=0), expected), (fine, coarse)
         assert dict(counts) == {4: 14, 5: 126, 6: 3658}
 
-    def test_memo_per_basis_is_read_only(self):
-        fine, coarse = Partition((1, 2, 3, 4)), Partition((1, 2, 1, 2))
-        basis = constraint_system(fine, coarse)
-        cones = integrate_module._half_cones(basis.tobytes(), basis.shape)
-        assert integrate_module._half_cones(basis.tobytes(), basis.shape) is cones
+    def test_memo_per_walk_is_read_only(self):
+        walk = group_walk(Partition((1, 2, 3, 4)), Partition((1, 2, 1, 2)))
+        cones = integrate_module._half_cones(walk)
+        # an equal walk built apart reads the same entry
+        assert integrate_module._half_cones(Partition(list(walk.omega))) is cones
         with pytest.raises(ValueError):
             cones[0, 0, 0] = 0.0
 
@@ -780,8 +782,7 @@ def pair_vertices(partition, grouping):
     block the identity cell of the half cube."""
     if grouping.k == 1:
         return np.eye(partition.p)[None]
-    basis = constraint_system(partition, grouping)
-    return integrate_module._half_cones(basis.tobytes(), basis.shape)
+    return integrate_module._half_cones(group_walk(partition, grouping))
 
 
 def materialised_half_sum(rule, cells, folded, dist):
