@@ -36,9 +36,9 @@ serves every law; a built-in law is symmetric about 1/2, so its phi and
 integrand are real.  The error is the deterministic difference between
 the value at VALUE_ORDER nodes per axis and the rule at CHECK_ORDER.
 
-Each set-up is memoised by what it depends on: the cells, each carrying
-its forms and volume, by the pair, the cones by the walk through the
-groups, the base rules by dimension, order and batch size.  A base rule
+Each set-up is memoised by what it depends on: the geometry (B, cells,
+volumes, rule) by the walk through the groups, the forms on those cells by
+the pair, the base rules by dimension, order and batch size.  A base rule
 is held as its leading axes and one batch of its trailing axes, generated
 a batch at a time in row order; one loop evaluates each batch on a group
 of cells of at most _BATCH nodes, so a call holds about one batch of nodes.
@@ -336,26 +336,32 @@ def _maximal(faces: list[int]) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _half_cones(walk: Partition) -> np.ndarray:
-    """Cones from the origin over half the boundary of P, as vertex rows.
+def _walk_cells(walk: Partition) -> tuple:
+    """Read-only memo of a walk through the groups' geometry: its basis
+    B = ``constraint_system(walk)``, the vertex rows V of the cells of half
+    its domain, their volumes |det V|, and the base rule with its method.
 
-    P = {x : |B @ x| <= 1/2} for B = ``constraint_system(walk)``, memoised
-    by the walk through the groups, is centrally symmetric, so the facets
-    whose outward normal leads with a positive entry and their mirrors tile
-    its boundary.  B is totally unimodular and holds the identity rows, so
-    every doubled vertex 2x lies in {-1, 0, 1}^n.  The vertices are the
-    feasible candidates there whose tight rows have rank n: the face those
-    rows cut out is integral too, so it is the point alone exactly when no
-    other candidate is tight on all of them.  A facet is a signed row whose
-    set of tight vertices is maximal.  Each facet is triangulated by
-    pulling (De Loera, Rambau and Santos, Triangulations, 2010, 4.3): a
-    face is coned from its least vertex over the triangulations of its
-    sub-faces that miss that vertex, the sub-faces being its maximal proper
-    intersections with the facets.  Faces are vertex bitmasks, each
-    triangulated once, and everything before the final halving is integer
-    arithmetic.  Returns a read-only array of shape (cones, n, n).
+    One group leaves the cube, whose half x_1 > 0 is one identity cell under
+    the tensor rule.  Otherwise the cells are cones from the origin over
+    half the boundary of P = {x : |B @ x| <= 1/2}, under the simplex rule.
+    P is centrally symmetric, so the facets whose outward normal leads with
+    a positive entry and their mirrors tile its boundary.  B is totally
+    unimodular and holds the identity rows, so every doubled vertex 2x lies
+    in {-1, 0, 1}^n.  The vertices are the feasible candidates there whose
+    tight rows have rank n: the face those rows cut out is integral too, so
+    it is the point alone exactly when no other candidate is tight on all of
+    them.  A facet is a signed row whose set of tight vertices is maximal.
+    Each facet is triangulated by pulling (De Loera, Rambau and Santos,
+    Triangulations, 2010, 4.3): a face is coned from its least vertex over
+    the triangulations of its sub-faces that miss that vertex, the sub-faces
+    being its maximal proper intersections with the facets.  Faces are
+    vertex bitmasks, each triangulated once, and everything before the final
+    halving is integer arithmetic.
     """
     basis = constraint_system(walk)
+    if walk.k == 1:
+        cells = np.eye(walk.p)[None]
+        return (*_read_only(basis, cells, np.ones(1)), _cube_half_rule, "gauss_cube")
     candidates = np.array(list(itertools.product((-1, 0, 1), repeat=basis.shape[1])))
     values = candidates @ basis.T
     feasible = (np.abs(values) <= 1).all(axis=1)
@@ -390,11 +396,13 @@ def _half_cones(walk: Partition) -> np.ndarray:
         for facet in positive
         for simplex in pull(facet)
     ]
-    return _read_only(vertices[np.array(cones)] / 2)[0]
+    cells = vertices[np.array(cones)] / 2
+    volumes = np.abs(np.linalg.det(cells))
+    return (*_read_only(basis, cells, volumes), _simplex_rule, "gauss_cones")
 
 
 def _fold(forms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct nonzero rows of an integer form matrix, up to sign.
+    """Distinct nonzero rows of an integer form matrix up to sign, read-only.
 
     Returns the distinct rows, each led by a positive entry, and for every
     nonzero row of ``forms`` its index into them and whether it was negated.
@@ -405,7 +413,7 @@ def _fold(forms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     distinct, index = np.unique(
         np.where(flip[:, None], -forms, forms), axis=0, return_inverse=True
     )
-    return distinct, index.ravel(), flip
+    return _read_only(distinct, index.ravel(), flip)
 
 
 def _product(
@@ -466,21 +474,16 @@ def _evaluate(
 
 @lru_cache(maxsize=None)
 def _pair_setup(partition: Partition, grouping: Partition) -> tuple:
-    """Read-only memo of a pair's cells, held as their forms V @ distinct.T
-    (exact: 2V and the forms are integers) and volumes |det V|, the index
-    and flip of ``_fold`` of its forms ``difference_matrix @ B``, and its
-    base rule's memo: the half cones and the simplex rule, or for one coarse
-    block the half cube's identity cell and the tensor rule.  B and the
-    cones read the walk through the groups."""
+    """Read-only memo of a pair's forms ``difference_matrix @ B`` on its
+    walk's ``_walk_cells``: each cell's forms V @ distinct.T (exact: 2V and
+    the forms are integers) and |det V|, ``_fold``'s index and flip, the
+    rule and the method."""
     walk = group_walk(partition, grouping)
-    basis = constraint_system(walk)
+    if walk.k == partition.k:
+        raise ValueError("fully pinned pairs are handled by delta_volume")
+    basis, vertices, volumes, rule, method = _walk_cells(walk)
     distinct, index, flip = _fold(difference_matrix(partition) @ basis)
-    if grouping.k == 1:
-        vertices, rule = np.eye(partition.p)[None], _cube_half_rule
-    else:
-        vertices, rule = _half_cones(walk), _simplex_rule
-    cells = _read_only(vertices @ distinct.T, np.abs(np.linalg.det(vertices)))
-    return cells, _read_only(index, flip), rule
+    return _read_only(vertices @ distinct.T, volumes), (index, flip), rule, method
 
 
 def cf_integral(
@@ -492,23 +495,17 @@ def cf_integral(
 ) -> IntegralValue:
     """Characteristic-function integral for a partially pinned pair.
 
-    The forms are taken on the zero set y = B @ x, B the integer basis of
-    ``constraint_system`` of the walk through the groups.  For a single
-    coarse block B is the identity and the rule is tensor Gauss-Legendre on
-    the whole cube; otherwise it is the conical product over
-    P = {x : |B @ x| <= 1/2}, both evaluated on the pair's cells by one
-    loop.  The value is the rule at VALUE_ORDER nodes per axis and the
-    error its difference from the rule at CHECK_ORDER.
+    The forms on the zero set y = B @ x of the walk through the groups are
+    integrated over that walk's ``_walk_cells`` by one loop.  The value is
+    the rule at VALUE_ORDER nodes per axis and the error its difference
+    from the rule at CHECK_ORDER.
     """
-    if group_walk(partition, grouping).k >= partition.k:
-        raise ValueError("fully pinned pairs are handled by delta_volume")
     beta = _check_aspect_ratio(beta)
     d = _check_integer(d, "dimension")
     _check_law(dist)
 
-    (forms, volumes), fold, rule = _pair_setup(partition, grouping)
+    (forms, volumes), fold, rule, method = _pair_setup(partition, grouping)
     cells = beta ** (1.0 / d) * forms, volumes
-    method = "gauss_cube" if grouping.k == 1 else "gauss_cones"
     value, check = (
         _evaluate(rule(forms.shape[1], order, _BATCH), cells, fold, dist)
         for order in (VALUE_ORDER, CHECK_ORDER)
@@ -523,14 +520,14 @@ def term_integral(
     d: int,
     dist: JitterDistribution,
 ) -> IntegralValue:
-    """Dispatch a pair: fully pinned (one-block fine partitions included)
-    to the exact volume, every other pair to the cf cubature."""
+    """Dispatch a pair: fewer groups than blocks to the cf cubature, any
+    other to the exact volume of its walk through the groups."""
     _check_law(dist)
-    if group_walk(partition, grouping).k == partition.k:
-        beta = _check_aspect_ratio(beta)
-        d = _check_integer(d, "dimension")
-        return delta_volume(partition)
-    return cf_integral(partition, grouping, beta, d, dist)
+    if grouping.k < partition.k:
+        return cf_integral(partition, grouping, beta, d, dist)
+    beta = _check_aspect_ratio(beta)
+    d = _check_integer(d, "dimension")
+    return delta_volume(group_walk(partition, grouping))
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,7 @@ from itertools import groupby, permutations, product
 import numpy as np
 
 from ._parallel import ordered_map
+from .constraints import walk_edges
 from .errors import _check_aspect_ratio, _check_integer, _check_law
 from .integrate import IntegralValue, QmcOptions, term_integral
 from .jitter import JitterDistribution
@@ -158,28 +159,28 @@ def _class_representative(
     if not walk:
         return Partition((1,)), Partition((1,))
     coarse = partition_of([group[b - 1] for b in dict.fromkeys(walk)])
-    return _least_labelling(partition_of(walk).omega, coarse.omega)
+    return _least_labelling(partition_of(walk), coarse)
 
 
 @lru_cache(maxsize=None)
 def _least_labelling(
-    walk: tuple[int, ...], grouping: tuple[int, ...]
+    walk: Partition, grouping: Partition
 ) -> tuple[Partition, Partition]:
     """Representative of a reduced pair's class, keyed by its least labelling.
 
-    The blocks take every labelling that lists them by (group size,
-    degree), and every edge may be reversed; the least (grouping, sorted
-    edge list) over these is the class key.  Its edges are walked as an
-    Euler circuit from block 0, taking the least unused edge at each block
-    (Hierholzer), so the representative depends on the key alone.
+    The blocks of ``walk_edges`` take every labelling that lists them by
+    (group size, degree), and every edge may be reversed; the least
+    (grouping, sorted edge list) over these is the class key.  Its edges are
+    walked as an Euler circuit from block 0, taking the least unused edge at
+    each block (Hierholzer), so the representative depends on the key alone.
     """
-    degree = Counter(walk)
-    members = Counter(grouping)
+    edges = walk_edges(walk)
+    degree = Counter(b for _, b in edges)
+    members = Counter(grouping.omega)
 
     def invariant(block: int) -> tuple[int, int]:
-        return members[grouping[block - 1]], degree[block]
+        return members[grouping.omega[block]], degree[block]
 
-    edges = [(walk[i - 1], walk[i]) for i in range(len(walk))]
     runs = [
         list(run) for _, run in groupby(sorted(degree, key=invariant), key=invariant)
     ]
@@ -187,7 +188,7 @@ def _least_labelling(
     for choice in product(*map(permutations, runs)):
         order = [block for run in choice for block in run]
         label = {block: new for new, block in enumerate(order)}
-        coarse = partition_of([grouping[block - 1] for block in order]).omega
+        coarse = partition_of([grouping.omega[block] for block in order]).omega
         forward = sorted((label[a], label[b]) for a, b in edges)
         keys.append((coarse, forward))
         keys.append((coarse, sorted((b, a) for a, b in forward)))

@@ -92,7 +92,7 @@ def mse_equally_spaced(beta: float, snr: float) -> float:
     return beta / (snr + beta)
 
 
-def mse_mp(beta: float, snr: float) -> float:
+def mse_mp(beta: float, snr):
     """Error under the Marchenko-Pastur spectrum, in closed form.
 
     With s = beta / snr the error is s * m(-s), where m is the Stieltjes
@@ -101,10 +101,12 @@ def mse_mp(beta: float, snr: float) -> float:
     Wireless Communications, 2004).  At z = -s the positive root is taken in
     its Vieta form, divided through by s: 2 / (c + hypot(c, 2 sqrt(snr))),
     c = 1 + (1 - beta) snr / beta.  It sums positive terms only, so no digits
-    cancel, and no square overflows at any SNR.
+    cancel, and no square overflows at any SNR.  An SNR array maps entrywise.
     """
     beta = _check_aspect_ratio(beta)
     snr = _check_snr(snr)
+    if np.ndim(snr):
+        return np.array([mse_mp(beta, value) for value in snr.flat]).reshape(snr.shape)
     c = 1.0 + (1.0 - beta) * snr / beta
     return 2.0 / (c + math.hypot(c, 2.0 * math.sqrt(snr)))
 

@@ -520,6 +520,25 @@ class TestInPlaceSolve:
         with pytest.raises(NumericalError):
             ensemble_module._spectrum_in_place(T)
 
+    @pytest.mark.parametrize("lookup", ["lapacke", "fallback"])
+    def test_refuses_an_eigenvalue_below_the_floor(self, monkeypatch, lookup):
+        if lookup == "fallback":
+            monkeypatch.setattr(ensemble_module, "_lapacke_dsyevd", lambda: None)
+        with pytest.raises(NumericalError, match="below the PSD roundoff floor"):
+            spectrum(-np.eye(2))
+        with pytest.raises(NumericalError, match="below the PSD roundoff floor"):
+            ensemble_module._spectrum_in_place(-np.eye(2))
+
+    @pytest.mark.parametrize("lookup", ["lapacke", "fallback"])
+    def test_clips_a_roundoff_negative_to_zero(self, monkeypatch, lookup):
+        assert ensemble_module.EIG_FLOOR < -1e-12
+        if lookup == "fallback":
+            monkeypatch.setattr(ensemble_module, "_lapacke_dsyevd", lambda: None)
+        T = np.diag([-1e-12, 1.0])
+        assert spectrum(T).tolist() == [0.0, 1.0]
+        eigs = ensemble_module._spectrum_in_place(T)
+        assert eigs.tolist() == [0.0, 1.0] and not np.signbit(eigs).any()
+
     @pytest.mark.parametrize(
         "T",
         [

@@ -559,7 +559,7 @@ class TestProduct:
         classes[Partition((1, 2, 3, 4, 5, 6)), Partition((1, 1, 2, 2, 2, 2))] = None
         rng = np.random.default_rng(28)
         for pair in classes:
-            (forms, _), (index, flip), _ = integrate_module._pair_setup(*pair)
+            (forms, _), (index, flip), _, _ = integrate_module._pair_setup(*pair)
             # a group of three cells at 64 nodes, as the cell loop takes them
             nodes = rng.uniform(0.0, 0.5, (64, forms.shape[1]))
             t = nodes @ (0.55**0.5 * forms[:3])
@@ -573,7 +573,7 @@ class TestProduct:
         # a batch of the p = 4 cube class, whose four forms are distinct; the
         # gather and np.sinc's temporaries held 4 to 5 times its bytes
         pair = Partition((1, 2, 3, 4)), Partition((1, 1, 1, 1))
-        (forms, _), fold, _ = integrate_module._pair_setup(*pair)
+        (forms, _), fold, _, _ = integrate_module._pair_setup(*pair)
         nodes = np.random.default_rng(5).uniform(0.0, 0.5, (integrate_module._BATCH, 4))
         t, dist = nodes @ forms[0], law()
         assert t.shape == (integrate_module._BATCH, 4)
@@ -717,7 +717,10 @@ class TestHalfCones:
             assert walk == group_walk(fine, coarse)
             basis = constraint_system(walk)
             n = basis.shape[1]
-            cones = integrate_module._half_cones(walk)
+            cell_basis, cones, volumes, rule, method = integrate_module._walk_cells(walk)
+            assert np.array_equal(cell_basis, basis)
+            assert (rule, method) == (integrate_module._simplex_rule, "gauss_cones")
+            assert np.array_equal(volumes, np.abs(np.linalg.det(cones)))
             counts[p] += len(cones)
             # the cones and their mirrors tile the boundary, so twice their
             # volume is the pinned volume of the walk through the groups
@@ -736,11 +739,49 @@ class TestHalfCones:
 
     def test_memo_per_walk_is_read_only(self):
         walk = group_walk(Partition((1, 2, 3, 4)), Partition((1, 2, 1, 2)))
-        cones = integrate_module._half_cones(walk)
+        cells = integrate_module._walk_cells(walk)
         # an equal walk built apart reads the same entry
-        assert integrate_module._half_cones(Partition(list(walk.omega))) is cones
-        with pytest.raises(ValueError):
-            cones[0, 0, 0] = 0.0
+        assert integrate_module._walk_cells(Partition(list(walk.omega))) is cells
+        for array in cells[:3]:
+            with pytest.raises(ValueError):
+                array.flat[0] = 0
+
+
+class TestWalkCells:
+    def test_cold_pass_builds_each_walk_once(self, monkeypatch):
+        # p = 1..5 at one (beta, d): each class is set up once, and the
+        # classes share their walks through the groups
+        calls = {"constraint_system": [], "group_walk": []}
+        for name, made in calls.items():
+            function = getattr(integrate_module, name)
+            monkeypatch.setattr(
+                integrate_module,
+                name,
+                lambda *a, made=made, function=function: made.append(a) or function(*a),
+            )
+        classes = dict.fromkeys(rep for p in range(1, 6) for rep in _pair_classes(p)[1])
+        cf_classes = cf_class_representatives()
+        walks = {group_walk(*pair) for pair in cf_classes}
+        assert (len(classes), len(cf_classes), len(walks)) == (19, 17, 9)
+        clear_term_cache()
+        integrate_module._pair_setup.cache_clear()
+        integrate_module._walk_cells.cache_clear()
+        for p in range(1, 6):
+            moment(p, 0.55, 2, uniform01())
+        built = [walk for (walk,) in calls["constraint_system"]]
+        assert sorted(built, key=str) == sorted(walks, key=str)
+        assert Counter(calls["group_walk"]) == Counter(list(classes))
+        # a warm replay calls neither; another (beta, d) composes only the
+        # pinned classes' walks, for their volumes
+        for made in calls.values():
+            made.clear()
+        for p in range(1, 6):
+            moment(p, 0.55, 2, uniform01())
+        assert calls == {"constraint_system": [], "group_walk": []}
+        for p in range(1, 6):
+            moment(p, 0.6, 1, uniform01())
+        pinned = [pair for pair in classes if pair not in cf_classes]
+        assert calls == {"constraint_system": [], "group_walk": pinned}
 
 
 #: batch sizes under test: the default, one that splits every rule of
@@ -782,7 +823,7 @@ def pair_vertices(partition, grouping):
     block the identity cell of the half cube."""
     if grouping.k == 1:
         return np.eye(partition.p)[None]
-    return integrate_module._half_cones(group_walk(partition, grouping))
+    return integrate_module._walk_cells(group_walk(partition, grouping))[1]
 
 
 def materialised_half_sum(rule, cells, folded, dist):
@@ -811,7 +852,7 @@ class TestCellLoop:
         assert len(classes) == 17
         orders = (integrate_module.VALUE_ORDER, integrate_module.CHECK_ORDER)
         for pair in classes:
-            (forms, volumes), fold, rule = integrate_module._pair_setup(*pair)
+            (forms, volumes), fold, rule, _ = integrate_module._pair_setup(*pair)
             cells, n = (0.55**0.5 * forms, volumes), forms.shape[1]
             distinct = integrate_module._fold(integer_forms(*pair))[0]
             folded = (0.55**0.5 * distinct, *fold)
@@ -827,7 +868,7 @@ class TestCellLoop:
         classes = cf_class_representatives()
         classes[Partition((1, 2, 3, 4, 5, 6)), Partition((1, 1, 2, 2, 2, 2))] = None
         for pair in classes:
-            (forms, volumes), (index, flip), _ = integrate_module._pair_setup(*pair)
+            (forms, volumes), (index, flip), *_ = integrate_module._pair_setup(*pair)
             distinct, expected_index, expected_flip = integrate_module._fold(
                 integer_forms(*pair)
             )

@@ -141,9 +141,19 @@ class TestLimitingAverage:
         values = [mse_mp(0.55, 10 ** (db / 10)) for db in range(-10, 31, 5)]
         assert values == sorted(values, reverse=True)
 
+    def test_array_takes_the_scalar_formula_per_entry(self):
+        snrs = np.array([[1.0, 2.0], [1e-160, 1e300]])
+        values = mse_mp(0.5, snrs)
+        assert values.shape == snrs.shape
+        assert values.tolist() == [[mse_mp(0.5, float(s)) for s in row] for row in snrs]
+        pair = mse_mp(0.5, np.array([1.0, 2.0]))
+        assert pair.tolist() == [mse_mp(0.5, 1.0), mse_mp(0.5, 2.0)]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             mse_mp(0.5, -1.0)
+        with pytest.raises(ValueError):
+            mse_mp(0.5, np.array([1.0, 0.0]))
 
 
 class TestEquallySpaced:
