@@ -20,15 +20,22 @@ Its rows at the non-tree columns are the identity, so y = B @ x meets
 every integer point of the zero set once and the free coordinates carry
 unit Jacobian (network matrices; Schrijver, Theory of Linear and Integer
 Programming, 1986, ch. 19).
+
+The forms' integral depends only on the block multigraph and the
+grouping, so pairs fall into classes (the moves that keep it are set out
+in ``moments``); ``class_representative`` names each class by one pair.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import lru_cache
+from itertools import groupby, permutations, product
 from typing import Sequence
 
 import numpy as np
 
-from .partitions import Partition
+from .partitions import Partition, partition_of
 
 Edge = tuple[int, int]
 
@@ -142,3 +149,128 @@ def constraint_system(walk: Partition) -> np.ndarray:
         basis[c, j] = 1
         basis[tree, j] = tree_flows(edges, tree, closing)
     return basis
+
+
+def _drop(labels: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """A restricted-growth string without position i.  A label used there
+    alone goes, and the later labels move down; any other label must be
+    used before i, so the rest stay in place."""
+    label, rest = labels[i], labels[:i] + labels[i + 1 :]
+    if label in rest:
+        return rest
+    return tuple([x - (x > label) for x in rest])
+
+
+def _loop(walk: tuple[int, ...]) -> int | None:
+    """A position of a loop that ``_drop`` can take, the wrap-around loop
+    by its last position, or None if the walk has no loop."""
+    for i in range(1, len(walk)):
+        if walk[i] == walk[i - 1]:
+            return i
+    return len(walk) - 1 if walk[0] == walk[-1] else None
+
+
+def _renumber(labels) -> tuple[int, ...]:
+    """Labels renumbered 1, 2, ... by first use."""
+    new: dict[int, int] = {}
+    return tuple([new.setdefault(x, len(new) + 1) for x in labels])
+
+
+def _turns(
+    walk: tuple[int, ...], grouping: tuple[int, ...]
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every rotation and reversal of a pair, renumbered by first use."""
+    images = []
+    for turned in (walk, walk[::-1]):
+        for start in range(len(walk)):
+            image = turned[start:] + turned[:start]
+            groups = [grouping[block - 1] for block in dict.fromkeys(image)]
+            images.append((_renumber(image), _renumber(groups)))
+    return images
+
+
+def class_representative(
+    partition: Partition, grouping: Partition, known: dict | None = None
+) -> tuple[Partition, Partition]:
+    """The pair integrated for a (fine, coarse) pair's class.
+
+    On label tuples, the walk drops its loops, and every block met once and
+    alone in its group goes with its group, until neither applies or it
+    reaches a pair whose class ``known`` holds; a group of two or more
+    blocks loses none, so a characteristic-function pair keeps fewer
+    groups than blocks.  A walk with no block left is the one-block pair.
+    """
+    walk, grouping, known = partition.omega, grouping.omega, known or {}
+    while walk:
+        if (walk, grouping) in known:
+            return known[walk, grouping]
+        i = _loop(walk)
+        if i is None:
+            lone = [
+                i
+                for i, b in enumerate(walk)
+                if walk.count(b) == 1 and grouping.count(grouping[b - 1]) == 1
+            ]
+            if not lone:
+                return _reduced_class(walk, grouping)
+            i = lone[0]
+            grouping = _drop(grouping, walk[i] - 1)
+        walk = _drop(walk, i)
+    return Partition((1,)), Partition((1,))
+
+
+@lru_cache(maxsize=None)
+def _reduced_class(
+    walk: tuple[int, ...], grouping: tuple[int, ...]
+) -> tuple[Partition, Partition]:
+    """The class of a reduced pair: that of the least of its rotations and
+    reversals, which alone is keyed by ``_least_labelling``."""
+    turn = min(_turns(walk, grouping))
+    if turn != (walk, grouping):
+        return _reduced_class(*turn)
+    return _least_labelling(walk, grouping)
+
+
+def _least_labelling(
+    walk: tuple[int, ...], grouping: tuple[int, ...]
+) -> tuple[Partition, Partition]:
+    """Representative of a reduced pair's class, keyed by its least labelling.
+
+    The blocks of ``walk_edges`` take every labelling that lists them by
+    (group size, degree), and every edge may be reversed; the least
+    (grouping, sorted edge list) over these is the class key.  Its edges are
+    walked as an Euler circuit from block 0, taking the least unused edge at
+    each block (Hierholzer), so the representative depends on the key alone.
+    """
+    edges = walk_edges(Partition(walk))
+    degree = Counter(b for _, b in edges)
+    members = Counter(grouping)
+
+    def invariant(block: int) -> tuple[int, int]:
+        return members[grouping[block]], degree[block]
+
+    runs = [
+        list(run) for _, run in groupby(sorted(degree, key=invariant), key=invariant)
+    ]
+    keys = []
+    for choice in product(*map(permutations, runs)):
+        order = [block for run in choice for block in run]
+        label = {block: new for new, block in enumerate(order)}
+        coarse = _renumber([grouping[block] for block in order])
+        forward = sorted((label[a], label[b]) for a, b in edges)
+        keys.append((coarse, forward))
+        keys.append((coarse, sorted((b, a) for a, b in forward)))
+    coarse, key_edges = min(keys)
+    after: dict[int, list[int]] = {}
+    for a, b in sorted(key_edges, reverse=True):
+        after.setdefault(a, []).append(b)  # pop() yields the least block
+    stack, circuit = [0], []
+    while stack:
+        if after.get(stack[-1]):
+            stack.append(after[stack[-1]].pop())
+        else:
+            circuit.append(stack.pop())
+    circuit = circuit[::-1][:-1]
+    return partition_of(circuit), partition_of(
+        [coarse[block] for block in dict.fromkeys(circuit)]
+    )

@@ -36,12 +36,13 @@ serves every law; a built-in law is symmetric about 1/2, so its phi and
 integrand are real.  The error is the deterministic difference between
 the value at VALUE_ORDER nodes per axis and the rule at CHECK_ORDER.
 
-Each set-up is memoised by what it depends on: the geometry (B, cells,
-volumes, rule) by the walk through the groups, the forms on those cells by
-the pair, the base rules by dimension, order and batch size.  A base rule
-is held as its leading axes and one batch of its trailing axes, generated
-a batch at a time in row order; one loop evaluates each batch on a group
-of cells of at most _BATCH nodes, so a call holds about one batch of nodes.
+Each set-up is memoised by what it depends on: the exact pinned volume
+and the geometry (B, cells, volumes, rule) by the walk through the groups,
+the forms on those cells by the pair, the base rules by dimension, order
+and batch size.  A base rule is held as its leading axes and one batch of
+its trailing axes, generated a batch at a time in row order; one loop
+evaluates each batch on a group of cells of at most _BATCH nodes, so a
+call holds about one batch of nodes.
 
 A finite-grid evaluator of the same quantity at finite half-bandwidth M is
 provided as an independent cross-check; it converges to the integral as M
@@ -164,8 +165,10 @@ def _box_spline(
     return total / cycles
 
 
+@lru_cache(maxsize=None)
 def delta_volume(partition: Partition) -> IntegralValue:
-    """Normalized volume of the fully pinned zero set, computed exactly.
+    """Normalized volume of the fully pinned zero set, computed exactly and
+    memoised on the walk, so every (beta, d, law) of a pinned class reads it.
 
     The difference-matrix columns are the walk's edges, ``walk_edges``, on
     the blocks; a loop is a zero column and is dropped.  They form a totally

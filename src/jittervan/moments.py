@@ -32,8 +32,12 @@ whose blocks all contract away is the one-block pair, of volume 1.
 Rotations and reversals of the trace indices, the dihedral symmetry of
 the trace, are among these moves.
 
-Each class value, exact pinned volumes included, is memoised on (class,
-beta, d, law); the per-order table of pairs holds each pair's class.
+The per-order table of pairs holds each pair's class, from
+``constraints.class_representative`` on the pair's label tuples: a pair
+one move from order p - 1 reads its class from that order's table, and a
+reduced pair is read at the least of its rotations and reversals, so the
+least labelling is searched once per such orbit.  Each class value,
+exact pinned volumes included, is memoised on (class, beta, d, law).
 
 Each integral's error is the deterministic difference between two
 cubature orders.  It exceeded the actual error, by 25 times or more, on
@@ -46,25 +50,18 @@ difference follows the triangulation, not the error.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby, permutations, product
 
 import numpy as np
 
 from ._parallel import ordered_map
-from .constraints import walk_edges
+from .constraints import class_representative
 from .errors import _check_aspect_ratio, _check_integer, _check_law
 from .integrate import IntegralValue, QmcOptions, term_integral
 from .jitter import JitterDistribution
-from .partitions import (
-    Partition,
-    enumerate_partitions_k,
-    mobius_coefficient,
-    partition_of,
-)
+from .partitions import Partition, enumerate_partitions_k, mobius_coefficient
 
 #: Highest moment order evaluated.
 MOMENT_CAP = 5
@@ -136,75 +133,14 @@ def _evaluate_pair(
 clear_term_cache = _evaluate_pair.cache_clear
 
 
-def _class_representative(
-    partition: Partition, grouping: Partition
-) -> tuple[Partition, Partition]:
-    """The pair integrated for a pair's class.
-
-    The walk drops its loops and contracts every block met once and alone
-    in its group, until neither applies; a group of two or more blocks
-    loses none, so a characteristic-function pair keeps fewer groups than
-    blocks.  A walk with no block left is the one-block pair.
-    """
-    group = grouping.omega
-    members = Counter(group)
-    walk = list(partition.omega)
-    while True:
-        kept = [b for i, b in enumerate(walk) if b != walk[i - 1]]
-        met = Counter(kept)
-        kept = [b for b in kept if met[b] > 1 or members[group[b - 1]] > 1]
-        if kept == walk:
-            break
-        walk = kept
-    if not walk:
-        return Partition((1,)), Partition((1,))
-    coarse = partition_of([group[b - 1] for b in dict.fromkeys(walk)])
-    return _least_labelling(partition_of(walk), coarse)
-
-
 @lru_cache(maxsize=None)
-def _least_labelling(
-    walk: Partition, grouping: Partition
-) -> tuple[Partition, Partition]:
-    """Representative of a reduced pair's class, keyed by its least labelling.
-
-    The blocks of ``walk_edges`` take every labelling that lists them by
-    (group size, degree), and every edge may be reversed; the least
-    (grouping, sorted edge list) over these is the class key.  Its edges are
-    walked as an Euler circuit from block 0, taking the least unused edge at
-    each block (Hierholzer), so the representative depends on the key alone.
-    """
-    edges = walk_edges(walk)
-    degree = Counter(b for _, b in edges)
-    members = Counter(grouping.omega)
-
-    def invariant(block: int) -> tuple[int, int]:
-        return members[grouping.omega[block]], degree[block]
-
-    runs = [
-        list(run) for _, run in groupby(sorted(degree, key=invariant), key=invariant)
-    ]
-    keys = []
-    for choice in product(*map(permutations, runs)):
-        order = [block for run in choice for block in run]
-        label = {block: new for new, block in enumerate(order)}
-        coarse = partition_of([grouping.omega[block] for block in order]).omega
-        forward = sorted((label[a], label[b]) for a, b in edges)
-        keys.append((coarse, forward))
-        keys.append((coarse, sorted((b, a) for a, b in forward)))
-    coarse, key_edges = min(keys)
-    after: dict[int, list[int]] = {}
-    for a, b in sorted(key_edges, reverse=True):
-        after.setdefault(a, []).append(b)  # pop() yields the least block
-    stack, circuit = [0], []
-    while stack:
-        if after.get(stack[-1]):
-            stack.append(after[stack[-1]].pop())
-        else:
-            circuit.append(stack.pop())
-    circuit = circuit[::-1][:-1]
-    return partition_of(circuit), partition_of(
-        [coarse[block] for block in dict.fromkeys(circuit)]
+def _groupings(k: int) -> tuple[tuple[Partition, int], ...]:
+    """The groupings of k blocks in enumeration order, with their signed
+    weights."""
+    return tuple(
+        (grouping, mobius_coefficient(grouping))
+        for h in range(1, k + 1)
+        for grouping in enumerate_partitions_k(k, h)
     )
 
 
@@ -212,18 +148,20 @@ def _least_labelling(
 def _pair_classes(p: int) -> tuple[tuple, tuple]:
     """Every (fine, coarse) pair of order p with its signed weight and the
     index of its class representative.  Returns the rows in enumeration
-    order and the representatives in order of first member.  Memoised on p,
-    as rebuilding costs more than a warm replay."""
+    order and the representatives in order of first member.  A pair one
+    move from order p - 1 reads its class from that order's table.
+    Memoised on p, as rebuilding costs more than a warm replay."""
+    lower = {}
+    if p > 1:
+        below, reps = _pair_classes(p - 1)
+        lower = {(f.omega, c.omega): reps[i] for f, c, _, i in below}
     rows = []
     classes: dict[tuple[Partition, Partition], int] = {}
     for k in range(1, p + 1):
         for omega in enumerate_partitions_k(p, k):
-            for h in range(1, k + 1):
-                for omega_prime in enumerate_partitions_k(k, h):
-                    rep = _class_representative(omega, omega_prime)
-                    index = classes.setdefault(rep, len(classes))
-                    u = mobius_coefficient(omega_prime)
-                    rows.append((omega, omega_prime, u, index))
+            for grouping, u in _groupings(k):
+                rep = class_representative(omega, grouping, lower)
+                rows.append((omega, grouping, u, classes.setdefault(rep, len(classes))))
     return tuple(rows), tuple(classes)
 
 

@@ -13,7 +13,12 @@ from scipy.special import roots_jacobi, roots_legendre
 
 import jittervan.integrate as integrate_module
 from jittervan import verify
-from jittervan.constraints import constraint_system, difference_matrix, group_walk
+from jittervan.constraints import (
+    class_representative,
+    constraint_system,
+    difference_matrix,
+    group_walk,
+)
 from jittervan.ensemble import EnsembleConfig, resolve_shape
 from jittervan.errors import BudgetError, NumericalError
 from jittervan.integrate import (
@@ -23,7 +28,7 @@ from jittervan.integrate import (
     term_integral,
 )
 from jittervan.jitter import JitterDistribution, point_mass_half, triangular01, uniform01
-from jittervan.moments import _class_representative, _pair_classes, clear_term_cache, moment
+from jittervan.moments import _pair_classes, clear_term_cache, moment
 from jittervan.partitions import (
     Partition,
     enumerate_partitions,
@@ -983,7 +988,7 @@ def order_five_members():
     """
     chosen = {}
     for pair in cf_pairs(5):
-        rep = _class_representative(*pair)
+        rep = class_representative(*pair)
         score = (
             dihedral_representative(*pair) == dihedral_representative(*rep),
             pair == rep,

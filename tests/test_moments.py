@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+from collections import Counter
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -8,10 +10,10 @@ from scipy.integrate import tplquad
 
 import jittervan.integrate as integrate_module
 from jittervan import verify
+from jittervan.constraints import class_representative, walk_edges
 from jittervan.integrate import QmcOptions, term_integral
 from jittervan.jitter import JitterDistribution, point_mass_half, triangular01, uniform01
 from jittervan.moments import (
-    _class_representative,
     _narayana_row,
     _pair_classes,
     clear_term_cache,
@@ -22,7 +24,12 @@ from jittervan.moments import (
     mp_support,
     narayana,
 )
-from jittervan.partitions import Partition, enumerate_partitions_k, partition_of
+from jittervan.partitions import (
+    Partition,
+    enumerate_partitions_k,
+    mobius_coefficient,
+    partition_of,
+)
 from test_partitions import all_pairs, dihedral_image, dihedral_representative
 
 def two_point():
@@ -56,7 +63,7 @@ def cf_classes(max_p):
     classes = {}
     for p in range(2, max_p + 1):
         for pair in cf_pairs(p):
-            classes.setdefault(_class_representative(*pair), []).append(pair)
+            classes.setdefault(class_representative(*pair), []).append(pair)
     return classes
 
 
@@ -124,6 +131,75 @@ def brute_class_key(omega, grouping):
             )
             keys.append((coarse, mapped))
     return min(keys)
+
+
+def reference_representative(partition, grouping):
+    """Reference class representative: the reduction by loops and series
+    blocks, then the least labelling over every permutation of each run."""
+    group = grouping.omega
+    members = Counter(group)
+    walk = list(partition.omega)
+    while True:
+        kept = [b for i, b in enumerate(walk) if b != walk[i - 1]]
+        met = Counter(kept)
+        kept = [b for b in kept if met[b] > 1 or members[group[b - 1]] > 1]
+        if kept == walk:
+            break
+        walk = kept
+    if not walk:
+        return Partition((1,)), Partition((1,))
+    coarse = partition_of([group[b - 1] for b in dict.fromkeys(walk)])
+    return reference_labelling(partition_of(walk), coarse)
+
+
+@lru_cache(maxsize=None)
+def reference_labelling(walk, grouping):
+    """The least (grouping, sorted edges) over every labelling that lists the
+    blocks by (group size, degree) and both edge directions, walked as an
+    Euler circuit from block 0 along the least unused edge."""
+    edges = walk_edges(walk)
+    degree = Counter(b for _, b in edges)
+    members = Counter(grouping.omega)
+
+    def invariant(block):
+        return members[grouping.omega[block]], degree[block]
+
+    runs = [
+        list(run)
+        for _, run in itertools.groupby(sorted(degree, key=invariant), key=invariant)
+    ]
+    keys = []
+    for choice in itertools.product(*map(itertools.permutations, runs)):
+        order = [block for run in choice for block in run]
+        label = {block: new for new, block in enumerate(order)}
+        coarse = partition_of([grouping.omega[block] for block in order]).omega
+        forward = sorted((label[a], label[b]) for a, b in edges)
+        keys.append((coarse, forward))
+        keys.append((coarse, sorted((b, a) for a, b in forward)))
+    coarse, key_edges = min(keys)
+    after = {}
+    for a, b in sorted(key_edges, reverse=True):
+        after.setdefault(a, []).append(b)
+    stack, circuit = [0], []
+    while stack:
+        if after.get(stack[-1]):
+            stack.append(after[stack[-1]].pop())
+        else:
+            circuit.append(stack.pop())
+    circuit = circuit[::-1][:-1]
+    return partition_of(circuit), partition_of(
+        [coarse[block] for block in dict.fromkeys(circuit)]
+    )
+
+
+def reference_pair_classes(p):
+    """The rows (fine, coarse, weight, class index) in enumeration order and
+    the representatives in order of first member, pair by pair."""
+    rows, classes = [], {}
+    for omega, grouping in all_pairs(p):
+        index = classes.setdefault(reference_representative(omega, grouping), len(classes))
+        rows.append((omega, grouping, mobius_coefficient(grouping), index))
+    return tuple(rows), tuple(classes)
 
 
 class TestMoment:
@@ -231,10 +307,10 @@ class TestMoment:
         result = moment(p, 0.55, 1, uniform01(), threads=threads)
         assert sum(len(values) for values in calls.values()) == classes
         assert len(calls) == classes
-        assert all(_class_representative(*pair) == pair for pair in calls)
+        assert all(class_representative(*pair) == pair for pair in calls)
         for term in result.terms:
             if term.h < term.k:
-                [value] = calls[_class_representative(term.omega, term.omega_prime)]
+                [value] = calls[class_representative(term.omega, term.omega_prime)]
                 assert term.v is value
 
     def test_classes_are_shared_across_orders(self, monkeypatch):
@@ -273,12 +349,29 @@ class TestMoment:
         )
         clear_term_cache()
         _pair_classes.cache_clear()
+        delta_volume.cache_clear()
         integrate_module._box_spline.cache_clear()
         cold = [moment(p, 0.55, 2, uniform01()) for p in range(1, 6)]
         assert calls == [Partition((1,)), Partition((1, 2, 1, 2))]
         assert integrate_module._box_spline.cache_info().misses == 11
         assert [moment(p, 0.55, 2, uniform01()) for p in range(1, 6)] == cold
         assert len(calls) == 2
+
+    def test_pinned_volumes_are_computed_once_per_walk(self):
+        # a pinned class misses the term memo once per (beta, d, law), and
+        # its volume memo answers every miss after the first
+        delta_volume = integrate_module.delta_volume
+        clear_term_cache()
+        delta_volume.cache_clear()
+        for p in range(1, 6):
+            moment(p, 0.55, 2, uniform01())
+        cold = delta_volume.cache_info()
+        assert cold.misses == 2
+        for p in range(1, 6):
+            moment(p, 0.6, 1, uniform01())
+        warm = delta_volume.cache_info()
+        assert warm.misses == cold.misses
+        assert warm.hits == cold.hits + 2
 
     def test_forms_fold_once_per_pair(self, monkeypatch):
         # the benchmark's analytic sweep: its 8 classes at 4 dimensions each
@@ -299,7 +392,7 @@ class TestMoment:
         # block 3 is met once and alone in its group: the pair contracts to
         # the two-block walk with one group, the 2-cube
         pair = (Partition((1, 2, 3)), Partition((1, 1, 2)))
-        assert _class_representative(*pair) == (Partition((1, 2)), Partition((1, 1)))
+        assert class_representative(*pair) == (Partition((1, 2)), Partition((1, 1)))
         result = moment(3, 0.55, 2, uniform01())
         [term] = [t for t in result.terms if (t.omega, t.omega_prime) == pair]
         assert term.v.method == "gauss_cube"
@@ -379,20 +472,20 @@ class TestClassKey:
     @pytest.mark.parametrize("p", range(2, 6))
     def test_idempotent_lower_order_and_constant_on_orbits(self, p):
         for pair in cf_pairs(p):
-            rep = _class_representative(*pair)
-            assert _class_representative(*rep) == rep
+            rep = class_representative(*pair)
+            assert class_representative(*rep) == rep
             assert rep[1].k < rep[0].k and rep[0].p <= p
             assert rep[0].p - rep[1].k <= p - pair[1].k
             for shift in range(p):
                 for reverse in (False, True):
                     image = dihedral_image(*pair, shift, reverse)
-                    assert _class_representative(*image) == rep
+                    assert class_representative(*image) == rep
 
     def test_relabels_circuits_loops_and_series_blocks_keep_the_key(self):
         rng = np.random.default_rng(20261018)
         for p in range(2, 7):
             for pair in cf_pairs(p)[:: 1 if p < 6 else 7]:
-                rep = _class_representative(*pair)
+                rep = class_representative(*pair)
                 edges, group = multigraph(*pair)
                 k = pair[0].k
                 relabel = rng.permutation(k)
@@ -403,16 +496,16 @@ class TestClassKey:
                 walk = random_circuit(moved, rng)
                 if rng.integers(2):
                     walk = walk[::-1]
-                assert _class_representative(*pair_of_walk(walk, moved_group)) == rep
+                assert class_representative(*pair_of_walk(walk, moved_group)) == rep
                 # a repeated label (a loop), then a new block alone in a new
                 # group (in series), inserted at random places
                 at = int(rng.integers(len(walk)))
                 looped = walk[: at + 1] + walk[at:]
-                assert _class_representative(*pair_of_walk(looped, moved_group)) == rep
+                assert class_representative(*pair_of_walk(looped, moved_group)) == rep
                 at = int(rng.integers(len(walk)))
                 series = walk[:at] + [k] + walk[at:]
                 extended = moved_group + [max(moved_group) + 1]
-                assert _class_representative(*pair_of_walk(series, extended)) == rep
+                assert class_representative(*pair_of_walk(series, extended)) == rep
 
     @pytest.mark.parametrize("p", range(2, 6))
     def test_classes_match_the_brute_force_key(self, p):
@@ -421,18 +514,32 @@ class TestClassKey:
         # splits none
         reps, keys = {}, {}
         for pair in cf_pairs(p):
-            rep, key = _class_representative(*pair), brute_class_key(*pair)
+            rep, key = class_representative(*pair), brute_class_key(*pair)
             assert reps.setdefault(key, rep) == rep
             assert keys.setdefault(rep, key) == key
             assert brute_class_key(*rep) == key
 
+    @pytest.mark.parametrize("p", [*range(1, 7), pytest.param(7, marks=pytest.mark.slow)])
+    def test_table_matches_the_reference(self, p):
+        # the same rows, class indices and representatives, in the same
+        # order: a different representative would move its class's terms
+        # by up to the cubature error
+        assert _pair_classes(p) == reference_pair_classes(p)
+
     @pytest.mark.parametrize(
         "p,cf_pair_count,classes,new",
-        [(2, 1, 1, 1), (3, 7, 2, 1), (4, 45, 8, 6), (5, 306, 17, 9), (6, 2268, 82, 65)],
+        [
+            (2, 1, 1, 1),
+            (3, 7, 2, 1),
+            (4, 45, 8, 6),
+            (5, 306, 17, 9),
+            (6, 2268, 82, 65),
+            pytest.param(7, 18425, 287, 205, marks=pytest.mark.slow),
+        ],
     )
     def test_class_counts(self, p, cf_pair_count, classes, new):
         pairs = cf_pairs(p)
-        reps = {_class_representative(*pair) for pair in pairs}
+        reps = {class_representative(*pair) for pair in pairs}
         assert len(pairs) == cf_pair_count
         assert len(reps) == classes
         assert sum(rep[0].p == p for rep in reps) == new
@@ -447,9 +554,9 @@ class TestClassKey:
             for k in range(1, p + 1):
                 [grouping] = enumerate_partitions_k(k, k)
                 for omega in enumerate_partitions_k(p, k):
-                    rep = _class_representative(omega, grouping)
+                    rep = class_representative(omega, grouping)
                     assert rep[1].k == rep[0].k and rep[0].p <= p
-                    assert _class_representative(*rep) == rep
+                    assert class_representative(*rep) == rep
                     volume = integrate_module.delta_volume(rep[0]).exact
                     assert volume == integrate_module.delta_volume(omega).exact, omega
                     reps.add(rep)
