@@ -5,11 +5,11 @@ fine partition fixes the difference forms, the coarse one fixes which sums
 of them are pinned to zero.  Three regimes are evaluated here.
 
 * All forms pinned (coarse partition all singletons): the factor is the
-  normalized volume of the zero set inside the centered unit cube.  The
-  difference forms are the incidence matrix of a graph on the blocks, so
-  the volume is a box-spline value, computed exactly in rationals by the
-  box-spline recurrence.  A one-block fine partition is this case with no
-  edges, whose box spline is 1.
+  normalized volume of the zero set inside the centered unit cube, the
+  polytope P of the partial case below for the walk itself.  It is read
+  exactly off the cones that triangulate P: their doubled vertices are
+  integers, so each cone's volume is an integer over 2^n n!.  A one-block
+  fine partition leaves the whole cube, of volume 1.
 * No pinning (single coarse block): the characteristic-function product
   integrated over the whole cube by tensor Gauss-Legendre.
 * Partial pinning: the zero set of the pinned sums is y = B @ x, with B
@@ -36,13 +36,13 @@ serves every law; a built-in law is symmetric about 1/2, so its phi and
 integrand are real.  The error is the deterministic difference between
 the value at VALUE_ORDER nodes per axis and the rule at CHECK_ORDER.
 
-Each set-up is memoised by what it depends on: the exact pinned volume
-and the geometry (B, cells, volumes, rule) by the walk through the groups,
-the forms on those cells by the pair, the base rules by dimension, order
-and batch size.  A base rule is held as its leading axes and one batch of
-its trailing axes, generated a batch at a time in row order; one loop
-evaluates each batch on a group of cells of at most _BATCH nodes, so a
-call holds about one batch of nodes.
+Each set-up is memoised by what it depends on: the geometry (B, cells,
+volumes, rule) by the walk through the groups, which the exact pinned
+volume reads as well, the forms on those cells by the pair, the base
+rules by dimension, order and batch size.  A base rule is held as its
+leading axes and one batch of its trailing axes, generated a batch at a
+time in row order; one loop evaluates each batch on a group of cells of
+at most _BATCH nodes, so a call holds about one batch of nodes.
 
 A finite-grid evaluator of the same quantity at finite half-bandwidth M is
 provided as an independent cross-check; it converges to the integral as M
@@ -59,14 +59,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .constraints import (
-    constraint_system,
-    difference_matrix,
-    group_walk,
-    spanning_tree,
-    tree_flows,
-    walk_edges,
-)
+from .constraints import constraint_system, difference_matrix, group_walk
 from .errors import BudgetError, NumericalError
 from .errors import _check_aspect_ratio, _check_integer, _check_law
 from .jitter import JitterDistribution
@@ -119,71 +112,27 @@ class IntegralValue:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _box_spline(
-    edges: tuple[tuple[int, int], ...], doubled: tuple[int, ...]
-) -> Fraction:
-    """Box spline M(E, x) of the edge vectors v_e = e_b - e_a, in rationals.
-
-    E is a connected graph on k = len(doubled) nodes and x = doubled / 2.
-
-    Recurrence of de Boor and Hoellig, with n = |E|, s = k - 1 and t the
-    spanning-tree flow of x: (n - s) M(E, x) = sum over non-bridges e of
-    t_e M(E - e, x) + (1 - t_e) M(E - e, x - v_e);
-    a bridge has the same flow in every expansion, so it is checked once
-    the graph is a spanning tree, whose spline is the indicator of
-    0 < t < 1.  Points on a face of that box are taken at x + eps z with
-    z = (1, ..., 1, -(k-1)).  z sums to zero and has a nonzero total on
-    every proper subset of the nodes, so its flow is nonzero on every edge
-    of any spanning tree.
-    """
-    k = len(doubled)
-    tree = spanning_tree(edges, k)
-    flows = tree_flows(edges, tree, doubled)
-    cycles = len(edges) - (k - 1)
-    if cycles == 0:
-        ties = tree_flows(edges, tree, (1,) * (k - 1) + (1 - k,))
-        # (flow, tie) is flow + eps * tie in (0, 2), ordered lexicographically
-        inside = all((0, 0) < flow_tie < (2, 0) for flow_tie in zip(flows, ties))
-        return Fraction(int(inside))
-    flow_of = {edges[index]: flow for index, flow in zip(tree, flows)}
-    total = Fraction(0)
-    for edge in dict.fromkeys(edges):
-        rest = list(edges)
-        rest.remove(edge)
-        rest = tuple(rest)
-        if edge not in rest and len(spanning_tree(rest, k)) < k - 1:
-            continue
-        flow = Fraction(flow_of.get(edge, 0), 2)
-        if flow:
-            total += flow * _box_spline(rest, doubled)
-        a, b = edge
-        shifted = list(doubled)
-        shifted[a] += 2
-        shifted[b] -= 2
-        total += (edges.count(edge) - flow) * _box_spline(rest, tuple(shifted))
-    return total / cycles
-
-
-@lru_cache(maxsize=None)
 def delta_volume(partition: Partition) -> IntegralValue:
-    """Normalized volume of the fully pinned zero set, computed exactly and
-    memoised on the walk, so every (beta, d, law) of a pinned class reads it.
+    """Normalized volume of the fully pinned zero set of a walk, read
+    exactly off the walk's ``_walk_cells``.
 
-    The difference-matrix columns are the walk's edges, ``walk_edges``, on
-    the blocks; a loop is a zero column and is dropped.  They form a totally
-    unimodular incidence matrix, so the volume is the density of
-    sum_e v_e Y_e at zero for Y uniform on the centred cube: the box spline
-    of the edge vectors at their half-sum (de Boor, Hoellig and
-    Riemenschneider, Box Splines, 1993).  Edge orientation does not change
-    that density, so each edge is stored from its lower to its higher block.
+    One group leaves the whole cube, of volume 1.  Otherwise the cells are
+    the cones from the origin over half the boundary of
+    P = {x : |B @ x| <= 1/2}, and the cones and their mirrors tile P.  Each
+    cone's doubled vertex rows 2V are integers, so |det 2V| = 2^n |det V| is
+    an integer and vol P = 2 sum |det 2V| / (2^n n!), n = B.shape[1]
+    (De Loera, Rambau and Santos, Triangulations, 2010, 4.3).
     """
-    edges = [(min(a, b), max(a, b)) for a, b in walk_edges(partition) if a != b]
-    doubled = [0] * partition.k
-    for a, b in edges:
-        doubled[a] -= 1
-        doubled[b] += 1
-    volume = _box_spline(tuple(sorted(edges)), tuple(doubled))
+    basis, _, volumes, _, method = _walk_cells(partition)
+    if method == "gauss_cube":
+        volume = Fraction(1)
+    else:
+        n = basis.shape[1]
+        dets = volumes * 2.0**n
+        whole = np.round(dets)
+        if np.abs(dets - whole).max() > 1e-9:
+            raise NumericalError(f"cone determinants of {partition} are not integers")
+        volume = Fraction(2 * int(whole.sum()), 2**n * math.factorial(n))
     if not 0 < volume <= 1:
         raise NumericalError(
             f"pinned volume {volume} for {partition} is outside (0, 1]"

@@ -8,7 +8,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.spatial import HalfspaceIntersection
+from scipy.spatial import ConvexHull, HalfspaceIntersection
 from scipy.special import roots_jacobi, roots_legendre
 
 import jittervan.integrate as integrate_module
@@ -278,6 +278,43 @@ class TestDeltaVolume:
         assert len(LATTICE_VOLUMES) == 70
         for omega, exact in LATTICE_VOLUMES.items():
             assert delta_volume(Partition(omega)).exact == exact, omega
+
+    @pytest.mark.parametrize(
+        "p", [*range(2, 7), pytest.param(7, marks=pytest.mark.slow)]
+    )
+    def test_matches_qhull_volume(self, p):
+        # every partition with n >= 2 free coordinates, for qhull: P's
+        # volume is a multiple of 1 / (2^n n!) >= 1.5e-6 at n <= 7, so a
+        # match to 1e-9 pins the exact value
+        partitions = [w for w in enumerate_partitions(p) if w.k < p]
+        assert len(partitions) == {2: 1, 3: 4, 4: 14, 5: 51, 6: 202, 7: 876}[p]
+        for w in partitions:
+            basis = constraint_system(w)
+            n = basis.shape[1]
+            exact = delta_volume(w).exact
+            assert (exact * 2**n * math.factorial(n)).denominator == 1, w
+            hull = ConvexHull(polytope_vertices(basis)).volume
+            assert abs(exact - hull) < 1e-9, w
+
+    def test_refuses_fractional_determinants_and_volumes_outside_unit(
+        self, monkeypatch
+    ):
+        walk = Partition((1, 2, 1, 2))
+        basis, cells, volumes, rule, method = integrate_module._walk_cells(walk)
+        n = basis.shape[1]
+        for scaled, message in [
+            (volumes + 1e-12, None),
+            (volumes + 1e-6 / 2**n, "not integers"),
+            (4 * volumes, "outside"),
+            (0 * volumes, "outside"),
+        ]:
+            geometry = basis, cells, scaled, rule, method
+            monkeypatch.setattr(integrate_module, "_walk_cells", lambda w: geometry)
+            if message is None:
+                assert delta_volume(walk).exact == Fraction(2, 3)
+            else:
+                with pytest.raises(NumericalError, match=message):
+                    delta_volume(walk)
 
 
 class TestCountBoxSolutions:
@@ -700,6 +737,13 @@ class TestGaussRoots:
         assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
 
 
+def polytope_vertices(basis: np.ndarray) -> np.ndarray:
+    """The vertices of P = {x : |basis @ x| <= 1/2}, by qhull."""
+    rows = np.unique(np.vstack([basis, -basis]), axis=0)
+    halfspaces = np.hstack([rows, np.full((len(rows), 1), -0.5)])
+    return HalfspaceIntersection(halfspaces, np.zeros(basis.shape[1])).intersections
+
+
 def cone_classes(p_max: int):
     """(order, class representative) of every class a moment of order
     p <= p_max integrates over cones; a class recurs at higher orders."""
@@ -727,16 +771,14 @@ class TestHalfCones:
             assert (rule, method) == (integrate_module._simplex_rule, "gauss_cones")
             assert np.array_equal(volumes, np.abs(np.linalg.det(cones)))
             counts[p] += len(cones)
-            # the cones and their mirrors tile the boundary, so twice their
-            # volume is the pinned volume of the walk through the groups
+            # the cones and their mirrors tile P, so twice their volume is
+            # qhull's volume of P
+            qhull = polytope_vertices(basis)
             dets = np.linalg.det(2 * cones)
             assert np.abs(dets - np.round(dets)).max() < 1e-9
             volume = 2 * Fraction(int(np.abs(np.round(dets)).sum()), 2**n * math.factorial(n))
-            assert volume == delta_volume(walk).exact, (fine, coarse)
+            assert abs(volume - ConvexHull(qhull).volume) < 1e-9, (fine, coarse)
             # every vertex of P is a vertex of the triangulated boundary
-            rows = np.unique(np.vstack([basis, -basis]), axis=0)
-            halfspaces = np.hstack([rows, np.full((len(rows), 1), -0.5)])
-            qhull = HalfspaceIntersection(halfspaces, np.zeros(n)).intersections
             expected = np.unique(np.round(2 * qhull).astype(np.int64), axis=0)
             doubled = (2 * np.vstack([cones, -cones])).reshape(-1, n).astype(np.int64)
             assert np.array_equal(np.unique(doubled, axis=0), expected), (fine, coarse)
@@ -773,8 +815,9 @@ class TestWalkCells:
         integrate_module._walk_cells.cache_clear()
         for p in range(1, 6):
             moment(p, 0.55, 2, uniform01())
+        # the one-block walk is built for its pinned volume alone
         built = [walk for (walk,) in calls["constraint_system"]]
-        assert sorted(built, key=str) == sorted(walks, key=str)
+        assert sorted(built, key=str) == sorted(walks | {Partition((1,))}, key=str)
         assert Counter(calls["group_walk"]) == Counter(list(classes))
         # a warm replay calls neither; another (beta, d) composes only the
         # pinned classes' walks, for their volumes

@@ -341,7 +341,9 @@ class TestMoment:
         assert [moment(p, 0.55, 2, uniform01()) for p in range(1, 6)] == cold
 
     def test_pinned_pairs_take_one_volume_per_class(self, monkeypatch):
-        # the 75 pinned pairs of p <= 5 fold to the classes of volume 1 and 2/3
+        # the 75 pinned pairs of p <= 5 fold to the classes of volume 1 and
+        # 2/3; a cold pass builds the 9 cf walks and the one-block walk, and
+        # (1, 2, 1, 2) reads its volume off the cells of its cf walk
         calls = []
         delta_volume = integrate_module.delta_volume
         monkeypatch.setattr(
@@ -349,27 +351,28 @@ class TestMoment:
         )
         clear_term_cache()
         _pair_classes.cache_clear()
-        delta_volume.cache_clear()
-        integrate_module._box_spline.cache_clear()
+        integrate_module._pair_setup.cache_clear()
+        integrate_module._walk_cells.cache_clear()
         cold = [moment(p, 0.55, 2, uniform01()) for p in range(1, 6)]
         assert calls == [Partition((1,)), Partition((1, 2, 1, 2))]
-        assert integrate_module._box_spline.cache_info().misses == 11
+        assert integrate_module._walk_cells.cache_info().misses == 10
         assert [moment(p, 0.55, 2, uniform01()) for p in range(1, 6)] == cold
         assert len(calls) == 2
 
     def test_pinned_volumes_are_computed_once_per_walk(self):
         # a pinned class misses the term memo once per (beta, d, law), and
-        # its volume memo answers every miss after the first
-        delta_volume = integrate_module.delta_volume
+        # every miss after the first reads the walk's memoised cells
+        walk_cells = integrate_module._walk_cells
         clear_term_cache()
-        delta_volume.cache_clear()
+        integrate_module._pair_setup.cache_clear()
+        walk_cells.cache_clear()
         for p in range(1, 6):
             moment(p, 0.55, 2, uniform01())
-        cold = delta_volume.cache_info()
-        assert cold.misses == 2
+        cold = walk_cells.cache_info()
+        assert cold.misses == 10
         for p in range(1, 6):
             moment(p, 0.6, 1, uniform01())
-        warm = delta_volume.cache_info()
+        warm = walk_cells.cache_info()
         assert warm.misses == cold.misses
         assert warm.hits == cold.hits + 2
 
