@@ -13,13 +13,15 @@ constraint system loses exactly one rank.
 Grouping the blocks gives the walk through the groups (``group_walk``),
 whose matrix is the block rows merged along the groups: the constraint
 system whose zero set carries the delta-constrained integrals.  The
-fundamental cycles of a spanning tree of that walk span the zero set: the
-integer basis B has one column per non-tree column, with a unit on that
-column and the cycle's tree flows, in {-1, 0, 1}, on the tree columns.
-Its rows at the non-tree columns are the identity, so y = B @ x meets
-every integer point of the zero set once and the free coordinates carry
-unit Jacobian (network matrices; Schrijver, Theory of Linear and Integer
-Programming, 1986, ch. 19).
+fundamental cycles of a spanning tree of that walk span the zero set, and
+the walk lists one: the edges that first reach a label.  The integer basis
+B has one column per non-tree column, with a unit on that column and the
+cycle's tree flows, in {-1, 0, 1}, on the tree columns; the tree's
+incidence matrix is triangular in discovery order, so one integer pass
+from the leaves gives every flow.  Its rows at the non-tree columns are
+the identity, so y = B @ x meets every integer point of the zero set once
+and the free coordinates carry unit Jacobian (network matrices;
+Schrijver, Theory of Linear and Integer Programming, 1986, ch. 19).
 
 The forms' integral depends only on the block multigraph and the
 grouping, so pairs fall into classes (the moves that keep it are set out
@@ -31,7 +33,6 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import groupby, permutations, product
-from typing import Sequence
 
 import numpy as np
 
@@ -48,6 +49,15 @@ def walk_edges(walk: Partition) -> list[Edge]:
     return [(omega[i - 1] - 1, omega[i] - 1) for i in range(walk.p)]
 
 
+def _check_grouping(partition: Partition, grouping: Partition) -> None:
+    """Refuse a grouping that does not partition the partition's blocks."""
+    if grouping.p != partition.k:
+        raise ValueError(
+            f"grouping must partition {{1,...,{partition.k}}}, got one of "
+            f"{grouping.p} elements"
+        )
+
+
 def group_walk(partition: Partition, grouping: Partition) -> Partition:
     """The walk through the groups: element i carries the group of its block.
 
@@ -55,11 +65,7 @@ def group_walk(partition: Partition, grouping: Partition) -> Partition:
     numbered by first use along the walk and groups by first use along the
     blocks, so the labels are already a restricted-growth string.
     """
-    if grouping.p != partition.k:
-        raise ValueError(
-            f"grouping must partition {{1,...,{partition.k}}}, got one of "
-            f"{grouping.p} elements"
-        )
+    _check_grouping(partition, grouping)
     return Partition(tuple(grouping.omega[b - 1] for b in partition.omega))
 
 
@@ -73,81 +79,28 @@ def difference_matrix(walk: Partition) -> np.ndarray:
     return mat
 
 
-def spanning_tree(edges: Sequence[Edge], k: int) -> tuple[int, ...]:
-    """Indices of a spanning forest of ``edges`` on the nodes 0..k-1.
-
-    Edges are kept greedily in the order given (union-find), so for an
-    incidence matrix these are its first linearly independent columns.
-    Loops are never kept.
-    """
-    root = list(range(k))
-
-    def find(node: int) -> int:
-        while root[node] != node:
-            root[node] = root[root[node]]
-            node = root[node]
-        return node
-
-    kept = []
-    for index, (a, b) in enumerate(edges):
-        top_a, top_b = find(a), find(b)
-        if top_a != top_b:
-            root[top_a] = top_b
-            kept.append(index)
-    return tuple(kept)
-
-
-def tree_flows(
-    edges: Sequence[Edge], tree: Sequence[int], vector: Sequence[int]
-) -> tuple[int, ...]:
-    """Coefficients t, one per tree edge, with sum_e t_e (e_b - e_a) = vector.
-
-    ``tree`` indexes a spanning tree of the edges (a, b) on the
-    len(vector) nodes and ``vector`` sums to zero.  Cutting a tree edge
-    splits the nodes in two; the edge carries the total of ``vector`` over
-    the part it points into.
-    """
-    links: list[list[tuple[int, int, int]]] = [[] for _ in vector]
-    for slot, index in enumerate(tree):
-        a, b = edges[index]
-        links[a].append((b, slot, 1))
-        links[b].append((a, slot, -1))
-    parent: dict[int, tuple[int, int, int]] = {}
-    order = [0]
-    for node in order:
-        for there, slot, sign in links[node]:
-            if there != 0 and there not in parent:
-                parent[there] = (node, slot, sign)
-                order.append(there)
-    below = list(vector)
-    flows = [0] * len(tree)
-    for child in reversed(order[1:]):
-        up, slot, sign = parent[child]
-        flows[slot] = sign * below[child]
-        below[up] += below[child]
-    return tuple(flows)
-
-
 def constraint_system(walk: Partition) -> np.ndarray:
     """Integer basis B of the zero set of ``difference_matrix(walk)``,
     y = B @ x.
 
-    B is p x (p - h + 1) for a walk through h labels.  The tree is the
-    first columns that raise the rank, kept greedily; each other column
-    gets a basis column with a unit on itself and its fundamental cycle's
-    tree flows.
+    B is p x (p - h + 1) for a walk through h labels.  The tree is the walk's
+    discovery tree, rooted at the last position's label: the edges that
+    first reach each other label, which are the first columns that raise
+    the rank.  Each other column gets a basis column with a unit on itself
+    and its fundamental cycle's flows on the tree, found leaves first: in
+    reverse discovery order, the tree edge into label b carries minus the
+    imbalance left on b's subtree, which then passes to b's parent.
     """
-    edges = walk_edges(walk)
-    tree = spanning_tree(edges, walk.k)
+    edges, omega = walk_edges(walk), walk.omega
+    tree = [omega.index(label) for label in range(1, walk.k + 1) if label != omega[-1]]
     free = [c for c in range(walk.p) if c not in tree]
     basis = np.zeros((walk.p, len(free)), dtype=np.int64)
-    for j, c in enumerate(free):
-        a, b = edges[c]
-        closing = [0] * walk.k  # minus the free column e_b - e_a
-        closing[a] += 1
-        closing[b] -= 1
-        basis[c, j] = 1
-        basis[tree, j] = tree_flows(edges, tree, closing)
+    basis[free, range(len(free))] = 1
+    unbalanced = difference_matrix(walk)[:, free]
+    for i in reversed(tree):
+        a, b = edges[i]
+        basis[i] = -unbalanced[b]
+        unbalanced[a] += unbalanced[b]
     return basis
 
 
@@ -199,7 +152,9 @@ def class_representative(
     reaches a pair whose class ``known`` holds; a group of two or more
     blocks loses none, so a characteristic-function pair keeps fewer
     groups than blocks.  A walk with no block left is the one-block pair.
+    ``grouping`` must partition the blocks, as in ``group_walk``.
     """
+    _check_grouping(partition, grouping)
     walk, grouping, known = partition.omega, grouping.omega, known or {}
     while walk:
         if (walk, grouping) in known:

@@ -116,17 +116,17 @@ def delta_volume(partition: Partition) -> IntegralValue:
     """Normalized volume of the fully pinned zero set of a walk, read
     exactly off the walk's ``_walk_cells``.
 
-    One group leaves the whole cube, of volume 1.  Otherwise the cells are
-    the cones from the origin over half the boundary of
-    P = {x : |B @ x| <= 1/2}, and the cones and their mirrors tile P.  Each
+    One group leaves the whole cube, of volume 1, and builds no cells.
+    Otherwise the cells are the cones from the origin over half the boundary
+    of P = {x : |B @ x| <= 1/2}, and the cones and their mirrors tile P.  Each
     cone's doubled vertex rows 2V are integers, so |det 2V| = 2^n |det V| is
     an integer and vol P = 2 sum |det 2V| / (2^n n!), n = B.shape[1]
     (De Loera, Rambau and Santos, Triangulations, 2010, 4.3).
     """
-    basis, _, volumes, _, method = _walk_cells(partition)
-    if method == "gauss_cube":
+    if partition.k == 1:
         volume = Fraction(1)
     else:
+        basis, _, volumes, _, _ = _walk_cells(partition)
         n = basis.shape[1]
         dets = volumes * 2.0**n
         whole = np.round(dets)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from jittervan import verify
 from jittervan.constraints import (
+    class_representative,
     constraint_system,
     difference_matrix,
     group_walk,
@@ -170,6 +171,17 @@ class TestConstraintSystem:
         for w, g in all_pairs(6):
             self.check_basis(w, g)
 
+    def test_jacobian_is_the_spanning_tree_count_to_order_seven(self):
+        # det(B^T B) is the squared volume of the cycle lattice's cell, the
+        # graph's spanning-tree count: det of the reduced Laplacian R R^T
+        # (Kirchhoff), and 1 for one label
+        walks = [w for p in range(1, 8) for w in enumerate_partitions(p)]
+        assert len(walks) == 1155
+        for w in walks:
+            basis, rows = constraint_system(w), difference_matrix(w)
+            trees = round(np.linalg.det((rows @ rows.T)[1:, 1:]))
+            assert round(np.linalg.det(basis.T @ basis)) == trees, w.omega
+
     def test_random_pairs_past_the_enumeration_cap(self):
         rng = np.random.default_rng(0)
         for _ in range(1000):
@@ -184,6 +196,21 @@ class TestConstraintSystem:
         with pytest.raises(ValueError, match="grouping must partition"):
             pair = Partition((1, 2)), Partition((1, 2, 2))
             finite_grid_term(*pair, 2, 0.5, 1, point_mass_half())
+
+    @pytest.mark.parametrize(
+        "fine, coarse",
+        [
+            ((1, 2, 3), (1, 2, 2, 1)),  # longer than the block count
+            ((1, 2), (1, 2, 3)),
+            ((1, 2, 1, 2), (1,)),  # shorter than the block count
+            ((1, 2, 3, 1), (1, 2)),
+        ],
+    )
+    def test_class_representative_refuses_a_grouping_of_other_size(
+        self, fine, coarse
+    ):
+        with pytest.raises(ValueError, match="grouping must partition"):
+            class_representative(Partition(fine), Partition(coarse))
 
 
 class TestIntegerKernel:

@@ -231,6 +231,13 @@ class TestDeltaVolume:
     def test_single_block_is_one(self, p):
         assert delta_volume(Partition((1,) * p)).exact == 1
 
+    def test_one_label_builds_no_cells(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(integrate_module, "_walk_cells", lambda w: calls.append(w))
+        for p in (1, 2, 3):
+            assert delta_volume(Partition((1,) * p)).exact == 1
+        assert calls == []
+
     def test_alternating_four(self):
         oracle = sum_of_uniforms_density_at_zero(4)
         assert oracle == Fraction(2, 3)
@@ -815,9 +822,9 @@ class TestWalkCells:
         integrate_module._walk_cells.cache_clear()
         for p in range(1, 6):
             moment(p, 0.55, 2, uniform01())
-        # the one-block walk is built for its pinned volume alone
+        # the one-block walk's pinned volume builds no geometry
         built = [walk for (walk,) in calls["constraint_system"]]
-        assert sorted(built, key=str) == sorted(walks | {Partition((1,))}, key=str)
+        assert sorted(built, key=str) == sorted(walks, key=str)
         assert Counter(calls["group_walk"]) == Counter(list(classes))
         # a warm replay calls neither; another (beta, d) composes only the
         # pinned classes' walks, for their volumes

@@ -342,8 +342,9 @@ class TestMoment:
 
     def test_pinned_pairs_take_one_volume_per_class(self, monkeypatch):
         # the 75 pinned pairs of p <= 5 fold to the classes of volume 1 and
-        # 2/3; a cold pass builds the 9 cf walks and the one-block walk, and
-        # (1, 2, 1, 2) reads its volume off the cells of its cf walk
+        # 2/3; a cold pass builds the 9 cf walks alone: the one-block walk
+        # builds no cells, and (1, 2, 1, 2) reads its volume off the cells
+        # of its cf walk
         calls = []
         delta_volume = integrate_module.delta_volume
         monkeypatch.setattr(
@@ -355,13 +356,14 @@ class TestMoment:
         integrate_module._walk_cells.cache_clear()
         cold = [moment(p, 0.55, 2, uniform01()) for p in range(1, 6)]
         assert calls == [Partition((1,)), Partition((1, 2, 1, 2))]
-        assert integrate_module._walk_cells.cache_info().misses == 10
+        assert integrate_module._walk_cells.cache_info().misses == 9
         assert [moment(p, 0.55, 2, uniform01()) for p in range(1, 6)] == cold
         assert len(calls) == 2
 
     def test_pinned_volumes_are_computed_once_per_walk(self):
         # a pinned class misses the term memo once per (beta, d, law), and
-        # every miss after the first reads the walk's memoised cells
+        # every miss after the first reads the walk's memoised cells; the
+        # one-block walk reads none
         walk_cells = integrate_module._walk_cells
         clear_term_cache()
         integrate_module._pair_setup.cache_clear()
@@ -369,12 +371,12 @@ class TestMoment:
         for p in range(1, 6):
             moment(p, 0.55, 2, uniform01())
         cold = walk_cells.cache_info()
-        assert cold.misses == 10
+        assert cold.misses == 9
         for p in range(1, 6):
             moment(p, 0.6, 1, uniform01())
         warm = walk_cells.cache_info()
         assert warm.misses == cold.misses
-        assert warm.hits == cold.hits + 2
+        assert warm.hits == cold.hits + 1
 
     def test_forms_fold_once_per_pair(self, monkeypatch):
         # the benchmark's analytic sweep: its 8 classes at 4 dimensions each
