@@ -14,11 +14,13 @@ mirror is a fixed unitary change of basis Q that turns G into the real
 matrix R = Q^H G of cosine, sine and constant rows.  ``simulate`` gathers
 beta R R^T, which has the spectrum of T, from the real and imaginary parts
 of the lag sums and solves it with a real symmetric eigensolve; no trial
-forms an n_rows x n_cols matrix.  The gather writes beta R R^T in blocks
-of rows and LAPACK's dsyevd overwrites that matrix in place, so a trial
-holds about n_rows^2 doubles (12 MB at n_rows = 1225) and no other
-n_rows x n_rows array.  The complex ``sampling_matrix`` and
-``gram_matrix`` stay for the estimator demo and the matrix-power oracle.
+forms an n_rows x n_cols matrix.  The gather writes only the upper
+triangle that LAPACK's dsyevd reads and overwrites in place, into a buffer
+each running trial reuses, so a trial keeps about 0.9 n_rows^2 doubles
+resident (10.4 MB at n_rows = 1225) where transparent huge pages are not
+``always``, and no other n_rows x n_rows array.  The complex
+``sampling_matrix`` and ``gram_matrix`` stay for the estimator demo and
+the matrix-power oracle.
 """
 
 from __future__ import annotations
@@ -178,20 +180,25 @@ def lag_sums(M: int, positions: np.ndarray) -> np.ndarray:
 
 
 def real_gram_matrix(config: EnsembleConfig, positions: np.ndarray) -> np.ndarray:
-    """beta R R^T, the real form of T = beta G G^H, gathered from lag sums.
+    """The upper triangle of beta R R^T, the real form of T = beta G G^H,
+    gathered from lag sums; the strictly lower one is left unset.
 
     With h = n_rows // 2 and f_i the frequency of storage row h + 1 + i, R
     holds sqrt(2/n) cos(2 pi f_i.x) in rows 0..h-1, sqrt(2/n) sin(2 pi f_i.x)
     in rows h..2h-1 and 1/sqrt(n) in the last row.  With C and S the real
-    and imaginary parts of ``lag_sums``, the blocks of beta R R^T are, times
-    beta / n, C(f_i - f_j) +- C(f_i + f_j) (cos-cos, sin-sin),
+    and imaginary parts of ``lag_sums`` times beta / n, the blocks of
+    beta R R^T are C(f_i - f_j) +- C(f_i + f_j) (cos-cos, sin-sin),
     S(f_i + f_j) - S(f_i - f_j) (cos-sin), sqrt(2) C(f_i) and sqrt(2) S(f_i)
-    (against the constant row) and r (the corner).  C is made exactly even
-    and S exactly odd, so the result is exactly symmetric.  The flat lag
+    (against the constant row) and beta r / n (the corner).  The flat lag
     index is affine in the lag, so the index of f_i +- f_j is s_i +- s_j
-    plus that of the zero lag.  The cosine and sine rows are gathered
-    straight into T in blocks of about LAG_ENTRIES entries.
+    plus that of the zero lag.  Rows are gathered straight into T in blocks
+    of about LAG_ENTRIES entries.
     """
+    return _gather_upper(config, positions, np.empty((config.n_rows, config.n_rows)))
+
+
+def _gather_upper(config: EnsembleConfig, positions: np.ndarray, T: np.ndarray):
+    """``real_gram_matrix`` written into T, which it returns."""
     _check_build(config, positions)
     M, d = config.M, config.d
     L = 4 * M + 1
@@ -200,29 +207,25 @@ def real_gram_matrix(config: EnsembleConfig, positions: np.ndarray) -> np.ndarra
     freq = frequency_vectors(M, d)[h + 1 :]
     s = freq @ L ** np.arange(d - 1, -1, -1)
     c = lag_sums(M, positions)
-    C = (c.real + c.real[::-1]) / 2
-    S = (c.imag - c.imag[::-1]) / 2
-    T = np.empty((config.n_rows, config.n_rows))
+    scale = config.beta / config.n_rows
+    C = (c.real + c.real[::-1]) * (scale / 2)
+    S = (c.imag - c.imag[::-1]) * (scale / 2)
+    single = s + zero
     rows = max(1, LAG_ENTRIES // h)
     for a in range(0, h, rows):
         b = min(a + rows, h)
-        diff, total = s[a:b, None] - s + zero, s[a:b, None] + s + zero
-        # the indices lie in range by construction; mode="clip" skips the
-        # bounds check and the copy of ``out`` that it makes.  The sine
-        # gathers reuse the cosine buffers.
-        C_diff = C.take(diff, mode="clip")
-        C_total = C.take(total, mode="clip")
-        np.add(C_diff, C_total, out=T[a:b, :h])
-        np.subtract(C_diff, C_total, out=T[h + a : h + b, h:-1])
-        S_total = S.take(total, out=C_total, mode="clip")
-        S_diff = S.take(diff, out=C_diff, mode="clip")
+        diff, total = single[a:b, None] - s, single[a:b, None] + s
+        # the indices lie in range; mode="clip" skips the bounds check
+        S_total = S.take(total, mode="clip")
+        S_diff = S.take(diff, mode="clip")
         np.subtract(S_total, S_diff, out=T[a:b, h:-1])
-    T[h:-1, :h] = T[:h, h:-1].T
-    single = s + zero
-    T[:h, -1] = T[-1, :h] = np.sqrt(2) * C[single]
-    T[h:-1, -1] = T[-1, h:-1] = np.sqrt(2) * S[single]
-    T[-1, -1] = config.n_cols
-    T *= config.beta / config.n_rows
+        C_diff = C.take(diff[:, a:], mode="clip")
+        C_total = C.take(total[:, a:], mode="clip")
+        np.add(C_diff, C_total, out=T[a:b, a:h])
+        np.subtract(C_diff, C_total, out=T[h + a : h + b, h + a : -1])
+    T[:h, -1] = np.sqrt(2) * C[single]
+    T[h:-1, -1] = np.sqrt(2) * S[single]
+    T[-1, -1] = config.n_cols * scale
     return T
 
 
@@ -274,14 +277,15 @@ def _lapacke_dsyevd():
 
 
 def _spectrum_in_place(T: np.ndarray) -> np.ndarray:
-    """``spectrum`` of a real symmetric matrix that it may overwrite.
+    """``spectrum`` of the symmetric matrix whose upper triangle T holds,
+    which it may overwrite.
 
-    LAPACK reads T column-major; T is exactly symmetric, so that reading
-    is T itself.  Without the LAPACKE routine this is ``spectrum(T)``.
+    LAPACK reads T column-major, as T^T, and its lower triangle.  Without
+    the LAPACKE routine this is ``spectrum(T.T)``, which reads the same.
     """
     dsyevd = _lapacke_dsyevd()
     if dsyevd is None:
-        return spectrum(T)
+        return spectrum(T.T)
     n = len(T)
     # carray: C-contiguous, aligned and writeable
     if T.dtype != np.float64 or T.shape != (n, n) or not T.flags.carray:
@@ -318,8 +322,9 @@ def simulate(
 ) -> SpectrumSample:
     """Draw positions, gather the real Gram matrix and solve, trial by trial.
 
-    Each trial's eigensolve overwrites its Gram matrix, so a trial holds
-    about n_rows^2 doubles (12 MB at n_rows = 1225).
+    Each running trial gathers into its own buffer, reused by later ones,
+    and keeps about 0.9 n_rows^2 doubles resident (10.4 MB at n_rows = 1225)
+    unless transparent huge pages are ``always``.
 
     Trial t draws from child t of ``np.random.SeedSequence(seed)``, so runs
     are reproducible and trials can be distributed across workers without
@@ -340,10 +345,20 @@ def simulate(
     else:
         seed = _check_integer(seed, "seed", low=0)
     check_cell_budget(config)
+    import mmap
+
+    n, spare = config.n_rows, []
 
     def one(stream: np.random.SeedSequence) -> np.ndarray:
         positions = sample_positions(config, stream)
-        return _spectrum_in_place(real_gram_matrix(config, positions))
+        try:
+            T = spare.pop()
+        except IndexError:
+            # NumPy advises only the arrays it allocates into huge pages
+            T = np.frombuffer(mmap.mmap(-1, 8 * n * n)).reshape(n, n)
+        eigs = _spectrum_in_place(_gather_upper(config, positions, T))
+        spare.append(T)
+        return eigs
 
     streams = np.random.SeedSequence(seed).spawn(trials)
     eigs = np.stack(ordered_map(one, streams, threads))

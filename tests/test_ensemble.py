@@ -1,5 +1,6 @@
 import concurrent.futures
 import os
+import sys
 import time
 import tracemalloc
 
@@ -69,8 +70,9 @@ def whole_matrix_gram(config, positions):
     s = frequency_vectors(M, d)[h + 1 :] @ L ** np.arange(d - 1, -1, -1)
     diff, total, single = s[:, None] - s + zero, s[:, None] + s + zero, s + zero
     c = lag_sums(M, positions)
-    C = (c.real + c.real[::-1]) / 2
-    S = (c.imag - c.imag[::-1]) / 2
+    scale = config.beta / config.n_rows
+    C = (c.real + c.real[::-1]) * (scale / 2)
+    S = (c.imag - c.imag[::-1]) * (scale / 2)
     T = np.empty((config.n_rows, config.n_rows))
     T[:h, :h] = C[diff] + C[total]
     T[h:-1, h:-1] = C[diff] - C[total]
@@ -78,9 +80,51 @@ def whole_matrix_gram(config, positions):
     T[h:-1, :h] = T[:h, h:-1].T
     T[:h, -1] = T[-1, :h] = np.sqrt(2) * C[single]
     T[h:-1, -1] = T[-1, h:-1] = np.sqrt(2) * S[single]
-    T[-1, -1] = config.n_cols
-    T *= config.beta / config.n_rows
+    T[-1, -1] = config.n_cols * scale
     return T
+
+
+def upper(T):
+    """The upper triangle of T, diagonal included: what the gather writes."""
+    return T[np.triu_indices(len(T))]
+
+
+def huge_pages_always():
+    """Whether the kernel backs every anonymous mapping with huge pages."""
+    try:
+        with open("/sys/kernel/mm/transparent_hugepage/enabled") as handle:
+            return "[always]" in handle.read()
+    except OSError:
+        return False
+
+
+def trial_growth(*trial_counts):
+    """VmHWM growth in a fresh process after simulate runs each count of
+    trials in turn at the criterion-9 shape d = 1, and T.nbytes there.
+    The child reads its own VmHWM, since ru_maxrss keeps this process's
+    larger peak through the exec."""
+    return fresh_python(
+        f"""
+import json
+import numpy.random
+from jittervan.ensemble import EnsembleConfig, resolve_shape, simulate
+from jittervan.jitter import uniform01
+
+def peak():
+    with open("/proc/self/status") as status:
+        line = next(line for line in status if line.startswith("VmHWM:"))
+    return int(line.split()[1]) * 1024
+
+simulate(EnsembleConfig(d=1, M=3, rho=10, dist=uniform01()), 1, 0)
+M, rho, _ = resolve_shape(0.729, 1, 1225)
+config = EnsembleConfig(d=1, M=M, rho=rho, dist=uniform01())
+before, grown = peak(), []
+for trials in {list(trial_counts)}:
+    simulate(config, trials, 0)
+    grown.append(peak() - before)
+print(json.dumps([grown, config.n_rows**2 * 8]))
+"""
+    )
 
 
 def looped_half_bandwidth(d, size_budget):
@@ -261,6 +305,20 @@ class TestSimulate:
         parallel = simulate(config, 4, 2, threads=3)
         assert np.array_equal(serial.eigenvalues, parallel.eigenvalues)
 
+    def test_no_two_running_trials_share_a_buffer(self, monkeypatch):
+        # more workers than cores, switching threads every microsecond: a
+        # buffer that two running trials shared would garble a spectrum
+        monkeypatch.setattr(parallel_module, "_usable_cpus", lambda: 6)
+        config = EnsembleConfig(d=1, M=40, rho=100, dist=uniform01())
+        serial = simulate(config, 24, 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            parallel = simulate(config, 24, 3, threads=6)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(serial.eigenvalues, parallel.eigenvalues)
+
     def test_histogram_normalized(self):
         config = EnsembleConfig(d=1, M=10, rho=25, dist=uniform01())
         sample = simulate(config, 4, 3)
@@ -439,8 +497,7 @@ class TestLagSums:
         positions = sample_positions(config, 21)
         T = real_gram_matrix(config, positions)
         R = real_sampling_matrix(config, positions)
-        assert np.abs(T - config.beta * (R @ R.T)).max() < 1e-12
-        assert np.array_equal(T, T.T)
+        assert np.abs(upper(T) - upper(config.beta * (R @ R.T))).max() < 1e-12
 
     @pytest.mark.parametrize("d,M,rho", GRAM_SHAPES)
     @pytest.mark.parametrize(
@@ -452,7 +509,7 @@ class TestLagSums:
         config = EnsembleConfig(d=d, M=M, rho=rho, dist=factory())
         positions = sample_positions(config, 21)
         T = real_gram_matrix(config, positions)
-        assert np.array_equal(T, whole_matrix_gram(config, positions))
+        assert np.array_equal(upper(T), upper(whole_matrix_gram(config, positions)))
 
     @pytest.mark.parametrize("d,M,rho", CRITERION_9_SHAPES)
     def test_gather_holds_no_second_matrix(self, d, M, rho):
@@ -493,10 +550,24 @@ class TestInPlaceSolve:
     def test_equals_spectrum_of_a_copy(self, d, M, rho, factory):
         config = EnsembleConfig(d=d, M=M, rho=rho, dist=factory())
         T = real_gram_matrix(config, sample_positions(config, 33))
-        copy = T.copy()
-        expected = spectrum(copy)
-        assert np.array_equal(copy, T)  # spectrum leaves its argument untouched
+        full = np.triu(T) + np.triu(T, 1).T
+        copy = full.copy()
+        expected = spectrum(full)
+        assert np.array_equal(copy, full)  # spectrum leaves its argument untouched
         assert np.array_equal(ensemble_module._spectrum_in_place(T), expected)
+
+    @pytest.mark.parametrize("d,M,rho", GRAM_SHAPES)
+    @pytest.mark.parametrize("lookup", ["lapacke", "fallback"])
+    def test_reads_nothing_below_the_diagonal(self, monkeypatch, d, M, rho, lookup):
+        if lookup == "fallback":
+            monkeypatch.setattr(ensemble_module, "_lapacke_dsyevd", lambda: None)
+        config = EnsembleConfig(d=d, M=M, rho=rho, dist=triangular01())
+        positions = sample_positions(config, 35)
+        T = real_gram_matrix(config, positions)
+        T[np.tril_indices(config.n_rows, -1)] = np.nan
+        R = real_sampling_matrix(config, positions)
+        expected = np.linalg.eigvalsh(config.beta * (R @ R.T))
+        assert np.abs(ensemble_module._spectrum_in_place(T) - expected).max() < 1e-12
 
     @pytest.mark.parametrize("d,M,rho", GRAM_SHAPES)
     @pytest.mark.parametrize("factory", [uniform01, triangular01])
@@ -569,30 +640,23 @@ class TestInPlaceSolve:
     )
     def test_trial_holds_one_gram_matrix(self):
         # at the criterion-9 shape d = 1, n = 1225: with eigvalsh, which
-        # copies T, the peak grew by about 2 T.nbytes.  The child reads its
-        # own VmHWM, since ru_maxrss keeps this process's larger peak
-        # through the exec.
-        grown, nbytes = fresh_python(
-            """
-import json
-import numpy.random
-from jittervan.ensemble import EnsembleConfig, resolve_shape, simulate
-from jittervan.jitter import uniform01
-
-def peak():
-    with open("/proc/self/status") as status:
-        line = next(line for line in status if line.startswith("VmHWM:"))
-    return int(line.split()[1]) * 1024
-
-simulate(EnsembleConfig(d=1, M=3, rho=10, dist=uniform01()), 1, 0)
-M, rho, _ = resolve_shape(0.729, 1, 1225)
-config = EnsembleConfig(d=1, M=M, rho=rho, dist=uniform01())
-before = peak()
-simulate(config, 1, 0)
-print(json.dumps([peak() - before, config.n_rows**2 * 8]))
-"""
-        )
+        # copies T, the peak grew by about 2 T.nbytes
+        (grown,), nbytes = trial_growth(1)
         assert grown <= 1.5 * nbytes, (grown, nbytes)
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM"
+    )
+    @pytest.mark.skipif(
+        huge_pages_always(), reason="every mapping faults in whole huge pages"
+    )
+    def test_trials_map_only_the_upper_triangle(self):
+        # the pages that hold only entries below the diagonal are never
+        # touched, and the three trials reuse one buffer: both read about
+        # 0.89 T.nbytes, where a whole matrix, or a buffer advised into
+        # huge pages, reads about 1.07
+        grown, nbytes = trial_growth(1, 3)
+        assert max(grown) <= 0.95 * nbytes, (grown, nbytes)
 
 
 class TestResolveShape:

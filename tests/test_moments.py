@@ -596,6 +596,19 @@ class TestMarchenkoPastur:
         for p in range(1, 61):
             assert _narayana_row(p) == [narayana(p, k) for k in range(1, p + 1)], p
 
+    def test_unit_class_weights_are_the_narayana_row(self):
+        # the one-block class, of factor 1 at every d, carries the limit:
+        # its members' weights u, summed by the power p - h of beta, are the
+        # Narayana numbers, so every other class's factor^d -> 0 leaves MP
+        for p in range(1, 7):
+            rows, classes = _pair_classes(p)
+            unit = classes.index((Partition((1,)), Partition((1,))))
+            weights = [0] * p
+            for _, grouping, u, index in rows:
+                if index == unit:
+                    weights[p - grouping.k] += u
+            assert weights == _narayana_row(p), p
+
     @pytest.mark.parametrize(
         "p,beta,expected",
         [(1, 0.3, 1.0), (2, 0.55, 1.55), (3, 0.5, 2.75)],
