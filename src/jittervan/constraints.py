@@ -143,47 +143,44 @@ def _turns(
 
 
 def class_representative(
-    partition: Partition, grouping: Partition, known: dict | None = None
+    partition: Partition, grouping: Partition
 ) -> tuple[Partition, Partition]:
-    """The pair integrated for a (fine, coarse) pair's class.
-
-    On label tuples, the walk drops its loops, and every block met once and
-    alone in its group goes with its group, until neither applies or it
-    reaches a pair whose class ``known`` holds; a group of two or more
-    blocks loses none, so a characteristic-function pair keeps fewer
-    groups than blocks.  A walk with no block left is the one-block pair.
-    ``grouping`` must partition the blocks, as in ``group_walk``.
-    """
+    """The pair integrated for a (fine, coarse) pair's class, memoised on
+    label tuples by ``_class_of``.  ``grouping`` must partition the blocks,
+    as in ``group_walk``."""
     _check_grouping(partition, grouping)
-    walk, grouping, known = partition.omega, grouping.omega, known or {}
-    while walk:
-        if (walk, grouping) in known:
-            return known[walk, grouping]
-        i = _loop(walk)
-        if i is None:
-            lone = [
-                i
-                for i, b in enumerate(walk)
-                if walk.count(b) == 1 and grouping.count(grouping[b - 1]) == 1
-            ]
-            if not lone:
-                return _reduced_class(walk, grouping)
-            i = lone[0]
-            grouping = _drop(grouping, walk[i] - 1)
-        walk = _drop(walk, i)
-    return Partition((1,)), Partition((1,))
+    return _class_of(partition.omega, grouping.omega)
 
 
 @lru_cache(maxsize=None)
-def _reduced_class(
+def _class_of(
     walk: tuple[int, ...], grouping: tuple[int, ...]
 ) -> tuple[Partition, Partition]:
-    """The class of a reduced pair: that of the least of its rotations and
+    """The class of a pair of label tuples.  The walk drops a loop, or else
+    the first block met once and alone in its group goes with its group,
+    and the smaller pair's class is read, so a pair one move from any pair
+    already keyed reads the memo.  A group of two or more blocks loses
+    none, so a characteristic-function pair keeps fewer groups than
+    blocks, and a walk with no block left is the one-block pair.  A
+    reduced pair takes the class of the least of its rotations and
     reversals, which alone is keyed by ``_least_labelling``."""
-    turn = min(_turns(walk, grouping))
-    if turn != (walk, grouping):
-        return _reduced_class(*turn)
-    return _least_labelling(walk, grouping)
+    if not walk:
+        return Partition((1,)), Partition((1,))
+    i = _loop(walk)
+    if i is None:
+        lone = [
+            i
+            for i, b in enumerate(walk)
+            if walk.count(b) == 1 and grouping.count(grouping[b - 1]) == 1
+        ]
+        if not lone:
+            turn = min(_turns(walk, grouping))
+            if turn != (walk, grouping):
+                return _class_of(*turn)
+            return _least_labelling(walk, grouping)
+        i = lone[0]
+        grouping = _drop(grouping, walk[i] - 1)
+    return _class_of(_drop(walk, i), grouping)
 
 
 def _least_labelling(

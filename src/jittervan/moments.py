@@ -33,10 +33,10 @@ Rotations and reversals of the trace indices, the dihedral symmetry of
 the trace, are among these moves.
 
 The per-order table of pairs holds each pair's class, from
-``constraints.class_representative`` on the pair's label tuples: a pair
-one move from order p - 1 reads its class from that order's table, and a
-reduced pair is read at the least of its rotations and reversals, so the
-least labelling is searched once per such orbit.  Each class value,
+``constraints.class_representative``: one memo on label tuples, where a
+pair one move from any pair already keyed reads its class, and a reduced
+pair is read at the least of its rotations and reversals, so the least
+labelling is searched once per such orbit.  Each class value,
 exact pinned volumes included, is memoised on (class, beta, d, law).
 
 Each integral's error is the deterministic difference between two
@@ -134,33 +134,22 @@ clear_term_cache = _evaluate_pair.cache_clear
 
 
 @lru_cache(maxsize=None)
-def _groupings(k: int) -> tuple[tuple[Partition, int], ...]:
-    """The groupings of k blocks in enumeration order, with their signed
-    weights."""
-    return tuple(
-        (grouping, mobius_coefficient(grouping))
-        for h in range(1, k + 1)
-        for grouping in enumerate_partitions_k(k, h)
-    )
-
-
-@lru_cache(maxsize=None)
 def _pair_classes(p: int) -> tuple[tuple, tuple]:
     """Every (fine, coarse) pair of order p with its signed weight and the
     index of its class representative.  Returns the rows in enumeration
-    order and the representatives in order of first member.  A pair one
-    move from order p - 1 reads its class from that order's table.
-    Memoised on p, as rebuilding costs more than a warm replay."""
-    lower = {}
-    if p > 1:
-        below, reps = _pair_classes(p - 1)
-        lower = {(f.omega, c.omega): reps[i] for f, c, _, i in below}
+    order and the representatives in order of first member.  Memoised on
+    p, as rebuilding costs more than a warm replay."""
     rows = []
     classes: dict[tuple[Partition, Partition], int] = {}
     for k in range(1, p + 1):
+        groupings = [
+            (grouping, mobius_coefficient(grouping))
+            for h in range(1, k + 1)
+            for grouping in enumerate_partitions_k(k, h)
+        ]
         for omega in enumerate_partitions_k(p, k):
-            for grouping, u in _groupings(k):
-                rep = class_representative(omega, grouping, lower)
+            for grouping, u in groupings:
+                rep = class_representative(omega, grouping)
                 rows.append((omega, grouping, u, classes.setdefault(rep, len(classes))))
     return tuple(rows), tuple(classes)
 
@@ -289,10 +278,20 @@ def convergence_report(
     d_list,
     dist: JitterDistribution,
 ) -> list[ConvergenceRow]:
-    """Moments against the Marchenko-Pastur limit along a dimension list."""
+    """Moments against the Marchenko-Pastur limit along a dimension list.
+    ``gap``, |value - limit|, sums the terms off the one-block class, which
+    carries the limit exactly, so it does not cancel to rounding at large d.
+    Before any moment it refuses, with ``ValueError``, what ``mp_moment``
+    refuses, a ``dist`` that is no ``JitterDistribution``, a dimension that
+    is no integer >= 1 and an empty ``d_list``."""
     limit = mp_moment(p, beta)
+    _check_law(dist)
+    dims = [_check_integer(d, "dimension") for d in d_list]
+    if not dims:
+        raise ValueError("need at least one dimension")
     rows = []
-    for d in d_list:
+    for d in dims:
         result = moment(p, beta, d, dist)
-        rows.append(ConvergenceRow(result.d, result, limit, abs(result.value - limit)))
+        gap = abs(math.fsum(t.contribution for t in result.terms if t.v.exact != 1))
+        rows.append(ConvergenceRow(result.d, result, limit, gap))
     return rows

@@ -371,16 +371,15 @@ SUITES: dict[str, Callable[[int], list[Check]]] = {
 
 
 def run_suites(names, seed: int = 0) -> list[Check]:
-    """Run the named suites in turn; ``names`` is a sequence of suite names,
-    and ``seed`` (an integer >= 0) seeds every drawing check."""
+    """Run the named suites in turn, each name looked up before any runs;
+    ``names`` is a sequence of suite names, and ``seed`` (an integer >= 0)
+    seeds every drawing check."""
     if isinstance(names, str):
         raise ValueError(f"suite names must be a sequence, got the string {names!r}")
     seed = _check_integer(seed, "seed", low=0)
-    checks: list[Check] = []
+    suites = []
     for name in names:
-        try:
-            suite = SUITES[name]
-        except KeyError:
+        if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-        checks.extend(suite(seed))
-    return checks
+        suites.append(SUITES[name])
+    return [check for suite in suites for check in suite(seed)]

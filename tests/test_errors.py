@@ -176,6 +176,31 @@ REFUSALS = [
         "dimension",
     ),
     (
+        "convergence_report_empty",
+        lambda: convergence_report(2, 0.55, [], tripped_law()),
+        "at least one dimension",
+    ),
+    (
+        "convergence_report_empty_array",
+        lambda: convergence_report(2, 0.55, np.array([], dtype=int), tripped_law()),
+        "at least one dimension",
+    ),
+    (
+        "convergence_report_zero_d",
+        lambda: convergence_report(2, 0.55, [1, 2, 0], tripped_law()),
+        "dimension",
+    ),
+    (
+        "convergence_report_float_d",
+        lambda: convergence_report(2, 0.55, [1, 2.5], tripped_law()),
+        "dimension",
+    ),
+    (
+        "convergence_report_law",
+        lambda: convergence_report(2, 0.55, [], uniform01().cf),
+        "jitter law",
+    ),
+    (
         "mse_curve_d",
         lambda: mse_curve(0.5, [1, 2.5], [0.0], tripped_law(), trials=2),
         "dimension",
@@ -317,6 +342,12 @@ def test_unknown_suite_names_the_choices(tripwires):
     with pytest.raises(ValueError, match="unknown suite 'nope'") as info:
         run_suites(["nope"])
     assert str(sorted(SUITES)) in str(info.value)
+
+
+def test_unknown_suite_refused_before_any_suite_runs(tripwires):
+    # the partitions suite, named first, would trip the enumeration
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        run_suites(["partitions", "nope"])
 
 
 #: (id, function, arguments) with every count a Python int and every aspect

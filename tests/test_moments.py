@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import tplquad
 
+import jittervan.constraints as constraints_module
 import jittervan.integrate as integrate_module
 from jittervan import verify
 from jittervan.constraints import class_representative, walk_edges
@@ -531,6 +532,26 @@ class TestClassKey:
         # by up to the cubature error
         assert _pair_classes(p) == reference_pair_classes(p)
 
+    def test_one_memo_keys_every_order(self, monkeypatch):
+        # the p = 5 table builds no lower order's table, and the pairs one
+        # move below it key the least labellings of p <= 4 on the way: the
+        # 18 searches of p <= 5, which the lower tables then read
+        searches = []
+        least_labelling = constraints_module._least_labelling
+        monkeypatch.setattr(
+            constraints_module,
+            "_least_labelling",
+            lambda *pair: searches.append(pair) or least_labelling(*pair),
+        )
+        _pair_classes.cache_clear()
+        constraints_module._class_of.cache_clear()
+        _pair_classes(5)
+        assert _pair_classes.cache_info().currsize == 1
+        assert len(searches) == 18
+        for p in range(1, 5):
+            assert _pair_classes(p) == reference_pair_classes(p)
+        assert len(searches) == 18
+
     @pytest.mark.parametrize(
         "p,cf_pair_count,classes,new",
         [
@@ -696,6 +717,19 @@ class TestConvergence:
         # still well above the 5% mark it first crosses around d=6
         relative = rows[-1].gap / rows[-1].mp
         assert relative == pytest.approx(0.0930, abs=0.002)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("factory", [uniform01, triangular01, two_point])
+    def test_gap_decays_at_the_largest_other_factor(self, p, factory):
+        # every class but the one-block class has factor F_c < 1, and as d
+        # grows s = beta^(1/d) -> 1, so the per-step ratio of the gap tends
+        # to the largest F_c(1); a gap read off value - MP would be rounding
+        # at d = 128
+        law = factory()
+        top = max(abs(t.v.value) for t in moment(p, 1.0, 1, law).terms if t.v.exact != 1)
+        for beta in (0.3, 0.55, 0.836):
+            near, far = convergence_report(p, beta, [128, 256], law)
+            assert (far.gap / near.gap) ** (1 / 128) == pytest.approx(top, abs=1e-3), beta
 
     def test_third_moment_gap_decreases(self):
         rows = convergence_report(3, 0.55, [1, 2, 4], uniform01())
