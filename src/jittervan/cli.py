@@ -22,7 +22,7 @@ from .ensemble import (
 )
 from .errors import BudgetError, NumericalError
 from .jitter import JITTER_NAMES, from_name
-from .moments import MOMENT_CAP, moment, mp_moment, mp_support
+from .moments import MOMENT_CAP, _mp_gap, moment, mp_moment, mp_support
 from .mse import mse_curve, snr_grid_db
 from .verify import SUITES, run_suites
 
@@ -134,7 +134,7 @@ def _cmd_moments(args) -> int:
         )
         if args.mp:
             limit = mp_moment(p, args.beta)
-            record.update(mp=limit, gap=abs(res.value - limit))
+            record.update(mp=limit, gap=_mp_gap(res))
             line += f"  mp={limit:.8f}  gap={record['gap']:.3e}"
         results.append(record)
         print(line)

@@ -16,9 +16,9 @@ beta R R^T, which has the spectrum of T, from the real and imaginary parts
 of the lag sums and solves it with a real symmetric eigensolve; no trial
 forms an n_rows x n_cols matrix.  The gather writes only the upper
 triangle that LAPACK's dsyevd reads and overwrites in place, into a buffer
-each running trial reuses, so a trial keeps about 0.9 n_rows^2 doubles
-resident (10.4 MB at n_rows = 1225) where transparent huge pages are not
-``always``, and no other n_rows x n_rows array.  The complex
+each running trial reuses, whose rows each start a page, so a trial keeps
+about 0.73 n_rows^2 doubles resident (8.8 MB at n_rows = 1225), and at
+least a page a row, and no other n_rows x n_rows array.  The complex
 ``sampling_matrix`` and ``gram_matrix`` stay for the estimator demo and
 the matrix-power oracle.
 """
@@ -229,6 +229,30 @@ def _gather_upper(config: EnsembleConfig, positions: np.ndarray, T: np.ndarray):
     return T
 
 
+def _trial_buffer(n: int) -> np.ndarray:
+    """An n x n view for ``_gather_upper`` into an anonymous mapping, in
+    which every row's written run starts a page of its own.
+
+    Rows lie lda = k PAGESIZE/8 - 1 >= n doubles apart, so the diagonal
+    advances k pages a row, and the view begins as many doubles into the
+    mapping as the gather's row blocks write left of the diagonal.  Unlike
+    NumPy's own arrays, the mapping is not advised into huge pages, and it
+    is advised out of them where they are ``always`` on, so its wider span
+    faults in no whole huge page.
+    """
+    import mmap
+
+    step, h = mmap.PAGESIZE // 8, n // 2
+    lda = -(-(n + 1) // step) * step - 1
+    lead = min(max(1, LAG_ENTRIES // h), h) - 1
+    buffer = mmap.mmap(-1, 8 * (lead + n * lda))
+    try:
+        buffer.madvise(mmap.MADV_NOHUGEPAGE)
+    except (AttributeError, OSError):  # no such advice, or no huge pages at all
+        pass
+    return np.frombuffer(buffer, offset=8 * lead, count=n * lda).reshape(n, lda)[:, :n]
+
+
 def gram_matrix(G: np.ndarray, beta: float) -> np.ndarray:
     """Scaled Gram matrix beta * G G^H; the sampling matrix gives unit diagonal."""
     return beta * (G @ G.conj().T)
@@ -280,22 +304,30 @@ def _spectrum_in_place(T: np.ndarray) -> np.ndarray:
     """``spectrum`` of the symmetric matrix whose upper triangle T holds,
     which it may overwrite.
 
-    LAPACK reads T column-major, as T^T, and its lower triangle.  Without
-    the LAPACKE routine this is ``spectrum(T.T)``, which reads the same.
+    LAPACK reads T column-major, as T^T, and its lower triangle, with T's
+    row stride as the leading dimension.  Without the LAPACKE routine this
+    is ``spectrum(T.T)``, which reads the same.
     """
     dsyevd = _lapacke_dsyevd()
     if dsyevd is None:
         return spectrum(T.T)
     n = len(T)
-    # carray: C-contiguous, aligned and writeable
-    if T.dtype != np.float64 or T.shape != (n, n) or not T.flags.carray:
+    if (
+        T.dtype != np.float64
+        or T.shape != (n, n)
+        or not (T.flags.aligned and T.flags.writeable)
+        or T.strides[1] != 8
+        or T.strides[0] < 8 * n
+    ):
         raise ValueError(
-            "in-place eigensolve needs an aligned, writeable, C-contiguous, square "
-            f"float64 matrix, got {T.dtype} of shape {T.shape}"
+            "in-place eigensolve needs an aligned, writeable, square float64 matrix "
+            "whose rows are contiguous and do not overlap, got "
+            f"{T.dtype} of shape {T.shape} and strides {T.strides}"
         )
     eigs = np.empty(n)
     # LAPACK_COL_MAJOR, eigenvalues only, lower triangle
-    info = dsyevd(102, b"N", b"L", n, T.ctypes.data, n, eigs.ctypes.data)
+    lda = T.strides[0] // 8
+    info = dsyevd(102, b"N", b"L", n, T.ctypes.data, lda, eigs.ctypes.data)
     if info != 0:
         raise NumericalError(f"LAPACKE dsyevd failed with info {info}")
     return _checked_spectrum(eigs)
@@ -323,8 +355,8 @@ def simulate(
     """Draw positions, gather the real Gram matrix and solve, trial by trial.
 
     Each running trial gathers into its own buffer, reused by later ones,
-    and keeps about 0.9 n_rows^2 doubles resident (10.4 MB at n_rows = 1225)
-    unless transparent huge pages are ``always``.
+    and keeps about 0.73 n_rows^2 doubles resident (8.8 MB at n_rows = 1225),
+    and at least a page a row.
 
     Trial t draws from child t of ``np.random.SeedSequence(seed)``, so runs
     are reproducible and trials can be distributed across workers without
@@ -345,8 +377,6 @@ def simulate(
     else:
         seed = _check_integer(seed, "seed", low=0)
     check_cell_budget(config)
-    import mmap
-
     n, spare = config.n_rows, []
 
     def one(stream: np.random.SeedSequence) -> np.ndarray:
@@ -354,8 +384,7 @@ def simulate(
         try:
             T = spare.pop()
         except IndexError:
-            # NumPy advises only the arrays it allocates into huge pages
-            T = np.frombuffer(mmap.mmap(-1, 8 * n * n)).reshape(n, n)
+            T = _trial_buffer(n)
         eigs = _spectrum_in_place(_gather_upper(config, positions, T))
         spare.append(T)
         return eigs

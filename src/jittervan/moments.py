@@ -292,6 +292,10 @@ def convergence_report(
     rows = []
     for d in dims:
         result = moment(p, beta, d, dist)
-        gap = abs(math.fsum(t.contribution for t in result.terms if t.v.exact != 1))
-        rows.append(ConvergenceRow(result.d, result, limit, gap))
+        rows.append(ConvergenceRow(result.d, result, limit, _mp_gap(result)))
     return rows
+
+
+def _mp_gap(result: MomentResult) -> float:
+    """|value - MP limit| summed over the terms off the one-block class."""
+    return abs(math.fsum(t.contribution for t in result.terms if t.v.exact != 1))

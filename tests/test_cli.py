@@ -9,8 +9,8 @@ import pytest
 from jittervan import cli
 from jittervan.ensemble import EnsembleConfig, resolve_shape, simulate
 from jittervan.errors import NumericalError
-from jittervan.jitter import from_name
-from jittervan.moments import MOMENT_CAP, mp_moment
+from jittervan.jitter import from_name, uniform01
+from jittervan.moments import MOMENT_CAP, convergence_report, mp_moment
 
 
 def run(args, capsys):
@@ -85,8 +85,24 @@ class TestMoments:
                 continue
             for row, line in zip(results, stdout.splitlines()):
                 assert row["mp"] == mp_moment(row["p"], 0.55)
-                assert row["gap"] == abs(row["value"] - row["mp"])
+                assert abs(row["gap"] - abs(row["value"] - row["mp"])) < 1e-12
                 assert f"mp={row['mp']:.8f}  gap={row['gap']:.3e}" in line
+
+    def test_mp_gap_is_the_convergence_report_gap(self, tmp_path, capsys):
+        # at d = 128 |value - mp| cancels to 0; the summed gap does not
+        out = tmp_path / "m.json"
+        code, stdout, _ = run(
+            [
+                "moments", "--p-max", "2", "--beta", "0.55", "--d", "128",
+                "--jitter", "uniform", "--mp", "--out", str(out),
+            ],
+            capsys,
+        )
+        assert code == 0
+        (row,) = convergence_report(2, 0.55, [128], uniform01())
+        gap = json.loads(out.read_text())["results"][1]["gap"]
+        assert gap == row.gap and 2.8e-24 < gap < 2.9e-24
+        assert f"gap={row.gap:.3e}" in stdout.splitlines()[1]
 
     def test_reproducible_output(self, tmp_path, capsys):
         digests = []

@@ -1,4 +1,6 @@
 import concurrent.futures
+import functools
+import mmap
 import os
 import sys
 import time
@@ -98,11 +100,13 @@ def huge_pages_always():
         return False
 
 
+@functools.lru_cache(maxsize=None)
 def trial_growth(d, *trial_counts):
     """VmHWM growth in a fresh process after simulate runs each count of
     trials in turn at the criterion-9 shape of dimension d, and T.nbytes
     there.  The child reads its own VmHWM, since ru_maxrss keeps this
-    process's larger peak through the exec."""
+    process's larger peak through the exec.  The memory tests that bound
+    the same runs share one child."""
     return fresh_python(
         f"""
 import json
@@ -578,6 +582,29 @@ class TestInPlaceSolve:
         fallback = simulate(config, 1, 34)
         assert np.array_equal(in_place.eigenvalues, fallback.eigenvalues)
 
+    @pytest.mark.parametrize("d,M,rho", GRAM_SHAPES)
+    @pytest.mark.parametrize("lookup", ["lapacke", "fallback"])
+    def test_trial_buffer_starts_every_row_on_a_page(self, monkeypatch, d, M, rho, lookup):
+        if lookup == "fallback":
+            monkeypatch.setattr(ensemble_module, "_lapacke_dsyevd", lambda: None)
+        config = EnsembleConfig(d=d, M=M, rho=rho, dist=triangular01())
+        n, h = config.n_rows, config.n_rows // 2
+        # a row block of the gather writes up to this many entries left of
+        # the diagonal
+        lead = min(max(1, ensemble_module.LAG_ENTRIES // h), h) - 1
+        T = ensemble_module._trial_buffer(n)
+        diagonal = T.ctypes.data + (T.strides[0] + 8) * np.arange(n)
+        assert T.shape == (n, n)
+        assert not ((diagonal - 8 * lead) % mmap.PAGESIZE).any()
+        T[...] = np.nan
+        ensemble_module._gather_upper(config, sample_positions(config, 36), T)
+        assert (np.isnan(T).argmin(axis=1) >= np.arange(n) - lead).all()
+        copy = np.ascontiguousarray(T)
+        assert copy.flags.c_contiguous and not T.flags.c_contiguous
+        assert np.array_equal(
+            ensemble_module._spectrum_in_place(T), ensemble_module._spectrum_in_place(copy)
+        )
+
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     @pytest.mark.parametrize("lookup", ["lapacke", "fallback"])
     def test_refuses_a_non_finite_spectrum(self, monkeypatch, value, lookup):
@@ -621,10 +648,11 @@ class TestInPlaceSolve:
             np.eye(4)[::2, ::2],
             np.broadcast_to(np.eye(3), (3, 3)),
             np.frombuffer(bytearray(8 * 9 + 1), offset=1).reshape(3, 3),
+            np.lib.stride_tricks.as_strided(np.zeros(9), (3, 3), (8, 8)),
         ],
         ids=[
             "float32", "complex", "wide", "stacked", "fortran", "strided", "read-only",
-            "unaligned",
+            "unaligned", "overlapping",
         ],
     )
     def test_refuses_a_matrix_it_cannot_overwrite(self, T):
@@ -642,7 +670,8 @@ class TestInPlaceSolve:
         # at the criterion-9 shapes d = 1, n = 1225 and d = 3, n = 729: with
         # eigvalsh, which copies T, the peak grew by about 2 T.nbytes; at
         # n = 729 a row is 5.8 KB, so few pages lie wholly below the
-        # diagonal and the buffer reads 1.04 to 1.08 T.nbytes
+        # diagonal and the buffer reads about 1.00 T.nbytes (1.03 to 1.08
+        # with rows n doubles apart); d = 1 reads 0.79
         for d in (1, 3):
             (grown,), nbytes = trial_growth(d, 1)
             assert grown <= 1.5 * nbytes, (d, grown, nbytes)
@@ -656,12 +685,27 @@ class TestInPlaceSolve:
     def test_trials_map_only_the_upper_triangle(self):
         # at the criterion-9 shapes d = 1 and 2, n = 1225: the pages that
         # hold only entries below the diagonal are never touched, and the
-        # three trials reuse one buffer, so both read about 0.9 T.nbytes,
-        # where a whole matrix, or a buffer advised into huge pages, reads
-        # about 1.07
+        # three trials reuse one buffer, so both read about 0.79 T.nbytes
+        # (0.90 with rows n doubles apart), where a whole matrix, or a
+        # buffer advised into huge pages, reads about 1.07
         for d in (1, 2):
             grown, nbytes = trial_growth(d, 1, 3)
             assert max(grown) <= 0.95 * nbytes, (d, grown, nbytes)
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM"
+    )
+    @pytest.mark.skipif(
+        huge_pages_always(), reason="every mapping faults in whole huge pages"
+    )
+    def test_trial_rows_start_on_their_own_pages(self):
+        # at the criterion-9 shapes d = 1 and 2, n = 1225: each row's written
+        # run starts a page, so only its last page is partly empty, and one
+        # trial and three read 0.79 T.nbytes; rows n doubles apart straddle
+        # partial pages at both ends and read 0.90
+        for d in (1, 2):
+            grown, nbytes = trial_growth(d, 1, 3)
+            assert max(grown) <= 0.85 * nbytes, (d, grown, nbytes)
 
 
 class TestResolveShape:
