@@ -9,16 +9,18 @@ its spectrum averages to one in every realization.
 
 T[l, l'] = (beta / n_rows) conj c(l - l') depends on l - l' only, through
 the lag sums c(m) = sum_q exp(2 pi i m.x_q) over m in [-2M, 2M]^d.  Storage
-row n-1-j holds the frequency -l of row j, so pairing each row with its
-mirror is a fixed unitary change of basis Q that turns G into the real
-matrix R = Q^H G of cosine, sine and constant rows.  ``simulate`` gathers
-beta R R^T, which has the spectrum of T, from the real and imaginary parts
-of the lag sums and solves it with a real symmetric eigensolve; no trial
-forms an n_rows x n_cols matrix.  The gather writes only the upper
-triangle that LAPACK's dsyevd reads and overwrites in place, into a buffer
-each running trial reuses, whose rows each start a page, so a trial keeps
-about 0.73 n_rows^2 doubles resident (8.8 MB at n_rows = 1225), and at
-least a page a row, and no other n_rows x n_rows array.  The complex
+row n-1-j holds the frequency -l of row j, so the fixed unitary change of
+basis U = ((1 + i) I + (1 - i) P) / 2, with P the row reversal, turns G
+into the real Hartley form R = U G, whose rows are
+cas(2 pi l.x) / sqrt(n_rows) = (cos + sin)(2 pi l.x) / sqrt(n_rows).
+``simulate`` gathers beta R R^T, which has the spectrum of T and is one
+Toeplitz-plus-Hankel lookup into the real and imaginary parts of the lag
+sums, and solves it with a real symmetric eigensolve; no trial forms an
+n_rows x n_cols matrix.  The gather writes only the upper triangle that
+LAPACK's dsyevd reads and overwrites in place, into a buffer each running
+trial reuses, whose rows each start a page, so a trial keeps about
+0.73 n_rows^2 doubles resident (8.8 MB at n_rows = 1225), and at least a
+page a row, and no other n_rows x n_rows array.  The complex
 ``sampling_matrix`` and ``gram_matrix`` stay for the estimator demo and
 the matrix-power oracle.
 """
@@ -44,8 +46,10 @@ CELL_BUDGET = 1 << 23
 
 #: Complex entries per block of the lag sums' Khatri-Rao table; the cells
 #: per block follow from the table's width, so no table grows with d or r.
-#: The Gram gather takes rows in blocks of about as many entries.  At 2^11
-#: (32 KB a table) the lag sums of the criterion-9 shapes peak below 0.3 MB.
+#: The Gram gather takes LAG_ENTRIES // (n_rows // 2) rows a block, so a
+#: block of up to n_rows columns holds at most about twice as many entries.
+#: At 2^11 (32 KB a table) the lag sums of the criterion-9 shapes peak
+#: below 0.3 MB.
 LAG_ENTRIES = 1 << 11
 
 #: Eigenvalues of the positive semidefinite Gram matrix may round below
@@ -180,52 +184,47 @@ def lag_sums(M: int, positions: np.ndarray) -> np.ndarray:
 
 
 def real_gram_matrix(config: EnsembleConfig, positions: np.ndarray) -> np.ndarray:
-    """The upper triangle of beta R R^T, the real form of T = beta G G^H,
-    gathered from lag sums; the strictly lower one is left unset.
+    """The upper triangle of beta R R^T, the real Hartley form of
+    T = beta G G^H, gathered from lag sums; the strictly lower one is left
+    unset.
 
-    With h = n_rows // 2 and f_i the frequency of storage row h + 1 + i, R
-    holds sqrt(2/n) cos(2 pi f_i.x) in rows 0..h-1, sqrt(2/n) sin(2 pi f_i.x)
-    in rows h..2h-1 and 1/sqrt(n) in the last row.  With C and S the real
-    and imaginary parts of ``lag_sums`` times beta / n, the blocks of
-    beta R R^T are C(f_i - f_j) +- C(f_i + f_j) (cos-cos, sin-sin),
-    S(f_i + f_j) - S(f_i - f_j) (cos-sin), sqrt(2) C(f_i) and sqrt(2) S(f_i)
-    (against the constant row) and beta r / n (the corner).  The flat lag
-    index is affine in the lag, so the index of f_i +- f_j is s_i +- s_j
-    plus that of the zero lag.  Rows are gathered straight into T in blocks
-    of about LAG_ENTRIES entries.
+    Row j of R is cas(2 pi f_j.x) / sqrt(n) for the frequency f_j of storage
+    row j.  Since cas a cas b = cos(a - b) + sin(a + b), entry (j, k) of
+    beta R R^T is C(f_j - f_k) + S(f_j + f_k), with C and S the real and
+    imaginary parts of ``lag_sums`` times beta / n, made exactly even and
+    odd.  The flat lag index is affine in the lag, so the index of
+    f_j +- f_k is s_j +- s_k plus that of the zero lag.  Rows are gathered
+    straight into T in blocks of ``_block_rows(n)``.
     """
     return _gather_upper(config, positions, np.empty((config.n_rows, config.n_rows)))
+
+
+def _block_rows(n: int) -> int:
+    """Rows per block of ``_gather_upper`` into an n x n matrix.  A block
+    writes from its first row's diagonal on, so each of its rows has fewer
+    than this many entries written left of its diagonal."""
+    h = n // 2
+    return min(max(1, LAG_ENTRIES // h), h)
 
 
 def _gather_upper(config: EnsembleConfig, positions: np.ndarray, T: np.ndarray):
     """``real_gram_matrix`` written into T, which it returns."""
     _check_build(config, positions)
-    M, d = config.M, config.d
+    M, d, n = config.M, config.d, config.n_rows
     L = 4 * M + 1
     zero = (L**d - 1) // 2
-    h = config.n_rows // 2
-    freq = frequency_vectors(M, d)[h + 1 :]
-    s = freq @ L ** np.arange(d - 1, -1, -1)
+    s = frequency_vectors(M, d) @ L ** np.arange(d - 1, -1, -1)
     c = lag_sums(M, positions)
-    scale = config.beta / config.n_rows
+    scale = config.beta / n
     C = (c.real + c.real[::-1]) * (scale / 2)
     S = (c.imag - c.imag[::-1]) * (scale / 2)
-    single = s + zero
-    rows = max(1, LAG_ENTRIES // h)
-    for a in range(0, h, rows):
-        b = min(a + rows, h)
-        diff, total = single[a:b, None] - s, single[a:b, None] + s
+    rows = _block_rows(n)
+    for a in range(0, n, rows):
+        row, col = s[a : a + rows, None] + zero, s[a:]
         # the indices lie in range; mode="clip" skips the bounds check
-        S_total = S.take(total, mode="clip")
-        S_diff = S.take(diff, mode="clip")
-        np.subtract(S_total, S_diff, out=T[a:b, h:-1])
-        C_diff = C.take(diff[:, a:], mode="clip")
-        C_total = C.take(total[:, a:], mode="clip")
-        np.add(C_diff, C_total, out=T[a:b, a:h])
-        np.subtract(C_diff, C_total, out=T[h + a : h + b, h + a : -1])
-    T[:h, -1] = np.sqrt(2) * C[single]
-    T[h:-1, -1] = np.sqrt(2) * S[single]
-    T[-1, -1] = config.n_cols * scale
+        C_diff = C.take(row - col, mode="clip")
+        S_total = S.take(row + col, mode="clip")
+        np.add(C_diff, S_total, out=T[a : a + rows, a:])
     return T
 
 
@@ -242,9 +241,9 @@ def _trial_buffer(n: int) -> np.ndarray:
     """
     import mmap
 
-    step, h = mmap.PAGESIZE // 8, n // 2
+    step = mmap.PAGESIZE // 8
     lda = -(-(n + 1) // step) * step - 1
-    lead = min(max(1, LAG_ENTRIES // h), h) - 1
+    lead = _block_rows(n) - 1
     buffer = mmap.mmap(-1, 8 * (lead + n * lda))
     try:
         buffer.madvise(mmap.MADV_NOHUGEPAGE)

@@ -46,44 +46,29 @@ GRAM_SHAPES = CRITERION_9_SHAPES + [
 
 
 def real_sampling_matrix(config, positions):
-    """Oracle for ``real_gram_matrix``: the real form R = Q^H G itself.
+    """Oracle for ``real_gram_matrix``: the real Hartley form R = U G itself.
 
-    With h = (n_rows - 1) / 2 and l running over the frequencies of the
-    storage rows after the middle one, rows 0..h-1 hold
-    sqrt(2/n) cos(2 pi l.x), rows h..2h-1 hold sqrt(2/n) sin(2 pi l.x) and
-    the last row is the zero frequency 1/sqrt(n).
+    Storage row j holds cas(2 pi l.x) / sqrt(n) = (cos + sin)(2 pi l.x) / sqrt(n)
+    for the frequency l of that row, so the middle row, l = 0, is the
+    constant 1/sqrt(n).
     """
-    n = config.n_rows
-    half = n // 2
-    freq = frequency_vectors(config.M, config.d)[half + 1 :]
-    angles = 2 * np.pi * (freq @ positions.T)
-    trig = np.sqrt(2 / n) * np.vstack([np.cos(angles), np.sin(angles)])
-    return np.vstack([trig, np.full((1, config.n_cols), 1 / np.sqrt(n))])
+    angles = 2 * np.pi * (frequency_vectors(config.M, config.d) @ positions.T)
+    return (np.cos(angles) + np.sin(angles)) / np.sqrt(config.n_rows)
 
 
 def whole_matrix_gram(config, positions):
-    """Oracle for ``real_gram_matrix``: the same gather over whole h x h
+    """Oracle for ``real_gram_matrix``: the same gather over whole n x n
     index arrays at once.  It makes the same elementwise operations on the
     same values, so the row-block gather must equal it bit for bit."""
     M, d = config.M, config.d
     L = 4 * M + 1
     zero = (L**d - 1) // 2
-    h = config.n_rows // 2
-    s = frequency_vectors(M, d)[h + 1 :] @ L ** np.arange(d - 1, -1, -1)
-    diff, total, single = s[:, None] - s + zero, s[:, None] + s + zero, s + zero
+    s = frequency_vectors(M, d) @ L ** np.arange(d - 1, -1, -1)
     c = lag_sums(M, positions)
     scale = config.beta / config.n_rows
     C = (c.real + c.real[::-1]) * (scale / 2)
     S = (c.imag - c.imag[::-1]) * (scale / 2)
-    T = np.empty((config.n_rows, config.n_rows))
-    T[:h, :h] = C[diff] + C[total]
-    T[h:-1, h:-1] = C[diff] - C[total]
-    T[:h, h:-1] = S[total] - S[diff]
-    T[h:-1, :h] = T[:h, h:-1].T
-    T[:h, -1] = T[-1, :h] = np.sqrt(2) * C[single]
-    T[h:-1, -1] = T[-1, h:-1] = np.sqrt(2) * S[single]
-    T[-1, -1] = config.n_cols * scale
-    return T
+    return C[s[:, None] - s + zero] + S[s[:, None] + s + zero]
 
 
 def upper(T):
@@ -452,28 +437,24 @@ class TestRealForm:
     def test_equals_unitary_change_of_basis(self):
         config = EnsembleConfig(d=2, M=1, rho=4, dist=uniform01())
         positions = sample_positions(config, 2)
-        n, half = config.n_rows, config.n_rows // 2
+        n = config.n_rows
         freq = frequency_vectors(config.M, config.d)
         # storage row n-1-j holds the frequency of row j negated
         assert np.array_equal(freq[::-1], -freq)
-        QH = np.zeros((n, n), dtype=complex)
-        for i, j in enumerate(range(half + 1, n)):
-            QH[i, j] = QH[i, n - 1 - j] = 1 / np.sqrt(2)
-            QH[half + i, j] = 1j / np.sqrt(2)
-            QH[half + i, n - 1 - j] = -1j / np.sqrt(2)
-        QH[n - 1, half] = 1.0
-        assert np.allclose(QH @ QH.conj().T, np.eye(n), atol=1e-15)
+        P = np.eye(n)[::-1]
+        U = ((1 + 1j) * np.eye(n) + (1 - 1j) * P) / 2
+        assert np.allclose(U @ U.conj().T, np.eye(n), atol=1e-15)
         G = sampling_matrix(config, positions)
         R = real_sampling_matrix(config, positions)
         assert R.dtype == np.float64
-        assert np.abs(QH @ G - R).max() < 1e-12
+        assert np.abs(U @ G - R).max() < 1e-12
 
     def test_unit_columns_and_constant_row(self):
         config = EnsembleConfig(d=3, M=1, rho=5, dist=triangular01())
         R = real_sampling_matrix(config, sample_positions(config, 4))
         assert R.shape == (config.n_rows, config.n_cols)
         assert np.allclose(np.sum(R**2, axis=0), 1.0, atol=1e-12)
-        assert np.all(R[-1] == 1 / np.sqrt(config.n_rows))
+        assert np.all(R[config.n_rows // 2] == 1 / np.sqrt(config.n_rows))
 
 
 class TestLagSums:
@@ -508,8 +489,9 @@ class TestLagSums:
         "factory", [uniform01, triangular01, point_mass_half, two_point]
     )
     def test_gram_equals_the_whole_matrix_gather(self, d, M, rho, factory):
-        # at M = 1 a block holds more rows than the h rows there are; at the
-        # criterion-9 shape d = 3, h = 364 leaves a ragged last block
+        # at M = 1 a block holds h = n // 2 rows, the cap, so the last holds
+        # one; at the criterion-9 shape d = 3, n = 729 rows in blocks of 5
+        # leave a ragged last block
         config = EnsembleConfig(d=d, M=M, rho=rho, dist=factory())
         positions = sample_positions(config, 21)
         T = real_gram_matrix(config, positions)
@@ -517,8 +499,8 @@ class TestLagSums:
 
     @pytest.mark.parametrize("d,M,rho", CRITERION_9_SHAPES)
     def test_gather_holds_no_second_matrix(self, d, M, rho):
-        # the whole-matrix gather peaks at about 2 T.nbytes: its two index
-        # and two value arrays of h x h entries hold as many as T
+        # the whole-matrix gather peaks at about 3 T.nbytes: its index and
+        # value arrays of n x n entries each hold as many as T
         config = EnsembleConfig(d=d, M=M, rho=rho, dist=uniform01())
         positions = sample_positions(config, 21)
         tracemalloc.start()
@@ -588,10 +570,10 @@ class TestInPlaceSolve:
         if lookup == "fallback":
             monkeypatch.setattr(ensemble_module, "_lapacke_dsyevd", lambda: None)
         config = EnsembleConfig(d=d, M=M, rho=rho, dist=triangular01())
-        n, h = config.n_rows, config.n_rows // 2
+        n = config.n_rows
         # a row block of the gather writes up to this many entries left of
         # the diagonal
-        lead = min(max(1, ensemble_module.LAG_ENTRIES // h), h) - 1
+        lead = ensemble_module._block_rows(n) - 1
         T = ensemble_module._trial_buffer(n)
         diagonal = T.ctypes.data + (T.strides[0] + 8) * np.arange(n)
         assert T.shape == (n, n)
