@@ -27,7 +27,6 @@ from .integrate import (
     QmcOptions,
     cf_integral,
     delta_volume,
-    finite_grid_term,
     term_integral,
 )
 from .jitter import (
@@ -92,7 +91,6 @@ __all__ = [
     "empirical_moment_std_error",
     "enumerate_partitions",
     "enumerate_partitions_k",
-    "finite_grid_term",
     "from_name",
     "gram_matrix",
     "histogram",

@@ -22,7 +22,7 @@ trial reuses, whose rows each start a page, so a trial keeps about
 0.73 n_rows^2 doubles resident (8.8 MB at n_rows = 1225), and at least a
 page a row, and no other n_rows x n_rows array.  The complex
 ``sampling_matrix`` and ``gram_matrix`` stay for the estimator demo and
-the matrix-power oracle.
+the matrix-power reference in ``verify``.
 """
 
 from __future__ import annotations
@@ -183,22 +183,6 @@ def lag_sums(M: int, positions: np.ndarray) -> np.ndarray:
     return c.ravel()[: L**d]
 
 
-def real_gram_matrix(config: EnsembleConfig, positions: np.ndarray) -> np.ndarray:
-    """The upper triangle of beta R R^T, the real Hartley form of
-    T = beta G G^H, gathered from lag sums; the strictly lower one is left
-    unset.
-
-    Row j of R is cas(2 pi f_j.x) / sqrt(n) for the frequency f_j of storage
-    row j.  Since cas a cas b = cos(a - b) + sin(a + b), entry (j, k) of
-    beta R R^T is C(f_j - f_k) + S(f_j + f_k), with C and S the real and
-    imaginary parts of ``lag_sums`` times beta / n, made exactly even and
-    odd.  The flat lag index is affine in the lag, so the index of
-    f_j +- f_k is s_j +- s_k plus that of the zero lag.  Rows are gathered
-    straight into T in blocks of ``_block_rows(n)``.
-    """
-    return _gather_upper(config, positions, np.empty((config.n_rows, config.n_rows)))
-
-
 def _block_rows(n: int) -> int:
     """Rows per block of ``_gather_upper`` into an n x n matrix.  A block
     writes from its first row's diagonal on, so each of its rows has fewer
@@ -208,7 +192,18 @@ def _block_rows(n: int) -> int:
 
 
 def _gather_upper(config: EnsembleConfig, positions: np.ndarray, T: np.ndarray):
-    """``real_gram_matrix`` written into T, which it returns."""
+    """Write the upper triangle of beta R R^T, the real Hartley form of
+    T = beta G G^H, into T from lag sums, and return T; the strictly lower
+    triangle is left as it was.
+
+    Row j of R is cas(2 pi f_j.x) / sqrt(n) for the frequency f_j of storage
+    row j.  Since cas a cas b = cos(a - b) + sin(a + b), entry (j, k) of
+    beta R R^T is C(f_j - f_k) + S(f_j + f_k), with C and S the real and
+    imaginary parts of ``lag_sums`` times beta / n, made exactly even and
+    odd.  The flat lag index is affine in the lag, so the index of
+    f_j +- f_k is s_j +- s_k plus that of the zero lag.  Rows are gathered
+    straight into T in blocks of ``_block_rows(n)``.
+    """
     _check_build(config, positions)
     M, d, n = config.M, config.d, config.n_rows
     L = 4 * M + 1

@@ -43,10 +43,6 @@ rules by dimension, order and batch size.  A base rule is held as its
 leading axes and one batch of its trailing axes, generated a batch at a
 time in row order; one loop evaluates each batch on a group of cells of
 at most _BATCH nodes, so a call holds about one batch of nodes.
-
-A finite-grid evaluator of the same quantity at finite half-bandwidth M is
-provided as an independent cross-check; it converges to the integral as M
-grows.
 """
 
 from __future__ import annotations
@@ -60,7 +56,7 @@ from functools import lru_cache
 import numpy as np
 
 from .constraints import constraint_system, difference_matrix, group_walk
-from .errors import BudgetError, NumericalError
+from .errors import NumericalError
 from .errors import _check_aspect_ratio, _check_integer, _check_law
 from .jitter import JitterDistribution
 from .partitions import Partition
@@ -73,8 +69,6 @@ CHECK_ORDER = 6
 #: the base rules: the moments p = 1..5 at (0.55, 2), uniform law, peak at
 #: about 33 MB resident in a fresh process this way, 49 MB unbatched.
 _BATCH = 1 << 12
-#: Lattice nodes the finite-grid cross-check may enumerate.
-GRID_BUDGET = 10**8
 
 
 @dataclass(frozen=True)
@@ -320,17 +314,13 @@ def _walk_cells(walk: Partition) -> tuple:
     candidates, values = candidates[feasible], values[feasible]
     tight = np.hstack([values == 1, values == -1])
     covered = (tight[:, None, :] <= tight[None, :, :]).all(axis=2).sum(axis=1)
-    vertices = candidates[covered == 1]
+    vertices, tight = candidates[covered == 1], tight[covered == 1]
 
-    rows = np.vstack([basis, -basis])
-    masks = [
-        sum(1 << int(i) for i in np.flatnonzero(column))
-        for column in (vertices @ rows.T == 1).T
-    ]
+    masks = [sum(1 << int(i) for i in np.flatnonzero(column)) for column in tight.T]
     facets = _maximal(masks)
-    lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
+    lead = basis[np.arange(len(basis)), np.argmax(basis != 0, axis=1)]
     positive = dict.fromkeys(
-        m for m, sign in zip(masks, lead) if sign > 0 and m in facets
+        m for m, sign in zip(masks, np.r_[lead, -lead]) if sign > 0 and m in facets
     )
     simplices: dict[int, list[int]] = {}
 
@@ -480,56 +470,3 @@ def term_integral(
     beta = _check_aspect_ratio(beta)
     d = _check_integer(d, "dimension")
     return delta_volume(group_walk(partition, grouping))
-
-
-# ---------------------------------------------------------------------------
-# finite-grid cross-check
-# ---------------------------------------------------------------------------
-
-
-def finite_grid_term(
-    partition: Partition,
-    grouping: Partition,
-    box: int,
-    beta: float,
-    d: int,
-    dist: JitterDistribution,
-) -> float:
-    """Exact finite half-bandwidth evaluation of an integral factor.
-
-    Sums the characteristic-function product over integer label offsets in
-    [-box, box]^p satisfying the pinned-sum constraints, normalized by
-    (2*box+1)^(p-h+1); deterministic, and converges to the corresponding
-    integral as the box grows.  The p-h+1 free labels x run over
-    [-box, box] and the labels are y = B @ x, B the integer basis of
-    ``constraint_system`` of the walk through the groups, so the
-    enumeration meets every lattice point once.  B is checked against that
-    walk's difference matrix in integers, and the node count against
-    GRID_BUDGET, before any node is enumerated.
-    """
-    box = _check_integer(box, "half-bandwidth")
-    beta = _check_aspect_ratio(beta)
-    d = _check_integer(d, "dimension")
-    _check_law(dist)
-    walk = group_walk(partition, grouping)
-    basis = constraint_system(walk)
-    if (difference_matrix(walk) @ basis).any():
-        raise NumericalError(f"basis of ({partition}, {grouping}) leaves the kernel")
-    width = 2 * box + 1
-    shape = (width,) * basis.shape[1]
-    nodes = width ** basis.shape[1]
-    if nodes > GRID_BUDGET:
-        raise BudgetError(
-            f"finite-grid enumeration needs {nodes:.2e} nodes, over the "
-            f"budget {GRID_BUDGET}"
-        )
-    forms = difference_matrix(partition)
-    scale = beta ** (1.0 / d) / width
-    chunk = 1 << 18
-    total = 0.0 + 0.0j
-    for start in range(0, nodes, chunk):
-        flat = np.arange(start, min(start + chunk, nodes), dtype=np.int64)
-        y = (np.stack(np.unravel_index(flat, shape), axis=1) - box) @ basis.T
-        y = y[np.all(np.abs(y) <= box, axis=1)]
-        total += np.prod(dist.cf(scale * (y @ forms.T)), axis=1).sum()
-    return float(total.real / nodes)

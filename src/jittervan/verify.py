@@ -1,10 +1,21 @@
-"""Identity and oracle checks behind the verify subcommand, shared with pytest.
+"""Every independent reference behind the engine, and the checks of the
+verify subcommand, shared with pytest; no engine module imports this one.
+
+Each reference takes another route than the engine to the value it checks:
+- the phase sum of a partition, by a literal enumeration over ordered
+  tuples of distinct grid labels and by its partition expansion, with each
+  group's summed vector taken mod rho; Moebius inversion on the partition
+  lattice makes the two equal exactly, whatever the block vectors sum to;
+- the matrix-power trace, an eigenvalue-free route to empirical moments;
+- the finite-grid lattice sum, which converges to an integral factor as
+  the half-bandwidth grows;
+- two scipy quadratures, the reduced bracket and the Marchenko-Pastur
+  density average, which import scipy when called, so importing the CLI
+  loads none.
 
 Each predicate tests one invariant at one point of its range.  A suite runs
 it over the range as the check suite.<predicate name>, and the tests call it
-at single points, so the probe and the tests cannot drift apart.  The scipy
-oracles (the reduced bracket quadrature and the Marchenko-Pastur density
-average) import scipy when called, so importing the CLI loads none.
+at single points, so the probe and the tests cannot drift apart.
 """
 
 from __future__ import annotations
@@ -12,15 +23,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from typing import Callable
 
 import numpy as np
 
 from .constraints import constraint_system, difference_matrix, group_walk
-from .ensemble import EnsembleConfig, empirical_moment, simulate
-from .errors import _check_integer
-from .integrate import cf_integral, delta_volume, finite_grid_term
+from .ensemble import (
+    EnsembleConfig,
+    empirical_moment,
+    gram_matrix,
+    sample_positions,
+    sampling_matrix,
+    simulate,
+    vertex_vectors,
+)
+from .errors import BudgetError, NumericalError
+from .errors import _check_aspect_ratio, _check_integer, _check_law
+from .integrate import cf_integral, delta_volume
 from .jitter import (
     JitterDistribution,
     from_name,
@@ -29,13 +49,6 @@ from .jitter import (
     uniform01,
 )
 from .moments import moment, mp_density, mp_moment, mp_support
-from .oracle import (
-    PhaseSumInstance,
-    brute_trace_moment,
-    distinct_label_sum,
-    instance_from_labels,
-    partition_delta_sum,
-)
 from .partitions import (
     Partition,
     bell,
@@ -48,12 +61,196 @@ from .partitions import (
     stirling2,
 )
 
+#: The exact enumeration visits r!/(r-k)! ordered tuples of distinct
+#: labels for k blocks; it refuses more tuples than this.
+TUPLE_BUDGET = 200_000
+#: Lattice nodes the finite-grid sum may enumerate.
+GRID_BUDGET = 10**8
+
 
 @dataclass(frozen=True)
 class Check:
     name: str
     passed: bool
     detail: str
+
+
+@dataclass(frozen=True)
+class PhaseSumInstance:
+    """A partition with one integer offset vector per block.
+
+    ``rho`` and ``d`` fix the label grid, so the label count is rho^d.  The
+    block vectors may sum to anything; every entry must be an integer, and
+    is stored as an ``int``.
+    """
+
+    omega: Partition
+    block_vectors: tuple[tuple[int, ...], ...]
+    rho: int
+    d: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rho", _check_integer(self.rho, "vertex count"))
+        object.__setattr__(self, "d", _check_integer(self.d, "dimension"))
+        k = self.omega.k
+        if len(self.block_vectors) != k:
+            raise ValueError(f"need {k} block vectors, got {len(self.block_vectors)}")
+        if any(len(vec) != self.d for vec in self.block_vectors):
+            raise ValueError(f"block vectors must have length {self.d}")
+        object.__setattr__(self, "block_vectors", _integer_rows(self.block_vectors))
+
+    @property
+    def r(self) -> int:
+        return self.rho**self.d
+
+
+def _integer_rows(rows) -> tuple[tuple[int, ...], ...]:
+    """Each offset as an ``int``; refuse one that is no integer, or a bool."""
+    return tuple(
+        tuple(_check_integer(v, "offset", low=-math.inf) for v in row) for row in rows
+    )
+
+
+def instance_from_labels(
+    omega: Partition, offsets: np.ndarray, rho: int
+) -> PhaseSumInstance:
+    """Build the per-block vectors from a p x d integer offset matrix."""
+    shape = np.shape(offsets)
+    if len(shape) != 2 or shape[0] != omega.p:
+        raise ValueError(f"offsets must be {omega.p} x d, got {shape}")
+    offsets = np.array(_integer_rows(offsets), dtype=np.int64)
+    vectors = difference_matrix(omega) @ offsets
+    return PhaseSumInstance(omega, vectors.tolist(), rho, shape[1])
+
+
+def distinct_label_sum(instance: PhaseSumInstance) -> complex:
+    """Exact phase sum over ordered tuples of distinct labels.
+
+    Phase exponents are accumulated as integers modulo rho and combined
+    with the roots of unity only at the end, so the enumeration itself is
+    exact; TUPLE_BUDGET keeps it affordable.  With fewer labels than
+    blocks there is no tuple, and the sum is 0.
+    """
+    k = instance.omega.k
+    r = instance.r
+    if math.perm(r, k) > TUPLE_BUDGET:
+        raise BudgetError(
+            f"distinct-label enumeration with r={r}, k={k} needs "
+            f"{math.perm(r, k)} tuples, over the budget {TUPLE_BUDGET}"
+        )
+    # integer phase exponent per (label, block), reduced modulo rho
+    vectors = np.array(instance.block_vectors, dtype=np.int64)
+    table = vertex_vectors(instance.rho, instance.d) @ vectors.T % instance.rho
+    residue_counts = np.zeros(instance.rho, dtype=np.int64)
+    for tup in permutations(range(r), k):
+        exponent = 0
+        for j in range(k):
+            exponent += table[tup[j], j]
+        residue_counts[exponent % instance.rho] += 1
+    phases = np.exp(-2j * np.pi * np.arange(instance.rho) / instance.rho)
+    return complex(np.dot(residue_counts, phases))
+
+
+def surviving_groupings(instance: PhaseSumInstance) -> list[Partition]:
+    """Block groupings whose merged vectors all vanish mod rho."""
+    k = instance.omega.k
+    vectors = np.array(instance.block_vectors, dtype=np.int64)
+    out = []
+    for h in range(1, k + 1):
+        for grouping in enumerate_partitions_k(k, h):
+            sums = [
+                vectors[[i - 1 for i in sorted(block)]].sum(axis=0)
+                for block in grouping.blocks
+            ]
+            if all(not (s % instance.rho).any() for s in sums):
+                out.append(grouping)
+    return out
+
+
+def partition_delta_sum(instance: PhaseSumInstance) -> int:
+    """The phase sum by its partition expansion over the surviving groupings,
+    an integer equal to ``distinct_label_sum`` exactly."""
+    r = instance.r
+    total = 0
+    for grouping in surviving_groupings(instance):
+        total += r**grouping.k * mobius_coefficient(grouping)
+    return total
+
+
+def brute_trace_moment(
+    config: EnsembleConfig, p: int, trials: int, seed: int
+) -> tuple[float, float]:
+    """Monte-Carlo moment by direct matrix powers, no eigensolver.
+
+    Returns the mean and standard error over trials of trace(T^p)/n_rows;
+    an independent path against the eigenvalue-based estimate.  Trial t
+    draws the positions ``simulate`` draws for trial t at the same seed.
+    """
+    p = _check_integer(p, "moment order")
+    trials = _check_integer(trials, "trial count")
+    seed = _check_integer(seed, "seed", low=0)
+    if config.n_rows > 512:
+        raise BudgetError(
+            f"matrix-power oracle is capped at 512 rows, got {config.n_rows}"
+        )
+    values = []
+    for stream in np.random.SeedSequence(seed).spawn(trials):
+        positions = sample_positions(config, stream)
+        G = sampling_matrix(config, positions)
+        T = gram_matrix(G, config.beta)
+        power = np.linalg.matrix_power(T, p)
+        values.append(float(np.trace(power).real) / config.n_rows)
+    mean = float(np.mean(values))
+    err = float(np.std(values, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+    return mean, err
+
+
+def finite_grid_term(
+    partition: Partition,
+    grouping: Partition,
+    box: int,
+    beta: float,
+    d: int,
+    dist: JitterDistribution,
+) -> float:
+    """Exact finite half-bandwidth evaluation of an integral factor.
+
+    Sums the characteristic-function product over integer label offsets in
+    [-box, box]^p satisfying the pinned-sum constraints, normalized by
+    (2*box+1)^(p-h+1); deterministic, and converges to the corresponding
+    integral as the box grows.  The p-h+1 free labels x run over
+    [-box, box] and the labels are y = B @ x, B the integer basis of
+    ``constraint_system`` of the walk through the groups, so the
+    enumeration meets every lattice point once.  B is checked against that
+    walk's difference matrix in integers, and the node count against
+    GRID_BUDGET, before any node is enumerated.
+    """
+    box = _check_integer(box, "half-bandwidth")
+    beta = _check_aspect_ratio(beta)
+    d = _check_integer(d, "dimension")
+    _check_law(dist)
+    walk = group_walk(partition, grouping)
+    basis = constraint_system(walk)
+    if (difference_matrix(walk) @ basis).any():
+        raise NumericalError(f"basis of ({partition}, {grouping}) leaves the kernel")
+    width = 2 * box + 1
+    shape = (width,) * basis.shape[1]
+    nodes = width ** basis.shape[1]
+    if nodes > GRID_BUDGET:
+        raise BudgetError(
+            f"finite-grid enumeration needs {nodes:.2e} nodes, over the "
+            f"budget {GRID_BUDGET}"
+        )
+    forms = difference_matrix(partition)
+    scale = beta ** (1.0 / d) / width
+    chunk = 1 << 18
+    total = 0.0 + 0.0j
+    for start in range(0, nodes, chunk):
+        flat = np.arange(start, min(start + chunk, nodes), dtype=np.int64)
+        y = (np.stack(np.unravel_index(flat, shape), axis=1) - box) @ basis.T
+        y = y[np.all(np.abs(y) <= box, axis=1)]
+        total += np.prod(dist.cf(scale * (y @ forms.T)), axis=1).sum()
+    return float(total.real / nodes)
 
 
 def bracket_integral(beta: float, d: int, dist: JitterDistribution) -> float:
@@ -63,6 +260,9 @@ def bracket_integral(beta: float, d: int, dist: JitterDistribution) -> float:
     s = beta^(1/d), is with u = y1 - y2 that of (1 - |u|) |cf(s u)|^2 over
     [-1, 1].
     """
+    beta = _check_aspect_ratio(beta)
+    d = _check_integer(d, "dimension")
+    _check_law(dist)
     from scipy.integrate import quad
 
     scale = beta ** (1.0 / d)

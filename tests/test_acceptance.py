@@ -29,13 +29,6 @@ from jittervan.moments import (
     mp_moment,
 )
 from jittervan.mse import lmmse_demo, mse_curve, snr_grid_db
-from jittervan.oracle import (
-    PhaseSumInstance,
-    brute_trace_moment,
-    distinct_label_sum,
-    instance_from_labels,
-    partition_delta_sum,
-)
 from jittervan.partitions import (
     Partition,
     bell,
@@ -46,7 +39,15 @@ from jittervan.partitions import (
     partition_of,
     stirling2,
 )
-from jittervan.verify import bracket_integral, mp_average
+from jittervan.verify import (
+    PhaseSumInstance,
+    bracket_integral,
+    brute_trace_moment,
+    distinct_label_sum,
+    instance_from_labels,
+    mp_average,
+    partition_delta_sum,
+)
 
 
 def report(number: int, name: str, ok: bool, detail: str, started: float) -> None:

@@ -14,7 +14,6 @@ from jittervan.constraints import (
     group_walk,
     walk_edges,
 )
-from jittervan.integrate import finite_grid_term
 from jittervan.jitter import point_mass_half
 from jittervan.partitions import (
     Partition,
@@ -22,6 +21,7 @@ from jittervan.partitions import (
     enumerate_partitions_k,
     partition_of,
 )
+from jittervan.verify import finite_grid_term
 
 
 def all_pairs(p_max):

@@ -21,7 +21,6 @@ from jittervan.ensemble import (
     gram_matrix,
     histogram,
     lag_sums,
-    real_gram_matrix,
     resolve_shape,
     sample_positions,
     sampling_matrix,
@@ -45,8 +44,15 @@ GRAM_SHAPES = CRITERION_9_SHAPES + [
 ]
 
 
+def gathered_gram(config, positions):
+    """``_gather_upper`` into a new n x n array: the upper triangle of the
+    real Gram matrix beta R R^T, the strictly lower one unset."""
+    n = config.n_rows
+    return ensemble_module._gather_upper(config, positions, np.empty((n, n)))
+
+
 def real_sampling_matrix(config, positions):
-    """Oracle for ``real_gram_matrix``: the real Hartley form R = U G itself.
+    """Oracle for ``gathered_gram``: the real Hartley form R = U G itself.
 
     Storage row j holds cas(2 pi l.x) / sqrt(n) = (cos + sin)(2 pi l.x) / sqrt(n)
     for the frequency l of that row, so the middle row, l = 0, is the
@@ -57,7 +63,7 @@ def real_sampling_matrix(config, positions):
 
 
 def whole_matrix_gram(config, positions):
-    """Oracle for ``real_gram_matrix``: the same gather over whole n x n
+    """Oracle for ``gathered_gram``: the same gather over whole n x n
     index arrays at once.  It makes the same elementwise operations on the
     same values, so the row-block gather must equal it bit for bit."""
     M, d = config.M, config.d
@@ -171,7 +177,7 @@ class TestConfig:
     def test_cell_budget(self):
         # 4097 x 4097 entries, twice CELL_BUDGET
         config = EnsembleConfig(d=1, M=2048, rho=4097, dist=uniform01())
-        for build in (sampling_matrix, real_gram_matrix):
+        for build in (sampling_matrix, gathered_gram):
             with pytest.raises(BudgetError):
                 build(config, sample_positions(config, 0))
         with pytest.raises(BudgetError):
@@ -258,7 +264,7 @@ class TestMatrices:
 
     def test_positions_shape_checked(self):
         config = EnsembleConfig(d=1, M=2, rho=8, dist=uniform01())
-        for build in (sampling_matrix, real_gram_matrix):
+        for build in (sampling_matrix, gathered_gram):
             with pytest.raises(ValueError):
                 build(config, np.zeros((3, 1)))
 
@@ -480,7 +486,7 @@ class TestLagSums:
         # real, so its sine sums S keep a nonzero mean
         config = EnsembleConfig(d=d, M=M, rho=rho, dist=factory())
         positions = sample_positions(config, 21)
-        T = real_gram_matrix(config, positions)
+        T = gathered_gram(config, positions)
         R = real_sampling_matrix(config, positions)
         assert np.abs(upper(T) - upper(config.beta * (R @ R.T))).max() < 1e-12
 
@@ -494,7 +500,7 @@ class TestLagSums:
         # leave a ragged last block
         config = EnsembleConfig(d=d, M=M, rho=rho, dist=factory())
         positions = sample_positions(config, 21)
-        T = real_gram_matrix(config, positions)
+        T = gathered_gram(config, positions)
         assert np.array_equal(upper(T), upper(whole_matrix_gram(config, positions)))
 
     @pytest.mark.parametrize("d,M,rho", CRITERION_9_SHAPES)
@@ -505,7 +511,7 @@ class TestLagSums:
         positions = sample_positions(config, 21)
         tracemalloc.start()
         try:
-            T = real_gram_matrix(config, positions)
+            T = gathered_gram(config, positions)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -535,7 +541,7 @@ class TestInPlaceSolve:
     @pytest.mark.parametrize("factory", [uniform01, triangular01])
     def test_equals_spectrum_of_a_copy(self, d, M, rho, factory):
         config = EnsembleConfig(d=d, M=M, rho=rho, dist=factory())
-        T = real_gram_matrix(config, sample_positions(config, 33))
+        T = gathered_gram(config, sample_positions(config, 33))
         full = np.triu(T) + np.triu(T, 1).T
         copy = full.copy()
         expected = spectrum(full)
@@ -549,7 +555,7 @@ class TestInPlaceSolve:
             monkeypatch.setattr(ensemble_module, "_lapacke_dsyevd", lambda: None)
         config = EnsembleConfig(d=d, M=M, rho=rho, dist=triangular01())
         positions = sample_positions(config, 35)
-        T = real_gram_matrix(config, positions)
+        T = gathered_gram(config, positions)
         T[np.tril_indices(config.n_rows, -1)] = np.nan
         R = real_sampling_matrix(config, positions)
         expected = np.linalg.eigvalsh(config.beta * (R @ R.T))

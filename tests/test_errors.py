@@ -16,8 +16,8 @@ import jittervan.ensemble as ensemble_module
 import jittervan.integrate as integrate_module
 import jittervan.moments as moments_module
 import jittervan.mse as mse_module
-import jittervan.oracle as oracle_module
 import jittervan.partitions as partitions_module
+import jittervan.verify as verify_module
 from jittervan.ensemble import (
     EnsembleConfig,
     SpectrumSample,
@@ -28,7 +28,7 @@ from jittervan.ensemble import (
     simulate,
 )
 from jittervan.errors import BudgetError, _check_integer
-from jittervan.integrate import cf_integral, finite_grid_term, term_integral
+from jittervan.integrate import cf_integral, term_integral
 from jittervan.jitter import JitterDistribution, uniform01
 from jittervan.moments import (
     clear_term_cache,
@@ -46,12 +46,6 @@ from jittervan.mse import (
     mse_mp,
     snr_grid_db,
 )
-from jittervan.oracle import (
-    PhaseSumInstance,
-    brute_trace_moment,
-    distinct_label_sum,
-    instance_from_labels,
-)
 from jittervan.partitions import (
     Partition,
     bell,
@@ -59,7 +53,16 @@ from jittervan.partitions import (
     enumerate_partitions_k,
     stirling2,
 )
-from jittervan.verify import SUITES, run_suites
+from jittervan.verify import (
+    SUITES,
+    PhaseSumInstance,
+    bracket_integral,
+    brute_trace_moment,
+    distinct_label_sum,
+    finite_grid_term,
+    instance_from_labels,
+    run_suites,
+)
 
 
 def _trip(*args, **kwargs):
@@ -88,7 +91,8 @@ def tripwires(monkeypatch):
         (ensemble_module, "sample_positions"),
         (mse_module, "sample_positions"),
         (mse_module, "simulate"),
-        (oracle_module, "sample_positions"),
+        (verify_module, "constraint_system"),
+        (verify_module, "sample_positions"),
         (np, "histogram"),
     ]:
         monkeypatch.setattr(module, name, _trip)
@@ -121,6 +125,9 @@ REFUSALS = [
         lambda: finite_grid_term(*CF_PAIR, 2, 0.5, 1, "uniform"),
         "jitter law",
     ),
+    ("bracket_integral_d", lambda: bracket_integral(0.5, 1.5, tripped_law()), "dimension"),
+    ("bracket_integral_zero_d", lambda: bracket_integral(0.5, 0, tripped_law()), "dimension"),
+    ("bracket_integral_law", lambda: bracket_integral(0.5, 1, "uniform"), "jitter law"),
     ("mp_moment", lambda: mp_moment(2.5, 0.5), "moment order"),
     ("narayana", lambda: narayana(2.5, 1), "order"),
     ("narayana_k", lambda: narayana(3, 4), "block count"),
@@ -358,6 +365,7 @@ PYTHON_NUMBER_CALLS = [
     ("term_integral", term_integral, (*CF_PAIR, 0.55, 2, uniform01())),
     ("term_integral_pinned", term_integral, (*PAIR, 0.55, 2, uniform01())),
     ("finite_grid_term", finite_grid_term, (*CF_PAIR, 3, 0.55, 2, uniform01())),
+    ("bracket_integral", bracket_integral, (0.55, 2, uniform01())),
     ("mp_moment", mp_moment, (70, 0.55)),
     ("narayana", narayana, (70, 35)),
     ("stirling2", stirling2, (40, 20)),
@@ -511,6 +519,7 @@ ASPECT_RATIO_CALLS = [
         lambda b: finite_grid_term(*CF_PAIR, 2, b, 1, tripped_law()),
         "aspect ratio",
     ),
+    ("bracket_integral", lambda b: bracket_integral(b, 1, tripped_law()), "aspect ratio"),
     ("mse_mp", lambda b: mse_mp(b, 1.0), "aspect ratio"),
     ("mse_equally_spaced", lambda b: mse_equally_spaced(b, 1.0), "aspect ratio"),
     ("mse_from_spectrum", lambda b: mse_from_spectrum([1.0, 1.0], b, 1.0), "aspect ratio"),

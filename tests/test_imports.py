@@ -1,8 +1,9 @@
-"""The library and its CLI start on numpy alone, and a cold analytic pass
-imports nothing more.  ``numpy.random`` loads with the first draw, the
-thread pool only above one worker and ``csv`` only to write a table, so a
-Monte-Carlo curve adds only ``numpy.random`` and ``mmap``, whose anonymous
-mappings hold the trials' Gram matrices.
+"""The library and its CLI start on numpy alone, the library without the
+references of ``verify``, and a cold analytic pass imports nothing more.
+``numpy.random`` loads with the first draw, the thread pool only above one
+worker and ``csv`` only to write a table, so a Monte-Carlo curve adds only
+``numpy.random`` and ``mmap``, whose anonymous mappings hold the trials'
+Gram matrices.
 
 Each check runs in a fresh interpreter, since this one has loaded scipy
 for the tests' own oracles.
@@ -41,6 +42,9 @@ def test_import_loads_no_scipy_and_no_masked_arrays(module):
     )
     assert [name for name in loaded if name.startswith("scipy")] == []
     assert [name for name in loaded if name.split(".")[:2] == ["numpy", "ma"]] == []
+    if module == "jittervan":
+        # no engine module imports the references or the CLI
+        assert {"jittervan.verify", "jittervan.cli"}.isdisjoint(loaded)
 
 
 def test_cold_pass_adds_no_module():

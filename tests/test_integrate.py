@@ -21,12 +21,7 @@ from jittervan.constraints import (
 )
 from jittervan.ensemble import EnsembleConfig, resolve_shape
 from jittervan.errors import BudgetError, NumericalError
-from jittervan.integrate import (
-    cf_integral,
-    delta_volume,
-    finite_grid_term,
-    term_integral,
-)
+from jittervan.integrate import cf_integral, delta_volume, term_integral
 from jittervan.jitter import JitterDistribution, point_mass_half, triangular01, uniform01
 from jittervan.moments import _pair_classes, clear_term_cache, moment
 from jittervan.partitions import (
@@ -35,6 +30,7 @@ from jittervan.partitions import (
     enumerate_partitions_k,
     partition_of,
 )
+from jittervan.verify import finite_grid_term
 from test_moments import cf_orbits, cf_pairs, two_point
 from test_partitions import dihedral_representative
 
@@ -1127,7 +1123,7 @@ class TestFiniteGridTerm:
 
     def test_budget_guard(self):
         # three free labels in [-232, 232]: 465^3 nodes, over the budget
-        assert 465**3 > integrate_module.GRID_BUDGET
+        assert 465**3 > verify.GRID_BUDGET
         with pytest.raises(BudgetError):
             finite_grid_term(
                 Partition((1, 2, 3)), Partition((1, 1, 1)), 232, 0.5, 1, uniform01()
@@ -1137,7 +1133,7 @@ class TestFiniteGridTerm:
         # y1 = -y2 is off the kernel of the pinned pair's rows (y1 = y2),
         # which is caught before any node reaches the cf
         basis = np.array([[1], [-1]], dtype=np.int64)
-        monkeypatch.setattr(integrate_module, "constraint_system", lambda *_: basis)
+        monkeypatch.setattr(verify, "constraint_system", lambda *_: basis)
         law, calls = uniform01(), []
         counted = JitterDistribution(
             law.kind, lambda t: calls.append(t) or law.cf(t), law.draw, True

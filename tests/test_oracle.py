@@ -11,7 +11,8 @@ from jittervan.ensemble import EnsembleConfig
 from jittervan.errors import BudgetError
 from jittervan.jitter import point_mass_half, uniform01
 from jittervan.moments import moment
-from jittervan.oracle import (
+from jittervan.partitions import Partition
+from jittervan.verify import (
     TUPLE_BUDGET,
     PhaseSumInstance,
     brute_trace_moment,
@@ -20,7 +21,6 @@ from jittervan.oracle import (
     partition_delta_sum,
     surviving_groupings,
 )
-from jittervan.partitions import Partition
 
 
 def reference_phase_sum(instance: PhaseSumInstance) -> complex:
