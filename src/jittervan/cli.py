@@ -24,7 +24,6 @@ from .errors import BudgetError, NumericalError
 from .jitter import JITTER_NAMES, from_name
 from .moments import MOMENT_CAP, _mp_gap, moment, mp_moment, mp_support
 from .mse import mse_curve, snr_grid_db
-from .verify import SUITES, run_suites
 
 SCHEMA_VERSION = 1
 
@@ -73,11 +72,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_mom.add_argument("--mp", action="store_true", help="include the MP gap per order")
     p_mom.add_argument("--threads", **common_threads)
     p_mom.add_argument("--out", metavar="PATH", help="write results as JSON")
+    p_mom.set_defaults(run=_cmd_moments)
 
     p_mp = sub.add_parser("mp", help="Marchenko-Pastur moments and support")
     p_mp.add_argument("--p-max", type=int, default=6)
     p_mp.add_argument("--beta", type=float, required=True)
     p_mp.add_argument("--out", metavar="PATH", help="write results as JSON")
+    p_mp.set_defaults(run=_cmd_mp)
 
     p_sim = sub.add_parser("simulate", help="Monte-Carlo spectrum and histogram")
     p_sim.add_argument("--beta", type=float, required=True)
@@ -90,6 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--threads", **common_threads)
     p_sim.add_argument("--out", metavar="PATH", help="write the histogram CSV")
     p_sim.add_argument("--eigs-out", metavar="PATH", help="dump eigenvalues per trial")
+    p_sim.set_defaults(run=_cmd_simulate)
 
     p_mse = sub.add_parser("mse", help="reconstruction MSE curves")
     p_mse.add_argument("--beta", type=float, required=True)
@@ -104,11 +106,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_mse.add_argument("--format", choices=["csv", "json"], default="csv")
     p_mse.add_argument("--threads", **common_threads)
     p_mse.add_argument("--out", metavar="PATH", help="write the curve table")
+    p_mse.set_defaults(run=_cmd_mse)
 
     p_ver = sub.add_parser("verify", help="run the oracle and invariant suites")
-    p_ver.add_argument("--suite", choices=sorted(SUITES) + ["all"], default="all")
+    p_ver.add_argument("--suite", default="all", help="a suite name, or all")
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--report", metavar="PATH", help="write a JSON report")
+    p_ver.set_defaults(run=_cmd_verify)
 
     return parser
 
@@ -243,6 +247,8 @@ def _cmd_mse(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import SUITES, run_suites  # the references load only here
+
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     checks = run_suites(names, seed=args.seed)
     width = max(len(check.name) for check in checks)
@@ -283,16 +289,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(_merge_negative_grid(argv))
-    handlers = {
-        "moments": _cmd_moments,
-        "mp": _cmd_mp,
-        "simulate": _cmd_simulate,
-        "mse": _cmd_mse,
-        "verify": _cmd_verify,
-    }
     try:
-        return handlers[args.command](args)
-    except ValueError as exc:
+        return args.run(args)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, BudgetError) as exc:

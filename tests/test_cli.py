@@ -326,16 +326,28 @@ class TestVerify:
 
     @pytest.mark.parametrize("suite", ["jitter", "ensemble"])
     def test_negative_seed_exits_2_before_any_check(self, suite, capsys, monkeypatch):
-        monkeypatch.setitem(cli.SUITES, suite, lambda seed: pytest.fail("suite ran"))
+        from jittervan import verify as verify_mod
+
+        monkeypatch.setitem(verify_mod.SUITES, suite, lambda seed: pytest.fail("suite ran"))
         code, stdout, stderr = run(["verify", "--suite", suite, "--seed", "-1"], capsys)
         assert code == 2 and "seed must be an integer >= 0, got -1" in stderr
         assert stdout == ""
+
+    def test_unknown_suite_exits_2_before_any_suite(self, capsys, monkeypatch):
+        from jittervan import verify as verify_mod
+
+        for name in list(verify_mod.SUITES):
+            monkeypatch.setitem(verify_mod.SUITES, name, lambda seed: pytest.fail("suite ran"))
+        code, stdout, stderr = run(["verify", "--suite", "nope"], capsys)
+        assert code == 2 and stdout == ""
+        assert stderr.startswith("error: unknown suite 'nope'")
+        assert str(sorted(verify_mod.SUITES)) in stderr
 
     def test_failures_exit_3(self, capsys, monkeypatch):
         from jittervan import verify as verify_mod
 
         monkeypatch.setitem(
-            cli.SUITES, "partitions", lambda seed: [verify_mod.Check("forced", False, "")]
+            verify_mod.SUITES, "partitions", lambda seed: [verify_mod.Check("forced", False, "")]
         )
         code, stdout, _ = run(["verify", "--suite", "partitions"], capsys)
         assert code == 3
@@ -376,3 +388,25 @@ class TestErrorMapping:
         code, _, stderr = run(["mp", "--beta", "0.5"], capsys)
         assert code == 3
         assert "numerical error" in stderr
+
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["moments", "--p-max", "1", "--beta", "0.5"], "--out"),
+            (["mp", "--p-max", "2", "--beta", "0.5"], "--out"),
+            (["simulate", "--beta", "0.5", "--budget", "16", "--trials", "1"], "--out"),
+            (["simulate", "--beta", "0.5", "--budget", "16", "--trials", "1"], "--eigs-out"),
+            (
+                ["mse", "--beta", "0.5", "--d", "1", "--budget", "16", "--trials", "1",
+                 "--snr-db", "0:10:10"],
+                "--out",
+            ),
+            (["verify", "--suite", "partitions"], "--report"),
+        ],
+    )
+    def test_unwritable_output_exits_2(self, args, flag, tmp_path, capsys):
+        target = tmp_path / "missing" / "out"
+        code, _, stderr = run([*args, flag, str(target)], capsys)
+        assert code == 2
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert not target.exists()
