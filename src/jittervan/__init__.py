@@ -16,8 +16,6 @@ from .ensemble import (
     histogram,
     resolve_shape,
     sample_positions,
-    sampling_matrix,
-    gram_matrix,
     simulate,
     spectrum,
 )
@@ -47,9 +45,7 @@ from .moments import (
     narayana,
 )
 from .mse import (
-    LmmseResult,
     MseCurve,
-    lmmse_demo,
     mse_curve,
     mse_equally_spaced,
     mse_from_spectrum,
@@ -75,7 +71,6 @@ __all__ = [
     "EnsembleConfig",
     "IntegralValue",
     "JitterDistribution",
-    "LmmseResult",
     "MomentResult",
     "MomentTerm",
     "MseCurve",
@@ -92,11 +87,9 @@ __all__ = [
     "enumerate_partitions",
     "enumerate_partitions_k",
     "from_name",
-    "gram_matrix",
     "histogram",
     "label_vector_count",
     "label_vectors",
-    "lmmse_demo",
     "mobius_coefficient",
     "moment",
     "mp_density",
@@ -111,7 +104,6 @@ __all__ = [
     "point_mass_half",
     "resolve_shape",
     "sample_positions",
-    "sampling_matrix",
     "simulate",
     "snr_grid_db",
     "spectrum",

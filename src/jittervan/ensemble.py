@@ -20,9 +20,7 @@ n_rows x n_cols matrix.  The gather writes only the upper triangle that
 LAPACK's dsyevd reads and overwrites in place, into a buffer each running
 trial reuses, whose rows each start a page, so a trial keeps about
 0.73 n_rows^2 doubles resident (8.8 MB at n_rows = 1225), and at least a
-page a row, and no other n_rows x n_rows array.  The complex
-``sampling_matrix`` and ``gram_matrix`` stay for the estimator demo and
-the matrix-power reference in ``verify``.
+page a row, and no other n_rows x n_rows array.
 """
 
 from __future__ import annotations
@@ -141,14 +139,6 @@ def _check_build(config: EnsembleConfig, positions: np.ndarray) -> None:
     check_cell_budget(config)
 
 
-def sampling_matrix(config: EnsembleConfig, positions: np.ndarray) -> np.ndarray:
-    """Complex-exponential sampling matrix, n_rows x n_cols, unit columns."""
-    _check_build(config, positions)
-    freq = frequency_vectors(config.M, config.d)
-    phases = freq @ positions.T
-    return np.exp(-2j * np.pi * phases) / np.sqrt(config.n_rows)
-
-
 def lag_sums(M: int, positions: np.ndarray) -> np.ndarray:
     """c(m) = sum_q exp(2 pi i m.x_q) for every lag m in [-2M, 2M]^d.
 
@@ -245,11 +235,6 @@ def _trial_buffer(n: int) -> np.ndarray:
     except (AttributeError, OSError):  # no such advice, or no huge pages at all
         pass
     return np.frombuffer(buffer, offset=8 * lead, count=n * lda).reshape(n, lda)[:, :n]
-
-
-def gram_matrix(G: np.ndarray, beta: float) -> np.ndarray:
-    """Scaled Gram matrix beta * G G^H; the sampling matrix gives unit diagonal."""
-    return beta * (G @ G.conj().T)
 
 
 def spectrum(T: np.ndarray) -> np.ndarray:

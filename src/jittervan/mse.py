@@ -3,16 +3,14 @@
 The per-coefficient error of the linear minimum mean-square estimator is
 the spectral average of beta / (lambda * snr + beta).  The module computes
 it from empirical spectra, from the Marchenko-Pastur limit, and for the
-exactly equally spaced placement (all eigenvalues one), and carries an
-end-to-end estimator demo that validates the trace identity by direct
-simulation.
+exactly equally spaced placement (all eigenvalues one).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, astuple, dataclass, fields
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -20,22 +18,11 @@ from .ensemble import (
     CELL_BUDGET,
     EIG_FLOOR,
     EnsembleConfig,
-    check_cell_budget,
-    gram_matrix,
     resolve_shape,
-    sample_positions,
-    sampling_matrix,
     simulate,
-    spectrum,
     write_csv,
 )
-from .errors import (
-    NumericalError,
-    _check_aspect_ratio,
-    _check_integer,
-    _check_law,
-    _check_real,
-)
+from .errors import _check_aspect_ratio, _check_integer, _check_law, _check_real
 from .jitter import JitterDistribution
 
 
@@ -109,62 +96,6 @@ def mse_mp(beta: float, snr):
         return np.array([mse_mp(beta, value) for value in snr.flat]).reshape(snr.shape)
     c = 1.0 + (1.0 - beta) * snr / beta
     return 2.0 / (c + math.hypot(c, 2.0 * math.sqrt(snr)))
-
-
-class LmmseResult(NamedTuple):
-    """Direct estimator error against the spectral trace formula."""
-
-    empirical_mse: float
-    trace_mse: float
-    std_error: float
-    draws: int
-
-
-def lmmse_demo(
-    config: EnsembleConfig, snr: float, seed: int, draws: int = 400
-) -> LmmseResult:
-    """Estimate harmonics from noisy samples and compare with the trace.
-
-    Positions are drawn once; the positions and the signal come from two
-    children of ``np.random.SeedSequence(seed)``.  Spectrum vectors are
-    standard complex Gaussian, noise variance is 1/snr per sample
-    (unit-norm matrix columns make the per-sample signal power one).
-    Conditionally on the positions the trace value is the exact estimator
-    error, so the empirical average converges to it as the draw count
-    grows.
-    """
-    snr = _check_snr(snr)
-    seed = _check_integer(seed, "seed", low=0)
-    draws = _check_integer(draws, "draw count", low=2)
-    check_cell_budget(config)
-    signal_seed, positions_seed = np.random.SeedSequence(seed).spawn(2)
-    rng = np.random.default_rng(signal_seed)
-    positions = sample_positions(config, positions_seed)
-    G = sampling_matrix(config, positions)
-    n, r = G.shape
-    beta = config.beta
-
-    T = gram_matrix(G, beta)
-    trace_mse = mse_from_spectrum(spectrum(T), beta, snr)
-
-    sigma2 = 1.0 / snr
-    system = T / beta + sigma2 * np.eye(n)
-    shape_a = (n, draws)
-    shape_n = (r, draws)
-    a = (rng.standard_normal(shape_a) + 1j * rng.standard_normal(shape_a)) / np.sqrt(2)
-    noise = (
-        (rng.standard_normal(shape_n) + 1j * rng.standard_normal(shape_n))
-        * np.sqrt(sigma2 / 2)
-    )
-    observed = G.conj().T @ a + noise
-    try:
-        estimate = np.linalg.solve(system, G @ observed)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"estimator solve failed: {exc}") from exc
-    per_draw = np.mean(np.abs(estimate - a) ** 2, axis=0)
-    empirical = float(per_draw.mean())
-    std_error = float(per_draw.std(ddof=1) / np.sqrt(draws))
-    return LmmseResult(empirical, trace_mse, std_error, draws)
 
 
 @dataclass(frozen=True)

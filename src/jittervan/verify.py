@@ -7,6 +7,7 @@ Each reference takes another route than the engine to the value it checks:
   group's summed vector taken mod rho; Moebius inversion on the partition
   lattice makes the two equal exactly, whatever the block vectors sum to;
 - the matrix-power trace, an eigenvalue-free route to empirical moments;
+- the estimator demo, which solves for simulated signals through the complex G;
 - the finite-grid lattice sum, which converges to an integral factor as
   the half-bandwidth grows;
 - two scipy quadratures, the reduced bracket and the Marchenko-Pastur
@@ -24,18 +25,20 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .constraints import constraint_system, difference_matrix, group_walk
 from .ensemble import (
     EnsembleConfig,
+    _check_build,
+    check_cell_budget,
     empirical_moment,
-    gram_matrix,
+    frequency_vectors,
     sample_positions,
-    sampling_matrix,
     simulate,
+    spectrum,
     vertex_vectors,
 )
 from .errors import BudgetError, NumericalError
@@ -49,6 +52,7 @@ from .jitter import (
     uniform01,
 )
 from .moments import moment, mp_density, mp_moment, mp_support
+from .mse import _check_snr, mse_from_spectrum
 from .partitions import (
     Partition,
     bell,
@@ -177,6 +181,19 @@ def partition_delta_sum(instance: PhaseSumInstance) -> int:
     return total
 
 
+def sampling_matrix(config: EnsembleConfig, positions: np.ndarray) -> np.ndarray:
+    """Complex-exponential sampling matrix, n_rows x n_cols, unit columns."""
+    _check_build(config, positions)
+    freq = frequency_vectors(config.M, config.d)
+    phases = freq @ positions.T
+    return np.exp(-2j * np.pi * phases) / np.sqrt(config.n_rows)
+
+
+def gram_matrix(G: np.ndarray, beta: float) -> np.ndarray:
+    """Scaled Gram matrix beta * G G^H; the sampling matrix gives unit diagonal."""
+    return beta * (G @ G.conj().T)
+
+
 def brute_trace_moment(
     config: EnsembleConfig, p: int, trials: int, seed: int
 ) -> tuple[float, float]:
@@ -203,6 +220,64 @@ def brute_trace_moment(
     mean = float(np.mean(values))
     err = float(np.std(values, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return mean, err
+
+
+class LmmseResult(NamedTuple):
+    """Direct estimator error against the spectral trace formula."""
+
+    empirical_mse: float
+    trace_mse: float
+    std_error: float
+    draws: int
+
+
+def lmmse_demo(
+    config: EnsembleConfig, snr: float, seed: int, draws: int = 400
+) -> LmmseResult:
+    """Estimate harmonics from noisy samples and compare with the trace.
+
+    Positions are drawn once; the positions and the signal come from two
+    children of ``np.random.SeedSequence(seed)``.  Spectrum vectors are
+    standard complex Gaussian, noise variance is 1/snr per sample
+    (unit-norm matrix columns make the per-sample signal power one).
+    Conditionally on the positions the trace value is the exact estimator
+    error, so the empirical average converges to it as the draw count
+    grows.  ``snr`` is one SNR; a list or an array of them is refused.
+    """
+    if np.ndim(snr):
+        raise ValueError(f"need one signal-to-noise ratio, got shape {np.shape(snr)}")
+    snr = _check_snr(snr)
+    seed = _check_integer(seed, "seed", low=0)
+    draws = _check_integer(draws, "draw count", low=2)
+    check_cell_budget(config)
+    signal_seed, positions_seed = np.random.SeedSequence(seed).spawn(2)
+    rng = np.random.default_rng(signal_seed)
+    positions = sample_positions(config, positions_seed)
+    G = sampling_matrix(config, positions)
+    n, r = G.shape
+    beta = config.beta
+
+    T = gram_matrix(G, beta)
+    trace_mse = mse_from_spectrum(spectrum(T), beta, snr)
+
+    sigma2 = 1.0 / snr
+    system = T / beta + sigma2 * np.eye(n)
+    shape_a = (n, draws)
+    shape_n = (r, draws)
+    a = (rng.standard_normal(shape_a) + 1j * rng.standard_normal(shape_a)) / np.sqrt(2)
+    noise = (
+        (rng.standard_normal(shape_n) + 1j * rng.standard_normal(shape_n))
+        * np.sqrt(sigma2 / 2)
+    )
+    observed = G.conj().T @ a + noise
+    try:
+        estimate = np.linalg.solve(system, G @ observed)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"estimator solve failed: {exc}") from exc
+    per_draw = np.mean(np.abs(estimate - a) ** 2, axis=0)
+    empirical = float(per_draw.mean())
+    std_error = float(per_draw.std(ddof=1) / np.sqrt(draws))
+    return LmmseResult(empirical, trace_mse, std_error, draws)
 
 
 def finite_grid_term(

@@ -28,7 +28,7 @@ from jittervan.moments import (
     moment,
     mp_moment,
 )
-from jittervan.mse import lmmse_demo, mse_curve, snr_grid_db
+from jittervan.mse import mse_curve, snr_grid_db
 from jittervan.partitions import (
     Partition,
     bell,
@@ -45,6 +45,7 @@ from jittervan.verify import (
     brute_trace_moment,
     distinct_label_sum,
     instance_from_labels,
+    lmmse_demo,
     mp_average,
     partition_delta_sum,
 )

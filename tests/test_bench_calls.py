@@ -16,7 +16,7 @@ import jittervan as jv
 TRACED_LAYERS = {
     "moments": ("moment", "term_integral", "enumerate_partitions_k"),
     "integrate": ("delta_volume", "cf_integral", "constraint_system"),
-    "ensemble": ("sample_positions", "sampling_matrix", "gram_matrix", "spectrum"),
+    "ensemble": ("sample_positions", "spectrum"),
     "mse": ("simulate", "mse_curve", "mse_from_spectrum", "mse_mp"),
 }
 

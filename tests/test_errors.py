@@ -39,7 +39,6 @@ from jittervan.moments import (
     narayana,
 )
 from jittervan.mse import (
-    lmmse_demo,
     mse_curve,
     mse_equally_spaced,
     mse_from_spectrum,
@@ -61,6 +60,7 @@ from jittervan.verify import (
     distinct_label_sum,
     finite_grid_term,
     instance_from_labels,
+    lmmse_demo,
     run_suites,
 )
 
@@ -89,7 +89,6 @@ def tripwires(monkeypatch):
         (integrate_module, "delta_volume"),
         (integrate_module, "constraint_system"),
         (ensemble_module, "sample_positions"),
-        (mse_module, "sample_positions"),
         (mse_module, "simulate"),
         (verify_module, "constraint_system"),
         (verify_module, "sample_positions"),
@@ -269,6 +268,16 @@ REFUSALS = [
     (
         "lmmse_demo_bool_snr",
         lambda: lmmse_demo(config(), True, 0, draws=2),
+        "signal-to-noise ratio",
+    ),
+    (
+        "lmmse_demo_snr_list",
+        lambda: lmmse_demo(config(), [2.0], 0, draws=2),
+        "signal-to-noise ratio",
+    ),
+    (
+        "lmmse_demo_snr_array",
+        lambda: lmmse_demo(config(), np.array([1.0, 2.0]), 0, draws=2),
         "signal-to-noise ratio",
     ),
     (

@@ -35,17 +35,37 @@ def fresh_python(code: str):
     return json.loads(result.stdout)
 
 
+#: The complex reference path and the estimator demo, which live in verify only.
+REFERENCE_NAMES = ("sampling_matrix", "gram_matrix", "lmmse_demo", "LmmseResult")
+
+
 @pytest.mark.parametrize("module", ["jittervan", "jittervan.cli"])
 def test_import_loads_no_scipy_and_no_masked_arrays(module):
-    loaded = fresh_python(
-        f"import json, sys\nimport {module}\nprint(json.dumps(sorted(sys.modules)))"
+    loaded, exported, engine = fresh_python(
+        f"""
+import json, sys
+import {module}
+loaded = sorted(sys.modules)
+import jittervan
+names = {REFERENCE_NAMES!r}
+exported = [name for name in names if name in jittervan.__all__]
+engine = [
+    f"{{part}}.{{name}}"
+    for part in ("ensemble", "mse")
+    for name in names
+    if hasattr(getattr(jittervan, part), name)
+]
+print(json.dumps([loaded, exported, engine]))
+"""
     )
     assert [name for name in loaded if name.startswith("scipy")] == []
     assert [name for name in loaded if name.split(".")[:2] == ["numpy", "ma"]] == []
     # no engine module imports the references, nor does the CLI until verify runs
     assert "jittervan.verify" not in loaded
+    assert engine == []
     if module == "jittervan":
         assert "jittervan.cli" not in loaded
+        assert exported == []
 
 
 def test_cold_pass_adds_no_module():

@@ -12,13 +12,13 @@ from jittervan.jitter import point_mass_half, uniform01
 from jittervan.moments import mp_density, mp_support
 from jittervan.mse import (
     MseCurve,
-    lmmse_demo,
     mse_curve,
     mse_equally_spaced,
     mse_from_spectrum,
     mse_mp,
     snr_grid_db,
 )
+from jittervan.verify import lmmse_demo, sampling_matrix
 
 
 def mp_sample(beta: float, n: int, seed: int) -> np.ndarray:
@@ -199,7 +199,7 @@ class TestLmmseDemo:
 
     def test_trace_equals_error_covariance(self):
         # direct error-covariance trace against the eigenvalue form, M=5
-        from jittervan.ensemble import sample_positions, sampling_matrix
+        from jittervan.ensemble import sample_positions
 
         config = EnsembleConfig(d=1, M=5, rho=16, dist=uniform01())
         snr = 7.0
