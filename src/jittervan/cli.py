@@ -22,7 +22,7 @@ from .ensemble import (
 )
 from .errors import BudgetError, NumericalError
 from .jitter import JITTER_NAMES, from_name
-from .moments import MOMENT_CAP, _mp_gap, moment, mp_moment, mp_support
+from .moments import MOMENT_CAP, _mp_gap, _pair_classes, moment, mp_moment, mp_support
 from .mse import mse_curve, snr_grid_db
 
 SCHEMA_VERSION = 1
@@ -131,16 +131,16 @@ def _cmd_moments(args) -> int:
     results = []
     for p in range(1, args.p_max + 1):
         res = moment(p, args.beta, args.d, dist, threads=args.threads)
-        record = res.to_dict()
+        record = {}
         line = (
             f"p={p}  moment={res.value:.8f}  error={res.std_error:.2e}  "
-            f"terms={len(res.terms)}"
+            f"terms={len(_pair_classes(p)[0])}"
         )
         if args.mp:
             limit = mp_moment(p, args.beta)
             record.update(mp=limit, gap=_mp_gap(res))
             line += f"  mp={limit:.8f}  gap={record['gap']:.3e}"
-        results.append(record)
+        results.append((res, record))
         print(line)
     if args.out:
         _write_json(
@@ -150,7 +150,7 @@ def _cmd_moments(args) -> int:
                 "beta": args.beta,
                 "d": args.d,
                 "jitter": args.jitter,
-                "results": results,
+                "results": [{**res.to_dict(), **record} for res, record in results],
             },
         )
         print(f"wrote {args.out}")

@@ -6,11 +6,12 @@ import time
 import numpy as np
 import pytest
 
+import jittervan.moments as moments_module
 from jittervan import cli
 from jittervan.ensemble import EnsembleConfig, resolve_shape, simulate
 from jittervan.errors import NumericalError
 from jittervan.jitter import from_name, uniform01
-from jittervan.moments import MOMENT_CAP, convergence_report, mp_moment
+from jittervan.moments import MOMENT_CAP, convergence_report, moment, mp_moment
 
 
 def run(args, capsys):
@@ -103,6 +104,29 @@ class TestMoments:
         gap = json.loads(out.read_text())["results"][1]["gap"]
         assert gap == row.gap and 2.8e-24 < gap < 2.9e-24
         assert f"gap={row.gap:.3e}" in stdout.splitlines()[1]
+
+    def test_lines_without_out_build_no_term(self, capsys, monkeypatch):
+        # terms= reads the pair table's length; the rows are built only for
+        # --out, and the lines are those printed from the rows themselves
+        built = []
+        monkeypatch.setattr(moments_module, "MomentTerm", lambda *fields: built.append(fields))
+        code, stdout, _ = run(
+            ["moments", "--p-max", "5", "--beta", "0.55", "--d", "2", "--mp"], capsys
+        )
+        assert code == 0 and not built
+        monkeypatch.undo()
+        expected = []
+        for p in range(1, 6):
+            res = moment(p, 0.55, 2, uniform01())
+            (row,) = convergence_report(p, 0.55, [2], uniform01())
+            expected.append(
+                f"p={p}  moment={res.value:.8f}  error={res.std_error:.2e}  "
+                f"terms={len(res.terms)}  mp={row.mp:.8f}  gap={row.gap:.3e}"
+            )
+        assert stdout.splitlines() == expected
+        assert [line.split("terms=")[1].split()[0] for line in expected] == [
+            "1", "3", "12", "60", "358",
+        ]
 
     def test_reproducible_output(self, tmp_path, capsys):
         digests = []

@@ -218,55 +218,6 @@ class TestPositions:
         assert abs(draws.mean() - 0.05) < 5 * (0.1 / np.sqrt(12)) / np.sqrt(len(draws))
 
 
-class TestMatrices:
-    def test_zero_frequency_row_and_column_norms(self):
-        config = EnsembleConfig(d=2, M=1, rho=4, dist=uniform01())
-        G = sampling_matrix(config, sample_positions(config, 1))
-        mid = (config.n_rows - 1) // 2
-        assert not frequency_vectors(1, 2)[mid].any()
-        assert np.allclose(G[mid], 1 / 3)
-        assert np.allclose(np.sum(np.abs(G) ** 2, axis=0), 1.0, atol=1e-12)
-
-    def test_half_cell_roots_of_unity_identity(self):
-        config = EnsembleConfig(d=1, M=1, rho=3, dist=point_mass_half())
-        G = sampling_matrix(config, sample_positions(config, 0))
-        T = gram_matrix(G, config.beta)
-        assert np.allclose(T, np.eye(3), atol=1e-12)
-
-    def test_unit_diagonal_and_trace(self):
-        config = EnsembleConfig(d=1, M=10, rho=30, dist=uniform01())
-        G = sampling_matrix(config, sample_positions(config, 5))
-        T = gram_matrix(G, config.beta)
-        assert np.allclose(np.diag(T).real, 1.0, atol=1e-12)
-        eigs = spectrum(T)
-        assert eigs.sum() == pytest.approx(np.trace(T).real, rel=1e-8)
-        assert eigs.min() >= 0.0
-
-    def test_eigen_residuals(self):
-        config = EnsembleConfig(d=1, M=8, rho=20, dist=uniform01())
-        G = sampling_matrix(config, sample_positions(config, 9))
-        T = gram_matrix(G, config.beta)
-        values, vectors = np.linalg.eigh(T)
-        norm = np.linalg.norm(T, 2)
-        for idx in (0, len(values) // 2, len(values) - 1):
-            residual = np.linalg.norm(T @ vectors[:, idx] - values[idx] * vectors[:, idx])
-            assert residual <= 1e-8 * norm
-
-    def test_global_shift_leaves_spectrum(self):
-        config = EnsembleConfig(d=1, M=6, rho=20, dist=uniform01())
-        positions = sample_positions(config, 7)
-        base = spectrum(gram_matrix(sampling_matrix(config, positions), config.beta))
-        shifted = (positions + 0.317) % 1.0
-        moved = spectrum(gram_matrix(sampling_matrix(config, shifted), config.beta))
-        assert np.allclose(base, moved, atol=1e-9)
-
-    def test_positions_shape_checked(self):
-        config = EnsembleConfig(d=1, M=2, rho=8, dist=uniform01())
-        for build in (sampling_matrix, gathered_gram):
-            with pytest.raises(ValueError):
-                build(config, np.zeros((3, 1)))
-
-
 class TestSimulate:
     def test_half_cell_spectrum_is_all_ones(self):
         assert verify.half_cell_jitter_is_identity(0)

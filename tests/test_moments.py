@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -10,11 +11,14 @@ from scipy.integrate import tplquad
 
 import jittervan.constraints as constraints_module
 import jittervan.integrate as integrate_module
+import jittervan.moments as moments_module
 from jittervan import verify
 from jittervan.constraints import class_representative, walk_edges
 from jittervan.integrate import QmcOptions, term_integral
 from jittervan.jitter import JitterDistribution, point_mass_half, triangular01, uniform01
 from jittervan.moments import (
+    MomentTerm,
+    _class_weights,
     _narayana_row,
     _pair_classes,
     clear_term_cache,
@@ -454,6 +458,77 @@ class TestMoment:
             }
 
 
+#: (beta, d) points at which the class sums are checked against the rows.
+CLASS_SUM_POINTS = [(0.55, 1), (0.55, 2), (0.55, 3), (0.55, 4), (0.3, 3), (0.836, 1), (0.6, 1)]
+
+
+def row_terms(p, beta, d, values):
+    """The term rows built pair by pair from the class values: the reference
+    for ``terms`` and, summed, for the class sum."""
+    terms = []
+    for omega, omega_prime, u, index in _pair_classes(p)[0]:
+        k, h = omega.k, omega_prime.k
+        v = values[index]
+        weight = beta ** (p - h)
+        contribution = weight * u * v.value**d
+        err = weight * abs(u) * d * abs(v.value) ** (d - 1) * v.std_error
+        terms.append(MomentTerm(k, h, omega, omega_prime, u, v, contribution, err))
+    return terms
+
+
+class TestClassSums:
+    @pytest.mark.parametrize("factory", [uniform01, triangular01])
+    @pytest.mark.parametrize("beta,d", CLASS_SUM_POINTS)
+    def test_rows_are_bit_identical_and_the_sum_no_less_exact(self, beta, d, factory):
+        for p in range(1, 6):
+            result = moment(p, beta, d, factory())
+            rows = row_terms(p, beta, d, result._values)
+            assert result.terms == tuple(rows)
+            for got, want in zip(result.terms, rows):
+                assert got.contribution.hex() == want.contribution.hex()
+                assert got.std_error.hex() == want.std_error.hex()
+            # the row-by-row sum, and the exact sum of the same rows from
+            # the same float beta and v_c
+            row_sum = sum(t.contribution for t in rows)
+            exact = sum(
+                t.u * Fraction(beta) ** (p - t.h) * Fraction(t.v.value) ** d for t in rows
+            )
+            assert result.value == pytest.approx(row_sum, rel=1e-14, abs=0)
+            assert abs(result.value - exact) <= abs(row_sum - exact), p
+            row_error = sum(t.std_error for t in rows)
+            assert result.std_error == pytest.approx(row_error, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("factory", [uniform01, triangular01, two_point])
+    @pytest.mark.parametrize("beta,d", [(0.3, 1), (0.55, 2), (1.0, 3), (0.836, 128)])
+    def test_first_moment_is_exactly_one(self, beta, d, factory):
+        result = moment(1, beta, d, factory())
+        assert (result.value, result.std_error) == (1.0, 0.0)
+
+    def test_terms_are_built_only_when_read(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(
+            moments_module, "MomentTerm", lambda *fields: built.append(fields) or MomentTerm(*fields)
+        )
+        result = moment(5, 0.55, 2, uniform01())
+        assert not built
+        assert len(result.terms) == len(built) == 358
+
+    @pytest.mark.parametrize("p", [*range(1, 7), pytest.param(7, marks=pytest.mark.slow)])
+    def test_weights_sum_the_rows_of_each_class(self, p):
+        rows, classes = _pair_classes(p)
+        signed, absolute = _class_weights(p)
+        assert signed.shape == absolute.shape == (len(classes), p)
+        sums = {}
+        for _, grouping, u, index in rows:
+            w, a = sums.setdefault(index, ([0] * p, [0] * p))
+            w[p - grouping.k] += u
+            a[p - grouping.k] += abs(u)
+        for index in range(len(classes)):
+            assert list(signed[index]) == sums[index][0], index
+            assert list(absolute[index]) == sums[index][1], index
+            assert all(type(x) is int for x in (*signed[index], *absolute[index]))
+
+
 class TestOrbitAgreement:
     @pytest.mark.parametrize("factory", [triangular01, two_point])
     def test_members_agree_within_three_sigma(self, factory):
@@ -622,13 +697,8 @@ class TestMarchenkoPastur:
         # its members' weights u, summed by the power p - h of beta, are the
         # Narayana numbers, so every other class's factor^d -> 0 leaves MP
         for p in range(1, 7):
-            rows, classes = _pair_classes(p)
-            unit = classes.index((Partition((1,)), Partition((1,))))
-            weights = [0] * p
-            for _, grouping, u, index in rows:
-                if index == unit:
-                    weights[p - grouping.k] += u
-            assert weights == _narayana_row(p), p
+            unit = _pair_classes(p)[1].index((Partition((1,)), Partition((1,))))
+            assert list(_class_weights(p)[0][unit]) == _narayana_row(p), p
 
     @pytest.mark.parametrize(
         "p,beta,expected",

@@ -8,7 +8,7 @@ import pytest
 
 import jittervan.mse as mse_module
 from jittervan.ensemble import CELL_BUDGET, EnsembleConfig, resolve_shape, simulate
-from jittervan.jitter import point_mass_half, uniform01
+from jittervan.jitter import uniform01
 from jittervan.moments import mp_density, mp_support
 from jittervan.mse import (
     MseCurve,
@@ -18,7 +18,7 @@ from jittervan.mse import (
     mse_mp,
     snr_grid_db,
 )
-from jittervan.verify import lmmse_demo, sampling_matrix
+from jittervan.verify import lmmse_demo
 
 
 def mp_sample(beta: float, n: int, seed: int) -> np.ndarray:
@@ -171,71 +171,6 @@ class TestEquallySpaced:
             assert mse_equally_spaced(0.4, snr) == pytest.approx(
                 mse_from_spectrum(np.ones(9), 0.4, snr), abs=1e-15
             )
-
-
-class TestLmmseDemo:
-    def test_half_cell_trace_is_closed_form(self):
-        config = EnsembleConfig(d=1, M=5, rho=12, dist=point_mass_half())
-        result = lmmse_demo(config, 5.0, seed=0, draws=50)
-        assert result.trace_mse == pytest.approx(
-            config.beta / (5.0 + config.beta), abs=1e-12
-        )
-
-    def test_empirical_matches_trace(self):
-        config = EnsembleConfig(d=1, M=25, rho=102, dist=uniform01())
-        result = lmmse_demo(config, 10.0, seed=2, draws=500)
-        assert abs(result.empirical_mse - result.trace_mse) <= 3 * result.std_error
-
-    def test_no_information_limit(self):
-        config = EnsembleConfig(d=1, M=6, rho=20, dist=uniform01())
-        result = lmmse_demo(config, 1e-6, seed=1, draws=100)
-        # the estimate vanishes, so the empirical error is the mean power of
-        # the drawn signal, rebuilt here from the signal's stream
-        rng = np.random.default_rng(np.random.SeedSequence(1).spawn(2)[0])
-        shape = (config.n_rows, 100)
-        a = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-        assert result.empirical_mse == pytest.approx(np.mean(np.abs(a) ** 2), abs=1e-3)
-        assert result.trace_mse == pytest.approx(1.0, abs=1e-3)
-
-    def test_trace_equals_error_covariance(self):
-        # direct error-covariance trace against the eigenvalue form, M=5
-        from jittervan.ensemble import sample_positions
-
-        config = EnsembleConfig(d=1, M=5, rho=16, dist=uniform01())
-        snr = 7.0
-        positions = sample_positions(config, np.random.SeedSequence(4).spawn(2)[1])
-        G = sampling_matrix(config, positions)
-        n = G.shape[0]
-        covariance = np.linalg.inv(np.eye(n) + snr * (G @ G.conj().T))
-        direct = float(np.trace(covariance).real) / n
-        result = lmmse_demo(config, snr, seed=4, draws=10)
-        assert result.trace_mse == pytest.approx(direct, rel=1e-8)
-
-    def test_signal_and_positions_draw_separate_streams(self, monkeypatch):
-        # with one seed for both, the signal generator replayed the bits
-        # that placed the samples: default_rng(7).random(8) were the offsets
-        config = EnsembleConfig(d=1, M=2, rho=8, dist=uniform01())
-        real_rng = np.random.default_rng
-        seeds = []
-
-        def recording_rng(seed=None):
-            seeds.append(seed)
-            return real_rng(seed)
-
-        monkeypatch.setattr(np.random, "default_rng", recording_rng)
-        lmmse_demo(config, 5.0, seed=7, draws=4)
-        monkeypatch.undo()
-        assert len(seeds) == 2
-        first, second = (real_rng(seed).random(8) for seed in seeds)
-        assert not np.any(first == second)
-        assert not np.any(real_rng(7).random(8) == first)
-
-    def test_validation(self):
-        config = EnsembleConfig(d=1, M=3, rho=10, dist=uniform01())
-        with pytest.raises(ValueError):
-            lmmse_demo(config, 0.0, seed=0)
-        with pytest.raises(ValueError):
-            lmmse_demo(config, 1.0, seed=0, draws=1)
 
 
 @pytest.fixture(scope="module")
