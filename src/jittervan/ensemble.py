@@ -130,15 +130,6 @@ def check_cell_budget(config: EnsembleConfig) -> None:
         )
 
 
-def _check_build(config: EnsembleConfig, positions: np.ndarray) -> None:
-    if positions.shape != (config.n_cols, config.d):
-        raise ValueError(
-            f"positions must have shape {(config.n_cols, config.d)}, "
-            f"got {positions.shape}"
-        )
-    check_cell_budget(config)
-
-
 def lag_sums(M: int, positions: np.ndarray) -> np.ndarray:
     """c(m) = sum_q exp(2 pi i m.x_q) for every lag m in [-2M, 2M]^d.
 
@@ -194,7 +185,6 @@ def _gather_upper(config: EnsembleConfig, positions: np.ndarray, T: np.ndarray):
     f_j +- f_k is s_j +- s_k plus that of the zero lag.  Rows are gathered
     straight into T in blocks of ``_block_rows(n)``.
     """
-    _check_build(config, positions)
     M, d, n = config.M, config.d, config.n_rows
     L = 4 * M + 1
     zero = (L**d - 1) // 2

@@ -32,7 +32,6 @@ import numpy as np
 from .constraints import constraint_system, difference_matrix, group_walk
 from .ensemble import (
     EnsembleConfig,
-    _check_build,
     check_cell_budget,
     empirical_moment,
     frequency_vectors,
@@ -183,7 +182,12 @@ def partition_delta_sum(instance: PhaseSumInstance) -> int:
 
 def sampling_matrix(config: EnsembleConfig, positions: np.ndarray) -> np.ndarray:
     """Complex-exponential sampling matrix, n_rows x n_cols, unit columns."""
-    _check_build(config, positions)
+    if positions.shape != (config.n_cols, config.d):
+        raise ValueError(
+            f"positions must have shape {(config.n_cols, config.d)}, "
+            f"got {positions.shape}"
+        )
+    check_cell_budget(config)
     freq = frequency_vectors(config.M, config.d)
     phases = freq @ positions.T
     return np.exp(-2j * np.pi * phases) / np.sqrt(config.n_rows)

@@ -35,8 +35,11 @@ def fresh_python(code: str):
     return json.loads(result.stdout)
 
 
-#: The complex reference path and the estimator demo, which live in verify only.
-REFERENCE_NAMES = ("sampling_matrix", "gram_matrix", "lmmse_demo", "LmmseResult")
+#: Reference names that no engine module holds: the complex reference path, its
+#: input check and the estimator demo.
+REFERENCE_NAMES = (
+    "sampling_matrix", "gram_matrix", "lmmse_demo", "LmmseResult", "_check_build"
+)
 
 
 @pytest.mark.parametrize("module", ["jittervan", "jittervan.cli"])

@@ -14,13 +14,12 @@ from scipy.special import roots_jacobi, roots_legendre
 import jittervan.integrate as integrate_module
 from jittervan import verify
 from jittervan.constraints import (
-    class_representative,
     constraint_system,
     difference_matrix,
     group_walk,
 )
 from jittervan.ensemble import EnsembleConfig, resolve_shape
-from jittervan.errors import BudgetError, NumericalError
+from jittervan.errors import NumericalError
 from jittervan.integrate import cf_integral, delta_volume, term_integral
 from jittervan.jitter import JitterDistribution, point_mass_half, triangular01, uniform01
 from jittervan.moments import _pair_classes, clear_term_cache, moment
@@ -31,8 +30,7 @@ from jittervan.partitions import (
     partition_of,
 )
 from jittervan.verify import finite_grid_term
-from test_moments import cf_orbits, cf_pairs, two_point
-from test_partitions import dihedral_representative
+from test_moments import cf_orbits, two_point
 
 LAWS = {"uniform01": uniform01, "triangular01": triangular01, "two_point": two_point}
 
@@ -1005,150 +1003,6 @@ class TestDispatch:
             term_integral(w, Partition((1, 2, 1)), 0.4, 1, uniform01()).method
             == "gauss_cones"
         )
-
-
-#: (law, beta, d) at which the extrapolated grid checks the engine's terms.
-GRID_CONFIGS = [("uniform01", 0.6, 1), ("uniform01", 0.55, 2), ("two_point", 0.55, 2)]
-
-
-def extrapolated_grid(partition, grouping, beta, d, dist, boxes=(4, 8, 16)):
-    """Richardson limit of ``finite_grid_term`` over growing boxes.
-
-    At odd width W = 2 * box + 1 the grid value expands in even powers of
-    1 / W (the Euler-Maclaurin expansion; Lyness and Puri, Math. Comp.,
-    1973), so the values at len(boxes) widths are fitted by 1, W^-2, W^-4,
-    ..., and the constant of the fit is the limit.
-    """
-    widths = 2.0 * np.array(boxes) + 1
-    grid = [finite_grid_term(partition, grouping, box, beta, d, dist) for box in boxes]
-    fit = np.vander(widths**-2.0, len(boxes), increasing=True)
-    return float(np.linalg.solve(fit, grid)[0])
-
-
-def order_five_members():
-    """One order-5 cf pair per class, with the fewest free coordinates.
-
-    A pair outside the representative's dihedral orbit is taken where the
-    class has one, else a pair of that orbit other than the representative.
-    Only the five-cycle in one group has neither: its class is that one pair.
-    """
-    chosen = {}
-    for pair in cf_pairs(5):
-        rep = class_representative(*pair)
-        score = (
-            dihedral_representative(*pair) == dihedral_representative(*rep),
-            pair == rep,
-            pair[0].p - pair[1].k,
-        )
-        if rep not in chosen or score < chosen[rep][0]:
-            chosen[rep] = (score, pair)
-    return [pair for _, pair in chosen.values()]
-
-
-class TestFiniteGridTerm:
-    def test_non_integer_box_refused(self):
-        # box = 2.5 once passed the range check and raised TypeError later
-        with pytest.raises(ValueError, match="integer"):
-            finite_grid_term(
-                Partition((1, 2)), Partition((1, 1)), 2.5, 0.5, 1, uniform01()
-            )
-
-    def test_single_block_counts_to_one(self):
-        for m in (3, 9):
-            assert finite_grid_term(
-                Partition((1, 1)), Partition((1,)), m, 0.5, 1, uniform01()
-            ) == pytest.approx(1.0)
-
-    def test_fully_pinned_pair_is_one(self):
-        assert finite_grid_term(
-            Partition((1, 2)), Partition((1, 2)), 10, 0.5, 1, uniform01()
-        ) == pytest.approx(1.0)
-
-    def test_converges_to_qmc_value(self):
-        est = cf_integral(Partition((1, 2)), Partition((1, 1)), 0.5, 1, uniform01())
-        gaps = []
-        for m in (8, 16, 32):
-            gaps.append(abs(finite_grid_term(Partition((1, 2)), Partition((1, 1)), m, 0.5, 1, uniform01()) - est.value))
-        assert gaps[0] >= gaps[1] >= gaps[2]
-        assert gaps[-1] < 1e-2
-
-    @pytest.mark.parametrize("p", [2, 3])
-    def test_agreement_all_pairs(self, p):
-        # every evaluation regime against the independent finite-grid path
-        for w in enumerate_partitions(p):
-            for h in range(1, w.k + 1):
-                for g in enumerate_partitions_k(w.k, h):
-                    grid = finite_grid_term(w, g, 32, 0.6, 1, uniform01())
-                    value = term_integral(w, g, 0.6, 1, uniform01())
-                    tol = max(5 * value.std_error, 0.02)
-                    assert abs(value.value - grid) <= tol, (w.omega, g.omega)
-
-    def test_agreement_sampled_order_four(self):
-        pairs = [
-            (Partition((1, 2, 1, 2)), Partition((1, 2))),
-            (Partition((1, 2, 3, 4)), Partition((1, 2, 1, 2))),
-            (Partition((1, 2, 1, 3)), Partition((1, 1, 1))),
-            (Partition((1, 1, 2, 3)), Partition((1, 2, 2))),
-        ]
-        for w, g in pairs:
-            grid = finite_grid_term(w, g, 24, 0.6, 1, uniform01())
-            value = term_integral(w, g, 0.6, 1, uniform01())
-            assert abs(value.value - grid) <= max(5 * value.std_error, 0.03)
-
-    @pytest.mark.slow
-    def test_agreement_every_pair_order_four(self):
-        # every pair with p <= 4, fully pinned ones included, against the
-        # engine's term, whose value comes from its class representative
-        for law, beta, d in GRID_CONFIGS:
-            for p in range(1, 5):
-                for term in moment(p, beta, d, LAWS[law]()).terms:
-                    pair = (term.omega, term.omega_prime)
-                    grid = extrapolated_grid(*pair, beta, d, LAWS[law]())
-                    assert abs(grid - term.v.value) <= 1e-7, (law, beta, d, pair)
-
-    @pytest.mark.slow
-    def test_agreement_class_members_order_five(self):
-        # the widths 5, 7, 9 and 13, fitted through W^-6, keep the
-        # five-dimensional grids small
-        members = order_five_members()
-        assert len(members) == 17
-        for law, beta, d in GRID_CONFIGS:
-            value_of = {
-                (t.omega, t.omega_prime): t.v.value
-                for t in moment(5, beta, d, LAWS[law]()).terms
-            }
-            for pair in members:
-                grid = extrapolated_grid(*pair, beta, d, LAWS[law](), boxes=(2, 3, 4, 6))
-                assert abs(grid - value_of[pair]) <= 1e-7, (law, beta, d, pair)
-
-    def test_budget_guard(self):
-        # three free labels in [-232, 232]: 465^3 nodes, over the budget
-        assert 465**3 > verify.GRID_BUDGET
-        with pytest.raises(BudgetError):
-            finite_grid_term(
-                Partition((1, 2, 3)), Partition((1, 1, 1)), 232, 0.5, 1, uniform01()
-            )
-
-    def test_solution_map_guards(self, monkeypatch):
-        # y1 = -y2 is off the kernel of the pinned pair's rows (y1 = y2),
-        # which is caught before any node reaches the cf
-        basis = np.array([[1], [-1]], dtype=np.int64)
-        monkeypatch.setattr(verify, "constraint_system", lambda *_: basis)
-        law, calls = uniform01(), []
-        counted = JitterDistribution(
-            law.kind, lambda t: calls.append(t) or law.cf(t), law.draw, True
-        )
-        calls.clear()
-        w = Partition((1, 2))
-        with pytest.raises(NumericalError):
-            finite_grid_term(w, w, 4, 0.5, 1, counted)
-        assert calls == []
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            finite_grid_term(Partition((1, 2)), Partition((1, 1)), 0, 0.5, 1, uniform01())
-        with pytest.raises(ValueError):
-            finite_grid_term(Partition((1, 2)), Partition((1, 1)), 4, 2.0, 1, uniform01())
 
 
 class TestContraction:
