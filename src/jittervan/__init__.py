@@ -54,14 +54,10 @@ from .mse import (
 )
 from .partitions import (
     Partition,
-    bell,
     enumerate_partitions,
     enumerate_partitions_k,
-    label_vector_count,
-    label_vectors,
     mobius_coefficient,
     partition_of,
-    stirling2,
 )
 
 __version__ = "0.1.0"
@@ -78,7 +74,6 @@ __all__ = [
     "Partition",
     "QmcOptions",
     "SpectrumSample",
-    "bell",
     "cf_integral",
     "convergence_report",
     "delta_volume",
@@ -88,8 +83,6 @@ __all__ = [
     "enumerate_partitions_k",
     "from_name",
     "histogram",
-    "label_vector_count",
-    "label_vectors",
     "mobius_coefficient",
     "moment",
     "mp_density",
@@ -107,7 +100,6 @@ __all__ = [
     "simulate",
     "snr_grid_db",
     "spectrum",
-    "stirling2",
     "term_integral",
     "triangular01",
     "uniform01",

@@ -5,19 +5,15 @@ the 1-based block label of element ``i+1`` and labels appear in order of
 first use (``omega[0] == 1`` and each later entry exceeds the running
 maximum by at most one).  This makes the encoding canonical: two label
 vectors induce the same partition exactly when they map to the same string.
-
-All counting is done in exact integer arithmetic (Python integers), so
-Bell/Stirling values are exact for any order the enumeration cap admits.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import _check_integer
 
@@ -116,22 +112,6 @@ def enumerate_partitions_k(p: int, k: int) -> list[Partition]:
     return [w for w in _partitions(p) if w.k == k]
 
 
-@lru_cache(maxsize=None)
-def stirling2(p: int, k: int) -> int:
-    """Stirling number of the second kind, exact."""
-    p = _check_integer(p, "order")
-    k = _check_integer(k, "block count", high=p)
-    if k == 1 or k == p:
-        return 1
-    return k * stirling2(p - 1, k) + stirling2(p - 1, k - 1)
-
-
-def bell(p: int) -> int:
-    """Bell number: count of all partitions of a p element set, exact."""
-    p = _check_integer(p, "order")
-    return sum(stirling2(p, k) for k in range(1, p + 1))
-
-
 def mobius_coefficient(partition: Partition) -> int:
     """Signed weight (-1)^(k-h) * prod (|block|-1)! of a partition.
 
@@ -143,20 +123,3 @@ def mobius_coefficient(partition: Partition) -> int:
     for size in partition.block_sizes:
         out *= (-1) ** (size - 1) * math.factorial(size - 1)
     return out
-
-
-def label_vector_count(k: int, r: int) -> int:
-    """Number of label vectors on r symbols inducing a k-block partition."""
-    return math.perm(r, k)
-
-
-def label_vectors(partition: Partition, r: int) -> Iterator[tuple[int, ...]]:
-    """Yield every vector in {0,...,r-1}^p inducing ``partition``.
-
-    Vectors are produced lazily, ordered by the lexicographic order of the
-    injective block-label assignment; the total count is r!/(r-k)!.
-    """
-    k = partition.k
-    omega = partition.omega
-    for assignment in itertools.permutations(range(r), k):
-        yield tuple(assignment[label - 1] for label in omega)

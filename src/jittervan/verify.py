@@ -6,6 +6,9 @@ Each reference takes another route than the engine to the value it checks:
   tuples of distinct grid labels and by its partition expansion, with each
   group's summed vector taken mod rho; Moebius inversion on the partition
   lattice makes the two equal exactly, whatever the block vectors sum to;
+- the Bell and Stirling counts, by their recurrence, and the label vectors
+  of a partition, by injective assignment of labels to its blocks, which
+  the partition enumeration is checked against;
 - the matrix-power trace, an eigenvalue-free route to empirical moments;
 - the estimator demo, which solves for simulated signals through the complex G;
 - the finite-grid lattice sum, which converges to an integral factor as
@@ -24,8 +27,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -54,14 +58,10 @@ from .moments import moment, mp_density, mp_moment, mp_support
 from .mse import _check_snr, mse_from_spectrum
 from .partitions import (
     Partition,
-    bell,
     enumerate_partitions,
     enumerate_partitions_k,
-    label_vector_count,
-    label_vectors,
     mobius_coefficient,
     partition_of,
-    stirling2,
 )
 
 #: The exact enumeration visits r!/(r-k)! ordered tuples of distinct
@@ -370,6 +370,43 @@ def mp_average(beta: float, f) -> tuple[float, float]:
         return f(z) * mp_density(beta, z) * jac
 
     return quad(integrand, 0.0, math.pi / 2, epsabs=1e-13, epsrel=1e-13)
+
+
+@lru_cache(maxsize=None)
+def stirling2(p: int, k: int) -> int:
+    """Stirling number of the second kind, exact."""
+    p = _check_integer(p, "order")
+    k = _check_integer(k, "block count", high=p)
+    if k == 1 or k == p:
+        return 1
+    return k * stirling2(p - 1, k) + stirling2(p - 1, k - 1)
+
+
+def bell(p: int) -> int:
+    """Bell number: count of all partitions of a p element set, exact."""
+    p = _check_integer(p, "order")
+    return sum(stirling2(p, k) for k in range(1, p + 1))
+
+
+def label_vector_count(k: int, r: int) -> int:
+    """Number of label vectors on r symbols inducing a k-block partition."""
+    k = _check_integer(k, "block count")
+    return math.perm(_check_integer(r, "label count"), k)
+
+
+def label_vectors(partition: Partition, r: int) -> Iterator[tuple[int, ...]]:
+    """Every vector in {0,...,r-1}^p inducing ``partition``, produced lazily.
+
+    They follow the lexicographic order of the injective block-label
+    assignment; the total count is r!/(r-k)!.  The label count r is
+    refused at the call, before the first vector.
+    """
+    r = _check_integer(r, "label count")
+    omega = partition.omega
+    return (
+        tuple(assignment[label - 1] for label in omega)
+        for assignment in permutations(range(r), partition.k)
+    )
 
 
 def count_matches_bell(p: int) -> bool:

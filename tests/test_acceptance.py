@@ -31,23 +31,23 @@ from jittervan.moments import (
 from jittervan.mse import mse_curve, snr_grid_db
 from jittervan.partitions import (
     Partition,
-    bell,
     enumerate_partitions,
     enumerate_partitions_k,
-    label_vectors,
     mobius_coefficient,
     partition_of,
-    stirling2,
 )
 from jittervan.verify import (
     PhaseSumInstance,
+    bell,
     bracket_integral,
     brute_trace_moment,
     distinct_label_sum,
     instance_from_labels,
+    label_vectors,
     lmmse_demo,
     mp_average,
     partition_delta_sum,
+    stirling2,
 )
 
 

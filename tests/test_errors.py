@@ -45,23 +45,21 @@ from jittervan.mse import (
     mse_mp,
     snr_grid_db,
 )
-from jittervan.partitions import (
-    Partition,
-    bell,
-    enumerate_partitions,
-    enumerate_partitions_k,
-    stirling2,
-)
+from jittervan.partitions import Partition, enumerate_partitions, enumerate_partitions_k
 from jittervan.verify import (
     SUITES,
     PhaseSumInstance,
+    bell,
     bracket_integral,
     brute_trace_moment,
     distinct_label_sum,
     finite_grid_term,
     instance_from_labels,
+    label_vector_count,
+    label_vectors,
     lmmse_demo,
     run_suites,
+    stirling2,
 )
 
 
@@ -108,6 +106,10 @@ REFUSALS = [
     ("stirling2", lambda: stirling2(2.5, 1), "order"),
     ("stirling2_k", lambda: stirling2(3, 0), "block count"),
     ("bell", lambda: bell(2.5), "order"),
+    ("label_vectors_fraction", lambda: label_vectors(Partition((1,)), 2.5), "label count"),
+    ("label_vectors_bool", lambda: label_vectors(Partition((1,)), True), "label count"),
+    ("label_vector_count_bool_k", lambda: label_vector_count(True, 3), "block count"),
+    ("label_vector_count_negative_r", lambda: label_vector_count(2, -1), "label count"),
     ("moment", lambda: moment(2.5, 0.5, 1, tripped_law()), "moment order"),
     ("moment_threads", lambda: moment(2, 0.5, 1, tripped_law(), threads=0), "thread count"),
     ("moment_bool_d", lambda: moment(2, 0.55, True, tripped_law()), "dimension"),
@@ -379,6 +381,7 @@ PYTHON_NUMBER_CALLS = [
     ("narayana", narayana, (70, 35)),
     ("stirling2", stirling2, (40, 20)),
     ("bell", bell, (30,)),
+    ("label_vector_count", label_vector_count, (3, 5)),
     ("enumerate_partitions", enumerate_partitions, (4,)),
     ("enumerate_partitions_k", enumerate_partitions_k, (4, 2)),
     ("resolve_shape", resolve_shape, (0.55, 2, 100)),

@@ -36,9 +36,10 @@ def fresh_python(code: str):
 
 
 #: Reference names that no engine module holds: the complex reference path, its
-#: input check and the estimator demo.
+#: input check, the estimator demo, the partition counts and the label vectors.
 REFERENCE_NAMES = (
-    "sampling_matrix", "gram_matrix", "lmmse_demo", "LmmseResult", "_check_build"
+    "sampling_matrix", "gram_matrix", "lmmse_demo", "LmmseResult", "_check_build",
+    "bell", "stirling2", "label_vector_count", "label_vectors",
 )
 
 
@@ -54,7 +55,7 @@ names = {REFERENCE_NAMES!r}
 exported = [name for name in names if name in jittervan.__all__]
 engine = [
     f"{{part}}.{{name}}"
-    for part in ("ensemble", "mse")
+    for part in ("ensemble", "mse", "partitions")
     for name in names
     if hasattr(getattr(jittervan, part), name)
 ]

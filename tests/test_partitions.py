@@ -12,15 +12,12 @@ from jittervan.jitter import uniform01
 from jittervan.moments import _evaluate_pair, clear_term_cache
 from jittervan.partitions import (
     Partition,
-    bell,
     enumerate_partitions,
     enumerate_partitions_k,
-    label_vector_count,
-    label_vectors,
     mobius_coefficient,
     partition_of,
-    stirling2,
 )
+from jittervan.verify import label_vector_count, label_vectors
 
 
 def brute_force_partitions(p: int) -> set[tuple[int, ...]]:
@@ -127,33 +124,6 @@ class TestEnumeration:
             if restricted_growth(labels)
         ]
         assert [w.omega for w in enumerate_partitions_k(p, k)] == oracle
-
-
-class TestCounting:
-    def test_reference_values(self):
-        assert stirling2(3, 2) == 3
-        assert bell(1) == 1
-        assert bell(7) == 877
-
-    @pytest.mark.slow
-    def test_bell_seven_by_brute_force(self):
-        assert bell(7) == len(brute_force_partitions(7))
-
-    @pytest.mark.parametrize("p", range(1, 8))
-    def test_counts_match_enumeration(self, p):
-        assert verify.count_matches_bell(p)
-        assert verify.count_matches_stirling(p)
-
-    def test_exact_large_values(self):
-        # arbitrary-precision integers cannot overflow; spot check p=20
-        assert bell(20) == 51724158235372
-        assert stirling2(20, 10) == 5917584964655
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            stirling2(3, 0)
-        with pytest.raises(ValueError):
-            bell(0)
 
 
 class TestMobiusCoefficient:

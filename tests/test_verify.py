@@ -1,6 +1,6 @@
-"""Tests of the independent references in ``jittervan.verify``: the complex
-sampling matrix G, its Gram matrix, the estimator demo and the finite-grid
-lattice sum."""
+"""Tests of the independent references in ``jittervan.verify``: the Bell and
+Stirling counts, the complex sampling matrix G, its Gram matrix, the
+estimator demo and the finite-grid lattice sum."""
 
 import numpy as np
 import pytest
@@ -13,11 +13,45 @@ from jittervan.integrate import cf_integral, term_integral
 from jittervan.jitter import JitterDistribution, point_mass_half, triangular01, uniform01
 from jittervan.moments import moment
 from jittervan.partitions import Partition, enumerate_partitions, enumerate_partitions_k
-from jittervan.verify import finite_grid_term, gram_matrix, lmmse_demo, sampling_matrix
+from jittervan.verify import (
+    bell,
+    finite_grid_term,
+    gram_matrix,
+    lmmse_demo,
+    sampling_matrix,
+    stirling2,
+)
 from test_moments import cf_pairs, two_point
-from test_partitions import dihedral_representative
+from test_partitions import brute_force_partitions, dihedral_representative
 
 LAWS = {"uniform01": uniform01, "triangular01": triangular01, "two_point": two_point}
+
+
+class TestCounting:
+    def test_reference_values(self):
+        assert stirling2(3, 2) == 3
+        assert bell(1) == 1
+        assert bell(7) == 877
+
+    @pytest.mark.slow
+    def test_bell_seven_by_brute_force(self):
+        assert bell(7) == len(brute_force_partitions(7))
+
+    @pytest.mark.parametrize("p", range(1, 8))
+    def test_counts_match_enumeration(self, p):
+        assert verify.count_matches_bell(p)
+        assert verify.count_matches_stirling(p)
+
+    def test_exact_large_values(self):
+        # arbitrary-precision integers cannot overflow; spot check p=20
+        assert bell(20) == 51724158235372
+        assert stirling2(20, 10) == 5917584964655
+
+    def test_invalid_arguments(self):
+        with pytest.raises(ValueError):
+            stirling2(3, 0)
+        with pytest.raises(ValueError):
+            bell(0)
 
 
 class TestMatrices:
